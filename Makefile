@@ -10,7 +10,9 @@
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline
 #   make cover        whole-tree coverage, failing below the COVER_FLOOR baseline
-#   make bench-json   run the pixel-pipeline benchmark harness, write BENCH_pixel.json
+#   make bench-smoke  run every workload of the repository's benchmark (bench/,
+#                     BENCHMARK.json) at toy scale with its output checks on,
+#                     then the bench module's own tests
 #   make loadgen-bench regenerate the committed serving-layer SLO artifact
 #                     (BENCH_serve.json) from the canonical loadgen matrix
 #   make loadgen-smoke run the loadgen bench matrix to a throwaway file with
@@ -19,9 +21,9 @@
 #                     soak pair (byte parity) then a wall-clock live soak, both
 #                     ending in machine-checked invariant reports
 #   make check        everything CI runs: build + vet + lint + escapecheck +
-#                     test + race + a 1-iteration bench-json smoke (catches
-#                     harness rot without paying bench time); the test suite
-#                     includes the long-virtual-horizon chaos soak
+#                     test + race + bench-smoke + loadgen-smoke (catch harness
+#                     rot without paying bench time); the test suite includes
+#                     the long-virtual-horizon chaos soak
 
 GO ?= go
 
@@ -30,7 +32,7 @@ GO ?= go
 # while a PR that lands a subsystem without tests fails the gate.
 COVER_FLOOR ?= 78.0
 
-.PHONY: build test race vet lint escapecheck cover check bench-json bench-json-smoke loadgen-bench loadgen-smoke soak clean
+.PHONY: build test race vet lint escapecheck cover check bench-smoke loadgen-bench loadgen-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -42,7 +44,7 @@ test:
 # layer (including the staged cross-frame pipeline — prefetch/reorder under
 # concurrent cancellation), the fault injectors, the observability registry
 # (scraped while the pipeline writes), plus everything that drives or
-# implements the par.Rows/par.Tiles worker pool (kernels, detector, flow,
+# implements the par.Rows worker pool (kernels, detector, flow,
 # renderer, tracker).
 race:
 	$(GO) test -race ./internal/rt/ ./internal/fault/ ./internal/guard/ ./internal/sim/ \
@@ -78,18 +80,13 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' \
 		|| { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Full measurement run; results land in BENCH_pixel.json (committed, so perf
-# regressions show up in review as a diff). Covers per-kernel rows at
-# workers 1 and 4, the per-setting macro pipeline, and the staged pipelined
-# macro-bench (frames-in-flight throughput at depth 1 vs 2-3 on 608/704).
-bench-json:
-	$(GO) test -run TestPixelBenchJSON -benchjson BENCH_pixel.json .
-
-# One iteration per measurement, throwaway output: proves the harness —
-# including the pipelined macro-bench — still runs end to end.
-bench-json-smoke:
-	$(GO) test -run TestPixelBenchJSON -benchjson-iters 1 \
-		-benchjson $(or $(TMPDIR),/tmp)/adavp_bench_smoke.json .
+# The repository's benchmark (bench/README.md) at toy scale: one second per
+# workload, non-zero exit when an output check fails. bench/ is a module of
+# its own, so the root `go test ./...` does not reach its tests; this does.
+# For measurements run `bash bench/run.sh --workload <w> --seed <n>`.
+bench-smoke:
+	bash bench/run.sh --smoke --seconds 1
+	cd bench && $(GO) test ./...
 
 # Serving-layer SLO benchmark: the canonical load-generator matrix (1000
 # streams over 8 slots with churn, flash crowds and setting skew, batch
@@ -100,6 +97,9 @@ bench-json-smoke:
 # The run fails unless every batched scenario beats the unbatched baseline
 # on p95 slot-wait and SLO attainment, and the pipelined scenario beats
 # its sequential-prepare reference on throughput with prepare time hidden.
+# BENCH_serve.json (and servebench_test.go, which byte-compares it) is a
+# parity pin on the scheduler, not a performance claim and not a second copy
+# of what bench/ measures: keep it.
 loadgen-bench:
 	$(GO) run ./cmd/adavp-loadgen -bench -out BENCH_serve.json
 
@@ -118,7 +118,7 @@ soak:
 	$(GO) run -race ./cmd/adavp -soak -streams 8 -detector-slots 2 \
 		-churn-rate 0.25 -fault-rate 0.08 -fault-burst 2 -soak-minutes 1 -seed 1
 
-check: build vet lint escapecheck test race bench-json-smoke loadgen-smoke
+check: build vet lint escapecheck test race bench-smoke loadgen-smoke
 
 clean:
 	$(GO) clean ./...

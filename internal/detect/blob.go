@@ -60,6 +60,12 @@ func BlobScratchDrops() int64 { return blobDrops.Load() }
 // DetectCtx implements ContextDetector. ctx carries the supervision layer's
 // abandonment signal; the detection itself never blocks on it.
 func (d *BlobDetector) DetectCtx(ctx context.Context, f core.Frame, s core.Setting) []core.Detection {
+	return d.detect(ctx, f, s, nil)
+}
+
+// detect is the one body behind DetectCtx and DetectPrepared. prepared, when
+// it has the setting's input dimensions, replaces the inline resize.
+func (d *BlobDetector) detect(ctx context.Context, f core.Frame, s core.Setting, prepared *imgproc.Gray) []core.Detection {
 	w, h, ok := d.inputDims(f, s)
 	if !ok {
 		return nil
@@ -73,9 +79,13 @@ func (d *BlobDetector) DetectCtx(ctx context.Context, f core.Frame, s core.Setti
 	small := img
 	var resized *imgproc.Gray
 	if w != img.W || h != img.H {
-		resized = bs.img.Take(w, h)
-		img.ResizeInto(resized)
-		small = resized
+		if prepared != nil && prepared.W == w && prepared.H == h {
+			small = prepared
+		} else {
+			resized = bs.img.Take(w, h)
+			img.ResizeInto(resized)
+			small = resized
+		}
 	}
 	out := d.detectOn(small, img, bs)
 	// comps alias bs.comps, so the scratch stays ours until this point.
@@ -142,27 +152,9 @@ func (d *BlobDetector) PrepareInput(f core.Frame, s core.Setting, dst *imgproc.G
 // degenerate case — so the result never depends on whether the prefetched
 // raster was usable.
 func (d *BlobDetector) DetectPrepared(f core.Frame, s core.Setting, prepared *imgproc.Gray) []core.Detection {
-	w, h, ok := d.inputDims(f, s)
-	if !ok {
-		return nil
-	}
-	img := f.Pixels
-	bs := blobPool.Get().(*blobScratch) //adavp:pool-drop released below: DetectPrepared calls are never watchdog-abandoned
-	small := img
-	var resized *imgproc.Gray
-	if w != img.W || h != img.H {
-		if prepared != nil && prepared.W == w && prepared.H == h {
-			small = prepared
-		} else {
-			resized = bs.img.Take(w, h)
-			img.ResizeInto(resized)
-			small = resized
-		}
-	}
-	out := d.detectOn(small, img, bs)
-	bs.img.Put(resized)
-	blobPool.Put(bs)
-	return out
+	// DetectPrepared calls are never watchdog-abandoned, so there is no
+	// abandonment signal to carry.
+	return d.detect(context.Background(), f, s, prepared)
 }
 
 // detectOn runs segmentation and classification over the (already resized)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestResizeIntoAllocFree pins the steady-state allocation count of the
-// resize kernel (the BENCH_pixel.json allocs_op column). The only permitted
+// resize kernel. The only permitted
 // steady-state allocation is the fixed goroutine-closure header of the
 // par.Rows call (fn escapes into the spawn path even when the call inlines
 // serially) — one size-independent allocation, never a buffer.

@@ -6,9 +6,8 @@ import (
 )
 
 // Micro-benchmarks for the hot pixel kernels, each in optimized and retained
-// scalar-reference form, with allocation reporting — the per-kernel rows of
-// BENCH_pixel.json (make bench-json) and the evidence for the perf table in
-// README. Run: go test -bench=Kernel ./internal/imgproc/ -benchmem
+// scalar-reference form, with allocation reporting.
+// Run: go test -bench=Kernel ./internal/imgproc/ -benchmem
 
 var benchSizes = [][2]int{{320, 180}, {704, 396}}
 

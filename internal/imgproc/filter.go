@@ -50,10 +50,6 @@ func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool) {
 	if w == 0 || h == 0 {
 		return
 	}
-	if useTiles(w, h) {
-		convolve1DTiledInto(dst, g, kernel, horizontal)
-		return
-	}
 	if horizontal {
 		// Interior columns [radius, w-radius) read a contiguous window of
 		// their own row.
@@ -83,36 +79,45 @@ func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool) {
 		})
 		return
 	}
-	// Vertical: interior rows [radius, h-radius) see every tap row in
-	// bounds, so the taps accumulate column-wise over whole rows — the same
-	// additions in the same order as the per-pixel reference.
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			out := dst.Row(y)
-			if y >= radius && y+radius < h {
-				first := g.Row(y - radius)
-				kv0 := kernel[0]
-				for x := 0; x < w; x++ {
-					out[x] = kv0 * first[x]
-				}
-				for i := 1; i < len(kernel); i++ {
-					kv := kernel[i]
-					row := g.Row(y - radius + i)
-					for x := 0; x < w; x++ {
-						out[x] += kv * row[x]
-					}
-				}
-				continue
-			}
-			for x := 0; x < w; x++ {
-				var acc float32
-				for i, kv := range kernel {
-					acc += kv * g.At(x, y+i-radius)
-				}
-				out[x] = acc
-			}
+			convolveRowV(dst.Row(y), g, kernel, y)
 		}
 	})
+}
+
+// convolveRowV writes row y of the vertical convolution of g into out
+// (len ≥ g.W). Interior rows [radius, h-radius) see every tap row in bounds,
+// so the taps accumulate column-wise over whole rows — the same additions in
+// the same order as the per-pixel reference; border rows take its clamped
+// taps.
+//
+//adavp:hotpath
+func convolveRowV(out []float32, g *Gray, kernel []float32, y int) {
+	radius := len(kernel) / 2
+	w := g.W
+	if y >= radius && y+radius < g.H {
+		first := g.Row(y - radius)
+		kv0 := kernel[0]
+		for x := 0; x < w; x++ {
+			out[x] = kv0 * first[x]
+		}
+		for i := 1; i < len(kernel); i++ {
+			kv := kernel[i]
+			row := g.Row(y - radius + i)
+			for x := 0; x < w; x++ {
+				out[x] += kv * row[x]
+			}
+		}
+		return
+	}
+	for x := 0; x < w; x++ {
+		var acc float32
+		for i, kv := range kernel {
+			acc += kv * g.At(x, y+i-radius)
+		}
+		out[x] = acc
+	}
 }
 
 // convolveClampedH is the border path of the horizontal convolution: the
@@ -212,30 +217,48 @@ func Downsample2(g *Gray) *Gray {
 }
 
 // Downsample2Into performs the pyramid reduction into dst (which must be
-// g.W/2 × g.H/2, fully overwritten), drawing temporaries from s.
+// g.W/2 × g.H/2, fully overwritten), drawing temporaries from s. The filter
+// is fused with the decimation: the horizontal Burt–Adelson pass is evaluated
+// only at even source columns (the only ones decimation keeps) into a
+// half-width intermediate, and the vertical pass only at even source rows —
+// about 37% of the arithmetic of filter-everything-then-decimate. Every
+// surviving value is computed with the identical taps in the identical order,
+// so the output is bitwise-identical to Downsample2Ref.
 //
 //adavp:hotpath
 func Downsample2Into(dst, g *Gray, s *Scratch) {
-	if useTiles(g.W, g.H) {
-		downsample2TiledInto(dst, g, s)
+	w, h := dst.W, dst.H
+	if w == 0 || h == 0 {
 		return
 	}
-	sm := s.Take(g.W, g.H)
-	tmp := s.Take(g.W, g.H)
-	convolve1DInto(tmp, g, burtAdelson, true)
-	convolve1DInto(sm, tmp, burtAdelson, false)
-	s.Put(tmp)
-	w, h := dst.W, dst.H
-	par.Rows(h, func(lo, hi int) {
+	tmp := s.Take(w, g.H)
+	// Destination columns [1, xHi) have their source column 2x at least two
+	// pixels from either edge and read a contiguous window of their own row.
+	xHi := max(1, (g.W-1)/2)
+	par.Rows(g.H, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			src := sm.Row(2 * y)
-			out := dst.Row(y)
-			for x := 0; x < w; x++ {
-				out[x] = src[2*x]
+			row := g.Row(y)
+			out := tmp.Row(y)
+			out[0] = convolveClampedH(g, burtAdelson, 2, 0, y)
+			for x := 1; x < xHi; x++ {
+				var acc float32
+				win := row[2*x-2:]
+				for i, kv := range burtAdelson {
+					acc += kv * win[i]
+				}
+				out[x] = acc
+			}
+			for x := xHi; x < w; x++ {
+				out[x] = convolveClampedH(g, burtAdelson, 2, 2*x, y)
 			}
 		}
 	})
-	s.Put(sm)
+	par.Rows(h, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y)
+		}
+	})
+	s.Put(tmp)
 }
 
 // Pyramid is a coarse-to-fine stack of images. Level 0 is the original

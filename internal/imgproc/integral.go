@@ -43,10 +43,6 @@ func (it *Integral) Rebuild(g *Gray) {
 	for i := 0; i < stride; i++ {
 		it.sum[i] = 0
 	}
-	if useTiles(w, h) {
-		it.rebuildTiled(g)
-		return
-	}
 	// Pass 1: per-row prefix sums into rows 1..h of the table.
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {

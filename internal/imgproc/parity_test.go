@@ -14,7 +14,9 @@ import (
 // rewrite cannot perturb a single simulation or experiment result.
 
 // paritySizes includes tiny, odd, prime-sized and kernel-smaller-than-image
-// shapes, plus a DNN-input-sized frame.
+// shapes, plus a DNN-input-sized frame. The first four are also the
+// degenerate sources of the fused downsample: zero-width or zero-height
+// destinations and rows narrower than the five-tap filter.
 var paritySizes = [][2]int{
 	{1, 1}, {2, 3}, {3, 5}, {5, 2}, {16, 16}, {17, 31}, {31, 17},
 	{64, 64}, {97, 61}, {320, 180}, {101, 7},
@@ -147,7 +149,16 @@ func TestGradientsParity(t *testing.T) {
 
 func TestDownsample2Parity(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, g *Gray) {
-		requireIdentical(t, "Downsample2", Downsample2Ref(g), Downsample2(g))
+		ref := Downsample2Ref(g)
+		requireIdentical(t, "Downsample2", ref, Downsample2(g))
+
+		// Scratch-reusing form, twice through the same scratch.
+		var s Scratch
+		dst := NewGray(g.W/2, g.H/2)
+		for i := 0; i < 2; i++ {
+			Downsample2Into(dst, g, &s)
+			requireIdentical(t, "Downsample2Into", ref, dst)
+		}
 	})
 }
 
@@ -194,24 +205,119 @@ func TestPyramidRebuildReusesBuffers(t *testing.T) {
 	}
 }
 
+// requireIntegralIdentical fails unless the two tables match bitwise.
+func requireIntegralIdentical(t *testing.T, name string, want, got *Integral) {
+	t.Helper()
+	if got.W != want.W || got.H != want.H || len(got.sum) != len(want.sum) {
+		t.Fatalf("%s: size %dx%d vs %dx%d", name, want.W, want.H, got.W, got.H)
+	}
+	stride := want.W + 1
+	for i := range want.sum {
+		if math.Float64bits(want.sum[i]) != math.Float64bits(got.sum[i]) {
+			t.Fatalf("%s: cell %d (x=%d y=%d): %v vs %v", name, i, i%stride, i/stride, want.sum[i], got.sum[i])
+		}
+	}
+}
+
 func TestIntegralParity(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, g *Gray) {
 		ref := NewIntegralRef(g)
 		got := NewIntegral(g)
-		if ref.W != got.W || ref.H != got.H || len(ref.sum) != len(got.sum) {
-			t.Fatalf("integral shape mismatch")
-		}
-		for i := range ref.sum {
-			if math.Float64bits(ref.sum[i]) != math.Float64bits(got.sum[i]) {
-				t.Fatalf("integral cell %d: %v vs %v", i, ref.sum[i], got.sum[i])
-			}
-		}
+		requireIntegralIdentical(t, "NewIntegral", ref, got)
 		// Rebuild into the same table (reused backing array).
 		got.Rebuild(g)
-		for i := range ref.sum {
-			if math.Float64bits(ref.sum[i]) != math.Float64bits(got.sum[i]) {
-				t.Fatalf("rebuilt integral cell %d: %v vs %v", i, ref.sum[i], got.sum[i])
+		requireIntegralIdentical(t, "Rebuild", ref, got)
+	})
+}
+
+// productionSizes are the frames the live pipeline feeds the kernels — the
+// 608 and 704 rungs of the DNN input ladder at 16:9 — plus an odd-sized one
+// (ragged bands at every worker count) and 600×300.
+var productionSizes = [][2]int{
+	{608, 342}, {704, 396}, {613, 311}, {600, 300},
+}
+
+// forEachProductionConfig calls setup once per production size — the scalar
+// references are slow there, so it computes them once — and runs the check it
+// returns twice in a row at every worker count: the tests share one Scratch
+// across all of it, so state pooled by an earlier size, worker count or run
+// must not leak into the next. The TestTiled* tests below carry the names
+// these sizes have been pinned under since they were first covered.
+func forEachProductionConfig(t *testing.T, setup func(g *Gray) func(t *testing.T)) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	for _, size := range productionSizes {
+		check := setup(testImage(size[0], size[1]))
+		for _, workers := range parityWorkers {
+			par.SetWorkers(workers)
+			for run := 0; run < 2; run++ {
+				t.Run(fmt.Sprintf("%dx%d/w%d/run%d", size[0], size[1], workers, run), check)
 			}
+		}
+	}
+}
+
+func TestTiledGaussianBlurParity(t *testing.T) {
+	var s Scratch
+	forEachProductionConfig(t, func(g *Gray) func(t *testing.T) {
+		want := GaussianBlurRef(g, 1.2)
+		return func(t *testing.T) {
+			got := NewGray(g.W, g.H)
+			GaussianBlurInto(got, g, 1.2, &s)
+			requireIdentical(t, "blur", want, got)
+		}
+	})
+}
+
+func TestTiledGradientsParity(t *testing.T) {
+	var s Scratch
+	forEachProductionConfig(t, func(g *Gray) func(t *testing.T) {
+		wantX, wantY := GradientsRef(g)
+		return func(t *testing.T) {
+			gx := NewGray(g.W, g.H)
+			gy := NewGray(g.W, g.H)
+			GradientsInto(gx, gy, g, &s)
+			requireIdentical(t, "gx", wantX, gx)
+			requireIdentical(t, "gy", wantY, gy)
+		}
+	})
+}
+
+func TestTiledDownsample2Parity(t *testing.T) {
+	var s Scratch
+	forEachProductionConfig(t, func(g *Gray) func(t *testing.T) {
+		want := Downsample2Ref(g)
+		return func(t *testing.T) {
+			got := NewGray(g.W/2, g.H/2)
+			Downsample2Into(got, g, &s)
+			requireIdentical(t, "downsample", want, got)
+		}
+	})
+}
+
+func TestTiledPyramidParity(t *testing.T) {
+	var s Scratch
+	var p Pyramid // rebuilt in place across every size, worker count and run
+	forEachProductionConfig(t, func(g *Gray) func(t *testing.T) {
+		want := NewPyramidRef(g, 4)
+		return func(t *testing.T) {
+			p.Rebuild(g, 4, &s)
+			if len(p.Levels) != len(want.Levels) {
+				t.Fatalf("levels: %d vs %d", len(want.Levels), len(p.Levels))
+			}
+			for i := range p.Levels {
+				requireIdentical(t, fmt.Sprintf("pyramid level %d", i), want.Levels[i], p.Levels[i])
+			}
+		}
+	})
+}
+
+func TestTiledIntegralParity(t *testing.T) {
+	var it Integral // rebuilt in place across every size, worker count and run
+	forEachProductionConfig(t, func(g *Gray) func(t *testing.T) {
+		want := NewIntegralRef(g)
+		return func(t *testing.T) {
+			it.Rebuild(g)
+			requireIntegralIdentical(t, "Rebuild", want, &it)
 		}
 	})
 }

@@ -6,78 +6,63 @@ import (
 	"go/types"
 )
 
-// BandSafe guards the ways to break internal/par's partitioning contracts,
-// which are what make every pixel kernel bitwise-deterministic at any
-// worker count (and what the parity tests assert):
+// BandSafe guards the ways to break internal/par's partitioning contract,
+// which is what makes every pixel kernel bitwise-deterministic at any worker
+// count (and what the parity tests assert):
 //
-//  1. A band or tile closure writing a captured scalar variable: bands and
-//     tiles run concurrently, so such writes race, and even "benign" races
-//     (max trackers, accumulators) make the result depend on the worker
-//     count. Writes must go through the band-index arguments / the tile
-//     interior into disjoint elements of shared slices. (Writes through
-//     captured slices/pointers cannot be checked for disjointness
-//     statically; the analyzer trusts indexed writes and flags only direct
-//     captured-identifier stores.)
+//  1. A band closure writing a captured scalar variable: bands run
+//     concurrently, so such writes race, and even "benign" races (max
+//     trackers, accumulators) make the result depend on the worker count.
+//     Writes must go through the band-index arguments into disjoint elements
+//     of shared slices. (Writes through captured slices/pointers cannot be
+//     checked for disjointness statically; the analyzer trusts indexed writes
+//     and flags only direct captured-identifier stores.)
 //
-//  2. Calling a par fan-out (Rows, Tiles, TilesOf) from inside a band or
-//     tile closure: the pool joins its workers with a WaitGroup on the
-//     caller's goroutine, so reentrant fan-out multiplies goroutines
-//     quadratically and — with a bounded custom pool — can deadlock.
-//     Kernels compose sequentially, never nested.
+//  2. Calling par.Rows from inside a band closure: the pool joins its workers
+//     with a WaitGroup on the caller's goroutine, so reentrant fan-out
+//     multiplies goroutines quadratically and — with a bounded custom pool —
+//     can deadlock. Kernels compose sequentially, never nested.
 //
-//  3. A tile closure storing through a read-window coordinate (RX0/RY0/
-//     RX1/RY1): the read window overlaps neighbouring tiles by the halo
-//     radius, so a store indexed by it lands in cells another tile owns.
-//     Writes must be indexed by the interior (X0/Y0/X1/Y1) only; the R
-//     fields exist for reads.
-//
-// Named functions and method values passed to the fan-outs are resolved
-// through the call graph and their declarations checked under the same
-// rules; for them the "captured variable" rule degenerates to package-level
-// variables, the only state a declared function can write directly without
-// a closure environment. Without a call graph (isolated package runs) named
-// arguments are skipped, the PR 3 behaviour.
+// Named functions and method values passed to par.Rows are resolved through
+// the call graph and their declarations checked under the same rules; for
+// them the "captured variable" rule degenerates to package-level variables,
+// the only state a declared function can write directly without a closure
+// environment. Without a call graph (isolated package runs) named arguments
+// are skipped, the PR 3 behaviour.
 var BandSafe = &Analyzer{
 	Name: "bandsafe",
-	Doc:  "par.Rows/par.Tiles bodies (literals or named functions) may write only band- or interior-indexed elements, never halo cells, and must not fan out reentrantly",
+	Doc:  "par.Rows bodies (literals or named functions) may write only band-indexed elements and must not fan out reentrantly",
 	Run:  runBandSafe,
 }
 
 func runBandSafe(pass *Pass) error {
-	// One named function may be passed to fan-outs at several sites; its
-	// declaration is checked once per (function, closure kind).
-	checkedNamed := make(map[*ast.FuncDecl]map[string]bool)
+	// One named function may be passed to par.Rows at several sites; its
+	// declaration is checked once.
+	checkedNamed := make(map[*ast.FuncDecl]bool)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || !isParRows(pass.Info, call) || len(call.Args) != 2 {
 				return true
 			}
-			name, ok := parFanoutCall(pass.Info, call)
-			if !ok {
-				return true
-			}
-			arg, ok := parFanoutBodyArg(name, call)
-			if !ok {
-				return true
-			}
+			// The body is the last argument of Rows(n, fn): a function
+			// literal or a named function value.
+			arg := call.Args[1]
 			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				checkBandClosure(pass, name, lit)
+				checkBandBody(pass, pass.Info, pass.suppOf(), lit.Body, lit.Pos(), lit.End(), "closure")
 				return true
 			}
 			if pass.Graph == nil {
 				return true
 			}
 			if f := funcValueOf(pass.Info, arg); f != nil {
-				if node := pass.Graph.NodeOf(f); node != nil {
-					kind := closureKind(name)
-					if checkedNamed[node.Decl] == nil {
-						checkedNamed[node.Decl] = make(map[string]bool)
-					}
-					if !checkedNamed[node.Decl][kind] {
-						checkedNamed[node.Decl][kind] = true
-						checkBandNamed(pass, name, node)
-					}
+				if node := pass.Graph.NodeOf(f); node != nil && !checkedNamed[node.Decl] {
+					checkedNamed[node.Decl] = true
+					// The function may live in another package than the
+					// fan-out call: use the declaring package's type info
+					// and suppression index.
+					checkBandBody(pass, node.Pkg.Info, node.Pkg.suppIdx(), node.Decl.Body,
+						node.Decl.Pos(), node.Decl.End(), "function "+shortFuncName(node.Func))
 				}
 			}
 			return true
@@ -86,70 +71,29 @@ func runBandSafe(pass *Pass) error {
 	return nil
 }
 
-// parFanoutCall reports whether the call resolves to one of internal/par's
-// fan-out entry points, returning its name.
-func parFanoutCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+// isParRows reports whether the call resolves to internal/par's fan-out
+// entry point, Rows.
+func isParRows(info *types.Info, call *ast.CallExpr) bool {
 	f := calleeFunc(info, call)
-	if f == nil || f.Pkg() == nil || !pathHasSuffixPkg(f.Pkg().Path(), "par") {
-		return "", false
-	}
-	switch f.Name() {
-	case "Rows", "Tiles", "TilesOf":
-		return f.Name(), true
-	}
-	return "", false
+	return f != nil && f.Pkg() != nil && pathHasSuffixPkg(f.Pkg().Path(), "par") && f.Name() == "Rows"
 }
 
-// parFanoutBodyArg extracts the body argument of a fan-out call: the last
-// argument of Rows(n, fn), Tiles(w, h, halo, fn), TilesOf(w, h, tw, th,
-// halo, fn) — a function literal or a named function value.
-func parFanoutBodyArg(name string, call *ast.CallExpr) (ast.Expr, bool) {
-	arity := map[string]int{"Rows": 2, "Tiles": 4, "TilesOf": 6}[name]
-	if len(call.Args) != arity {
-		return nil, false
-	}
-	return call.Args[arity-1], true
-}
-
-// closureKind names the closure for diagnostics: Rows runs band closures,
-// Tiles/TilesOf run tile closures.
-func closureKind(fanout string) string {
-	if fanout == "Rows" {
-		return "band"
-	}
-	return "tile"
-}
-
-func checkBandClosure(pass *Pass, fanout string, lit *ast.FuncLit) {
-	supp := pass.suppOf()
-	checkBandBody(pass, pass.Info, supp, fanout, lit.Body, lit.Pos(), lit.End(), "closure")
-}
-
-// checkBandNamed applies the band/tile rules to a named function's
-// declaration, using the declaring package's type info and suppression
-// index (the function may live in another package than the fan-out call).
-func checkBandNamed(pass *Pass, fanout string, node *CallNode) {
-	checkBandBody(pass, node.Pkg.Info, node.Pkg.suppIdx(), fanout, node.Decl.Body,
-		node.Decl.Pos(), node.Decl.End(), "function "+shortFuncName(node.Func))
-}
-
-// checkBandBody walks one band/tile body. [lo, hi] is the source range of
-// the band function itself: objects declared inside it are band-local and
-// free; anything outside is shared across concurrent bands.
-func checkBandBody(pass *Pass, info *types.Info, supp *suppIndex, fanout string, body *ast.BlockStmt, lo, hi token.Pos, what string) {
-	kind := closureKind(fanout)
+// checkBandBody walks one band body. [lo, hi] is the source range of the
+// band function itself: objects declared inside it are band-local and free;
+// anything outside is shared across concurrent bands.
+func checkBandBody(pass *Pass, info *types.Info, supp *suppIndex, body *ast.BlockStmt, lo, hi token.Pos, what string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if inner, ok := parFanoutCall(info, n); ok && !supp.has("bandsafe-ok", n.Pos()) {
-				pass.Reportf(n.Pos(), "reentrant par.%s inside a %s %s: %ss must not fan out again (compose kernels sequentially)", inner, kind, what, kind)
+			if isParRows(info, n) && !supp.has("bandsafe-ok", n.Pos()) {
+				pass.Reportf(n.Pos(), "reentrant par.Rows inside a band %s: bands must not fan out again (compose kernels sequentially)", what)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkBandWrite(pass, info, supp, kind, lo, hi, lhs, n.Tok.String(), what)
+				checkBandWrite(pass, info, supp, lo, hi, lhs, n.Tok.String(), what)
 			}
 		case *ast.IncDecStmt:
-			checkBandWrite(pass, info, supp, kind, lo, hi, n.X, n.Tok.String(), what)
+			checkBandWrite(pass, info, supp, lo, hi, n.X, n.Tok.String(), what)
 		case *ast.UnaryExpr:
 			// &captured escaping the closure could alias a write; out of
 			// scope for a mechanical check.
@@ -159,15 +103,10 @@ func checkBandBody(pass *Pass, info *types.Info, supp *suppIndex, fanout string,
 }
 
 // checkBandWrite flags a direct store to an identifier declared outside the
-// band function's source range and, in tile closures, a store indexed by a
-// read-window coordinate. Other writes through index/star/selector
+// band function's source range. Writes through index/star/selector
 // expressions are assumed band-disjoint (that is the contract the closure's
 // author signs).
-func checkBandWrite(pass *Pass, info *types.Info, supp *suppIndex, kind string, lo, hi token.Pos, lhs ast.Expr, tok, what string) {
-	if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && kind == "tile" {
-		checkHaloIndex(pass, info, supp, idx.Index)
-		return
-	}
+func checkBandWrite(pass *Pass, info *types.Info, supp *suppIndex, lo, hi token.Pos, lhs ast.Expr, tok, what string) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
@@ -186,31 +125,5 @@ func checkBandWrite(pass *Pass, info *types.Info, supp *suppIndex, kind string, 
 	if supp.has("bandsafe-ok", id.Pos()) {
 		return
 	}
-	pass.Reportf(id.Pos(), "%s %s writes captured variable %q (%s): concurrent %ss race on it and the result depends on the worker count; write through %s-indexed slice elements instead", kind, what, id.Name, tok, kind, kind)
-}
-
-// readWindowFields are the par.Tile coordinates a tile closure may read
-// through but never store through.
-var readWindowFields = map[string]bool{"RX0": true, "RY0": true, "RX1": true, "RY1": true}
-
-// checkHaloIndex flags read-window field selections inside the index
-// expression of a store. The check is syntactic over the index expression —
-// a coordinate laundered through a local variable escapes it — but it
-// catches the direct shape, which is the one reviewers actually write.
-func checkHaloIndex(pass *Pass, info *types.Info, supp *suppIndex, index ast.Expr) {
-	ast.Inspect(index, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || !readWindowFields[sel.Sel.Name] {
-			return true
-		}
-		obj, ok := info.Uses[sel.Sel].(*types.Var)
-		if !ok || !obj.IsField() || obj.Pkg() == nil || !pathHasSuffixPkg(obj.Pkg().Path(), "par") {
-			return true
-		}
-		if supp.has("bandsafe-ok", sel.Pos()) {
-			return true
-		}
-		pass.Reportf(sel.Pos(), "tile closure writes through read-window coordinate %s: halo cells belong to neighbouring tiles; store through the interior (X0/Y0/X1/Y1) only", sel.Sel.Name)
-		return true
-	})
+	pass.Reportf(id.Pos(), "band %s writes captured variable %q (%s): concurrent bands race on it and the result depends on the worker count; write through band-indexed slice elements instead", what, id.Name, tok)
 }

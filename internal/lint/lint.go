@@ -12,9 +12,8 @@
 //     kernels — and their transitive callees must not allocate in steady
 //     state; //adavp:amortized marks cold-path-only allocators traversal
 //     may stop at.
-//   - bandsafe: closures or named functions passed to par.Rows/par.Tiles
-//     may only write through their band indices and must not fan out
-//     reentrantly.
+//   - bandsafe: closures or named functions passed to par.Rows may only
+//     write through their band indices and must not fan out reentrantly.
 //   - leakygo: every goroutine in non-test code — go func(){...} or
 //     go namedFunc() — must be cancellable or join-bounded.
 //   - poolpair: a sync.Pool.Get must be paired with a Put in the same

@@ -275,8 +275,10 @@ func (l *Loader) Load(dir string) (*Package, error) {
 }
 
 // PackageDirs lists every directory under the module root holding buildable
-// Go files, skipping testdata, hidden directories, and VCS metadata —
-// the walk behind "adavplint ./...".
+// Go files, skipping testdata, hidden directories, VCS metadata and nested
+// modules (a directory with its own go.mod, such as bench/, is not part of
+// this module, exactly as the go tool's ./... sees it) — the walk behind
+// "adavplint ./...".
 func (l *Loader) PackageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -289,6 +291,11 @@ func (l *Loader) PackageDirs() ([]string, error) {
 		name := d.Name()
 		if path != l.ModuleRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.ModuleRoot {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if _, err := l.ctxt.ImportDir(path, 0); err != nil {
 			// Directories without Go files are organizational, not packages.

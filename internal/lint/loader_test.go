@@ -101,3 +101,29 @@ func TestLoaderRejectsExternalImports(t *testing.T) {
 		t.Errorf("error %q does not mention the dependency-free policy", err)
 	}
 }
+
+// TestPackageDirsSkipsNestedModules pins that a directory with its own
+// go.mod (bench/) is outside "adavplint ./...", as it is outside the go
+// tool's: its types must not join the module-wide interface expansion.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatalf("module root: %v", err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	dirs, err := loader.PackageDirs()
+	if err != nil {
+		t.Fatalf("PackageDirs: %v", err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no package directories found")
+	}
+	for _, d := range dirs {
+		if filepath.Base(d) == "bench" {
+			t.Errorf("PackageDirs includes the nested module %s", d)
+		}
+	}
+}

@@ -50,77 +50,3 @@ func Suppressed(xs []float64) int {
 	})
 	return hits
 }
-
-// TileRacy accumulates into captured variables from concurrent tiles.
-func TileRacy(img []float64, w, h int) float64 {
-	var sum float64
-	par.Tiles(w, h, 1, func(t par.Tile) {
-		for y := t.Y0; y < t.Y1; y++ {
-			for x := t.X0; x < t.X1; x++ {
-				sum += img[y*w+x] // want "tile closure writes captured variable \"sum\""
-			}
-		}
-	})
-	return sum
-}
-
-// TileReentrant fans out again from inside a tile closure.
-func TileReentrant(dst []float64, w, h int) {
-	par.Tiles(w, h, 0, func(t par.Tile) {
-		par.Rows(t.Y1-t.Y0, func(lo, hi int) { // want "reentrant par.Rows inside a tile closure"
-			for y := t.Y0 + lo; y < t.Y0+hi; y++ {
-				for x := t.X0; x < t.X1; x++ {
-					dst[y*w+x] = 0
-				}
-			}
-		})
-	})
-}
-
-// RowsReentrantTiles drives a tile grid from inside a band closure.
-func RowsReentrantTiles(dst []float64, w, h int) {
-	par.Rows(h, func(lo, hi int) {
-		par.TilesOf(w, hi-lo, w, 8, 0, func(t par.Tile) { // want "reentrant par.TilesOf inside a band closure"
-			for y := t.Y0; y < t.Y1; y++ {
-				for x := t.X0; x < t.X1; x++ {
-					dst[(lo+y)*w+x] = 0
-				}
-			}
-		})
-	})
-}
-
-// TileHaloWrite stores through read-window coordinates: those cells overlap
-// neighbouring tiles.
-func TileHaloWrite(dst []float64, w, h int) {
-	par.TilesOf(w, h, 64, 32, 2, func(t par.Tile) {
-		for y := t.Y0; y < t.Y1; y++ {
-			dst[y*w+t.RX0] = 1 // want "tile closure writes through read-window coordinate RX0"
-		}
-		dst[t.RY1*w-1]++ // want "tile closure writes through read-window coordinate RY1"
-	})
-}
-
-// Tiled is the contract-conforming shape: writes indexed by the tile
-// interior, reads free to roam the halo-expanded read window.
-func Tiled(dst, src []float64, w, h int) {
-	par.Tiles(w, h, 1, func(t par.Tile) {
-		for y := t.Y0; y < t.Y1; y++ {
-			for x := t.X0; x < t.X1; x++ {
-				up := y - 1
-				if up < t.RY0 {
-					up = t.RY0
-				}
-				dst[y*w+x] = src[y*w+x] + src[up*w+x]
-			}
-		}
-	})
-}
-
-// TileSuppressed shows a justified halo-write exception.
-func TileSuppressed(dst []float64, w, h int) {
-	par.TilesOf(w, h, w, 16, 1, func(t par.Tile) {
-		//adavp:bandsafe-ok full-width strips: the read window equals the interior in x, so RX0 is X0
-		dst[t.Y0*w+t.RX0] = 1
-	})
-}

@@ -14,7 +14,6 @@ import (
 	"adavp/internal/imgproc"
 	"adavp/internal/metrics"
 	"adavp/internal/obs"
-	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
 	"adavp/internal/track"
@@ -600,8 +599,3 @@ func sleepScaled(d time.Duration, scale float64) {
 		time.Sleep(scaled)
 	}
 }
-
-// PipelineWorkers reports the kernel worker count the pipelined bench
-// records alongside throughput (re-exported so the root-package bench does
-// not import internal/par directly for it).
-func PipelineWorkers() int { return par.Workers() }

@@ -13,8 +13,8 @@ import (
 	"adavp/internal/video"
 )
 
-// pipelineTestVideo renders at the blob detector's 704 reference width so the
-// tiled kernel paths (≥600×300) are exercised, not just the banded ones.
+// pipelineTestVideo renders at the blob detector's 704 reference width, the
+// largest frame the kernels see in production.
 func pipelineTestVideo(name string, k video.Kind, seed uint64, frames int) *video.Video {
 	p := video.ScenarioParams(k)
 	p.W, p.H = 704, 396

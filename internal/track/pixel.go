@@ -69,35 +69,18 @@ func NewPixelTracker() *PixelTracker {
 }
 
 // Init implements Tracker. The reference frame must carry pixels; a frame
-// without pixels clears the tracker.
+// without pixels clears the tracker. It is InitWithPyramid fed from the
+// tracker's own spare pyramid.
 func (t *PixelTracker) Init(ref core.Frame, dets []core.Detection) int {
-	t.objs = t.objs[:0]
-	if t.prevPyr != nil {
-		// Recycle the previous pyramid's reduced-level buffers instead of
-		// dropping them; level 0 aliases the old frame and is replaced by
-		// Rebuild.
-		if t.sparePyr == nil {
-			t.sparePyr = t.prevPyr
-		}
-		t.prevPyr = nil
-	}
-	if ref.Pixels == nil {
-		return 0
-	}
-	t.bounds = geom.Rect{W: float64(ref.Pixels.W), H: float64(ref.Pixels.H)}
-	total := t.initFeatures(ref, dets)
-	t.prevPyr = t.takeSpare()
-	t.prevPyr.Rebuild(ref.Pixels, t.PyramidLevels, &t.scratch)
-	t.prevIndex = ref.Index
-	return total
+	n, released := t.InitWithPyramid(ref, dets, t.spareFor(ref))
+	t.sparePyr = released
+	return n
 }
 
 // InitWithPyramid is Init for pipelined callers that already built the
 // reference frame's pyramid in a prefetch stage: the tracker takes ownership
 // of pyr and returns the pyramid it no longer needs (nil on the first call),
 // so a fixed pool of pyramids can circulate between prefetcher and tracker.
-// Feature extraction is identical to Init — the prefetched pyramid holds the
-// same pixel data Rebuild would have produced, so results are bitwise-equal.
 func (t *PixelTracker) InitWithPyramid(ref core.Frame, dets []core.Detection, pyr *imgproc.Pyramid) (n int, released *imgproc.Pyramid) {
 	t.objs = t.objs[:0]
 	released = t.prevPyr
@@ -120,7 +103,7 @@ func (t *PixelTracker) InitWithPyramid(ref core.Frame, dets []core.Detection, py
 }
 
 // initFeatures extracts good features inside the detection boxes and builds
-// the tracked-object list — the shared middle of Init and InitWithPyramid.
+// the tracked-object list.
 func (t *PixelTracker) initFeatures(ref core.Frame, dets []core.Detection) int {
 	masks := make([]geom.Rect, 0, len(dets))
 	for _, d := range dets {
@@ -141,37 +124,33 @@ func (t *PixelTracker) initFeatures(ref core.Frame, dets []core.Detection) int {
 	return total
 }
 
-// takeSpare returns the pyramid whose buffers are free for rebuilding.
-func (t *PixelTracker) takeSpare() *imgproc.Pyramid {
+// spareFor takes the pyramid whose buffers are free and rebuilds it from f's
+// pixels — what a prefetch stage hands the pipelined callers ready-made.
+func (t *PixelTracker) spareFor(f core.Frame) *imgproc.Pyramid {
 	p := t.sparePyr
 	if p == nil {
 		p = &imgproc.Pyramid{}
 	}
 	t.sparePyr = nil
+	if f.Pixels != nil {
+		p.Rebuild(f.Pixels, t.PyramidLevels, &t.scratch)
+	}
 	return p
 }
 
 // Step implements Tracker. Objects whose features are all lost keep their
 // last box (the paper's tracker cannot re-acquire without a new detection).
+// It is StepWithPyramid fed from the tracker's own spare pyramid.
 func (t *PixelTracker) Step(next core.Frame) ([]core.Detection, float64) {
-	if next.Pixels == nil || t.prevPyr == nil {
-		return t.heldBoxes(), 0
-	}
-	nextPyr := t.takeSpare()
-	nextPyr.Rebuild(next.Pixels, t.PyramidLevels, &t.scratch)
-	out, velocity := t.stepFlow(next, nextPyr)
-	t.sparePyr = t.prevPyr
-	t.prevPyr = nextPyr
-	t.prevIndex = next.Index
-	return out, velocity
+	dets, velocity, released := t.StepWithPyramid(next, t.spareFor(next))
+	t.sparePyr = released
+	return dets, velocity
 }
 
 // StepWithPyramid is Step for pipelined callers that already built the next
 // frame's pyramid in a prefetch stage. The tracker takes ownership of pyr
 // and returns the pyramid it no longer needs; when the step degenerates
-// (no pixels, or no reference yet) pyr itself comes straight back. A
-// prefetched pyramid holds exactly the pixels Rebuild would have produced,
-// so the flow results are bitwise-identical to Step's.
+// (no pixels, or no reference yet) pyr itself comes straight back.
 func (t *PixelTracker) StepWithPyramid(next core.Frame, pyr *imgproc.Pyramid) (dets []core.Detection, velocity float64, released *imgproc.Pyramid) {
 	if next.Pixels == nil || t.prevPyr == nil {
 		return t.heldBoxes(), 0, pyr
@@ -193,9 +172,8 @@ func (t *PixelTracker) heldBoxes() []core.Detection {
 	return out
 }
 
-// stepFlow is the shared middle of Step and StepWithPyramid: track the live
-// features from prevPyr into nextPyr and shift each box by its median flow.
-// The caller owns the pyramid swap.
+// stepFlow tracks the live features from prevPyr into nextPyr and shifts each
+// box by its median flow. The caller owns the pyramid swap.
 func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]core.Detection, float64) {
 	out := make([]core.Detection, 0, len(t.objs))
 
