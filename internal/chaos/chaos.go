@@ -101,12 +101,7 @@ func (c Config) withDefaults() Config {
 	if c.Slots <= 0 {
 		c.Slots = 2
 	}
-	if c.Batch.Size < 1 {
-		c.Batch.Size = 1
-	}
-	if c.Batch.Linger < 0 {
-		c.Batch.Linger = 0
-	}
+	c.Batch = c.Batch.WithDefaults() // the Report echoes the effective size
 	if c.Rounds <= 0 {
 		c.Rounds = 4
 	}

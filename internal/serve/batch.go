@@ -17,8 +17,8 @@ import "time"
 // i.e. 2.3× the per-request throughput of four serial grants.
 const BatchGamma = 0.25
 
-// BatchConfig parameterizes the batching executor shared by the live pool,
-// the virtual-clock scheduler and the load generator.
+// BatchConfig parameterizes the batching executor of both schedulers: the
+// live Pool and the virtual-clock RunVirtual.
 type BatchConfig struct {
 	// Size is B, the maximum number of compatible requests (same model
 	// setting) one slot grant drains from the wait queue and executes as a
@@ -27,17 +27,19 @@ type BatchConfig struct {
 	// scheduler.
 	Size int
 	// Linger is the longest a partially-filled batch may hold its slot
-	// waiting for more compatible arrivals before executing. Only schedulers
-	// that own a clock honor it: the virtual-clock scheduler (sim.RunMulti)
-	// and the load generator model it exactly, while the live Pool is
-	// work-conserving and never lingers — serve owns no clock, so a live
-	// grant executes whatever compatible prefix is queued at release time.
-	// Zero (the default) disables lingering everywhere.
+	// waiting for more compatible arrivals before executing. Only the
+	// scheduler that owns a clock honors it: RunVirtual (and so sim.RunMulti
+	// and the load generator) models it exactly, while the live Pool is
+	// work-conserving and never lingers — it reads no clock, so a live grant
+	// executes whatever compatible prefix is queued at release time. Zero
+	// (the default) disables lingering everywhere.
 	Linger time.Duration
 }
 
-// withDefaults clamps the configuration into its valid range.
-func (b BatchConfig) withDefaults() BatchConfig {
+// WithDefaults clamps the configuration into its valid range (Size >= 1,
+// Linger >= 0). Pool and RunVirtual apply it themselves; a caller needs it
+// only to echo the effective values.
+func (b BatchConfig) WithDefaults() BatchConfig {
 	if b.Size < 1 {
 		b.Size = 1
 	}
@@ -65,7 +67,7 @@ func BatchLatency(single time.Duration, b int) time.Duration {
 // overhead plus one inference) and linger the batching executor's fill
 // timeout (zero for the work-conserving live pool).
 //
-// Derivation (DESIGN.md §16 has the full sketch): PopBatch drains a strict
+// Derivation (DESIGN.md §16 has the full sketch): AppendBatch drains a strict
 // prefix of the oldest-calibration-first pop order, so every request granted
 // before ours is one Pop would also have granted before ours — batching
 // never reorders, and the PR 5 round-count argument survives verbatim: after

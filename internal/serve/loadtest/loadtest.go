@@ -1,20 +1,20 @@
 // Package loadtest is the serving layer's load generator: a deterministic
 // discrete-event harness that drives thousands of synthetic detection
-// streams through the real scheduling primitives — serve.FairQueue,
-// FairQueue.PopBatch and serve.BatchLatency, the exact code the live pool
-// and the virtual-clock scheduler run — under arrival churn
+// streams through serve.RunVirtual — the same virtual-clock scheduler
+// function sim.RunMulti runs, over the same serve.FairQueue and
+// serve.BatchLatency the live pool uses — under arrival churn
 // (connect/disconnect cycles), flash crowds (cohorts connecting at once)
 // and setting skew (mixed model settings that fragment batches).
 //
 // Unlike sim.RunMulti it does not run tracker/detector engines per stream;
 // each grant's slot occupancy comes from the calibrated core.LatencyModel
 // (setting switch + one inference at the stream's setting), which makes a
-// 1000-stream, minutes-long horizon run in well under a second while
-// exercising the genuine queue ordering, batch-drain and linger logic. The
-// harness pins the SLO story: per-request slot-wait, execution and
-// end-to-end latency distributions (p50/p95/p99/max), SLO attainment, and
-// the generalized fairness bound serve.FairnessBoundBatched checked against
-// the worst observed calibration age.
+// 1000-stream, minutes-long horizon run in well under a second. What lives
+// here is the client side only: the arrival process, the per-request samples
+// and the Report. The harness pins the SLO story: per-request slot-wait,
+// execution and end-to-end latency distributions (p50/p95/p99/max), SLO
+// attainment, and the generalized fairness bound serve.FairnessBoundBatched
+// checked against the worst observed calibration age.
 //
 // Determinism contract: the package is on the detrand deterministic-package
 // list — everything derives from Config.Seed through internal/rng on a
@@ -46,7 +46,7 @@ type Config struct {
 	QueueBound int
 	// Batch configures the batching executor under test; the zero value is
 	// the unbatched one-request-per-grant scheduler. Linger is honored
-	// exactly (the harness owns a virtual clock).
+	// exactly (serve.RunVirtual owns the clock).
 	Batch serve.BatchConfig
 	// FrameInterval is the camera interval: a stream re-requests one interval
 	// after its previous calibration completes. Default 33ms (~30 FPS).
@@ -59,8 +59,8 @@ type Config struct {
 	// Default: {Setting512}.
 	Settings []core.Setting
 	// SettingSkew is the probability that a stream draws a non-dominant
-	// setting at connect/reconnect, fragmenting batches (PopBatch stops at
-	// the first incompatible head). 0 disables skew. Default 0.
+	// setting at connect/reconnect, fragmenting batches (a batch drain stops
+	// at the first incompatible head). 0 disables skew. Default 0.
 	SettingSkew float64
 	// ChurnRate is the expected number of disconnect/reconnect cycles per
 	// stream per virtual minute; off periods average a quarter of on
@@ -100,12 +100,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueBound <= 0 {
 		c.QueueBound = c.Streams
 	}
-	if c.Batch.Size < 1 {
-		c.Batch.Size = 1
-	}
-	if c.Batch.Linger < 0 {
-		c.Batch.Linger = 0
-	}
+	c.Batch = c.Batch.WithDefaults() // the Report echoes the effective values
 	if c.FrameInterval <= 0 {
 		c.FrameInterval = 33 * time.Millisecond
 	}
@@ -254,16 +249,14 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// lstream is one synthetic stream's generator state.
+// lstream is one synthetic stream's generator state; serve.RunVirtual owns
+// its request state (when it asked, whether it is queued or retired).
 type lstream struct {
 	id      string
 	lat     *core.LatencyModel // per-grant occupancy draws
 	churn   *rng.Stream        // on/off window draws
 	pick    *rng.Stream        // setting draws
 	setting core.Setting
-	queued  bool
-	done    bool          // past the horizon; never requests again
-	readyAt time.Duration // when the pending request was (or will be) issued
 	onUntil time.Duration // end of the current connected window
 	// calibValid gates staleness samples: false before the first calibration
 	// of a connected window, so ages never span a disconnect.
@@ -271,10 +264,149 @@ type lstream struct {
 	lastCalib  time.Duration
 }
 
-// Run executes one scenario and returns its report. Pure function of cfg:
-// same config, same report.
+// generator is the load generator's side of serve.VirtualStreams: the
+// synthetic streams, their arrival process and the per-request samples the
+// Report's distributions are cut from.
+type generator struct {
+	cfg    Config
+	onMean time.Duration // mean connected window; 0 without churn
+	ss     []lstream
+
+	deferred, reconnects, sloMet  int
+	waits, execs, e2es, ages      []float64
+	maxAge, prepTotal, prepHidden time.Duration
+}
+
+// newGenerator builds the stream population and returns it with each
+// stream's first request time. Flash crowds claim the tail of the
+// population, one contiguous cohort per crowd held back until its crowd
+// instant; everyone else connects staggered across the first frame interval.
+func newGenerator(cfg Config) (*generator, []time.Duration) {
+	g := &generator{cfg: cfg, ss: make([]lstream, cfg.Streams)}
+	if cfg.ChurnRate > 0 {
+		g.onMean = time.Duration(float64(time.Minute) / cfg.ChurnRate)
+	}
+	crowdSize := 0
+	if cfg.FlashCrowds > 0 {
+		crowdSize = max(int(cfg.FlashFraction*float64(cfg.Streams)), 1)
+		if crowdSize*cfg.FlashCrowds > cfg.Streams/2 {
+			crowdSize = max(cfg.Streams/2/cfg.FlashCrowds, 1)
+		}
+	}
+	root := rng.New(cfg.Seed).DeriveString("loadtest")
+	start := make([]time.Duration, cfg.Streams)
+	for i := range g.ss {
+		sr := root.Derive(uint64(i)).DeriveString("stream")
+		s := &g.ss[i]
+		*s = lstream{
+			id:    fmt.Sprintf("ld%d", i),
+			lat:   core.NewLatencyModel(sr.DeriveString("lat")),
+			churn: sr.DeriveString("churn"),
+			pick:  sr.DeriveString("pick"),
+		}
+		s.setting = g.drawSetting(s)
+		start[i] = cfg.FrameInterval * time.Duration(i) / time.Duration(cfg.Streams)
+		if crowd := crowdOf(i, cfg.Streams, crowdSize, cfg.FlashCrowds); crowd >= 0 {
+			start[i] = cfg.Horizon * time.Duration(crowd+1) / time.Duration(cfg.FlashCrowds+1)
+		}
+		if g.onMean > 0 {
+			s.onUntil = start[i] + expDur(s.churn, g.onMean)
+		}
+	}
+	return g, start
+}
+
+// drawSetting picks a stream's setting at connect/reconnect: the dominant
+// one, or with probability SettingSkew one of the rest.
+func (g *generator) drawSetting(s *lstream) core.Setting {
+	if c := g.cfg; c.SettingSkew > 0 && len(c.Settings) > 1 && s.pick.Bool(c.SettingSkew) {
+		return c.Settings[1+s.pick.Intn(len(c.Settings)-1)]
+	}
+	return g.cfg.Settings[0]
+}
+
+// advance rolls a request instant forward through disconnect windows and the
+// horizon: a request landing past the connected window slips to the next
+// reconnect (staleness clock reset, setting redrawn), and a request past the
+// horizon retires the stream (ok false).
+func (g *generator) advance(s *lstream, at time.Duration) (time.Duration, bool) {
+	if g.onMean > 0 {
+		for at >= s.onUntil {
+			off := expDur(s.churn, g.onMean/4)
+			start := s.onUntil + off
+			s.onUntil = start + expDur(s.churn, g.onMean)
+			if at < start {
+				at = start
+			}
+			s.calibValid = false
+			s.setting = g.drawSetting(s)
+			g.reconnects++
+		}
+	}
+	return at, at <= g.cfg.Horizon
+}
+
+func (g *generator) Key(i int) serve.Request {
+	s := &g.ss[i]
+	return serve.Request{Stream: s.id, Setting: s.setting, LastCalib: s.lastCalib}
+}
+
+// Refused defers the request by one frame interval.
+func (g *generator) Refused(i int, at time.Duration) (time.Duration, bool) {
+	g.deferred++
+	return g.advance(&g.ss[i], at+g.cfg.FrameInterval)
+}
+
+// Plan draws the request's single-request span from the calibrated latency
+// model: setting switch plus one inference at the stream's setting.
+func (g *generator) Plan(i int, requested, grant time.Duration) (time.Duration, bool) {
+	s := &g.ss[i]
+	return s.lat.SettingSwitch() + s.lat.Detect(s.setting), true
+}
+
+// Complete samples the finished request and schedules the stream's next one
+// a frame interval after its calibration.
+func (g *generator) Complete(i int, requested, grant, end time.Duration) (time.Duration, bool) {
+	s := &g.ss[i]
+	g.waits = append(g.waits, ms(grant-requested))
+	g.execs = append(g.execs, ms(end-grant))
+	e2e := end - requested
+	g.e2es = append(g.e2es, ms(e2e))
+	if e2e <= g.cfg.SLO {
+		g.sloMet++
+	}
+	if s.calibValid {
+		age := end - s.lastCalib
+		g.ages = append(g.ages, ms(age))
+		g.maxAge = max(g.maxAge, age)
+	}
+	s.calibValid = true
+	s.lastCalib = end
+	next := end + g.cfg.FrameInterval
+	// The prepare model behind the pipelined column: sequentially (depth 1)
+	// the frame-prepare span delays the next request; pipelined (depth > 1),
+	// the prefetch stage ran during this cycle's slot wait and execution, so
+	// only the remainder the overlap could not cover stays on the path.
+	if g.cfg.PipelineDepth >= 1 {
+		prep := s.lat.FeatureExtract()
+		g.prepTotal += prep
+		if g.cfg.PipelineDepth > 1 {
+			overlap := min(e2e, prep) // wait + exec this cycle
+			prep -= overlap
+			g.prepHidden += overlap
+		}
+		next += prep
+	}
+	return g.advance(s, next)
+}
+
+// Run executes one scenario through serve.RunVirtual and returns its report.
+// Pure function of cfg: same config, same report.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
+	g, start := newGenerator(cfg)
+	sched := serve.RunVirtual(start, g, serve.VirtualConfig{Slots: cfg.Slots, QueueBound: cfg.QueueBound, Batch: cfg.Batch})
+	bound := serve.FairnessBoundBatched(cfg.Streams, cfg.Slots, cfg.Batch.Size, sched.MaxSingleSpan, cfg.FrameInterval, cfg.Batch.Linger)
 	rep := &Report{
 		Name:            cfg.Name,
 		Streams:         cfg.Streams,
@@ -289,281 +421,38 @@ func Run(cfg Config) (*Report, error) {
 		SettingSkew:     cfg.SettingSkew,
 		Seed:            cfg.Seed,
 		PipelineDepth:   cfg.PipelineDepth,
+
+		// Every admitted request is eventually granted: the run drains.
+		Requests:       sched.Granted + g.deferred,
+		Grants:         sched.Granted,
+		Deferred:       g.deferred,
+		Reconnects:     g.reconnects,
+		Batches:        sched.Batches,
+		MaxBatch:       sched.MaxBatch,
+		MeanBatchFill:  float64(sched.Granted) / float64(sched.Batches),
+		PeakQueueDepth: sched.PeakQueueDepth,
+
+		Wait:     quantiles(g.waits),
+		Exec:     quantiles(g.execs),
+		E2E:      quantiles(g.e2es),
+		CalibAge: quantiles(g.ages),
+
+		ThroughputRPS:   float64(sched.Granted) / sched.Horizon.Seconds(),
+		PrepareMS:       ms(g.prepTotal),
+		PrepareHiddenMS: ms(g.prepHidden),
+
+		SLOMS:         ms(cfg.SLO),
+		SLOAttainment: float64(g.sloMet) / float64(sched.Granted),
+
+		MaxSingleOccMS:   ms(sched.MaxSingleSpan),
+		FairnessBoundMS:  ms(bound),
+		MaxCalibAgeMS:    ms(g.maxAge),
+		BoundEnforceable: g.deferred == 0,
+		BoundHeld:        g.maxAge <= bound,
 	}
 	if rep.Name == "" {
 		rep.Name = "adhoc"
 	}
-
-	root := rng.New(cfg.Seed).DeriveString("loadtest")
-	onMean := time.Duration(0)
-	if cfg.ChurnRate > 0 {
-		onMean = time.Duration(float64(time.Minute) / cfg.ChurnRate)
-	}
-
-	drawSetting := func(s *lstream) core.Setting {
-		if cfg.SettingSkew > 0 && len(cfg.Settings) > 1 && s.pick.Bool(cfg.SettingSkew) {
-			return cfg.Settings[1+s.pick.Intn(len(cfg.Settings)-1)]
-		}
-		return cfg.Settings[0]
-	}
-
-	// Flash crowds claim the tail of the stream population, one contiguous
-	// cohort per crowd; everyone else connects staggered across the first
-	// frame interval.
-	crowdSize := 0
-	if cfg.FlashCrowds > 0 {
-		crowdSize = int(cfg.FlashFraction * float64(cfg.Streams))
-		if crowdSize < 1 {
-			crowdSize = 1
-		}
-		if crowdSize*cfg.FlashCrowds > cfg.Streams/2 {
-			crowdSize = cfg.Streams / 2 / cfg.FlashCrowds
-			if crowdSize < 1 {
-				crowdSize = 1
-			}
-		}
-	}
-	crowdAt := func(c int) time.Duration {
-		return cfg.Horizon * time.Duration(c+1) / time.Duration(cfg.FlashCrowds+1)
-	}
-
-	ss := make([]*lstream, cfg.Streams)
-	for i := range ss {
-		sr := root.Derive(uint64(i)).DeriveString("stream")
-		s := &lstream{
-			id:    fmt.Sprintf("ld%d", i),
-			lat:   core.NewLatencyModel(sr.DeriveString("lat")),
-			churn: sr.DeriveString("churn"),
-			pick:  sr.DeriveString("pick"),
-		}
-		s.setting = drawSetting(s)
-		s.readyAt = cfg.FrameInterval * time.Duration(i) / time.Duration(cfg.Streams)
-		if crowd := crowdOf(i, cfg.Streams, crowdSize, cfg.FlashCrowds); crowd >= 0 {
-			s.readyAt = crowdAt(crowd)
-		}
-		if onMean > 0 {
-			s.onUntil = s.readyAt + expDur(s.churn, onMean)
-		}
-		ss[i] = s
-	}
-
-	// advance rolls a request instant forward through disconnect windows and
-	// the horizon: a request landing past the connected window slips to the
-	// next reconnect (staleness clock reset, setting redrawn), and a request
-	// past the horizon retires the stream.
-	advance := func(s *lstream, at time.Duration) {
-		if onMean > 0 {
-			for at >= s.onUntil {
-				off := expDur(s.churn, onMean/4)
-				start := s.onUntil + off
-				s.onUntil = start + expDur(s.churn, onMean)
-				if at < start {
-					at = start
-				}
-				s.calibValid = false
-				s.setting = drawSetting(s)
-				rep.Reconnects++
-			}
-		}
-		s.readyAt = at
-		if at > cfg.Horizon {
-			s.done = true
-		}
-	}
-
-	q := serve.NewFairQueue(cfg.QueueBound)
-	slots := make([]time.Duration, cfg.Slots)
-	var waits, execs, e2es, ages []float64
-	var maxSingle, maxAge time.Duration
-	var prepTotal, prepHidden, makespan time.Duration
-	batchSum := 0
-
-	noteDepth := func() {
-		if q.Len() > rep.PeakQueueDepth {
-			rep.PeakQueueDepth = q.Len()
-		}
-	}
-	// admit enqueues every stream whose request time has arrived, in
-	// (readyAt, index) order; a full queue defers by one frame interval.
-	admit := func(t time.Duration) {
-		for {
-			best := -1
-			for i, s := range ss {
-				if s.done || s.queued || s.readyAt > t {
-					continue
-				}
-				if best < 0 || s.readyAt < ss[best].readyAt {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			s := ss[best]
-			rep.Requests++
-			if q.Push(serve.Request{Stream: s.id, Index: best, Setting: s.setting, LastCalib: s.lastCalib}) {
-				s.queued = true
-			} else {
-				rep.Deferred++
-				advance(s, s.readyAt+cfg.FrameInterval)
-			}
-		}
-		noteDepth()
-	}
-
-	for {
-		// The earliest-free slot (lowest index among ties) serves next.
-		si := 0
-		for i := 1; i < len(slots); i++ {
-			if slots[i] < slots[si] {
-				si = i
-			}
-		}
-		t := slots[si]
-		admit(t)
-		if q.Len() == 0 {
-			earliest, found := time.Duration(0), false
-			for _, s := range ss {
-				if s.done || s.queued {
-					continue
-				}
-				if !found || s.readyAt < earliest {
-					earliest, found = s.readyAt, true
-				}
-			}
-			if !found {
-				break // every stream retired and nothing queued: drained
-			}
-			if earliest > t {
-				t = earliest
-			}
-			admit(t)
-			if q.Len() == 0 {
-				continue // the earliest arrivals all slipped past the horizon
-			}
-		}
-		reqs := q.PopBatch(cfg.Batch.Size)
-		// Linger: hold the partially-filled batch for compatible arrivals
-		// inside the window, exactly as sim.RunMulti does on its virtual
-		// clock.
-		if len(reqs) < cfg.Batch.Size && cfg.Batch.Linger > 0 {
-			deadline := t + cfg.Batch.Linger
-			for len(reqs) < cfg.Batch.Size {
-				earliest := time.Duration(-1)
-				for _, s := range ss {
-					if s.done || s.queued || s.readyAt > deadline {
-						continue
-					}
-					if earliest < 0 || s.readyAt < earliest {
-						earliest = s.readyAt
-					}
-				}
-				if earliest < 0 {
-					break
-				}
-				t = earliest
-				admit(t)
-				for len(reqs) < cfg.Batch.Size {
-					head, ok := q.Peek()
-					if !ok || head.Setting != reqs[0].Setting {
-						break
-					}
-					r, _ := q.Pop()
-					reqs = append(reqs, r)
-				}
-			}
-		}
-		noteDepth()
-
-		// Execute the fused batch: the longest member's single-request span
-		// (setting switch + one inference at the batch setting) stretched by
-		// the calibrated batch cost.
-		rep.Batches++
-		batchSum += len(reqs)
-		if len(reqs) > rep.MaxBatch {
-			rep.MaxBatch = len(reqs)
-		}
-		var maxSpan time.Duration
-		for _, r := range reqs {
-			s := ss[r.Index]
-			span := s.lat.SettingSwitch() + s.lat.Detect(r.Setting)
-			if span > maxSpan {
-				maxSpan = span
-			}
-			if span > maxSingle {
-				maxSingle = span
-			}
-		}
-		batchEnd := t + serve.BatchLatency(maxSpan, len(reqs))
-		for _, r := range reqs {
-			s := ss[r.Index]
-			s.queued = false
-			rep.Grants++
-			wait := t - s.readyAt
-			waits = append(waits, ms(wait))
-			execs = append(execs, ms(batchEnd-t))
-			e2e := batchEnd - s.readyAt
-			e2es = append(e2es, ms(e2e))
-			if e2e <= cfg.SLO {
-				rep.SLOAttainment++ // running count; normalized below
-			}
-			if s.calibValid {
-				age := batchEnd - s.lastCalib
-				ages = append(ages, ms(age))
-				if age > maxAge {
-					maxAge = age
-				}
-			}
-			s.calibValid = true
-			s.lastCalib = batchEnd
-			next := batchEnd + cfg.FrameInterval
-			// The prepare model behind the pipelined column: sequentially
-			// (depth 1) the frame-prepare span delays the next request;
-			// pipelined (depth > 1), the prefetch stage ran during this
-			// cycle's slot wait and execution, so only the remainder the
-			// overlap could not cover stays on the path.
-			if cfg.PipelineDepth >= 1 {
-				prep := s.lat.FeatureExtract()
-				prepTotal += prep
-				if cfg.PipelineDepth > 1 {
-					overlap := batchEnd - s.readyAt // wait + exec this cycle
-					if overlap > prep {
-						overlap = prep
-					}
-					prep -= overlap
-					prepHidden += overlap
-				}
-				next += prep
-			}
-			advance(s, next)
-		}
-		slots[si] = batchEnd
-		if batchEnd > makespan {
-			makespan = batchEnd
-		}
-	}
-
-	if rep.Grants == 0 {
-		return nil, fmt.Errorf("loadtest: %s: horizon %v granted nothing", rep.Name, cfg.Horizon)
-	}
-	rep.MeanBatchFill = float64(batchSum) / float64(rep.Batches)
-	rep.SLOAttainment /= float64(rep.Grants)
-	rep.Wait = quantiles(waits)
-	rep.Exec = quantiles(execs)
-	rep.E2E = quantiles(e2es)
-	rep.CalibAge = quantiles(ages)
-	rep.SLOMS = ms(cfg.SLO)
-	if makespan > 0 {
-		rep.ThroughputRPS = float64(rep.Grants) / makespan.Seconds()
-	}
-	rep.PrepareMS = ms(prepTotal)
-	rep.PrepareHiddenMS = ms(prepHidden)
-	rep.MaxSingleOccMS = ms(maxSingle)
-	bound := serve.FairnessBoundBatched(cfg.Streams, cfg.Slots, cfg.Batch.Size, maxSingle, cfg.FrameInterval, cfg.Batch.Linger)
-	rep.FairnessBoundMS = ms(bound)
-	rep.MaxCalibAgeMS = ms(maxAge)
-	rep.BoundEnforceable = rep.Deferred == 0
-	rep.BoundHeld = maxAge <= bound
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}

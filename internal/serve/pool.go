@@ -28,8 +28,8 @@ var ErrQueueFull = errors.New("serve: detector wait queue full")
 // measured by the callers around Acquire and release. That also means the
 // live pool is work-conserving — it cannot honor BatchConfig.Linger (a fill
 // timeout needs a clock) and instead fuses whatever compatible prefix is
-// queued at release time; the virtual-clock scheduler and the load generator
-// model lingering exactly.
+// queued at release time; RunVirtual, its virtual-clock twin, models
+// lingering exactly.
 type Pool struct {
 	reg   *obs.Registry
 	batch BatchConfig
@@ -41,6 +41,7 @@ type Pool struct {
 	queue   *FairQueue
 	nextID  int
 	waiters map[int]*waiter
+	reqs    []Request // grantNextLocked's batch buffer, reused across grants
 }
 
 // waiter is one blocked Acquire.
@@ -74,7 +75,7 @@ func NewBatchPool(slots, queueBound int, batch BatchConfig, reg *obs.Registry) *
 	}
 	return &Pool{
 		reg:     reg,
-		batch:   batch.withDefaults(),
+		batch:   batch.WithDefaults(),
 		slots:   slots,
 		free:    slots,
 		queue:   NewFairQueue(queueBound),
@@ -199,11 +200,11 @@ func (p *Pool) memberRelease(g *group) func() {
 // Batch.Size compatible requests in oldest-calibration-first order and grants
 // them as one group, or marks the slot free when nothing waits. Entries whose
 // callers have been cancelled meanwhile are dropped inside the drain itself
-// (PopBatchFunc's skip predicate), so they neither consume batch capacity nor
+// (AppendBatch's skip predicate), so they neither consume batch capacity nor
 // terminate the scan — the batch fills to Size from live waiters whenever
 // enough compatible ones are queued. Callers hold p.mu.
 func (p *Pool) grantNextLocked() {
-	reqs := p.queue.PopBatchFunc(p.batch.Size, func(r Request) bool {
+	p.reqs = p.queue.AppendBatch(p.reqs[:0], p.batch.Size, func(r Request) bool {
 		w := p.waiters[r.Index]
 		if w == nil || w.cancelled {
 			delete(p.waiters, r.Index)
@@ -211,6 +212,7 @@ func (p *Pool) grantNextLocked() {
 		}
 		return false
 	})
+	reqs := p.reqs
 	if len(reqs) == 0 {
 		p.free++
 		return

@@ -7,19 +7,25 @@
 // calibration, exactly as MPDT does between calibrations — staleness grows
 // instead of memory.
 //
-// The package provides three layers:
+// The package provides four layers — two schedulers over one policy:
 //
 //   - FairQueue: the pure scheduling policy — a bounded
-//     oldest-calibration-first priority queue. Deterministic and clock-free,
-//     it is shared verbatim by the live pool below and by the virtual-clock
-//     scheduler in internal/sim (sim.RunMulti), so both engines queue in the
-//     exact same order.
+//     oldest-calibration-first priority queue whose AppendBatch forms every
+//     batch. Deterministic and clock-free, it is shared verbatim by the two
+//     schedulers below, so both queue and fuse in the exact same order.
 //   - Pool: the live K-slot batching executor around FairQueue that rt's
 //     detector loop blocks on. Bounded waiting with backpressure: when the
 //     wait queue is full Acquire fails fast and the stream skips the
 //     detection instead of queueing unboundedly. Each slot grant drains up
-//     to B compatible requests (same model setting, PopBatch) and grants
+//     to B compatible requests (same model setting, AppendBatch) and grants
 //     them as one fused batch; the slot frees when the last member releases.
+//   - RunVirtual: Pool's virtual-clock twin — the one slot-scheduler loop
+//     (admit, idle-advance, batch drain, linger, BatchLatency fusing) that
+//     owns a clock instead of blocking goroutines. sim.RunMulti (engines)
+//     and loadtest.Run (synthetic load) are its two clients, reached through
+//     the VirtualStreams callbacks. The two schedulers share a policy, not a
+//     mechanism: a mutex pool has no clock to linger on and a clock loop has
+//     no goroutines to block.
 //   - Run: the live multi-stream runner — one supervised rt pipeline per
 //     stream against a shared Pool, a shared observability registry
 //     (per-stream series labeled stream=<id>) and a shared guard escalation
@@ -33,7 +39,8 @@
 // Determinism contract: this package never reads a clock (it is on the
 // detrand deterministic-package list). All queue ordering derives from
 // caller-supplied calibration timestamps — wall-relative in rt, virtual in
-// sim — and wait durations are measured by the callers that own the clock.
+// RunVirtual's clients — and Pool's wait durations are measured by the
+// callers that own the wall clock.
 package serve
 
 import (
@@ -47,11 +54,11 @@ type Request struct {
 	// Stream identifies the requesting stream (labels, diagnostics).
 	Stream string
 	// Index is an opaque caller-side identifier: the waiter slot in the live
-	// pool, the stream index in the virtual-clock scheduler.
+	// pool, the stream index in RunVirtual.
 	Index int
 	// Setting is the model setting the requester intends to run — the batch
 	// compatibility key. A slot grant fuses only requests that share one
-	// setting into a batched inference (PopBatch); the requester reports the
+	// setting into a batched inference (AppendBatch); the requester reports the
 	// setting it holds *before* its post-grant adaptation decision, so two
 	// members of one batch are compatible at grant time even if one of them
 	// switches afterwards.
@@ -67,8 +74,7 @@ type Request struct {
 
 // FairQueue is a bounded oldest-calibration-first wait queue. It is a pure
 // data structure — no clock, no goroutines, not safe for concurrent use on
-// its own (Pool wraps it in a mutex; the virtual-clock scheduler is
-// single-threaded). Ordering is deterministic: by LastCalib ascending, then
+// its own (Pool wraps it in a mutex; RunVirtual is single-threaded). Ordering is deterministic: by LastCalib ascending, then
 // by push order.
 type FairQueue struct {
 	bound int
@@ -121,43 +127,30 @@ func (q *FairQueue) Pop() (Request, bool) {
 	return top, true
 }
 
-// Peek returns the request Pop would return next without removing it; ok is
-// false on an empty queue.
-func (q *FairQueue) Peek() (Request, bool) {
-	if len(q.heap) == 0 {
-		return Request{}, false
-	}
-	return q.heap[0], true
-}
-
-// PopBatch removes and returns up to max requests that can execute as one
-// batched inference: the head request (oldest calibration, FIFO among ties)
-// plus subsequent requests in pop order for as long as they carry the head's
-// Setting. The first head with a different setting stops the drain — a batch
-// never reaches past it, so the strict oldest-calibration-first grant order
-// of Pop is preserved exactly and setting skew fragments batches instead of
-// reordering them. max < 1 is clamped to 1, making PopBatch(1) ≡ Pop. Returns
-// nil on an empty queue.
-func (q *FairQueue) PopBatch(max int) []Request {
-	return q.PopBatchFunc(max, nil)
-}
-
-// PopBatchFunc is PopBatch with a skip predicate for abandoned entries:
-// a request for which skip returns true is removed from the queue and
-// discarded — it neither counts toward max nor supplies the batch's
-// compatibility setting, and the drain scans straight past it (even when its
-// setting differs from the batch's). Without this the live pool under-filled
-// batches: a cancelled waiter inside the same-setting prefix consumed batch
-// capacity, and one with a different setting terminated the drain early.
-// Skipping dead entries cannot reorder live grants — a skipped request is
-// never granted at all, so the batch is still a strict prefix of the pop
-// order restricted to live requests. A nil skip keeps every entry, making
-// PopBatchFunc(max, nil) ≡ the historical PopBatch byte for byte.
-func (q *FairQueue) PopBatchFunc(max int, skip func(Request) bool) []Request {
+// AppendBatch drains requests that can execute as one batched inference
+// with the members already in batch, appends them to it and returns it, so a
+// caller can reuse one buffer across grants and top a short batch up later.
+// An empty batch takes the head request (oldest calibration, FIFO among
+// ties); after that the drain continues in pop order for as long as the head
+// carries the batch's Setting and the batch holds fewer than max members. The
+// first head with a different setting stops the drain — a batch never reaches
+// past it, so the strict oldest-calibration-first grant order of Pop is
+// preserved exactly and setting skew fragments batches instead of reordering
+// them. max < 1 is clamped to 1.
+//
+// skip, when non-nil, marks abandoned entries: a request for which it returns
+// true is removed from the queue and discarded — it neither counts toward
+// max nor supplies the batch's compatibility setting, and the drain scans
+// straight past it (even when its setting differs from the batch's). Without
+// this the live pool under-filled batches: a cancelled waiter inside the
+// same-setting prefix consumed batch capacity, and one with a different
+// setting terminated the drain early. Skipping dead entries cannot reorder
+// live grants — a skipped request is never granted at all, so the batch is
+// still a strict prefix of the pop order restricted to live requests.
+func (q *FairQueue) AppendBatch(batch []Request, max int, skip func(Request) bool) []Request {
 	if max < 1 {
 		max = 1
 	}
-	var batch []Request
 	for len(batch) < max && len(q.heap) > 0 {
 		head := q.heap[0]
 		if skip != nil && skip(head) {
@@ -171,6 +164,17 @@ func (q *FairQueue) PopBatchFunc(max int, skip func(Request) bool) []Request {
 		batch = append(batch, head)
 	}
 	return batch
+}
+
+// PopBatch removes and returns up to max requests that can execute as one
+// batched inference (AppendBatch into a fresh batch, nothing skipped), making
+// PopBatch(1) ≡ Pop. Returns nil on an empty queue.
+func (q *FairQueue) PopBatch(max int) []Request { return q.AppendBatch(nil, max, nil) }
+
+// PopBatchFunc is PopBatch with AppendBatch's skip predicate for abandoned
+// entries.
+func (q *FairQueue) PopBatchFunc(max int, skip func(Request) bool) []Request {
+	return q.AppendBatch(nil, max, skip)
 }
 
 // less orders the heap: oldest calibration first, then FIFO.

@@ -1,16 +1,16 @@
 // Multi-stream serving on the virtual clock: the deterministic counterpart
 // of internal/serve's live pool. N independent AdaVP/MPDT streams share K
-// detector slots; detection requests queue oldest-calibration-first through
-// the exact same serve.FairQueue the live pool uses, so the two schedulers
-// order grants identically. Everything — grants, waits, deferrals — derives
-// from the virtual clock, so two same-seed runs are byte-identical.
+// detector slots; the scheduling itself — admission, the oldest-calibration-
+// first serve.FairQueue the live pool also uses, batch drain, linger — is
+// serve.RunVirtual, and this file is its engine-running client. Everything —
+// grants, waits, deferrals — derives from the virtual clock, so two same-seed
+// runs are byte-identical.
 package sim
 
 import (
 	"fmt"
 	"time"
 
-	"adavp/internal/core"
 	"adavp/internal/obs"
 	"adavp/internal/serve"
 	"adavp/internal/video"
@@ -120,64 +120,126 @@ type MultiResult struct {
 	SlotUtilization float64
 }
 
-// mstream is one stream's scheduler-side state.
+// mstream is one stream's engine-side state; serve.RunVirtual owns its
+// request state (when it asked, whether it is queued or retired).
 type mstream struct {
 	id       string
 	e        *engine
 	st       *parallelState
 	adaptive bool
 	started  bool // bootstrap cycle granted
-	done     bool
-	queued   bool // currently in the wait queue
 	// deferring marks a pending request already counted as deferred: the
 	// refusal→retry loop re-attempts the same detection at successive frame
 	// intervals, and the deferral counter counts the deferred detection once,
-	// not once per retry. Cleared when the request finally enqueues.
+	// not once per retry. Cleared when the request is finally granted.
 	deferring bool
-	readyAt   time.Duration // when the pending request was (or will be) issued
 	lastCalib time.Duration
+	plan      cyclePlan // the granted cycle, between Plan and Complete
 	out       StreamOutcome
 }
 
-// reqSetting is the model setting the stream's next grant will run at absent
-// a post-grant adaptation switch — the batch compatibility key it enqueues
-// with.
-func (m *mstream) reqSetting() core.Setting {
-	if !m.started {
-		return m.e.cfg.Setting
+// multiRun is RunMulti's side of serve.VirtualStreams: each grant plans and
+// then executes one engine cycle.
+type multiRun struct {
+	ms    []*mstream
+	obs   *obs.Registry
+	depth int // MultiConfig.PipelineDepth
+}
+
+// Key enqueues with the model setting the stream's next grant will run at
+// absent a post-grant adaptation switch — the batch compatibility key.
+func (r *multiRun) Key(i int) serve.Request {
+	m := r.ms[i]
+	setting := m.e.cfg.Setting
+	if m.started {
+		setting = m.st.setting
 	}
-	return m.st.setting
+	return serve.Request{Stream: m.id, Setting: setting, LastCalib: m.lastCalib}
+}
+
+// Refused defers the stream by one frame interval: its tracker keeps
+// extrapolating against the previous calibration meanwhile. One pending
+// detection refused across any number of retries is ONE deferred detection:
+// count the frame, not the retries (the deferring flag spans the streak).
+func (r *multiRun) Refused(i int, at time.Duration) (time.Duration, bool) {
+	m := r.ms[i]
+	if !m.deferring {
+		m.deferring = true
+		m.out.Deferred++
+		if r.obs != nil {
+			r.obs.Counter(obs.MetricDetectDeferred, obs.L("stream", m.id)).Inc()
+		}
+	}
+	return at + m.e.delta, true
+}
+
+// Plan plans the stream's next cycle at its grant time. While it waited its
+// engine was simply not advanced, so all the frames captured during the wait
+// show up as buffered frames for its tracker.
+func (r *multiRun) Plan(i int, requested, grant time.Duration) (time.Duration, bool) {
+	m := r.ms[i]
+	m.deferring = false
+	wait := grant - requested
+	if !m.started {
+		m.plan = m.e.planBootstrap(grant)
+		m.started = true
+	} else {
+		m.plan = m.e.planCycle(m.st, m.adaptive, grant)
+	}
+	m.out.Grants++
+	m.out.MaxWait = max(m.out.MaxWait, wait)
+	if r.obs != nil {
+		r.obs.Histogram(obs.MetricSlotWait, obs.DefLatencyBuckets, obs.L("stream", m.id)).ObserveDuration(wait)
+	}
+	// The staged-prefetch model: while the request waited, the stream's
+	// prefetch stage kept rendering camera frames — one per frame interval,
+	// at most PipelineDepth in flight. Pure accounting: nothing about the
+	// schedule changes.
+	if banked := min(int(wait/m.e.delta), r.depth); r.depth > 1 && banked > 0 {
+		m.out.PrefetchedWhileWaiting += banked
+		if r.obs != nil {
+			r.obs.Counter(obs.MetricPrefetchedWaiting, obs.L("stream", m.id)).Add(int64(banked))
+			r.obs.Gauge(obs.MetricFramesInFlightWaiting, obs.L("stream", m.id)).Set(float64(banked))
+		}
+	}
+	span := m.plan.span()
+	if m.plan.done {
+		// Video exhausted: no detection — the member leaves after at most a
+		// setting-switch residue and never re-requests.
+		m.out.MaxOccupancy = max(m.out.MaxOccupancy, span)
+		m.e.run.Duration = maxDuration(m.plan.now, time.Duration(m.e.v.NumFrames())*m.e.delta)
+	}
+	return span, !m.plan.done
+}
+
+// Complete executes the planned cycle against the fused batch's end,
+// accounts the calibration's age and re-requests for the next cycle
+// immediately (the live pipeline's detector loop likewise turns around as
+// soon as a newer frame exists).
+func (r *multiRun) Complete(i int, requested, grant, end time.Duration) (time.Duration, bool) {
+	m := r.ms[i]
+	m.e.execCycle(m.st, m.plan, end)
+	occupancy := end - grant
+	m.out.MaxOccupancy = max(m.out.MaxOccupancy, occupancy)
+	if r.obs != nil {
+		r.obs.Histogram(obs.MetricSlotExec, obs.DefLatencyBuckets, obs.L("stream", m.id)).ObserveDuration(occupancy)
+	}
+	m.out.MaxCalibAge = max(m.out.MaxCalibAge, end-m.lastCalib)
+	m.lastCalib = end
+	return end, true
 }
 
 // RunMulti executes N streams against K shared detector slots on the virtual
-// clock. Scheduling is work-conserving and deterministic: at every step the
-// earliest-free slot serves the waiting request with the oldest calibration
-// (FIFO among ties, stream input order among simultaneous arrivals). While a
-// stream waits, its engine is simply not advanced — on grant, its next cycle
-// starts at the grant time, so all the frames captured during the wait show
-// up as buffered frames for its tracker, exactly the paper's growing-
-// staleness semantics. A panicking component is recovered into an error.
+// clock, as a client of serve.RunVirtual — the scheduler: work-conserving,
+// deterministic, oldest calibration first (FIFO among ties, stream input
+// order among simultaneous arrivals). A panicking component is recovered into
+// an error.
 func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("sim: no streams")
 	}
-	if cfg.Slots < 1 {
-		cfg.Slots = 1
-	}
-	bound := cfg.QueueBound
-	if bound <= 0 {
-		bound = len(streams)
-	}
-	bmax := cfg.Batch.Size
-	if bmax < 1 {
-		bmax = 1
-	}
-	linger := cfg.Batch.Linger
-	if linger < 0 {
-		linger = 0
-	}
 	seen := make(map[string]bool, len(streams))
-	ms := make([]*mstream, len(streams))
+	run := &multiRun{ms: make([]*mstream, len(streams)), obs: cfg.Obs, depth: cfg.PipelineDepth}
 	for i, s := range streams {
 		if s.ID == "" {
 			return nil, fmt.Errorf("sim: stream %d: empty ID", i)
@@ -195,7 +257,7 @@ func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err err
 		}
 		c.Obs = cfg.Obs
 		c.StreamLabel = s.ID
-		ms[i] = &mstream{
+		run.ms[i] = &mstream{
 			id:       s.ID,
 			e:        newEngine(s.Video, c),
 			st:       &parallelState{},
@@ -209,265 +271,24 @@ func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err err
 		}
 	}()
 
-	if cfg.Obs != nil {
-		cfg.Obs.Gauge(obs.MetricStreams).Set(float64(len(streams)))
+	cfg.Obs.Gauge(obs.MetricStreams).Set(float64(len(streams)))
+	// Every stream asks for its bootstrap cycle at time zero.
+	sched := serve.RunVirtual(make([]time.Duration, len(streams)), run, serve.VirtualConfig{
+		Slots: cfg.Slots, QueueBound: cfg.QueueBound, Batch: cfg.Batch, Obs: cfg.Obs,
+	})
+	result := &MultiResult{
+		Streams:            make([]StreamOutcome, len(streams)),
+		MaxQueueDepth:      sched.PeakQueueDepth,
+		MaxOccupancy:       sched.MaxOccupancy,
+		MaxSingleOccupancy: sched.MaxSingleSpan,
+		Batches:            sched.Batches,
+		MaxBatch:           sched.MaxBatch,
 	}
-	q := serve.NewFairQueue(bound)
-	slots := make([]time.Duration, cfg.Slots)
-	result := &MultiResult{Streams: make([]StreamOutcome, len(streams))}
-	var busy, horizon time.Duration // slot-time spent executing / last slot release
-
-	setDepth := func() {
-		if q.Len() > result.MaxQueueDepth {
-			result.MaxQueueDepth = q.Len()
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.Gauge(obs.MetricQueueDepth).Set(float64(q.Len()))
-		}
+	if sched.Horizon > 0 {
+		result.SlotUtilization = float64(sched.Busy) / (float64(max(cfg.Slots, 1)) * float64(sched.Horizon))
+		cfg.Obs.Gauge(obs.MetricSlotUtilization).Set(result.SlotUtilization)
 	}
-	// admit moves every pending stream whose request time has arrived into
-	// the wait queue, in (readyAt, input index) order so simultaneous
-	// arrivals enqueue deterministically. A full queue defers the stream by
-	// one frame interval (its tracker keeps extrapolating meanwhile).
-	admit := func(t time.Duration) {
-		for {
-			best := -1
-			for i, m := range ms {
-				if m.done || m.queued || m.readyAt > t {
-					continue
-				}
-				if best < 0 || m.readyAt < ms[best].readyAt {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			m := ms[best]
-			if q.Push(serve.Request{Stream: m.id, Index: best, Setting: m.reqSetting(), LastCalib: m.lastCalib}) {
-				m.queued = true
-				m.deferring = false
-			} else {
-				// One pending detection refused across any number of retry
-				// attempts is ONE deferred detection: count the frame, not the
-				// retries (the deferring flag spans the whole streak).
-				if !m.deferring {
-					m.deferring = true
-					m.out.Deferred++
-					if cfg.Obs != nil {
-						cfg.Obs.Counter(obs.MetricDetectDeferred, obs.L("stream", m.id)).Inc()
-					}
-				}
-				m.readyAt += m.e.delta
-			}
-		}
-		setDepth()
-	}
-
-	for {
-		remaining := 0
-		for _, m := range ms {
-			if !m.done {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		// The earliest-free slot (lowest index among ties) serves next.
-		si := 0
-		for i := 1; i < len(slots); i++ {
-			if slots[i] < slots[si] {
-				si = i
-			}
-		}
-		t := slots[si]
-		admit(t)
-		if q.Len() == 0 {
-			// Nothing is asking yet: advance to the earliest future request.
-			earliest, found := time.Duration(0), false
-			for _, m := range ms {
-				if m.done || m.queued {
-					continue
-				}
-				if !found || m.readyAt < earliest {
-					earliest, found = m.readyAt, true
-				}
-			}
-			if !found {
-				break // unreachable: remaining > 0 implies a pending or queued stream
-			}
-			if earliest > t {
-				t = earliest
-			}
-			admit(t)
-		}
-		reqs := q.PopBatch(bmax)
-		if len(reqs) == 0 {
-			break // unreachable: admit above guaranteed at least one entry
-		}
-		// Linger: a partially-filled batch may hold its slot for compatible
-		// arrivals inside the window; on the virtual clock the grant simply
-		// slips to each arrival's request time. Incompatible arrivals stay
-		// queued (and an incompatible head stops the drain), so strict
-		// oldest-calibration-first order is preserved.
-		if len(reqs) < bmax && linger > 0 {
-			deadline := t + linger
-			for len(reqs) < bmax {
-				earliest := time.Duration(-1)
-				for _, m := range ms {
-					if m.done || m.queued || m.readyAt > deadline {
-						continue
-					}
-					if earliest < 0 || m.readyAt < earliest {
-						earliest = m.readyAt
-					}
-				}
-				if earliest < 0 {
-					break
-				}
-				t = earliest
-				admit(t)
-				for len(reqs) < bmax {
-					head, ok := q.Peek()
-					if !ok || head.Setting != reqs[0].Setting {
-						break
-					}
-					r, _ := q.Pop()
-					reqs = append(reqs, r)
-				}
-			}
-		}
-		setDepth()
-
-		// Plan every member at its grant time, then fuse: the batch executes
-		// in serve.BatchLatency(longest single span, members) and every
-		// detecting member holds the slot until the fused batch completes.
-		result.Batches++
-		if len(reqs) > result.MaxBatch {
-			result.MaxBatch = len(reqs)
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets).Observe(float64(len(reqs)))
-		}
-		type member struct {
-			m     *mstream
-			plan  cyclePlan
-			grant time.Duration
-		}
-		detecting := make([]member, 0, len(reqs))
-		var maxSpan, doneEnd time.Duration
-		for _, req := range reqs {
-			m := ms[req.Index]
-			m.queued = false
-			grant := t
-			if m.readyAt > grant {
-				grant = m.readyAt
-			}
-			wait := grant - m.readyAt
-			var p cyclePlan
-			if !m.started {
-				p = m.e.planBootstrap(grant)
-				m.started = true
-			} else {
-				p = m.e.planCycle(m.st, m.adaptive, grant)
-			}
-			m.out.Grants++
-			if wait > m.out.MaxWait {
-				m.out.MaxWait = wait
-			}
-			if cfg.Obs != nil {
-				cfg.Obs.Histogram(obs.MetricSlotWait, obs.DefLatencyBuckets, obs.L("stream", m.id)).ObserveDuration(wait)
-			}
-			// The staged-prefetch model: while the request waited, the
-			// stream's prefetch stage kept rendering camera frames — one per
-			// frame interval, at most PipelineDepth in flight. Pure
-			// accounting: nothing about the schedule changes.
-			if cfg.PipelineDepth > 1 && wait > 0 {
-				banked := int(wait / m.e.delta)
-				if banked > cfg.PipelineDepth {
-					banked = cfg.PipelineDepth
-				}
-				if banked > 0 {
-					m.out.PrefetchedWhileWaiting += banked
-					if cfg.Obs != nil {
-						cfg.Obs.Counter(obs.MetricPrefetchedWaiting, obs.L("stream", m.id)).Add(int64(banked))
-						cfg.Obs.Gauge(obs.MetricFramesInFlightWaiting, obs.L("stream", m.id)).Set(float64(banked))
-					}
-				}
-			}
-			if span := p.span(); span > result.MaxSingleOccupancy {
-				result.MaxSingleOccupancy = span
-			}
-			if p.done {
-				// Video exhausted: no detection — the member leaves after at
-				// most a setting-switch residue and never re-requests.
-				occupancy := p.now - grant
-				if occupancy > m.out.MaxOccupancy {
-					m.out.MaxOccupancy = occupancy
-				}
-				if occupancy > result.MaxOccupancy {
-					result.MaxOccupancy = occupancy
-				}
-				if p.now > doneEnd {
-					doneEnd = p.now
-				}
-				m.done = true
-				m.e.run.Duration = maxDuration(p.now, time.Duration(m.e.v.NumFrames())*m.e.delta)
-				continue
-			}
-			if span := p.span(); span > maxSpan {
-				maxSpan = span
-			}
-			detecting = append(detecting, member{m: m, plan: p, grant: grant})
-		}
-
-		slotEnd := doneEnd
-		if len(detecting) > 0 {
-			batchEnd := t + serve.BatchLatency(maxSpan, len(detecting))
-			if batchEnd > slotEnd {
-				slotEnd = batchEnd
-			}
-			for _, me := range detecting {
-				m := me.m
-				m.e.execCycle(m.st, me.plan, batchEnd)
-				occupancy := batchEnd - me.grant
-				if occupancy > m.out.MaxOccupancy {
-					m.out.MaxOccupancy = occupancy
-				}
-				if occupancy > result.MaxOccupancy {
-					result.MaxOccupancy = occupancy
-				}
-				if cfg.Obs != nil {
-					cfg.Obs.Histogram(obs.MetricSlotExec, obs.DefLatencyBuckets, obs.L("stream", m.id)).ObserveDuration(occupancy)
-				}
-				// A completed calibration: account its age and re-request for
-				// the next cycle immediately (the live pipeline's detector
-				// loop likewise turns around as soon as a newer frame exists).
-				if age := batchEnd - m.lastCalib; age > m.out.MaxCalibAge {
-					m.out.MaxCalibAge = age
-				}
-				m.lastCalib = batchEnd
-				m.readyAt = batchEnd
-			}
-		}
-		if slotEnd < t {
-			slotEnd = t
-		}
-		busy += slotEnd - t
-		if slotEnd > horizon {
-			horizon = slotEnd
-		}
-		slots[si] = slotEnd
-	}
-
-	if horizon > 0 {
-		result.SlotUtilization = float64(busy) / (float64(cfg.Slots) * float64(horizon))
-		if cfg.Obs != nil {
-			cfg.Obs.Gauge(obs.MetricSlotUtilization).Set(result.SlotUtilization)
-		}
-	}
-	for i, m := range ms {
+	for i, m := range run.ms {
 		m.out.Result = m.e.finish()
 		result.Streams[i] = m.out
 	}
