@@ -21,12 +21,14 @@ type VirtualStreams interface {
 	// ok false retires the stream instead.
 	Refused(i int, at time.Duration) (retry time.Duration, ok bool)
 	// Plan grants stream i, which asked at requested, a share of a slot at
-	// grant. It returns the request's single-request span (setting-switch
+	// grant — one instant for the whole batch, never before any member
+	// asked. It returns the request's single-request span (setting-switch
 	// overhead plus one unbatched inference) and whether a detection runs.
 	// A member that does not detect leaves the slot after span and retires.
 	Plan(i int, requested, grant time.Duration) (span time.Duration, detects bool)
-	// Complete reports that the fused batch stream i detected in ended at
-	// end. It returns when the stream asks next; ok false retires it.
+	// Complete reports that the fused batch stream i detected in, granted at
+	// grant, ended at end. It returns when the stream asks next; ok false
+	// retires it.
 	Complete(i int, requested, grant, end time.Duration) (next time.Duration, ok bool)
 }
 
@@ -55,8 +57,8 @@ type VirtualResult struct {
 	// MaxSingleSpan is the longest single-request span any Plan returned —
 	// the maxOccupancy term of FairnessBoundBatched.
 	MaxSingleSpan time.Duration
-	// MaxOccupancy is the longest any member held its slot, from its grant
-	// to the end of its fused batch (or of its own span if it did not detect).
+	// MaxOccupancy is the longest one grant held its slot: the fused batch,
+	// or a member's own span if nothing in it detected.
 	MaxOccupancy time.Duration
 	// Busy is the slot-time spent on grants and Horizon the last slot release.
 	Busy, Horizon time.Duration
@@ -88,9 +90,10 @@ type virtual struct {
 // Batch.Size — and, when Batch.Linger is set and the batch is short, holds the
 // slot for compatible arrivals inside the window, the grant slipping to each
 // arrival's request time. Incompatible arrivals stay queued and an
-// incompatible head stops the drain, so lingering never reorders grants. The
-// run ends when nothing is queued and every stream has retired. Deterministic:
-// no clock is read and no map is ranged over.
+// incompatible head stops the drain, so lingering never reorders grants. A
+// batch is granted at one instant, no earlier than any member asked
+// (execute). The run ends when nothing is queued and every stream has
+// retired. Deterministic: no clock is read and no map is ranged over.
 func RunVirtual(start []time.Duration, streams VirtualStreams, cfg VirtualConfig) VirtualResult {
 	batch := cfg.Batch.WithDefaults()
 	if cfg.Slots < 1 {
@@ -180,7 +183,7 @@ func dueAt(at time.Duration, ok bool) time.Duration {
 	return at
 }
 
-// execute runs one drained batch on a slot that is free at t and returns when
+// execute grants one drained batch a slot that is free at t and returns when
 // the slot frees again. Every member is planned in batch order, the
 // detecting members' spans fuse through BatchLatency, and then every
 // detecting member is completed in batch order against the shared end — so a
@@ -191,31 +194,34 @@ func (v *virtual) execute(members []Request, t time.Duration) time.Duration {
 	v.res.MaxBatch = max(v.res.MaxBatch, len(members))
 	v.sizes.Observe(float64(len(members)))
 
+	// A slot that idled forward or lingered admitted everything issued by
+	// its own, later, clock, and a slot freed before that finds those
+	// requests still queued: it idles until the last of its members has
+	// asked, so a grant never precedes a request it serves.
+	for _, r := range members {
+		t = max(t, v.asked[r.Index])
+	}
 	end := t
 	var maxSpan time.Duration
 	detecting := members[:0]
 	for _, r := range members {
-		grant := max(t, v.asked[r.Index])
-		span, detects := v.streams.Plan(r.Index, v.asked[r.Index], grant)
+		span, detects := v.streams.Plan(r.Index, v.asked[r.Index], t)
 		v.res.MaxSingleSpan = max(v.res.MaxSingleSpan, span)
-		if !detects {
-			v.res.MaxOccupancy = max(v.res.MaxOccupancy, span)
-			end = max(end, grant+span)
-			continue
+		if detects {
+			maxSpan = max(maxSpan, span)
+			detecting = append(detecting, r)
+		} else {
+			end = max(end, t+span)
 		}
-		maxSpan = max(maxSpan, span)
-		detecting = append(detecting, r)
 	}
 	if len(detecting) > 0 {
 		batchEnd := t + BatchLatency(maxSpan, len(detecting))
 		end = max(end, batchEnd)
 		for _, r := range detecting {
-			i := r.Index
-			grant := max(t, v.asked[i])
-			v.res.MaxOccupancy = max(v.res.MaxOccupancy, batchEnd-grant)
-			v.due[i] = dueAt(v.streams.Complete(i, v.asked[i], grant, batchEnd))
+			v.due[r.Index] = dueAt(v.streams.Complete(r.Index, v.asked[r.Index], t, batchEnd))
 		}
 	}
+	v.res.MaxOccupancy = max(v.res.MaxOccupancy, end-t)
 	v.res.Busy += end - t
 	v.res.Horizon = max(v.res.Horizon, end)
 	return end
