@@ -9,7 +9,8 @@
 #   make escapecheck  compiler escape-analysis gate: fail if any
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline
-#   make cover        whole-tree coverage, failing below the COVER_FLOOR baseline
+#   make cover        whole-tree coverage with a per-package table, failing below
+#                     the COVER_FLOOR baseline
 #   make bench-smoke  run every workload of the repository's benchmark (bench/,
 #                     BENCHMARK.json) at toy scale with its output checks on,
 #                     then the bench module's own tests
@@ -27,10 +28,11 @@
 
 GO ?= go
 
-# Coverage floor for `make cover` (total statement coverage, percent). The
-# suite sits at ~82%; the floor trails it so honest refactors don't flap,
-# while a PR that lands a subsystem without tests fails the gate.
-COVER_FLOOR ?= 78.0
+# Coverage floor for `make cover` (total statement coverage, percent):
+# measured minus one. The suite sits at 82.9%; the floor trails it so honest
+# refactors don't flap, while a PR that lands a subsystem without tests fails
+# the gate.
+COVER_FLOOR ?= 81.9
 
 .PHONY: build test race vet lint escapecheck cover check bench-smoke loadgen-bench loadgen-smoke soak clean
 
@@ -72,8 +74,12 @@ escapecheck:
 
 # Whole-tree statement coverage with a recorded floor: fails when total
 # coverage drops below COVER_FLOOR (see the variable above for the policy).
+# Ends with the per-package figures, lowest first, cut from the same profile.
 cover:
 	$(GO) test -coverprofile=$(or $(TMPDIR),/tmp)/adavp_cover.out ./...
+	@awk 'NR > 1 { pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); n[pkg] += $$2; if ($$3 > 0) hit[pkg] += $$2 } \
+		END { for (p in n) printf "%6.1f%%  %s\n", 100 * hit[p] / n[p], p }' \
+		$(or $(TMPDIR),/tmp)/adavp_cover.out | sort -n
 	@total=$$($(GO) tool cover -func=$(or $(TMPDIR),/tmp)/adavp_cover.out \
 		| awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \

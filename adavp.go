@@ -263,32 +263,34 @@ type Result struct {
 	PrefetchedWhileWaiting int
 }
 
-// Run executes a policy over a video on the deterministic virtual clock.
-func Run(v *Video, opts Options) (*Result, error) {
-	if opts.Policy == sim.PolicyInvalid {
-		opts.Policy = PolicyAdaVP
-	}
-	if opts.Workers > 0 {
-		par.SetWorkers(opts.Workers)
-	}
+// simConfig builds the virtual-clock engine configuration of stream i
+// (seed Seed+i) from opts; PolicyInvalid means AdaVP.
+func simConfig(opts Options, i int) sim.Config {
 	cfg := sim.Config{
 		Policy:  opts.Policy,
 		Setting: opts.Setting,
-		Seed:    opts.Seed,
+		Seed:    opts.Seed + uint64(i),
 		Alpha:   opts.Alpha,
 		IoU:     opts.IoU,
 		Fault:   opts.Fault,
 		Obs:     opts.Obs,
+	}
+	if cfg.Policy == sim.PolicyInvalid {
+		cfg.Policy = PolicyAdaVP
+	}
+	if opts.Workers > 0 {
+		par.SetWorkers(opts.Workers) // the pool is process-wide; sim.Config carries no worker count
 	}
 	if opts.PixelMode {
 		cfg.PixelMode = true
 		cfg.Detector = detect.NewBlobDetector()
 		cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
 	}
-	r, err := sim.Run(v, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("adavp: %w", err)
-	}
+	return cfg
+}
+
+// simResult converts a virtual-clock run to the facade's Result.
+func simResult(r *sim.Result) *Result {
 	return &Result{
 		Accuracy: r.Accuracy,
 		MeanF1:   r.MeanF1,
@@ -296,7 +298,16 @@ func Run(v *Video, opts Options) (*Result, error) {
 		Outputs:  r.Run.Outputs,
 		Trace:    r.Run,
 		Faults:   r.Run.Faults,
-	}, nil
+	}
+}
+
+// Run executes a policy over a video on the deterministic virtual clock.
+func Run(v *Video, opts Options) (*Result, error) {
+	r, err := sim.Run(v, simConfig(opts, 0))
+	if err != nil {
+		return nil, fmt.Errorf("adavp: %w", err)
+	}
+	return simResult(r), nil
 }
 
 // RunLive executes the pipeline on real goroutines (detector thread, tracker
@@ -307,9 +318,26 @@ func Run(v *Video, opts Options) (*Result, error) {
 // of killing it, and the result carries the fault/recovery accounting. A
 // cancelled run returns its partial Result alongside the error.
 func RunLive(ctx context.Context, v *Video, opts Options, timeScale float64) (*Result, error) {
+	cfg, err := rtConfig(opts, 0, timeScale)
+	if err != nil {
+		return nil, err
+	}
+	r, err := rt.Run(ctx, v, cfg)
+	if r == nil {
+		return nil, fmt.Errorf("adavp: %w", err)
+	}
+	if err != nil {
+		return rtResult(r), fmt.Errorf("adavp: %w", err)
+	}
+	return rtResult(r), nil
+}
+
+// rtConfig builds the live pipeline configuration of stream i (seed Seed+i)
+// from opts. Only the parallel policies run live; PolicyInvalid means AdaVP.
+func rtConfig(opts Options, i int, timeScale float64) (rt.Config, error) {
 	cfg := rt.Config{
 		Setting:       opts.Setting,
-		Seed:          opts.Seed,
+		Seed:          opts.Seed + uint64(i),
 		TimeScale:     timeScale,
 		PixelMode:     opts.PixelMode,
 		Fault:         opts.Fault,
@@ -320,17 +348,18 @@ func RunLive(ctx context.Context, v *Video, opts Options, timeScale float64) (*R
 	if opts.Policy == sim.PolicyInvalid || opts.Policy == PolicyAdaVP {
 		cfg.Adaptation = adapt.DefaultModel()
 	} else if opts.Policy != PolicyMPDT {
-		return nil, fmt.Errorf("adavp: live pipeline supports PolicyAdaVP and PolicyMPDT, not %v", opts.Policy)
+		return cfg, fmt.Errorf("adavp: live pipeline supports PolicyAdaVP and PolicyMPDT, not %v", opts.Policy)
 	}
 	if opts.PixelMode {
 		cfg.Detector = detect.NewBlobDetector()
 		cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
 	}
-	r, err := rt.Run(ctx, v, cfg)
-	if r == nil {
-		return nil, fmt.Errorf("adavp: %w", err)
-	}
-	res := &Result{
+	return cfg, nil
+}
+
+// rtResult converts a live run to the facade's Result.
+func rtResult(r *rt.Result) *Result {
+	return &Result{
 		Accuracy: r.Accuracy,
 		MeanF1:   r.MeanF1,
 		FrameF1:  r.FrameF1,
@@ -342,10 +371,6 @@ func RunLive(ctx context.Context, v *Video, opts Options, timeScale float64) (*R
 
 		PrefetchedWhileWaiting: r.PrefetchedWhileWaiting,
 	}
-	if err != nil {
-		return res, fmt.Errorf("adavp: %w", err)
-	}
-	return res, nil
 }
 
 // ServeOptions configures multi-stream serving: N independent streams share
@@ -430,31 +455,12 @@ type MultiResult struct {
 // parallel policies (AdaVP, MPDT) can be scheduled. Two same-seed calls are
 // byte-for-byte identical, including the telemetry in Options.Obs.
 func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, error) {
-	if opts.Policy == sim.PolicyInvalid {
-		opts.Policy = PolicyAdaVP
-	}
 	if so.MaxStreams > 0 && len(videos) > so.MaxStreams {
 		return nil, fmt.Errorf("adavp: %d streams exceed the admission cap %d", len(videos), so.MaxStreams)
 	}
-	if opts.Workers > 0 {
-		par.SetWorkers(opts.Workers)
-	}
 	streams := make([]sim.MultiStream, len(videos))
 	for i, v := range videos {
-		cfg := sim.Config{
-			Policy:  opts.Policy,
-			Setting: opts.Setting,
-			Seed:    opts.Seed + uint64(i),
-			Alpha:   opts.Alpha,
-			IoU:     opts.IoU,
-			Fault:   opts.Fault,
-		}
-		if opts.PixelMode {
-			cfg.PixelMode = true
-			cfg.Detector = detect.NewBlobDetector()
-			cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
-		}
-		streams[i] = sim.MultiStream{ID: fmt.Sprintf("s%d", i), Video: v, Config: cfg}
+		streams[i] = sim.MultiStream{ID: fmt.Sprintf("s%d", i), Video: v, Config: simConfig(opts, i)}
 	}
 	batch := serve.BatchConfig{Size: so.BatchSize, Linger: so.BatchLinger}
 	r, err := sim.RunMulti(streams, sim.MultiConfig{
@@ -476,22 +482,13 @@ func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, err
 	}
 	var frameInterval time.Duration
 	for _, v := range videos {
-		if v.FrameInterval() > frameInterval {
-			frameInterval = v.FrameInterval()
-		}
+		frameInterval = max(frameInterval, v.FrameInterval())
 	}
 	out.FairnessBound = serve.FairnessBoundBatched(len(videos), so.Slots, batch.Size, r.MaxSingleOccupancy, frameInterval, batch.Linger)
 	for i, s := range r.Streams {
 		out.Streams[i] = StreamRun{
-			ID: s.ID,
-			Result: &Result{
-				Accuracy: s.Result.Accuracy,
-				MeanF1:   s.Result.MeanF1,
-				FrameF1:  s.Result.Run.FrameF1,
-				Outputs:  s.Result.Run.Outputs,
-				Trace:    s.Result.Run,
-				Faults:   s.Result.Run.Faults,
-			},
+			ID:           s.ID,
+			Result:       simResult(s.Result),
 			Grants:       s.Grants,
 			Deferred:     s.Deferred,
 			MaxWait:      s.MaxWait,
@@ -513,22 +510,9 @@ func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, err
 func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale float64, so ServeOptions) (*MultiResult, error) {
 	specs := make([]serve.StreamSpec, len(videos))
 	for i, v := range videos {
-		cfg := rt.Config{
-			Setting:   opts.Setting,
-			Seed:      opts.Seed + uint64(i),
-			TimeScale: timeScale,
-			PixelMode: opts.PixelMode,
-			Fault:     opts.Fault,
-			Workers:   opts.Workers,
-		}
-		if opts.Policy == sim.PolicyInvalid || opts.Policy == PolicyAdaVP {
-			cfg.Adaptation = adapt.DefaultModel()
-		} else if opts.Policy != PolicyMPDT {
-			return nil, fmt.Errorf("adavp: live pipeline supports PolicyAdaVP and PolicyMPDT, not %v", opts.Policy)
-		}
-		if opts.PixelMode {
-			cfg.Detector = detect.NewBlobDetector()
-			cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
+		cfg, err := rtConfig(opts, i, timeScale)
+		if err != nil {
+			return nil, err
 		}
 		specs[i] = serve.StreamSpec{ID: fmt.Sprintf("s%d", i), Video: v, Config: cfg}
 	}
@@ -549,18 +533,7 @@ func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale 
 	for i, s := range r.Streams {
 		sr := StreamRun{ID: s.ID, Err: s.Err}
 		if s.Result != nil {
-			sr.Result = &Result{
-				Accuracy: s.Result.Accuracy,
-				MeanF1:   s.Result.MeanF1,
-				FrameF1:  s.Result.FrameF1,
-				Outputs:  s.Result.Outputs,
-				Faults:   s.Result.Events,
-				Guard:    s.Result.Faults,
-				Health:   s.Result.Health,
-				Partial:  s.Result.Partial,
-
-				PrefetchedWhileWaiting: s.Result.PrefetchedWhileWaiting,
-			}
+			sr.Result = rtResult(s.Result)
 			sr.Deferred = s.Result.Deferred
 			sr.PrefetchedWhileWaiting = s.Result.PrefetchedWhileWaiting
 		}

@@ -86,6 +86,9 @@ func TestLiveSurvivesEmptyDetector(t *testing.T) {
 	v := video.GenerateKind("fi", video.KindHighway, 5, 200)
 	cfg := liveConfig()
 	cfg.Detector = emptyDetector{}
+	// The run lasts ~66 ms of wall time; with other packages' tests on the
+	// cores it completes fewer cycles than the default burst of 8.
+	cfg.Guard.EmptyBurst = 2
 	r, err := Run(context.Background(), v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +96,9 @@ func TestLiveSurvivesEmptyDetector(t *testing.T) {
 	checkWellFormed(t, r, v.NumFrames())
 	if r.Accuracy > 0.6 {
 		t.Errorf("accuracy %.2f with a blind detector", r.Accuracy)
+	}
+	if r.Cycles < cfg.Guard.EmptyBurst {
+		t.Fatalf("only %d detection cycles completed; a burst needs %d", r.Cycles, cfg.Guard.EmptyBurst)
 	}
 	// A permanently empty detector is a fault signature: the empty-burst
 	// detector must have noticed.

@@ -195,7 +195,7 @@ func (r *multiRun) Plan(i int, requested, grant time.Duration) (time.Duration, b
 	// prefetch stage kept rendering camera frames — one per frame interval,
 	// at most PipelineDepth in flight. Pure accounting: nothing about the
 	// schedule changes.
-	if banked := min(int(wait/m.e.delta), r.depth); r.depth > 1 && banked > 0 {
+	if banked := min(int(wait/m.e.delta), r.depth); banked > 0 && r.depth > 1 {
 		m.out.PrefetchedWhileWaiting += banked
 		if r.obs != nil {
 			r.obs.Counter(obs.MetricPrefetchedWaiting, obs.L("stream", m.id)).Add(int64(banked))
