@@ -327,9 +327,9 @@ func RunLive(ctx context.Context, v *Video, opts Options, timeScale float64) (*R
 		return nil, fmt.Errorf("adavp: %w", err)
 	}
 	if err != nil {
-		return rtResult(r), fmt.Errorf("adavp: %w", err)
+		err = fmt.Errorf("adavp: %w", err)
 	}
-	return rtResult(r), nil
+	return rtResult(r), err
 }
 
 // rtConfig builds the live pipeline configuration of stream i (seed Seed+i)

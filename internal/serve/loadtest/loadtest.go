@@ -319,10 +319,11 @@ func newGenerator(cfg Config) (*generator, []time.Duration) {
 // drawSetting picks a stream's setting at connect/reconnect: the dominant
 // one, or with probability SettingSkew one of the rest.
 func (g *generator) drawSetting(s *lstream) core.Setting {
-	if c := g.cfg; c.SettingSkew > 0 && len(c.Settings) > 1 && s.pick.Bool(c.SettingSkew) {
+	c := &g.cfg
+	if c.SettingSkew > 0 && len(c.Settings) > 1 && s.pick.Bool(c.SettingSkew) {
 		return c.Settings[1+s.pick.Intn(len(c.Settings)-1)]
 	}
-	return g.cfg.Settings[0]
+	return c.Settings[0]
 }
 
 // advance rolls a request instant forward through disconnect windows and the

@@ -204,7 +204,7 @@ func (p *Pool) memberRelease(g *group) func() {
 // terminate the scan — the batch fills to Size from live waiters whenever
 // enough compatible ones are queued. Callers hold p.mu.
 func (p *Pool) grantNextLocked() {
-	p.reqs = p.queue.AppendBatch(p.reqs[:0], p.batch.Size, func(r Request) bool {
+	reqs := p.queue.AppendBatch(p.reqs[:0], p.batch.Size, func(r Request) bool {
 		w := p.waiters[r.Index]
 		if w == nil || w.cancelled {
 			delete(p.waiters, r.Index)
@@ -212,7 +212,7 @@ func (p *Pool) grantNextLocked() {
 		}
 		return false
 	})
-	reqs := p.reqs
+	p.reqs = reqs
 	if len(reqs) == 0 {
 		p.free++
 		return

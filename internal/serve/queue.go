@@ -74,8 +74,8 @@ type Request struct {
 
 // FairQueue is a bounded oldest-calibration-first wait queue. It is a pure
 // data structure — no clock, no goroutines, not safe for concurrent use on
-// its own (Pool wraps it in a mutex; RunVirtual is single-threaded). Ordering is deterministic: by LastCalib ascending, then
-// by push order.
+// its own (Pool wraps it in a mutex; RunVirtual is single-threaded). Ordering
+// is deterministic: by LastCalib ascending, then by push order.
 type FairQueue struct {
 	bound int
 	seq   uint64

@@ -181,7 +181,8 @@ func checkRun(t *testing.T, name string, scripts []script, cfg VirtualConfig, ga
 		fail("the default queue bound refused %d requests", client.refused)
 	}
 
-	size, linger := cfg.Batch.WithDefaults().Size, cfg.Batch.WithDefaults().Linger
+	batch := cfg.Batch.WithDefaults()
+	size, linger := batch.Size, batch.Linger
 	bs := client.batches(size)
 	if len(bs) != res.Batches {
 		fail("log shows %d batches, result says %d", len(bs), res.Batches)
