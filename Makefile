@@ -3,7 +3,7 @@
 #   make build        compile every package and command
 #   make test         run the full test suite
 #   make race         run the concurrency-sensitive packages under the race detector
-#   make vet          static analysis (go vet)
+#   make vet          static analysis (go vet) and the gofmt gate
 #   make lint         project-specific analyzers (cmd/adavplint): determinism,
 #                     hot-path allocations, band safety, goroutine leaks, pool pairing
 #   make escapecheck  compiler escape-analysis gate: fail if any
@@ -54,13 +54,16 @@ race:
 		./internal/detect/ ./internal/track/ ./internal/obs/ ./internal/serve/ \
 		./internal/serve/loadtest/ ./internal/chaos/
 
+# go vet, then gofmt: any non-testdata file gofmt would rewrite fails the
+# target (fixtures under testdata/ are allowed their own layout).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# The eight invariants DESIGN.md §9/§15 document: detrand, hotalloc,
-# bandsafe, leakygo, poolpair, lockorder, atomichygiene, stagepure — the
-# interprocedural ones run over the module-wide call graph. Exits non-zero
-# on any finding.
+# The five invariants DESIGN.md §9/§15 document: detrand, hotalloc,
+# bandsafe, leakygo, poolpair — detrand and hotalloc interprocedural over the
+# module-wide call graph. Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/adavplint
 

@@ -1,28 +1,22 @@
 // Command adavplint runs the repository's static-invariant suite
 // (internal/lint) over the module: detrand, hotalloc, bandsafe, leakygo,
-// poolpair, lockorder, atomichygiene, stagepure. It is the multichecker
-// behind `make lint`.
+// poolpair. It is the multichecker behind `make lint`.
 //
 // Usage:
 //
-//	adavplint [-only name[,name]] [-json] [dir ...]
+//	adavplint [-list] [-only name[,name]] [dir ...]
 //
 // With no directories it checks every package in the module. All requested
 // packages are loaded first and a single module-wide call graph is built
 // over them, so the interprocedural analyzers see every caller and callee
 // regardless of which package is being reported on. Exit status is 1 when
-// any diagnostic is reported, 2 on usage or load errors. Default output is
-// one line per finding:
+// any diagnostic is reported, 2 on usage or load errors. Output is one line
+// per finding:
 //
 //	path:line:col: [analyzer] message
-//
-// With -json, findings are emitted as a single JSON array of objects with
-// "file", "line", "col", "analyzer" and "message" fields — stable input for
-// editor integrations and CI annotators.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,21 +31,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the -json wire format of one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("adavplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of plain lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-13s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-8s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -105,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	graph := lint.BuildCallGraph(loader.Loaded())
 
 	cwd, _ := os.Getwd()
-	var findings []jsonFinding
+	findings := 0
 	for _, pkg := range pkgs {
 		diags, err := lint.RunAnalyzers(pkg, analyzers, graph)
 		if err != nil {
@@ -117,29 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
 				name = rel
 			}
-			findings = append(findings, jsonFinding{
-				File: name, Line: pos.Line, Col: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", name, pos.Line, pos.Column, d.Analyzer, d.Message)
+			findings++
 		}
 	}
-
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			return fatal(stderr, err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "adavplint: %d finding(s)\n", len(findings))
+	if findings > 0 {
+		fmt.Fprintf(stderr, "adavplint: %d finding(s)\n", findings)
 		return 1
 	}
 	return 0

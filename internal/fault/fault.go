@@ -312,7 +312,6 @@ func (d *Detector) DetectCtx(ctx context.Context, f core.Frame, s core.Setting) 
 	if !faulted {
 		d.innerMu.Lock()
 		defer d.innerMu.Unlock()
-		//adavp:lockorder-ok inner is the wrapped detector, never this wrapper; a nested fault.Detector would hold its own innerMu instance
 		return detect.DetectWith(ctx, d.inner, f, s)
 	}
 	switch kind {
@@ -326,10 +325,8 @@ func (d *Detector) DetectCtx(ctx context.Context, f core.Frame, s core.Setting) 
 		if d.mode == Live {
 			time.Sleep(d.prof.Spike)
 		}
-		//adavp:lockorder-ok the !faulted branch above returns before this one runs; its deferred Unlock is not pending here
 		d.innerMu.Lock()
 		defer d.innerMu.Unlock()
-		//adavp:lockorder-ok inner is the wrapped detector, never this wrapper; a nested fault.Detector would hold its own innerMu instance
 		return detect.DetectWith(ctx, d.inner, f, s)
 	case KindHang:
 		if d.mode == Live {

@@ -285,14 +285,13 @@ func (d *overlapDetector) Detect(core.Frame, core.Setting) []core.Detection {
 }
 
 // TestDetectorSerializesInnerUnderConcurrency is the -race regression test
-// behind the lockorder suppressions in DetectCtx: the analyzer's
-// flow-insensitive model sees the clean branch's innerMu.Lock and the
-// latency branch's as a potential self-deadlock, and the suppressions argue
-// the branches are mutually exclusive. This pins the property the mutex
-// exists for — inner calls stay serialized while clean and latency-faulted
-// calls overlap from many goroutines — so a refactor that breaks the
-// branch exclusivity (or drops one Lock) fails here, under -race, instead
-// of corrupting a wrapped detector's pooled state in production.
+// for DetectCtx's two innerMu.Lock sites: the clean branch and the latency
+// branch are mutually exclusive, so neither re-acquires the other's lock.
+// This pins the property the mutex exists for — inner calls stay serialized
+// while clean and latency-faulted calls overlap from many goroutines — so a
+// refactor that breaks the branch exclusivity (or drops one Lock) fails
+// here, under -race, instead of corrupting a wrapped detector's pooled
+// state in production.
 func TestDetectorSerializesInnerUnderConcurrency(t *testing.T) {
 	inner := &overlapDetector{}
 	// Rate 0.5 with only latency faults: roughly half the calls take the

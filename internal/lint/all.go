@@ -1,11 +1,8 @@
 package lint
 
-// All returns the full adavplint suite in reporting order: the five
-// per-package analyzers from the original suite, then the three
-// interprocedural concurrency-discipline checks that need the module call
-// graph.
+// All returns the full adavplint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, HotAlloc, BandSafe, LeakyGo, PoolPair, LockOrder, AtomicHygiene, StagePure}
+	return []*Analyzer{DetRand, HotAlloc, BandSafe, LeakyGo, PoolPair}
 }
 
 // ByName returns the analyzer with the given name, or nil.

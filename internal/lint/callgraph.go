@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,16 +30,15 @@ import (
 // unsuppressed wall-clock read (time.Now/Since/Until), the first
 // unsuppressed math/rand reference, the function's unamortized allocation
 // sites (the same amortization tests hotalloc applies locally), and the
-// //adavp:hotpath and //adavp:stage annotations. Suppression comments are
+// //adavp:hotpath and //adavp:amortized annotations. Suppression comments are
 // consumed while the facts are collected, so an //adavp:detrand-ok deep in a
 // helper stops taint at the source rather than requiring every caller to
 // re-justify it.
 //
-// The traversals (taint, allocation trails, transitive lock sets) are
-// memoized on the graph; recursion cycles are cut by treating an
-// in-progress node as clean, an under-approximation that can only miss
-// facts inside mutually recursive clusters — none of which exist in this
-// module's kernels.
+// The traversals (taint, allocation trails) are memoized on the graph;
+// recursion cycles are cut by treating an in-progress node as clean, an
+// under-approximation that can only miss facts inside mutually recursive
+// clusters — none of which exist in this module's kernels.
 
 // EdgeKind classifies a call-graph edge.
 type EdgeKind uint8
@@ -86,13 +86,11 @@ type CallNode struct {
 	// Callees holds outgoing edges in source order.
 	Callees []CallEdge
 
-	// HotPath marks //adavp:hotpath, Stage the //adavp:stage <name>
-	// annotation ("" when absent). Amortized marks //adavp:amortized — the
+	// HotPath marks //adavp:hotpath. Amortized marks //adavp:amortized — the
 	// function allocates only on its cold path (first use, buffer growth)
 	// and may be treated as allocation-free in steady state.
 	HotPath   bool
 	Amortized bool
-	Stage     string
 
 	clockPos  token.Pos
 	clockName string
@@ -115,12 +113,6 @@ type CallGraph struct {
 	ifaceMemo map[ifaceKey][]*types.Func
 	detMemo   map[*types.Func]*DetTaint
 	allocMemo map[*types.Func]*AllocTrail
-
-	// analyzer-owned module-wide caches (see lockorder.go, atomichygiene.go,
-	// stagepure.go)
-	locks   *lockState
-	atomics *atomicState
-	stages  *stageState
 }
 
 type ifaceKey struct {
@@ -168,7 +160,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					Pkg:       pkg,
 					HotPath:   funcHasAnnotation(fd, "hotpath"),
 					Amortized: funcDocDirective(fd, "amortized"),
-					Stage:     stageAnnotationOf(fd),
 				}
 			}
 		}
@@ -220,12 +211,9 @@ func (g *CallGraph) NodesIn(pkgPath string) []*CallNode {
 	return nodes
 }
 
-// Packages returns the module packages the graph was built over.
-func (g *CallGraph) Packages() []*Package { return g.pkgs }
-
 // IsGenerated reports whether pos lies in a generated file of any package in
-// the graph — cross-package reports (lockorder witnesses, named band
-// functions) must honour the generated-file skip too.
+// the graph — cross-package reports (named band functions) must honour the
+// generated-file skip too.
 func (g *CallGraph) IsGenerated(pos token.Pos) bool {
 	for _, pkg := range g.pkgs {
 		if pkg.IsGenerated(pos) {
@@ -472,77 +460,5 @@ func chainString(chain []*types.Func) string {
 // position in another file.
 func (g *CallGraph) basePos(pos token.Pos) string {
 	p := g.fset.Position(pos)
-	return filepath.Base(p.Filename) + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// stageAnnotationOf extracts the //adavp:stage <name> annotation from a
-// declaration's doc comment, or "".
-func stageAnnotationOf(fd *ast.FuncDecl) string {
-	if fd.Doc == nil {
-		return ""
-	}
-	for _, c := range fd.Doc.List {
-		if name := parseStageMarker(c.Text); name != "" {
-			return name
-		}
-	}
-	return ""
-}
-
-// parseStageMarker returns the stage name of an "//adavp:stage <name>"
-// comment, or "". The comment must *start* with the marker — a doc sentence
-// that merely mentions the annotation is prose, not an annotation — and the
-// marker must be followed by whitespace so //adavp:stage-ok (the
-// suppression) never parses as one.
-func parseStageMarker(text string) string {
-	const marker = "//adavp:stage"
-	text = strings.TrimSpace(text)
-	if !strings.HasPrefix(text, marker) {
-		return ""
-	}
-	rest := text[len(marker):]
-	if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-		return ""
-	}
-	if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
-		rest = rest[:nl]
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return ""
-	}
-	return fields[0]
-}
-
-// stageMarkerNear returns the stage name annotated on the line holding pos
-// or the line above it — how function-literal stages are declared.
-func stageMarkerNear(supp *suppIndex, pos token.Pos) string {
-	for _, c := range supp.commentsAt(pos) {
-		if name := parseStageMarker(c); name != "" {
-			return name
-		}
-	}
-	return ""
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }

@@ -71,18 +71,3 @@ func TestInterprocFindingsRequireCallGraph(t *testing.T) {
 		})
 	}
 }
-
-// TestGraphOnlyAnalyzersDegradeGracefully pins that the module-wide
-// analyzers are silent, not wrong, without a graph.
-func TestGraphOnlyAnalyzersDegradeGracefully(t *testing.T) {
-	_, pkg := loadForTest(t, "testdata/src/lockorder")
-	for _, a := range []*Analyzer{LockOrder, AtomicHygiene, StagePure} {
-		diags, err := RunAnalyzers(pkg, []*Analyzer{a}, nil)
-		if err != nil {
-			t.Fatalf("%s without graph: %v", a.Name, err)
-		}
-		if len(diags) != 0 {
-			t.Errorf("%s reported %d diagnostics without a call graph; want 0", a.Name, len(diags))
-		}
-	}
-}

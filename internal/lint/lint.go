@@ -1,8 +1,8 @@
 // Package lint is adavplint: a static-analysis suite that turns this
-// repository's prose invariants into build-failing checks. Eight analyzers
+// repository's prose invariants into build-failing checks. Five analyzers
 // enforce the contracts the reproduction rests on, sharing a module-wide
-// static call graph (callgraph.go) so violations are caught
-// interprocedurally:
+// static call graph (callgraph.go) so detrand and hotalloc violations are
+// caught interprocedurally:
 //
 //   - detrand: deterministic packages must not — directly or through any
 //     chain of module calls — read the wall clock, use math/rand, or
@@ -18,12 +18,6 @@
 //     go namedFunc() — must be cancellable or join-bounded.
 //   - poolpair: a sync.Pool.Get must be paired with a Put in the same
 //     function, or carry an explicit //adavp:pool-drop justification.
-//   - lockorder: module mutexes are acquired in one consistent order;
-//     inversions, cycles and self-deadlocks are reported with witnesses.
-//   - atomichygiene: a variable accessed via sync/atomic is never also
-//     accessed plainly, and 64-bit atomics stay 8-aligned on 32-bit.
-//   - stagepure: //adavp:stage-annotated pipeline stages touch only their
-//     own state and communicate through channels.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only:
@@ -159,25 +153,19 @@ func newSuppIndex(fset *token.FileSet, files []*ast.File) *suppIndex {
 // has reports whether the line holding pos or the one above carries
 // "//adavp:<directive> <why>" with a non-empty justification.
 func (s *suppIndex) has(directive string, pos token.Pos) bool {
-	for _, c := range s.commentsAt(pos) {
-		if hasDirective(c, directive) {
-			return true
+	tf := s.fset.File(pos)
+	if tf == nil {
+		return false
+	}
+	lines, line := s.lines[tf], tf.Line(pos)
+	for _, ln := range [2]int{line - 1, line} {
+		for _, c := range lines[ln] {
+			if hasDirective(c, directive) {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// commentsAt returns the comments on the line above pos followed by those on
-// pos's own line — the two places a suppression or a //adavp:stage
-// annotation may sit for a statement or function literal.
-func (s *suppIndex) commentsAt(pos token.Pos) []string {
-	tf := s.fset.File(pos)
-	if tf == nil {
-		return nil
-	}
-	lines := s.lines[tf]
-	line := tf.Line(pos)
-	return append(append([]string(nil), lines[line-1]...), lines[line]...)
 }
 
 // hasDirective reports whether text contains "//adavp:<directive>" followed

@@ -80,9 +80,14 @@ type Loader struct {
 	importing map[string]bool
 }
 
-// NewLoader returns a loader for the module rooted at dir (the directory
-// holding go.mod).
+// NewLoader returns a loader for the module rooted at moduleRoot (the
+// directory holding go.mod). The root is stored absolute, as Load resolves
+// package directories against it.
 func NewLoader(moduleRoot string) (*Loader, error) {
+	moduleRoot, err := filepath.Abs(moduleRoot)
+	if err != nil {
+		return nil, fmt.Errorf("lint: module root: %w", err)
+	}
 	data, err := os.ReadFile(filepath.Join(moduleRoot, "go.mod"))
 	if err != nil {
 		return nil, fmt.Errorf("lint: reading go.mod: %w", err)

@@ -127,3 +127,16 @@ func TestPackageDirsSkipsNestedModules(t *testing.T) {
 		}
 	}
 }
+
+// TestLoaderRelativeModuleRoot pins that NewLoader absolutizes its root:
+// Load absolutizes the package directory, so a root stored as given
+// ("../..") made every Load fail in filepath.Rel.
+func TestLoaderRelativeModuleRoot(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	if _, err := loader.Load(filepath.Join("testdata", "src", "callgraph")); err != nil {
+		t.Fatalf("Load under a relative module root: %v", err)
+	}
+}

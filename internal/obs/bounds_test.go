@@ -45,10 +45,10 @@ func TestHistogramOverflowAndNaN(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("overflow", DefLatencyBuckets)
 	last := DefLatencyBuckets[len(DefLatencyBuckets)-1]
-	h.Observe(last)                    // last finite bucket, inclusive
-	h.Observe(last * 2)                // +Inf bucket
-	h.Observe(math.Inf(1))             // +Inf bucket
-	h.Observe(math.NaN())              // +Inf bucket (no panic, no loss)
+	h.Observe(last)        // last finite bucket, inclusive
+	h.Observe(last * 2)    // +Inf bucket
+	h.Observe(math.Inf(1)) // +Inf bucket
+	h.Observe(math.NaN())  // +Inf bucket (no panic, no loss)
 	counts := r.Snapshot().Histograms[0].Counts
 	n := len(DefLatencyBuckets)
 	if counts[n-1] != 1 {

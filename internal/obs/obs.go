@@ -459,20 +459,20 @@ type CounterPoint struct {
 
 // GaugePoint is one gauge series in a snapshot.
 type GaugePoint struct {
-	Name   string  `json:"name"`
-	Labels []Label `json:"labels,omitempty"`
-	Value  SafeFloat   `json:"value"`
+	Name   string    `json:"name"`
+	Labels []Label   `json:"labels,omitempty"`
+	Value  SafeFloat `json:"value"`
 }
 
 // HistogramPoint is one histogram series in a snapshot. Counts[i] holds the
 // observations <= Bounds[i]; the final entry counts the +Inf overflow.
 type HistogramPoint struct {
-	Name   string  `json:"name"`
-	Labels []Label `json:"labels,omitempty"`
+	Name   string    `json:"name"`
+	Labels []Label   `json:"labels,omitempty"`
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
-	Sum    SafeFloat     `json:"sum"`
+	Sum    SafeFloat `json:"sum"`
 }
 
 // Snapshot is a point-in-time copy of the registry with deterministic

@@ -109,7 +109,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		r := NewRegistry()
 		for _, name := range order {
 			r.Counter("n_total", L("s", name)).Inc()
-			r.Gauge("g_"+name).Set(1)
+			r.Gauge("g_" + name).Set(1)
 			r.Histogram("h_total", nil, L("s", name)).Observe(1)
 		}
 		var buf bytes.Buffer

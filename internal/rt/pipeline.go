@@ -214,7 +214,6 @@ func newStagedRing(depth int) *stagedRing {
 // pyramid, so these sends cannot block, and conservation holds through
 // cancellation.
 func (r *stagedRing) start(ctx context.Context, n int, build func(i int, pyr *imgproc.Pyramid, slot *pipeSlot)) {
-	//adavp:stage prefetch
 	go func() {
 		defer close(r.done)
 		defer close(r.filled)
@@ -352,7 +351,6 @@ func RunPipelined(ctx context.Context, v *video.Video, cfg PipelineConfig) (*Pip
 	staleCtr := cfg.Obs.Counter(obs.MetricPrefetchStale, labels()...)
 	refillCtr := cfg.Obs.Counter(obs.MetricPrefetchRefill, labels()...)
 	var scratch imgproc.Scratch
-	//adavp:stage prefetch
 	prefetch := func(i int, pyr *imgproc.Pyramid, slot *pipeSlot) {
 		t0 := time.Now()
 		f := v.FrameWithPixels(i)

@@ -190,10 +190,16 @@ func TestPipelineObservability(t *testing.T) {
 // stage can hide, so the expected gain (~1.2-1.4x on one core) sits well
 // above the coarse 1.05x floor; tracker-heavy cadences have a lower overlap
 // ceiling and would flake here. Best-of-two per depth absorbs one-off
-// scheduler or GC hiccups; the committed bench records the real figure.
+// scheduler or GC hiccups; the real figure is rt.overlap_gain in bench/.
+// Skipped under -race: the detector's slowdown inflates the compute share
+// the sleep cannot hide, and with other test binaries on the cores the
+// ratio sat at 1.04x — an invalid measurement, not a regression.
 func TestPipelineThroughputGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock ratio is not valid under the race detector")
 	}
 	v := pipelineTestVideo("hw", video.KindHighway, 13, 48)
 	elapsed := func(depth int) time.Duration {

@@ -278,8 +278,6 @@ func newFramePrefetcher(v *video.Video, depth int, reg *obs.Registry, labels []o
 // run follows the camera: each time a newer frame is published, render up to
 // depth frames ahead of it. Exits when the buffer closes (camera done or run
 // cancelled — the camera owns ctx observation).
-//
-//adavp:stage prefetch
 func (pf *framePrefetcher) run(buf *frameBuffer) {
 	n := pf.v.NumFrames()
 	cursor := -1
@@ -481,7 +479,6 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	// coarse OS timer resolution cannot skew the frame rate relative to the
 	// scaled component latencies.
 	wg.Add(1)
-	//adavp:stage camera
 	go func() {
 		defer wg.Done()
 		defer p.buffer.close()
@@ -515,7 +512,6 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	if p.cfg.PipelineDepth > 1 && p.cfg.PixelMode {
 		p.prefetch = newFramePrefetcher(p.v, p.cfg.PipelineDepth, p.cfg.Obs, p.obsLabels())
 		wg.Add(1)
-		//adavp:stage prefetch
 		go func() {
 			defer wg.Done()
 			p.prefetch.run(p.buffer)
@@ -524,7 +520,6 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 
 	// Object detector thread.
 	wg.Add(1)
-	//adavp:stage detector
 	go func() {
 		defer wg.Done()
 		defer close(p.work)
@@ -533,7 +528,6 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 
 	// Object tracker thread.
 	wg.Add(1)
-	//adavp:stage tracker
 	go func() {
 		defer wg.Done()
 		p.trackerLoop(ctx)
@@ -613,8 +607,6 @@ func (p *pipeline) superviseDetect(ctx context.Context, frameIdx int, setting co
 // newest frame, acquire a detector slot (the nil-Slots default grants
 // instantly, making single-stream the N=1, K=1 special case), adapt the
 // setting, detect (supervised), release the slot, hand off to the tracker.
-//
-//adavp:stage detector
 func (p *pipeline) detectorLoop(ctx context.Context) {
 	setting := p.cfg.Setting
 	prevFrame := -1
@@ -767,8 +759,6 @@ func (p *pipeline) detectorLoop(ctx context.Context) {
 // trackerLoop is the CPU thread: process each cycle's buffered frames under
 // panic supervision, validating every velocity sample before it can reach
 // the adaptation model.
-//
-//adavp:stage tracker
 func (p *pipeline) trackerLoop(ctx context.Context) {
 	for w := range p.work {
 		if ctx.Err() != nil {

@@ -179,7 +179,7 @@ func (p *Pool) Acquire(ctx context.Context, stream string, setting core.Setting,
 // grant group. The slot moves on only when the whole group has released.
 // Callers must NOT hold p.mu: the returned closure re-enters it, and building
 // it outside the lock is what keeps the grant/release cycle free of
-// lock-under-lock shapes (the lockorder analyzer checks this).
+// lock-under-lock shapes.
 func (p *Pool) memberRelease(g *group) func() {
 	var once sync.Once
 	return func() {

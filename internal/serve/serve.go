@@ -146,7 +146,6 @@ func Run(ctx context.Context, streams []StreamSpec, cfg RunConfig) (*RunResult, 
 			c.PipelineDepth = cfg.PipelineDepth
 		}
 		wg.Add(1)
-		//adavp:stage stream
 		go func(i int, s StreamSpec, c rt.Config) {
 			defer wg.Done()
 			r, err := rt.Run(ctx, s.Video, c) //adavp:detrand-ok rt owns the pacing clock; serve's own outputs stay deterministic per stream seed
