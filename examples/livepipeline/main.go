@@ -1,7 +1,7 @@
-// Live pipeline: runs AdaVP on real goroutines — a camera feeder, a
-// detector thread and a tracker thread sharing a frame buffer with locks and
-// events, exactly the §IV-B/§V threading structure — with all component
-// latencies emulated at 1/10th real time. Compare with the deterministic
+// Live pipeline: runs AdaVP on real goroutines — a detector thread and a
+// tracker thread paced by a capture clock and joined by locks and events,
+// the §IV-B/§V threading structure — with all component latencies emulated
+// at 1/10th real time. Compare with the deterministic
 // virtual-clock engine used by the experiments.
 package main
 
@@ -19,7 +19,7 @@ func main() {
 	fmt.Printf("video: %s, %d frames (%.0f s)\n", v.Name, v.NumFrames(), adavp.VideoDuration(v).Seconds())
 
 	const timeScale = 0.1 // run 10x faster than real time
-	fmt.Printf("running the live three-thread pipeline at %.0fx speed...\n", 1/timeScale)
+	fmt.Printf("running the live detector/tracker-thread pipeline at %.0fx speed...\n", 1/timeScale)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

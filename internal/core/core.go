@@ -251,16 +251,6 @@ func (s Source) String() string {
 	}
 }
 
-// ParseSource inverts String for the defined sources; ok is false otherwise.
-func ParseSource(name string) (Source, bool) {
-	for s := SourceNone; s <= SourceHeld; s++ {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return SourceNone, false
-}
-
 // FrameOutput is the pipeline's result for one camera frame: what was drawn
 // on screen for that frame, where it came from, and when it was ready.
 type FrameOutput struct {

@@ -199,28 +199,3 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // Len returns the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Histogram counts samples into equal-width bins over [lo, hi); samples
-// outside the range land in the first/last bin.
-func Histogram(samples []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 {
-		return nil
-	}
-	out := make([]int, bins)
-	if hi <= lo {
-		out[0] = len(samples)
-		return out
-	}
-	width := (hi - lo) / float64(bins)
-	for _, s := range samples {
-		b := int((s - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		out[b]++
-	}
-	return out
-}

@@ -270,23 +270,6 @@ func TestNewCDFDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.5, 1.5, 2.5, 9, -5}, 0, 3, 3)
-	if h[0] != 3 { // 0, 0.5 and the clamped -5
-		t.Errorf("bin 0 = %d", h[0])
-	}
-	if h[1] != 1 || h[2] != 2 { // 1.5 | 2.5 and clamped 9
-		t.Errorf("bins = %v", h)
-	}
-	if Histogram(nil, 0, 1, 0) != nil {
-		t.Error("zero bins should return nil")
-	}
-	degenerate := Histogram([]float64{1, 2}, 5, 5, 4)
-	if degenerate[0] != 2 {
-		t.Errorf("degenerate range histogram = %v", degenerate)
-	}
-}
-
 func BenchmarkMatch10(b *testing.B) {
 	s := rng.New(9)
 	var truth []core.Object

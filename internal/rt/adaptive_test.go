@@ -9,7 +9,6 @@ import (
 	"adavp/internal/adapt"
 	"adavp/internal/core"
 	"adavp/internal/fault"
-	"adavp/internal/imgproc"
 	"adavp/internal/obs"
 	"adavp/internal/par"
 	"adavp/internal/video"
@@ -135,34 +134,38 @@ func TestAdaptivePipelineCancelRefill(t *testing.T) {
 	}
 }
 
-// TestStagedRingReclaimsPyramidsOnCancel is the deterministic repro of the
-// cancellation leak: with no processor consuming, the prefetcher builds
-// depth slots, takes one more pyramid from the free pool and blocks waiting
-// for a ring token. Cancelling right there used to drop the in-flight
-// pyramid on the floor; now every pyramid must be back in the pool after
-// reclaim.
+// TestStagedRingReclaimsPyramidsOnCancel pins the ownership rule on the
+// cancellation path that used to leak: with no processor consuming, the
+// prefetcher fills every slot and blocks waiting for a reuse token.
+// Cancelling right there must leave every slot holding its pyramid — there
+// is no pool to hand anything back to — at depth 1 (no prefetcher at all)
+// as at depth 2 and 3.
 func TestStagedRingReclaimsPyramidsOnCancel(t *testing.T) {
-	r := newStagedRing(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	built := make(chan int, 16)
-	r.start(ctx, 10, func(i int, pyr *imgproc.Pyramid, slot *pipeSlot) {
-		slot.pyr = pyr
-		built <- i
-	})
-	<-built
-	<-built
-	// The prefetcher now takes the third pyramid and blocks on the token
-	// channel; wait until the free pool is visibly drained.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(r.free) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("prefetcher never took the third pyramid")
+	for _, depth := range []int{1, 2, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		built := make(chan int, 16)
+		r := newStagedRing(ctx, depth, 10, func(i int, slot *pipeSlot) {
+			if slot.pyr == nil {
+				t.Errorf("depth %d: frame %d built into a slot without a pyramid", depth, i)
+			}
+			built <- i
+		})
+		if depth > 1 {
+			for i := 0; i < depth; i++ {
+				if got := <-built; got != i {
+					t.Fatalf("depth %d: built frame %d, want %d", depth, got, i)
+				}
+			}
+			// Out of tokens: the prefetcher is parked (or about to park) on the
+			// token channel with nothing in hand.
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	if got := r.reclaim(); got != 3 {
-		t.Fatalf("reclaimed %d of 3 pyramids after cancellation — the in-flight pyramid leaked", got)
+		cancel()
+		if held, total := r.audit(); held != total || total != depth {
+			t.Fatalf("depth %d: %d of %d slots hold their pyramid after cancellation", depth, held, total)
+		}
+		if len(built) != 0 {
+			t.Errorf("depth %d: prefetcher lapped the ring without a token", depth)
+		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"adavp/internal/adapt"
+	"adavp/internal/core"
 	"adavp/internal/fault"
 	"adavp/internal/obs"
 	"adavp/internal/video"
@@ -68,5 +70,31 @@ func TestLiveRunPublishesMetrics(t *testing.T) {
 	}
 	if frames != int64(v.NumFrames()) {
 		t.Errorf("frame counters sum to %d, want %d", frames, v.NumFrames())
+	}
+}
+
+// TestRunPublishPathAllocatesNothingUninstrumented pins what resolving the
+// series once buys: with no registry attached, everything the detector and
+// tracker threads publish per frame and per cycle — stream label included —
+// is a nil check. (Looking each series up per observation built the label
+// slice first, one allocation per call.)
+func TestRunPublishPathAllocatesNothingUninstrumented(t *testing.T) {
+	p := &pipeline{cfg: Config{StreamID: "s0"}}
+	p.resolveSeries()
+	if len(p.stream) != 1 || p.stream[0] != obs.L("stream", "s0") {
+		t.Fatalf("stream label set = %v", p.stream)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.trackH.ObserveDuration(time.Millisecond)
+		p.overlayH.ObserveDuration(time.Millisecond)
+		p.slotWaitH.ObserveDuration(time.Millisecond)
+		p.slotExecH.ObserveDuration(time.Millisecond)
+		p.observeDetect(core.Setting512, time.Millisecond)
+		p.cyclesC.Inc()
+		p.deferredC.Inc()
+		adapt.PublishDecision(p.cfg.Obs, core.Setting512, core.Setting416, 3, time.Millisecond, time.Second, p.stream...)
+	})
+	if allocs != 0 {
+		t.Errorf("un-instrumented publish path allocates %.0f times per pass, want 0", allocs)
 	}
 }

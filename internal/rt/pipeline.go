@@ -12,7 +12,6 @@ import (
 	"adavp/internal/detect"
 	"adavp/internal/fault"
 	"adavp/internal/imgproc"
-	"adavp/internal/metrics"
 	"adavp/internal/obs"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
@@ -40,14 +39,14 @@ import (
 // publishes, no goroutine, no reordering — which is what the depth-parity
 // tests pin the overlapped path against, byte for byte.
 //
-// Frame pyramids circulate between the stages as values with exactly one
-// owner: the prefetcher takes a free pyramid, rebuilds it for frame i, and
-// parks it in the slot ring; the tracker takes ownership at Init/Step and
-// releases the pyramid it no longer needs back to the free pool. The pool
-// size (depth+1) bounds memory: depth frames in flight plus the tracker's
-// reference pyramid. Cancellation must not break that conservation — every
-// exit path of the prefetcher hands its in-flight pyramid back, and shutdown
-// reclaims the pyramids parked in unconsumed ring slots (stagedRing).
+// Every ring slot owns one frame pyramid between frames: the prefetcher
+// rebuilds it in place for frame i, the processor trades it with the tracker
+// at Init/Step (the tracker keeps the new frame's pyramid as its reference
+// and gives back the one it no longer needs) and puts the traded pyramid back
+// before returning the slot's reuse token. Nothing circulates, so there is
+// nothing for a cancellation path to hand back: memory is bounded at depth
+// slot pyramids plus the tracker's reference, and after any shutdown every
+// slot holds its pyramid (stagedRing.audit).
 //
 // Adaptive runs (Adaptation set) add one wrinkle: the prefetched detector
 // input is only valid for the setting it was rendered at. The prefetcher
@@ -143,9 +142,9 @@ type PipelineResult struct {
 	// observed the new setting — the trace bytes never depend on it.
 	StaleRefills int
 	// pyramidsFree / pyramidsTotal audit the ownership protocol: after
-	// shutdown every circulating pyramid must be back in the free pool
-	// (pyramidsFree == pyramidsTotal), cancelled or not. Zero at depth 1,
-	// which has no pool. The conservation regression test reads these.
+	// shutdown every ring slot must hold its pyramid (pyramidsFree ==
+	// pyramidsTotal == Depth), cancelled or not. The conservation regression
+	// test reads these.
 	pyramidsFree  int
 	pyramidsTotal int
 }
@@ -153,110 +152,126 @@ type PipelineResult struct {
 // pipeSlot is one in-flight frame parked between prefetch and process.
 type pipeSlot struct {
 	frame core.Frame
-	pyr   *imgproc.Pyramid
+	// pyr is the slot's pyramid, rebuilt for frame. It is nil only while the
+	// processor has it out on trade with the tracker (take … release).
+	pyr *imgproc.Pyramid
 	// detIn is the slot's dedicated detector-input raster; detPrepared marks
-	// it rendered for this frame at detSetting. Slot-owned (never pooled):
-	// the prefetcher and the processor run on different goroutines, and the
-	// ring token protocol — not a lock — is what serializes access to it.
+	// it rendered for this frame at detSetting. Slot-owned like pyr: the
+	// prefetcher and the processor run on different goroutines, and the ring
+	// token protocol — not a lock — is what serializes access to the slot.
 	detIn       *imgproc.Gray
 	detPrepared bool
 	detSetting  core.Setting
 	t0, t1      time.Time // prefetch interval, for the overlap histogram
 }
 
-// stagedRing owns the prefetch→process hand-off: the slot ring, the filled
-// index channel, the pyramid free pool and the ring-reuse tokens. Exactly
-// depth+1 pyramids circulate (depth in flight + the tracker's reference);
-// sends into free can therefore never block, and every prefetcher exit path
-// returns the pyramid it holds — dropping one on cancellation was the leak
-// the conservation audit (reclaim) now pins.
+// take hands the slot's pyramid to the processor for the trade.
+func (s *pipeSlot) take() *imgproc.Pyramid {
+	pyr := s.pyr
+	s.pyr = nil
+	return pyr
+}
+
+// stagedRing owns the prefetch→process hand-off: depth slots, each with its
+// own pyramid and detector-input raster, filled strictly in frame order by
+// build. At depth > 1 a prefetcher goroutine fills them ahead of the
+// processor; the reuse tokens bound it: it may overwrite slot i%depth only
+// after the processor released the slot's previous occupant. Depth 1 is the
+// same ring with one slot that next fills inline on the calling goroutine —
+// the sequential reference the parity tests compare against.
 type stagedRing struct {
-	depth  int
-	ring   []pipeSlot
+	ring  []pipeSlot
+	build func(i int, slot *pipeSlot)
+	// Nil at depth 1, which has no prefetcher to talk to.
 	filled chan int
-	free   chan *imgproc.Pyramid
-	slots  chan struct{}
+	tokens chan struct{}
 	done   chan struct{}
 }
 
-func newStagedRing(depth int) *stagedRing {
-	r := &stagedRing{
-		depth:  depth,
-		ring:   make([]pipeSlot, depth),
-		filled: make(chan int, depth),
-		// Pyramids bound memory (depth in flight + the tracker's reference);
-		// slot tokens bound ring reuse: the prefetcher may overwrite ring
-		// slot i%depth only after the processor finished reading the slot's
-		// previous occupant. The token return is what sequences that, not
-		// the pyramid pool — on the first frames the tracker holds nothing,
-		// so pyramid availability alone would let the prefetcher lap the ring.
-		free:  make(chan *imgproc.Pyramid, depth+1),
-		slots: make(chan struct{}, depth),
-		done:  make(chan struct{}),
-	}
-	for i := 0; i < depth+1; i++ {
-		r.free <- &imgproc.Pyramid{}
-	}
-	for i := 0; i < depth; i++ {
-		r.slots <- struct{}{}
-	}
+func newStagedRing(ctx context.Context, depth, n int, build func(i int, slot *pipeSlot)) *stagedRing {
+	r := &stagedRing{ring: make([]pipeSlot, depth), build: build}
 	for i := range r.ring {
+		r.ring[i].pyr = &imgproc.Pyramid{}
 		r.ring[i].detIn = &imgproc.Gray{}
 	}
-	return r
-}
-
-// start launches the prefetcher: frames 0..n-1 strictly in order, each built
-// into its ring slot by the caller's build function once a pyramid and a
-// ring token are in hand. Every exit path — cancelled while waiting for a
-// token, cancelled while publishing the filled index — returns the in-flight
-// pyramid to the free pool first: free has capacity for every circulating
-// pyramid, so these sends cannot block, and conservation holds through
-// cancellation.
-func (r *stagedRing) start(ctx context.Context, n int, build func(i int, pyr *imgproc.Pyramid, slot *pipeSlot)) {
+	if depth == 1 {
+		return r
+	}
+	r.filled = make(chan int, depth)
+	r.tokens = make(chan struct{}, depth)
+	r.done = make(chan struct{})
+	for i := 0; i < depth; i++ {
+		r.tokens <- struct{}{}
+	}
 	go func() {
 		defer close(r.done)
 		defer close(r.filled)
 		for i := 0; i < n; i++ {
-			var pyr *imgproc.Pyramid
 			select {
-			case pyr = <-r.free:
+			case <-r.tokens:
 			case <-ctx.Done():
 				return
 			}
-			select {
-			case <-r.slots:
-			case <-ctx.Done():
-				r.free <- pyr
-				return
-			}
-			slot := &r.ring[i%r.depth]
-			build(i, pyr, slot)
+			build(i, &r.ring[i%depth])
 			select {
 			case r.filled <- i:
 			case <-ctx.Done():
-				slot.pyr = nil
-				r.free <- pyr
 				return
 			}
 		}
 	}()
+	return r
 }
 
-// reclaim waits for the prefetcher to exit, drains the filled indexes the
-// processor never consumed, returns their parked pyramids to the free pool,
-// and reports the pool population — the conservation audit: with every
-// leak fixed this equals depth+1 on every shutdown path, cancelled or clean.
-func (r *stagedRing) reclaim() int {
-	<-r.done
-	for idx := range r.filled {
-		slot := &r.ring[idx%r.depth]
-		if slot.pyr != nil {
-			r.free <- slot.pyr
-			slot.pyr = nil
+// next returns the slot holding frame i, which must be requested in order;
+// ok is false when the run was cancelled before the frame was built.
+func (r *stagedRing) next(i int) (*pipeSlot, bool) {
+	slot := &r.ring[i%len(r.ring)]
+	if r.filled == nil {
+		r.build(i, slot)
+		return slot, true
+	}
+	idx, ok := <-r.filled
+	if !ok {
+		return nil, false
+	}
+	if idx != i {
+		// The prefetcher walks i in order and the ring is sized to depth, so
+		// this cannot happen; a reorder bug must fail loudly rather than
+		// publish out of order.
+		panic(fmt.Sprintf("rt: pipeline reorder violation: got frame %d, want %d", idx, i))
+	}
+	return slot, true
+}
+
+// release ends the processor's use of a slot: traded — what the tracker gave
+// back for the slot's pyramid — becomes the slot's pyramid, then the reuse
+// token lets the prefetcher rebuild it. On the very first init the tracker
+// keeps the prefetched pyramid and has nothing to trade; the slot gets a
+// fresh one, the run's only allocation past the ring.
+func (r *stagedRing) release(slot *pipeSlot, traded *imgproc.Pyramid) {
+	if traded == nil {
+		traded = &imgproc.Pyramid{}
+	}
+	slot.pyr = traded
+	if r.tokens != nil {
+		r.tokens <- struct{}{} // never blocks: capacity covers every slot
+	}
+}
+
+// audit waits for the prefetcher to exit and counts the slots holding their
+// pyramid — the conservation audit: this equals the slot count on every
+// shutdown path, cancelled or clean.
+func (r *stagedRing) audit() (held, total int) {
+	if r.done != nil {
+		<-r.done
+	}
+	for i := range r.ring {
+		if r.ring[i].pyr != nil {
+			held++
 		}
 	}
-	return len(r.free)
+	return held, len(r.ring)
 }
 
 // preparedProxy routes Detect calls through the blob detector's prepared-
@@ -272,6 +287,218 @@ func (p *preparedProxy) Detect(f core.Frame, s core.Setting) []core.Detection {
 	return p.blob.DetectPrepared(f, s, p.input)
 }
 
+// stagedRun is the state of one RunPipelined call.
+type stagedRun struct {
+	v   *video.Video
+	cfg PipelineConfig
+	res *PipelineResult
+	// The detector call path: det is the configured detector, reached through
+	// proxy (prepared inputs) when it is the blob detector and through fdet
+	// (the deterministic fault schedule) when one is configured.
+	det   detect.Detector
+	proxy *preparedProxy
+	fdet  *fault.Detector
+	tr    *track.PixelTracker
+	lat   *core.LatencyModel
+	start time.Time
+
+	// setting is the live setting. The processor owns writes (calibration
+	// decisions, fault downgrades); the prefetcher reads it to key the
+	// detector inputs it renders ahead. A read racing a switch at worst
+	// yields a stale raster, which the processor cancels and refills — never
+	// a wrong output.
+	setting atomic.Int64
+	// velSum/velN is the tracker velocity window since the last calibration.
+	velSum float64
+	velN   int
+
+	scratch imgproc.Scratch // prefetch-side pyramid temporaries
+
+	stream       []obs.Label
+	inflight     *obs.Gauge
+	prefetchHist *obs.Histogram
+	trackHist    *obs.Histogram
+	publishHist  *obs.Histogram
+	overlapHist  *obs.Histogram
+	staleCtr     *obs.Counter
+	refillCtr    *obs.Counter
+}
+
+func newStagedRun(v *video.Video, cfg PipelineConfig) *stagedRun {
+	ls := streamLabels(cfg.StreamID)
+	r := &stagedRun{
+		v:   v,
+		cfg: cfg,
+		res: &PipelineResult{Outputs: make([]core.FrameOutput, v.NumFrames())},
+		det: cfg.Detector,
+		tr:  track.NewPixelTracker(),
+		lat: core.NewLatencyModel(rng.New(cfg.Seed).DeriveString("rt-pipeline-detector")),
+
+		stream:       ls,
+		inflight:     cfg.Obs.Gauge(obs.MetricFramesInFlight, ls...),
+		prefetchHist: cfg.Obs.StageHistogram(obs.StagePrefetch, ls...),
+		trackHist:    cfg.Obs.StageHistogram(obs.StageTrack, ls...),
+		publishHist:  cfg.Obs.StageHistogram(obs.StagePublish, ls...),
+		overlapHist:  cfg.Obs.Histogram(obs.MetricStageOverlap, obs.DefLatencyBuckets, ls...),
+		staleCtr:     cfg.Obs.Counter(obs.MetricPrefetchStale, ls...),
+		refillCtr:    cfg.Obs.Counter(obs.MetricPrefetchRefill, ls...),
+	}
+	r.setting.Store(int64(cfg.Setting))
+	if r.det == nil {
+		r.det = detect.NewBlobDetector()
+	}
+	if blob, ok := r.det.(*detect.BlobDetector); ok {
+		r.proxy = &preparedProxy{blob: blob}
+		r.det = r.proxy
+	}
+	if cfg.Fault != nil {
+		r.fdet = fault.NewDetector(r.det, *cfg.Fault, fault.Virtual)
+		r.det = r.fdet
+	}
+	return r
+}
+
+// live returns the live setting.
+func (r *stagedRun) live() core.Setting { return core.Setting(r.setting.Load()) }
+
+// detect calls the detector on the slot's frame; faulted reports an injected
+// fault.
+func (r *stagedRun) detect(slot *pipeSlot, s core.Setting) (dets []core.Detection, faulted bool) {
+	if r.proxy != nil {
+		r.proxy.input = r.preparedInput(slot, s)
+	}
+	if r.fdet == nil {
+		return r.det.Detect(slot.frame, s), false
+	}
+	before := len(r.fdet.Events())
+	dets = r.fdet.Detect(slot.frame, s)
+	return dets, len(r.fdet.Events()) > before
+}
+
+// prefetch computes everything about frame i that depends only on the frame
+// itself — raster, pyramid and, on calibration frames, the detector input at
+// the setting currently in the cell — into slot.
+func (r *stagedRun) prefetch(i int, slot *pipeSlot) {
+	t0 := time.Now()
+	f := r.v.FrameWithPixels(i)
+	slot.pyr.Rebuild(f.Pixels, r.tr.PyramidLevels, &r.scratch)
+	slot.frame = f
+	slot.detPrepared = false
+	slot.detSetting = core.SettingInvalid
+	if r.proxy != nil && i%r.cfg.DetectEvery == 0 {
+		// The setting-dependent half of prefetch: the raster is keyed by
+		// the setting it was rendered at, and the processor cancels it if
+		// the calibration decisions moved the setting on in the meantime.
+		slot.detSetting = r.live()
+		slot.detPrepared = r.proxy.blob.PrepareInput(f, slot.detSetting, slot.detIn)
+	}
+	slot.t0, slot.t1 = t0, time.Now()
+	r.prefetchHist.ObserveDuration(slot.t1.Sub(t0))
+}
+
+// adaptSetting is the calibration decision from the velocity window of the
+// cycle just ended — samples accumulate in frame order, so the decision
+// sequence is depth-independent.
+func (r *stagedRun) adaptSetting() {
+	vel := math.NaN()
+	if r.velN > 0 {
+		vel = r.velSum / float64(r.velN)
+	}
+	r.velSum, r.velN = 0, 0
+	a0 := time.Now()
+	cur := r.live()
+	next := r.cfg.Adaptation.Next(cur, vel)
+	adapt.PublishDecision(r.cfg.Obs, cur, next, vel, time.Since(a0), time.Since(r.start), r.stream...)
+	if next != cur {
+		r.setting.Store(int64(next))
+		r.res.Switches++
+		sleepScaled(r.lat.SettingSwitch(), r.cfg.TimeScale)
+	}
+}
+
+// preparedInput returns the slot's detector-input raster for setting s, or
+// nil when the blob detector must prepare its own. Cancel-and-refill: a
+// raster rendered for a setting the decisions have since abandoned is rebuilt
+// inline at the live setting — same pure function, later input — so the
+// detector never sees a stale-keyed raster.
+func (r *stagedRun) preparedInput(slot *pipeSlot, s core.Setting) *imgproc.Gray {
+	if slot.detSetting != s {
+		if slot.detPrepared {
+			r.staleCtr.Inc()
+			r.res.StaleRefills++
+		}
+		slot.detPrepared = r.proxy.blob.PrepareInput(slot.frame, s, slot.detIn)
+		slot.detSetting = s
+		if slot.detPrepared {
+			r.refillCtr.Inc()
+		}
+	}
+	if !slot.detPrepared {
+		return nil
+	}
+	return slot.detIn
+}
+
+// calibrate processes calibration frame i: decide the setting, detect,
+// re-initialize the tracker on the slot's pyramid. It returns the frame's
+// output and the pyramid to put back in the slot.
+func (r *stagedRun) calibrate(i int, slot *pipeSlot, proc0 time.Time) (core.FrameOutput, *imgproc.Pyramid) {
+	if r.cfg.Adaptation != nil && i > 0 {
+		r.adaptSetting()
+	}
+	setting := r.live()
+	dets, faulted := r.detect(slot, setting)
+	// The emulated GPU phase: the CPU is parked here, which is exactly the
+	// slack the prefetch stage fills.
+	sleepScaled(r.lat.Detect(setting), r.cfg.TimeScale)
+	out := core.FrameOutput{FrameIndex: i, Source: core.SourceDetector, Setting: setting}
+	traded := slot.take()
+	if faulted {
+		// Lost calibration: hold the previous frame's result, leave the
+		// tracker on its old reference, and (adaptive runs) drop one setting
+		// step — cheaper frames make the next attempt likelier to land.
+		out.Source = core.SourceHeld
+		if i > 0 {
+			out.Detections = r.res.Outputs[i-1].Detections
+		}
+		if smaller, ok := core.NextSmaller(setting); ok && r.cfg.Adaptation != nil {
+			adapt.PublishDecision(r.cfg.Obs, setting, smaller, math.NaN(), 0, time.Since(r.start), r.stream...)
+			r.setting.Store(int64(smaller))
+			r.res.Downgrades++
+		}
+	} else {
+		out.Detections = detect.Sanitize(dets)
+		_, traded = r.tr.InitWithPyramid(slot.frame, out.Detections, traded)
+	}
+	ls := append([]obs.Label{obs.L("setting", r.live().String())}, r.stream...)
+	r.cfg.Obs.StageHistogram(obs.StageDetect, ls...).ObserveDuration(time.Since(proc0))
+	return out, traded
+}
+
+// track processes tracked frame i: step the tracker onto the slot's pyramid
+// and bank the velocity sample for the next calibration decision.
+func (r *stagedRun) track(i int, slot *pipeSlot, proc0 time.Time) (core.FrameOutput, *imgproc.Pyramid) {
+	dets, vel, traded := r.tr.StepWithPyramid(slot.frame, slot.take())
+	if track.ValidVelocity(vel) {
+		r.velSum += vel
+		r.velN++
+	}
+	dets = detect.Sanitize(dets)
+	r.trackHist.ObserveDuration(time.Since(proc0))
+	return core.FrameOutput{FrameIndex: i, Source: core.SourceTracker, Setting: r.live(), Detections: dets}, traded
+}
+
+// publish stores frame i's output; the in-flight gauge reads the frames
+// certainly issued to prefetch by now (everything up to i plus the slots
+// ahead, capped at the end of the video) and not yet published.
+func (r *stagedRun) publish(i int, out core.FrameOutput) {
+	pub0 := time.Now()
+	r.res.Outputs[i] = out
+	r.res.Published = i + 1
+	r.inflight.Set(float64(min(i+r.cfg.Depth, len(r.res.Outputs)) - r.res.Published))
+	r.publishHist.ObserveDuration(time.Since(pub0))
+}
+
 // RunPipelined executes the staged pipeline over every frame of v. The
 // returned outputs are bitwise-identical at any Depth and worker count —
 // with Adaptation set, that includes the per-frame setting sequence the
@@ -283,267 +510,45 @@ func RunPipelined(ctx context.Context, v *video.Video, cfg PipelineConfig) (*Pip
 		return nil, fmt.Errorf("rt: empty video")
 	}
 	n := v.NumFrames()
-	det := cfg.Detector
-	var blob *detect.BlobDetector
-	if det == nil {
-		b := detect.NewBlobDetector()
-		blob, det = b, b
-	} else if b, ok := det.(*detect.BlobDetector); ok {
-		blob = b
-	}
-	tr := track.NewPixelTracker()
-	lat := core.NewLatencyModel(rng.New(cfg.Seed).DeriveString("rt-pipeline-detector"))
-	labels := func(ls ...obs.Label) []obs.Label {
-		if cfg.StreamID == "" {
-			return ls
-		}
-		return append(ls, obs.L("stream", cfg.StreamID))
-	}
-
-	res := &PipelineResult{
-		Outputs: make([]core.FrameOutput, n),
-		FrameF1: make([]float64, n),
-	}
-	start := time.Now()
-
-	// The live setting. The processor owns writes (calibration decisions,
-	// fault downgrades); the prefetcher reads it to key the detector inputs
-	// it renders ahead. A read racing a switch at worst yields a stale
-	// raster, which the processor cancels and refills — never a wrong output.
-	setting := cfg.Setting
-	var settingCell atomic.Int64
-	settingCell.Store(int64(setting))
-
-	// The detector call path: prepared-input when the blob detector is in
-	// play, wrapped in the deterministic fault schedule when configured.
-	var proxy *preparedProxy
-	var runDetect func(f core.Frame, s core.Setting, prepared *imgproc.Gray) ([]core.Detection, bool)
-	switch {
-	case cfg.Fault != nil:
-		var inner detect.Detector
-		if blob != nil {
-			proxy = &preparedProxy{blob: blob}
-			inner = proxy
-		} else {
-			inner = det
-		}
-		fdet := fault.NewDetector(inner, *cfg.Fault, fault.Virtual)
-		runDetect = func(f core.Frame, s core.Setting, prepared *imgproc.Gray) ([]core.Detection, bool) {
-			if proxy != nil {
-				proxy.input = prepared
-			}
-			before := len(fdet.Events())
-			dets := fdet.Detect(f, s)
-			return dets, len(fdet.Events()) > before
-		}
-	case blob != nil:
-		runDetect = func(f core.Frame, s core.Setting, prepared *imgproc.Gray) ([]core.Detection, bool) {
-			return blob.DetectPrepared(f, s, prepared), false
-		}
-	default:
-		runDetect = func(f core.Frame, s core.Setting, _ *imgproc.Gray) ([]core.Detection, bool) {
-			return det.Detect(f, s), false
-		}
-	}
-
-	inflight := cfg.Obs.Gauge(obs.MetricFramesInFlight, labels()...)
-	prefetchHist := cfg.Obs.StageHistogram(obs.StagePrefetch, labels()...)
-	staleCtr := cfg.Obs.Counter(obs.MetricPrefetchStale, labels()...)
-	refillCtr := cfg.Obs.Counter(obs.MetricPrefetchRefill, labels()...)
-	var scratch imgproc.Scratch
-	prefetch := func(i int, pyr *imgproc.Pyramid, slot *pipeSlot) {
-		t0 := time.Now()
-		f := v.FrameWithPixels(i)
-		pyr.Rebuild(f.Pixels, tr.PyramidLevels, &scratch)
-		slot.frame = f
-		slot.pyr = pyr
-		slot.detPrepared = false
-		slot.detSetting = core.SettingInvalid
-		if blob != nil && i%cfg.DetectEvery == 0 {
-			// The setting-dependent half of prefetch: the raster is keyed by
-			// the setting it was rendered at, and the processor cancels it if
-			// the calibration decisions moved the setting on in the meantime.
-			s := core.Setting(settingCell.Load())
-			slot.detPrepared = blob.PrepareInput(f, s, slot.detIn)
-			slot.detSetting = s
-		}
-		slot.t0, slot.t1 = t0, time.Now()
-		prefetchHist.ObserveDuration(slot.t1.Sub(t0))
-	}
-	depth := cfg.Depth
-	var ring *stagedRing
-	var seqSlot pipeSlot
-	if depth > 1 {
-		ring = newStagedRing(depth)
-		res.pyramidsTotal = depth + 1
-		ring.start(ctx, n, prefetch)
-	} else {
-		seqSlot.detIn = &imgproc.Gray{}
-	}
+	r := newStagedRun(v, cfg)
+	res := r.res
+	r.start = time.Now()
+	ring := newStagedRing(ctx, cfg.Depth, n, r.prefetch)
 
 	// Process + publish, strictly in frame order. The previous frame's
 	// processing interval is what the next slot's prefetch can have
 	// overlapped with.
-	trackHist := cfg.Obs.StageHistogram(obs.StageTrack, labels()...)
-	publishHist := cfg.Obs.StageHistogram(obs.StagePublish, labels()...)
-	overlapHist := cfg.Obs.Histogram(obs.MetricStageOverlap, obs.DefLatencyBuckets, labels()...)
 	var prevProc0, prevProc1 time.Time
-	seqPyr := &imgproc.Pyramid{} // depth-1: the single circulating pyramid
-	velSum, velN := 0.0, 0       // tracker velocity window since the last calibration
-	cancelled := false
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			cancelled = true
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		slot, ok := ring.next(i)
+		if !ok {
 			break
 		}
-		var slot *pipeSlot
-		if depth > 1 {
-			idx, ok := <-ring.filled
-			if !ok {
-				cancelled = true
-				break
-			}
-			if idx != i {
-				// The prefetcher walks i in order and the ring is sized to
-				// depth, so this cannot happen; a reorder bug must fail loudly
-				// rather than publish out of order.
-				panic(fmt.Sprintf("rt: pipeline reorder violation: got frame %d, want %d", idx, i))
-			}
-			slot = &ring.ring[idx%depth]
-		} else {
-			slot = &seqSlot
-			prefetch(i, seqPyr, slot)
-		}
-		pyr := slot.pyr
-		slot.pyr = nil // consumed: reclaim must not return it twice
 		proc0 := time.Now()
 		var out core.FrameOutput
-		var released *imgproc.Pyramid
+		var traded *imgproc.Pyramid
 		if i%cfg.DetectEvery == 0 {
-			if cfg.Adaptation != nil && i > 0 {
-				// Calibration decision from the velocity window of the cycle
-				// just ended — samples accumulate in frame order, so the
-				// decision sequence is depth-independent.
-				vel := math.NaN()
-				if velN > 0 {
-					vel = velSum / float64(velN)
-				}
-				a0 := time.Now()
-				next := cfg.Adaptation.Next(setting, vel)
-				adapt.PublishDecision(cfg.Obs, setting, next, vel, time.Since(a0), time.Since(start), labels()...)
-				if next != setting {
-					setting = next
-					settingCell.Store(int64(setting))
-					res.Switches++
-					sleepScaled(lat.SettingSwitch(), cfg.TimeScale)
-				}
-				velSum, velN = 0, 0
-			}
-			if blob != nil && slot.detSetting != setting {
-				// Cancel-and-refill: the raster was rendered for a setting
-				// the decisions have since abandoned. Rebuild it inline at
-				// the live setting — same pure function, later input — so
-				// the detector never sees a stale-keyed raster.
-				if slot.detPrepared {
-					staleCtr.Inc()
-					res.StaleRefills++
-				}
-				slot.detPrepared = blob.PrepareInput(slot.frame, setting, slot.detIn)
-				slot.detSetting = setting
-				if slot.detPrepared {
-					refillCtr.Inc()
-				}
-			}
-			var prepared *imgproc.Gray
-			if slot.detPrepared {
-				prepared = slot.detIn
-			}
-			dets, faulted := runDetect(slot.frame, setting, prepared)
-			// The emulated GPU phase: the CPU is parked here, which is
-			// exactly the slack the prefetch stage fills.
-			sleepScaled(lat.Detect(setting), cfg.TimeScale)
-			if faulted {
-				// Lost calibration: hold the previous frame's result, leave
-				// the tracker on its old reference, and (adaptive runs) drop
-				// one setting step — cheaper frames make the next attempt
-				// likelier to land.
-				var held []core.Detection
-				if i > 0 {
-					held = res.Outputs[i-1].Detections
-				}
-				out = core.FrameOutput{FrameIndex: i, Source: core.SourceHeld, Setting: setting, Detections: held}
-				released = pyr
-				if cfg.Adaptation != nil {
-					if smaller, ok := core.NextSmaller(setting); ok {
-						adapt.PublishDecision(cfg.Obs, setting, smaller, math.NaN(), 0, time.Since(start), labels()...)
-						setting = smaller
-						settingCell.Store(int64(setting))
-						res.Downgrades++
-					}
-				}
-			} else {
-				dets = detect.Sanitize(dets)
-				_, released = tr.InitWithPyramid(slot.frame, dets, pyr)
-				out = core.FrameOutput{FrameIndex: i, Source: core.SourceDetector, Setting: setting, Detections: dets}
-			}
-			cfg.Obs.StageHistogram(obs.StageDetect, labels(obs.L("setting", setting.String()))...).ObserveDuration(time.Since(proc0))
+			out, traded = r.calibrate(i, slot, proc0)
 		} else {
-			var dets []core.Detection
-			var vel float64
-			dets, vel, released = tr.StepWithPyramid(slot.frame, pyr)
-			if track.ValidVelocity(vel) {
-				velSum += vel
-				velN++
-			}
-			dets = detect.Sanitize(dets)
-			out = core.FrameOutput{FrameIndex: i, Source: core.SourceTracker, Setting: setting, Detections: dets}
-			trackHist.ObserveDuration(time.Since(proc0))
+			out, traded = r.track(i, slot, proc0)
 		}
 		slotT0, slotT1 := slot.t0, slot.t1
-		if depth > 1 {
-			// The slot is consumed: the token lets the prefetcher reuse it,
-			// the pyramid (or a fresh stand-in on the very first init, when
-			// the tracker keeps the prefetched one and has nothing to trade)
-			// lets it build another frame. Sends into free cannot block: its
-			// capacity covers every circulating pyramid.
-			ring.slots <- struct{}{}
-			if released == nil {
-				released = &imgproc.Pyramid{}
-			}
-			ring.free <- released
-		} else if released != nil {
-			seqPyr = released
-		} else {
-			// First init: the tracker kept the prefetched pyramid and had
-			// nothing to trade back, and seqPyr still aliases what it kept —
-			// rebuilding that in place would corrupt the reference frame.
-			seqPyr = &imgproc.Pyramid{}
-		}
-		pub0 := time.Now()
-		res.Outputs[i] = out
-		res.Published = i + 1
-		inflight.Set(float64(issuedFloor(depth, i, n) - res.Published))
-		publishHist.ObserveDuration(time.Since(pub0))
+		ring.release(slot, traded)
+		r.publish(i, out)
 		// Realized overlap: the part of this slot's prefetch that ran while
-		// the previous frame was being processed. Zero by construction at
-		// depth 1.
+		// the previous frame was being processed. Zero by construction when
+		// the slot was filled inline.
 		if !prevProc0.IsZero() {
-			overlapHist.Observe(intervalOverlap(slotT0, slotT1, prevProc0, prevProc1).Seconds())
+			r.overlapHist.Observe(intervalOverlap(slotT0, slotT1, prevProc0, prevProc1).Seconds())
 		}
 		prevProc0, prevProc1 = proc0, time.Now()
 	}
-	if ring != nil {
-		res.pyramidsFree = ring.reclaim()
-	}
-	res.Elapsed = time.Since(start)
-	inflight.Set(0)
+	res.pyramidsFree, res.pyramidsTotal = ring.audit()
+	res.Elapsed = time.Since(r.start)
+	r.inflight.Set(0)
 
-	for i := 0; i < res.Published; i++ {
-		res.FrameF1[i] = metrics.FrameF1(res.Outputs[i].Detections, v.Truth(i), metrics.DefaultIoU)
-	}
-	res.Accuracy = metrics.VideoAccuracy(res.FrameF1, metrics.DefaultAlpha)
-	res.MeanF1 = metrics.Mean(res.FrameF1)
-	if cancelled || ctx.Err() != nil {
+	res.FrameF1, res.Accuracy, res.MeanF1 = evaluate(v, res.Outputs, res.Published)
+	if ctx.Err() != nil {
 		res.Partial = true
 		return res, fmt.Errorf("rt: pipelined run cancelled: %w", ctx.Err())
 	}
@@ -563,37 +568,9 @@ func (r *PipelineResult) TraceRun(videoName, policy string) *trace.Run {
 	}
 }
 
-// issuedFloor is the number of frames certainly issued to prefetch by the
-// time frame i publishes: everything up to i plus the slots ahead.
-func issuedFloor(depth, i, n int) int {
-	issued := i + depth
-	if issued > n {
-		issued = n
-	}
-	return issued
-}
-
 // intervalOverlap returns the length of the intersection of [a0,a1] and
 // [b0,b1], floored at zero.
 func intervalOverlap(a0, a1, b0, b1 time.Time) time.Duration {
-	lo := a0
-	if b0.After(lo) {
-		lo = b0
-	}
-	hi := a1
-	if b1.Before(hi) {
-		hi = b1
-	}
-	if hi.Before(lo) {
-		return 0
-	}
-	return hi.Sub(lo)
-}
-
-// sleepScaled sleeps d scaled by the configured time scale.
-func sleepScaled(d time.Duration, scale float64) {
-	scaled := time.Duration(float64(d) * scale)
-	if scaled > 0 {
-		time.Sleep(scaled)
-	}
+	lo, hi := max(0, b0.Sub(a0)), min(a1.Sub(a0), b1.Sub(a0))
+	return max(0, hi-lo)
 }

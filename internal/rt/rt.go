@@ -2,21 +2,28 @@
 // pipeline — the concurrency structure of the paper's §IV-B and §V built
 // with actual goroutines rather than the virtual clock of internal/sim:
 //
-//   - The main thread feeds camera frames into the shared frame buffer at
-//     the capture rate and assembles the displayed outputs.
-//   - The object detector thread repeatedly fetches the newest frame from
-//     the buffer, runs the DNN (its latency is emulated by sleeping the
-//     calibrated duration, scaled by Config.TimeScale), and hands the
-//     results to the tracker.
+//   - The camera is a clock, not a thread: frame i is captured at run start
+//     plus i scaled frame intervals. (The paper's frame buffer holds pixels;
+//     here a frame is a pure function of its index, so all the buffer ever
+//     carried was one integer, elapsed/interval.) The calling goroutine
+//     assembles the displayed outputs.
+//   - The object detector thread repeatedly fetches the newest frame, runs the
+//     DNN (its latency is emulated by sleeping the calibrated duration, scaled
+//     by Config.TimeScale), and hands the results to the tracker.
 //   - The object tracker thread tracks the frames accumulated between two
 //     detections, honoring the tracking-frame selection scheme, and cancels
 //     its remaining work after finishing the current task once the detector
 //     has fetched a new frame (§IV-B's synchronization rule).
 //
-// Shared data (frame buffer, detection results, display outputs) is guarded
-// by mutexes; cross-thread signalling uses a condition variable for frame
-// arrival and a channel for detection hand-off, mirroring the paper's
-// "lock + event" design. The package is exercised under the race detector.
+// Shared data (detection results, display outputs) is guarded by a mutex and
+// atomics; cross-thread signalling is the generation counter plus a channel
+// for the detection hand-off, mirroring the paper's "lock + event" design.
+// The package is exercised under the race detector.
+//
+// Two schedules run over these parts: Run is the camera-paced, frame-dropping
+// MPDT above; RunPipelined (pipeline.go) processes every frame at a fixed
+// cadence, byte-deterministic at any depth. Merging the loops would make each
+// shared step branch on its caller; everything under them exists once.
 //
 // The pipeline is supervised (internal/guard): every Detect call runs in a
 // goroutine with panic recovery and a watchdog deadline derived from the
@@ -127,17 +134,6 @@ type DetectorSlots interface {
 	Acquire(ctx context.Context, stream string, setting core.Setting, lastCalib time.Duration) (release func(), err error)
 }
 
-// exclusiveSlots is the nil-Slots default: a dedicated, always-free detector
-// slot with zero acquisition cost.
-type exclusiveSlots struct{}
-
-func (exclusiveSlots) Acquire(ctx context.Context, _ string, _ core.Setting, _ time.Duration) (func(), error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return func() {}, nil
-}
-
 func (c Config) withDefaults() Config {
 	if c.Setting == core.SettingInvalid {
 		c.Setting = core.Setting512
@@ -190,52 +186,32 @@ type Result struct {
 	PrefetchedWhileWaiting int
 }
 
-// frameBuffer is the shared camera buffer: the camera thread publishes the
-// newest captured frame index; the detector blocks until a frame newer than
-// its last fetch arrives.
-type frameBuffer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	latest int
-	closed bool
+// camera is the capture clock: frame i is captured at start + i·interval, so
+// the newest captured frame is elapsed/interval. Pacing is absolute (derived
+// from elapsed wall time) so coarse OS timer resolution cannot skew the frame
+// rate relative to the scaled component latencies. A value, safe to share:
+// every waiter sleeps on its own timer.
+type camera struct {
+	ctx      context.Context // the run's; ends every wait
+	start    time.Time
+	interval time.Duration // scaled capture interval, > 0
+	n        int           // frames in the video
 }
 
-func newFrameBuffer() *frameBuffer {
-	b := &frameBuffer{latest: -1}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// newest returns the index of the most recently captured frame.
+func (c camera) newest() int {
+	return min(int(time.Since(c.start)/c.interval), c.n-1)
 }
 
-// push publishes a newly captured frame.
-func (b *frameBuffer) push(i int) {
-	b.mu.Lock()
-	if i > b.latest {
-		b.latest = i
+// waitNewer blocks until a frame newer than `than` has been captured and
+// returns the newest one. ok is false when there is none to wait for: the
+// stream ends at than, or the run was cancelled.
+func (c camera) waitNewer(than int) (int, bool) {
+	due := c.start.Add(time.Duration(than+1) * c.interval)
+	if than >= c.n-1 || !sleepCtx(c.ctx, time.Until(due)) {
+		return 0, false
 	}
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// close marks the end of the stream.
-func (b *frameBuffer) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// waitNewer blocks until a frame newer than `than` is available, returning
-// its index. ok is false once the stream has ended with nothing newer.
-func (b *frameBuffer) waitNewer(than int) (int, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.latest <= than && !b.closed {
-		b.cond.Wait()
-	}
-	if b.latest > than {
-		return b.latest, true
-	}
-	return 0, false
+	return c.newest(), true
 }
 
 // framePrefetcher is the serve-path prefetch stage: a single goroutine that
@@ -275,15 +251,15 @@ func newFramePrefetcher(v *video.Video, depth int, reg *obs.Registry, labels []o
 	}
 }
 
-// run follows the camera: each time a newer frame is published, render up to
-// depth frames ahead of it. Exits when the buffer closes (camera done or run
-// cancelled — the camera owns ctx observation).
-func (pf *framePrefetcher) run(buf *frameBuffer) {
+// run follows the camera: each time a newer frame is captured, render up to
+// depth frames ahead of it. Exits when the camera has nothing newer to wait
+// for (last frame captured or run cancelled — the camera observes ctx).
+func (pf *framePrefetcher) run(cam camera) {
 	n := pf.v.NumFrames()
 	cursor := -1
 	rendered := -1
 	for {
-		latest, ok := buf.waitNewer(cursor)
+		latest, ok := cam.waitNewer(cursor)
 		if !ok {
 			return
 		}
@@ -341,6 +317,14 @@ type cycleWork struct {
 	Generation uint64
 }
 
+// streamLabels appends stream=<id> to a series' labels in multi-stream runs.
+func streamLabels(id string, ls ...obs.Label) []obs.Label {
+	if id == "" {
+		return ls
+	}
+	return append(ls, obs.L("stream", id))
+}
+
 // Run executes the live pipeline over a video. It returns when every frame
 // has been fed and all in-flight work has drained. When ctx is cancelled
 // mid-run it returns the *partial* Result alongside the error, so callers
@@ -378,12 +362,12 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 		cfg:      cfg,
 		det:      det,
 		tracker:  tr,
-		buffer:   newFrameBuffer(),
 		selector: core.NewFrameSelector(),
 		sup:      guard.New(cfg.Guard),
 		outputs:  make([]core.FrameOutput, v.NumFrames()),
 		work:     make(chan cycleWork, 1),
 	}
+	p.resolveSeries()
 	if cfg.Fault != nil {
 		p.fdet = fault.NewDetector(det, *cfg.Fault, fault.Live)
 		p.det = p.fdet
@@ -406,13 +390,15 @@ type pipeline struct {
 	tracker  track.Tracker
 	latDet   *core.LatencyModel // detector-thread latency emulation
 	latTrk   *core.LatencyModel // tracker-thread latency emulation
-	buffer   *frameBuffer
 	selector *core.FrameSelector
 	sup      *guard.Supervisor
 	fdet     *fault.Detector // non-nil when a fault profile is injected
 	ftrk     *fault.Tracker
 	prefetch *framePrefetcher // non-nil when PipelineDepth>1 in pixel mode
-	start    time.Time
+	// start is the run's one clock origin: capture times (cam) and every
+	// published `at` timestamp are offsets from it.
+	start time.Time
+	cam   camera
 
 	work chan cycleWork
 	// generation counts detector fetches; the tracker cancels its remaining
@@ -431,14 +417,39 @@ type pipeline struct {
 	// Written only by the detector goroutine, read by finish after wg.Wait.
 	maxCalibAge time.Duration
 	maxSlotOcc  time.Duration
+
+	// Every fixed-label series the two threads publish, resolved once so an
+	// un-instrumented stream (nil registry: nil handles, no-op methods) pays
+	// a nil check per observation, not a label-slice allocation.
+	stream    []obs.Label // stream=<id>, or nil for a single-stream run
+	deferredC *obs.Counter
+	cyclesC   *obs.Counter
+	slotWaitH *obs.Histogram
+	slotExecH *obs.Histogram
+	trackH    *obs.Histogram
+	overlayH  *obs.Histogram
 }
 
-// obsLabels appends stream=<id> to a series' labels in multi-stream runs.
-func (p *pipeline) obsLabels(ls ...obs.Label) []obs.Label {
-	if p.cfg.StreamID == "" {
-		return ls
+func (p *pipeline) resolveSeries() {
+	reg, ls := p.cfg.Obs, streamLabels(p.cfg.StreamID)
+	p.stream = ls
+	p.deferredC = reg.Counter(obs.MetricDetectDeferred, ls...)
+	p.cyclesC = reg.Counter(obs.MetricCycles, ls...)
+	p.slotWaitH = reg.Histogram(obs.MetricSlotWait, obs.DefLatencyBuckets, ls...)
+	p.slotExecH = reg.Histogram(obs.MetricSlotExec, obs.DefLatencyBuckets, ls...)
+	p.trackH = reg.StageHistogram(obs.StageTrack, ls...)
+	p.overlayH = reg.StageHistogram(obs.StageOverlay, ls...)
+}
+
+// observeDetect records one detect-stage sample, labeled with the setting
+// that ended the cycle and the health it left behind — labels only known
+// then, so an instrumented run looks the series up per cycle.
+func (p *pipeline) observeDetect(s core.Setting, d time.Duration) {
+	if p.cfg.Obs == nil {
+		return
 	}
-	return append(ls, obs.L("stream", p.cfg.StreamID))
+	ls := append([]obs.Label{obs.L("setting", s.String()), obs.L("health", p.sup.Health().String())}, p.stream...)
+	p.cfg.Obs.StageHistogram(obs.StageDetect, ls...).ObserveDuration(d)
 }
 
 // frame fetches a frame (with pixels only in pixel mode). With the prefetch
@@ -457,12 +468,7 @@ func (p *pipeline) frame(i int) core.Frame {
 }
 
 // sleep emulates a component latency, scaled.
-func (p *pipeline) sleep(d time.Duration) {
-	scaled := time.Duration(float64(d) * p.cfg.TimeScale)
-	if scaled > 0 {
-		time.Sleep(scaled)
-	}
-}
+func (p *pipeline) sleep(d time.Duration) { sleepScaled(d, p.cfg.TimeScale) }
 
 // setOutput records a frame's displayed result.
 func (p *pipeline) setOutput(out core.FrameOutput) {
@@ -473,66 +479,30 @@ func (p *pipeline) setOutput(out core.FrameOutput) {
 
 func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	p.start = time.Now()
+	p.cam = camera{ctx: ctx, start: p.start, n: p.v.NumFrames(),
+		interval: max(scaleDur(p.v.FrameInterval(), p.cfg.TimeScale), time.Microsecond)}
 	var wg sync.WaitGroup
-	// Camera (main-thread duty): publish frames at the scaled capture rate.
-	// Pacing is absolute (frame index derived from elapsed wall time) so
-	// coarse OS timer resolution cannot skew the frame rate relative to the
-	// scaled component latencies.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer p.buffer.close()
-		interval := time.Duration(float64(p.v.FrameInterval()) * p.cfg.TimeScale)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		start := time.Now()
-		ticker := time.NewTicker(maxDur(interval, 200*time.Microsecond))
-		defer ticker.Stop()
-		for {
-			due := int(time.Since(start) / interval)
-			if due >= p.v.NumFrames() {
-				due = p.v.NumFrames() - 1
-			}
-			p.buffer.push(due)
-			if due >= p.v.NumFrames()-1 {
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-		}
-	}()
-
-	// Frame-prefetch stage (serve-path pipelining): renders ahead of the
-	// camera cursor so slot-wait time is spent building rasters. It exits
-	// with the camera (buffer close), needing no ctx plumbing of its own.
-	if p.cfg.PipelineDepth > 1 && p.cfg.PixelMode {
-		p.prefetch = newFramePrefetcher(p.v, p.cfg.PipelineDepth, p.cfg.Obs, p.obsLabels())
+	spawn := func(loop func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.prefetch.run(p.buffer)
+			loop()
 		}()
 	}
-
+	// Frame-prefetch stage (serve-path pipelining): renders ahead of the
+	// camera cursor so slot-wait time is spent building rasters. It exits
+	// with the camera, needing no ctx plumbing of its own.
+	if p.cfg.PipelineDepth > 1 && p.cfg.PixelMode {
+		p.prefetch = newFramePrefetcher(p.v, p.cfg.PipelineDepth, p.cfg.Obs, p.stream)
+		spawn(func() { p.prefetch.run(p.cam) })
+	}
 	// Object detector thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	spawn(func() {
 		defer close(p.work)
 		p.detectorLoop(ctx)
-	}()
-
+	})
 	// Object tracker thread.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.trackerLoop(ctx)
-	}()
-
+	spawn(func() { p.trackerLoop(ctx) })
 	wg.Wait()
 	res := p.finish()
 	if err := ctx.Err(); err != nil {
@@ -547,11 +517,7 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 // floored so that near-instant emulated calls are never spuriously flagged.
 func (p *pipeline) detectDeadline(s core.Setting) time.Duration {
 	gcfg := p.sup.Config()
-	d := time.Duration(float64(p.latDet.DetectBudget(s, gcfg.WatchdogFactor)) * p.cfg.TimeScale)
-	if d < gcfg.MinDeadline {
-		d = gcfg.MinDeadline
-	}
-	return d
+	return max(scaleDur(p.latDet.DetectBudget(s, gcfg.WatchdogFactor), p.cfg.TimeScale), gcfg.MinDeadline)
 }
 
 // superviseDetect runs one detection cycle under supervision: panic
@@ -603,157 +569,183 @@ func (p *pipeline) superviseDetect(ctx context.Context, frameIdx int, setting co
 	}
 }
 
-// detectorLoop is the GPU thread, written as a slot-requesting client: fetch
-// newest frame, acquire a detector slot (the nil-Slots default grants
-// instantly, making single-stream the N=1, K=1 special case), adapt the
-// setting, detect (supervised), release the slot, hand off to the tracker.
-func (p *pipeline) detectorLoop(ctx context.Context) {
-	setting := p.cfg.Setting
-	prevFrame := -1
+// detectorState is what the detector thread carries from one cycle to the
+// next.
+type detectorState struct {
+	setting core.Setting
+	// prevFrame is the reference frame of the cycle in progress (-1 before
+	// the first calibration) and prevDets the detections it is tracked from.
+	prevFrame int
+	prevDets  []core.Detection
 	// lastFetched is the wait cursor: it advances on every fetch, granted or
 	// refused, so a refused bootstrap fetch (prevFrame still -1) waits for the
 	// NEXT captured frame instead of spinning on — and re-counting — the same
 	// one.
-	lastFetched := -1
+	lastFetched int
 	// deferring marks a refusal streak already counted: consecutive refused
 	// attempts defer one pending detection, and the deferred counter counts
 	// the detection once, not once per retry.
-	deferring := false
-	var prevDets []core.Detection
-	var lastCalib time.Duration
-	slots := p.cfg.Slots
-	if slots == nil {
-		slots = exclusiveSlots{}
-	}
-	for ctx.Err() == nil {
-		frameIdx, ok := p.buffer.waitNewer(lastFetched)
-		if !ok {
-			return
-		}
-		lastFetched = frameIdx
+	deferring bool
+	lastCalib time.Duration
+}
 
-		// Claim a shared detector slot before committing to the cycle. The
-		// wait is measured here — the slot pool itself is clock-free. The
-		// prefetch stage keeps rendering through this block: the waiting
-		// bracket is what attributes its completions to the queueing window.
-		slotStart := time.Now()
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(true)
-		}
-		release, err := slots.Acquire(ctx, p.cfg.StreamID, setting, lastCalib)
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(false)
-		}
+// detectorLoop is the GPU thread, written as a slot-requesting client: fetch
+// newest frame, acquire a detector slot, adapt the setting, hand the finished
+// cycle to the tracker, detect (supervised), release the slot.
+func (p *pipeline) detectorLoop(ctx context.Context) {
+	d := &detectorState{setting: p.cfg.Setting, prevFrame: -1, lastFetched: -1}
+	// Frame 0 is captured as the clock starts, so the first fetch does not
+	// read the clock — however late this thread was scheduled, the run begins
+	// with frame 0 — and every later one waits on it.
+	for frameIdx, ok := 0, true; ok && ctx.Err() == nil; frameIdx, ok = p.cam.waitNewer(d.lastFetched) {
+		d.lastFetched = frameIdx
+		release, frameIdx, err := p.acquireSlot(ctx, d, frameIdx)
 		if err != nil {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || !p.deferDetection(ctx, d, frameIdx) {
 				return
-			}
-			// Backpressure: the pool's wait queue is full. Skip this
-			// detection — hand the buffered frames to the tracker so it keeps
-			// extrapolating against the previous calibration — and re-request
-			// at the next captured frame. Staleness grows; memory does not.
-			if !deferring {
-				deferring = true
-				p.deferred.Add(1)
-				p.cfg.Obs.Counter(obs.MetricDetectDeferred, p.obsLabels()...).Inc()
-			}
-			if prevFrame >= 0 {
-				gen := p.generation.Add(1)
-				select {
-				case p.work <- cycleWork{RefFrame: prevFrame, RefDets: prevDets, EndFrame: frameIdx, Setting: setting, Generation: gen}:
-				case <-ctx.Done():
-					return
-				}
-				prevFrame = frameIdx
 			}
 			continue
 		}
-		deferring = false
-		p.cfg.Obs.Histogram(obs.MetricSlotWait, obs.DefLatencyBuckets, p.obsLabels()...).
-			ObserveDuration(time.Since(slotStart))
 		// Occupancy runs from the grant to the release: setting-switch
 		// overhead plus supervised detection, same definition as sim's
 		// StreamOutcome.MaxOccupancy.
-		slotGranted := time.Now()
-		// Frames kept arriving while we queued for the slot: detect the
-		// newest one, not the one that triggered the request.
-		if newest, stillOpen := p.buffer.waitNewer(frameIdx - 1); stillOpen && newest > frameIdx {
-			frameIdx = newest
-		}
+		granted := time.Now()
 		// Fetching a new frame tells the tracker to wind down (§IV-B).
 		gen := p.generation.Add(1)
-
-		// Model adaptation: the velocity measured during the previous cycle
-		// picks this cycle's setting.
-		if p.cfg.Adaptation != nil && prevFrame >= 0 {
-			if bits := p.velocityBits.Load(); bits != 0 {
-				vel := float64FromBits(bits)
-				if track.ValidVelocity(vel) {
-					if next := p.cfg.Adaptation.Next(setting, vel); next != setting {
-						swStart := time.Now()
-						p.sleep(p.latDet.SettingSwitch())
-						p.switches.Add(1)
-						adapt.PublishDecision(p.cfg.Obs, setting, next, vel, time.Since(swStart), time.Since(p.start), p.obsLabels()...)
-						setting = next
-					} else {
-						adapt.PublishDecision(p.cfg.Obs, setting, next, vel, 0, time.Since(p.start), p.obsLabels()...)
-					}
-				}
-			}
-		}
-
-		// Hand the accumulated frames to the tracker before starting the
-		// new inference, so both work in parallel.
-		if prevFrame >= 0 {
-			select {
-			case p.work <- cycleWork{RefFrame: prevFrame, RefDets: prevDets, EndFrame: frameIdx, Setting: setting, Generation: gen}:
-			case <-ctx.Done():
+		if d.prevFrame >= 0 {
+			d.setting = p.adaptSetting(d.setting)
+			// Hand the accumulated frames to the tracker before starting the
+			// new inference, so both work in parallel.
+			if !p.handOff(ctx, d, frameIdx, gen) {
 				release()
 				return
 			}
 		}
+		p.calibrate(ctx, d, frameIdx, granted, release)
+	}
+}
 
-		detStart := time.Now()
-		dets, newSetting, detected := p.superviseDetect(ctx, frameIdx, setting)
-		setting = newSetting
-		p.sleep(p.latDet.Detect(setting))
-		occ := time.Since(slotGranted)
-		if occ > p.maxSlotOcc {
-			p.maxSlotOcc = occ
+// acquireSlot claims a detector slot before the cycle commits and returns the
+// frame to detect in it: from the shared pool, or — nil Slots, single-stream
+// as the N=1, K=1 case — a dedicated one that is always free. The wait is
+// measured here; the pool itself is clock-free. The prefetch stage keeps
+// rendering through the block: the waiting bracket is what attributes its
+// completions to the queueing window.
+func (p *pipeline) acquireSlot(ctx context.Context, d *detectorState, fetched int) (release func(), frameIdx int, err error) {
+	requested := time.Now()
+	release, frameIdx, err = func() {}, fetched, ctx.Err()
+	if p.cfg.Slots != nil {
+		if p.prefetch != nil {
+			p.prefetch.setWaiting(true)
 		}
-		release()
-		// Execution time (grant → release) is the other half of the
-		// queueing/execution split: MetricSlotWait above measured the queue,
-		// this histogram measures the slot itself.
-		p.cfg.Obs.Histogram(obs.MetricSlotExec, obs.DefLatencyBuckets, p.obsLabels()...).
-			ObserveDuration(occ)
-		newCalib := time.Since(p.start)
-		if age := newCalib - lastCalib; age > p.maxCalibAge {
-			p.maxCalibAge = age
-		}
-		lastCalib = newCalib
-		// The detect observation spans supervision (including retries and
-		// backoff) plus the emulated inference itself, labeled with the
-		// setting that ended the cycle and the health it left behind.
-		p.cfg.Obs.StageHistogram(obs.StageDetect, p.obsLabels(
-			obs.L("setting", setting.String()),
-			obs.L("health", p.sup.Health().String()),
-		)...).ObserveDuration(time.Since(detStart))
-		if detected {
-			p.setOutput(core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceDetector, Setting: setting, Detections: dets})
-			prevDets = dets
-		} else {
-			// Every attempt faulted: hold the previous calibration on
-			// screen and keep tracking against it.
-			p.setOutput(core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceHeld, Setting: setting, Detections: prevDets})
-		}
-		p.cycles.Add(1)
-		p.cfg.Obs.Counter(obs.MetricCycles, p.obsLabels()...).Inc()
-		prevFrame = frameIdx
-		if frameIdx > lastFetched {
-			lastFetched = frameIdx
+		release, err = p.cfg.Slots.Acquire(ctx, p.cfg.StreamID, d.setting, d.lastCalib)
+		if p.prefetch != nil {
+			p.prefetch.setWaiting(false)
 		}
 	}
+	if err != nil {
+		return nil, fetched, err
+	}
+	d.deferring = false
+	p.slotWaitH.ObserveDuration(time.Since(requested))
+	if p.cfg.Slots != nil {
+		// Frames kept arriving while we queued: detect the newest one, not
+		// the one that triggered the request. (Without a queue only scheduler
+		// jitter could have moved the clock on, past the frame just fetched.)
+		frameIdx = max(fetched, p.cam.newest())
+	}
+	return release, frameIdx, nil
+}
+
+// deferDetection handles backpressure: the pool's wait queue is full. Skip
+// this detection — hand the buffered frames to the tracker so it keeps
+// extrapolating against the previous calibration — and re-request at the
+// next captured frame. Staleness grows; memory does not. It reports false
+// when the run was cancelled during the hand-off.
+func (p *pipeline) deferDetection(ctx context.Context, d *detectorState, frameIdx int) bool {
+	if !d.deferring {
+		d.deferring = true
+		p.deferred.Add(1)
+		p.deferredC.Inc()
+	}
+	if d.prevFrame < 0 {
+		return true
+	}
+	if !p.handOff(ctx, d, frameIdx, p.generation.Add(1)) {
+		return false
+	}
+	d.prevFrame = frameIdx
+	return true
+}
+
+// handOff gives the tracker the frames (prevFrame, endFrame) to track against
+// the previous calibration. It reports false when the run was cancelled first.
+func (p *pipeline) handOff(ctx context.Context, d *detectorState, endFrame int, gen uint64) bool {
+	select {
+	case p.work <- cycleWork{RefFrame: d.prevFrame, RefDets: d.prevDets, EndFrame: endFrame, Setting: d.setting, Generation: gen}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// adaptSetting is the model-adaptation step (§IV-D): the velocity measured
+// during the previous cycle picks this cycle's setting, and a switch pays the
+// emulated model-load latency.
+func (p *pipeline) adaptSetting(cur core.Setting) core.Setting {
+	if p.cfg.Adaptation == nil {
+		return cur
+	}
+	vel := math.Float64frombits(p.velocityBits.Load())
+	if !track.ValidVelocity(vel) {
+		return cur
+	}
+	next := p.cfg.Adaptation.Next(cur, vel)
+	var took time.Duration
+	if next != cur {
+		swStart := time.Now()
+		p.sleep(p.latDet.SettingSwitch())
+		p.switches.Add(1)
+		took = time.Since(swStart)
+	}
+	adapt.PublishDecision(p.cfg.Obs, cur, next, vel, took, time.Since(p.start), p.stream...)
+	return next
+}
+
+// calibrate runs the supervised detection of frameIdx inside the granted
+// slot, releases the slot, and publishes the calibration (or, when every
+// attempt faulted, holds the previous one on screen).
+func (p *pipeline) calibrate(ctx context.Context, d *detectorState, frameIdx int, granted time.Time, release func()) {
+	detStart := time.Now()
+	dets, setting, detected := p.superviseDetect(ctx, frameIdx, d.setting)
+	d.setting = setting
+	p.sleep(p.latDet.Detect(setting))
+	occ := time.Since(granted)
+	p.maxSlotOcc = max(p.maxSlotOcc, occ)
+	release()
+	// Execution time (grant → release) is the other half of the
+	// queueing/execution split: slotWait measured the queue, this histogram
+	// measures the slot itself.
+	p.slotExecH.ObserveDuration(occ)
+	newCalib := time.Since(p.start)
+	p.maxCalibAge = max(p.maxCalibAge, newCalib-d.lastCalib)
+	d.lastCalib = newCalib
+	// The detect observation spans supervision (including retries and
+	// backoff) plus the emulated inference itself.
+	p.observeDetect(setting, time.Since(detStart))
+	out := core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceDetector, Setting: setting, Detections: dets}
+	if detected {
+		d.prevDets = dets
+	} else {
+		// Every attempt faulted: hold the previous calibration on
+		// screen and keep tracking against it.
+		out.Source, out.Detections = core.SourceHeld, d.prevDets
+	}
+	p.setOutput(out)
+	p.cycles.Add(1)
+	p.cyclesC.Inc()
+	d.prevFrame = frameIdx
+	d.lastFetched = max(d.lastFetched, frameIdx)
 }
 
 // trackerLoop is the CPU thread: process each cycle's buffered frames under
@@ -769,13 +761,13 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 			continue
 		}
 		feStart := time.Now()
-		if !p.safeTrackInit(p.frame(w.RefFrame), w.RefDets) {
+		if !p.safeTrack(w.RefFrame, func() { p.tracker.Init(p.frame(w.RefFrame), w.RefDets) }) {
 			continue
 		}
 		p.sleep(p.latTrk.FeatureExtract())
 		// Feature extraction is CPU-track work, same as in the simulator's
 		// busy log.
-		p.cfg.Obs.StageHistogram(obs.StageTrack, p.obsLabels()...).ObserveDuration(time.Since(feStart))
+		p.trackH.ObserveDuration(time.Since(feStart))
 
 		plan := p.selector.Plan(buffered)
 		tracked := 0
@@ -790,8 +782,9 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 			}
 			frameIdx := w.RefFrame + 1 + idx
 			stepStart := time.Now()
-			dets, vel, ok := p.safeTrackStep(p.frame(frameIdx))
-			if !ok {
+			var dets []core.Detection
+			var vel float64
+			if !p.safeTrack(frameIdx, func() { dets, vel = p.tracker.Step(p.frame(frameIdx)) }) {
 				// The tracker panicked mid-cycle: hold the last good boxes
 				// for this frame and abandon the rest of the cycle — the
 				// next detection re-initializes the tracker from scratch.
@@ -801,11 +794,11 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 			}
 			dets = detect.Sanitize(dets)
 			p.sleep(p.latTrk.TrackFrame(len(cur)))
-			p.cfg.Obs.StageHistogram(obs.StageTrack, p.obsLabels()...).ObserveDuration(time.Since(stepStart))
+			p.trackH.ObserveDuration(time.Since(stepStart))
 			ovStart := time.Now()
 			p.sleep(p.latTrk.Overlay())
 			p.setOutput(core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: w.Setting, Detections: dets})
-			p.cfg.Obs.StageHistogram(obs.StageOverlay, p.obsLabels()...).ObserveDuration(time.Since(ovStart))
+			p.overlayH.ObserveDuration(time.Since(ovStart))
 			cur = dets
 			tracked++
 			if track.ValidVelocity(vel) {
@@ -816,42 +809,28 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 		p.selector.Update(tracked, buffered)
 		if velN > 0 {
 			if m := velSum / float64(velN); track.ValidVelocity(m) {
-				p.velocityBits.Store(float64ToBits(m))
+				p.velocityBits.Store(math.Float64bits(m))
 			}
 		}
 	}
 }
 
-// safeTrackInit calls Tracker.Init with panic recovery.
-func (p *pipeline) safeTrackInit(f core.Frame, dets []core.Detection) (ok bool) {
+// safeTrack runs one tracker call on the given frame with panic recovery.
+func (p *pipeline) safeTrack(frame int, call func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.sup.ObserveFault(guard.ComponentTracker, guard.Panicked, int(p.cycles.Load()), f.Index, time.Since(p.start))
+			p.sup.ObserveFault(guard.ComponentTracker, guard.Panicked, int(p.cycles.Load()), frame, time.Since(p.start))
 			ok = false
 		}
 	}()
-	p.tracker.Init(f, dets)
+	call()
 	return true
-}
-
-// safeTrackStep calls Tracker.Step with panic recovery.
-func (p *pipeline) safeTrackStep(f core.Frame) (dets []core.Detection, vel float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.sup.ObserveFault(guard.ComponentTracker, guard.Panicked, int(p.cycles.Load()), f.Index, time.Since(p.start))
-			dets, vel, ok = nil, 0, false
-		}
-	}()
-	dets, vel = p.tracker.Step(f)
-	return dets, vel, true
 }
 
 // finish hold-fills unprocessed frames and evaluates the run.
 func (p *pipeline) finish() *Result {
-	n := p.v.NumFrames()
 	res := &Result{
 		Outputs:          p.outputs,
-		FrameF1:          make([]float64, n),
 		Cycles:           int(p.cycles.Load()),
 		Switches:         int(p.switches.Load()),
 		Deferred:         int(p.deferred.Load()),
@@ -883,7 +862,7 @@ func (p *pipeline) finish() *Result {
 					Action: "injected", Cycle: ev.Call,
 				})
 				p.cfg.Obs.Counter(obs.MetricFaultsInjected,
-					p.obsLabels(obs.L("component", ev.Component), obs.L("kind", ev.Kind.String()))...).Inc()
+					streamLabels(p.cfg.StreamID, obs.L("component", ev.Component), obs.L("kind", ev.Kind.String()))...).Inc()
 				component := ev.Component
 				if p.cfg.StreamID != "" {
 					component += "@" + p.cfg.StreamID
@@ -892,38 +871,56 @@ func (p *pipeline) finish() *Result {
 			}
 		}
 	}
-	var last core.FrameOutput
-	haveLast := false
-	for i := 0; i < n; i++ {
-		if p.outputs[i].Source == core.SourceNone {
-			if haveLast {
-				p.outputs[i] = core.FrameOutput{
-					FrameIndex: i, Source: core.SourceHeld,
-					Setting: last.Setting, Detections: last.Detections,
-				}
-			} else {
-				p.outputs[i] = core.FrameOutput{FrameIndex: i, Source: core.SourceNone}
-			}
-		} else {
-			p.outputs[i].FrameIndex = i
-			last = p.outputs[i]
-			haveLast = true
-		}
-		if src := p.outputs[i].Source; src != core.SourceNone {
-			p.cfg.Obs.Counter(obs.MetricFrames, p.obsLabels(obs.L("source", src.String()))...).Inc()
-		}
-		res.FrameF1[i] = metrics.FrameF1(p.outputs[i].Detections, p.v.Truth(i), metrics.DefaultIoU)
+	holdFill(p.outputs)
+	var bySource [core.SourceHeld + 1]int64
+	for _, out := range p.outputs {
+		bySource[out.Source]++
 	}
-	res.Accuracy = metrics.VideoAccuracy(res.FrameF1, metrics.DefaultAlpha)
-	res.MeanF1 = metrics.Mean(res.FrameF1)
+	for src := core.SourceNone + 1; src <= core.SourceHeld; src++ {
+		if n := bySource[src]; n > 0 {
+			p.cfg.Obs.Counter(obs.MetricFrames, streamLabels(p.cfg.StreamID, obs.L("source", src.String()))...).Add(n)
+		}
+	}
+	res.FrameF1, res.Accuracy, res.MeanF1 = evaluate(p.v, p.outputs, len(p.outputs))
 	return res
 }
 
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
+// holdFill gives every frame nobody processed the result that was on screen
+// at the time: the nearest earlier frame's detections, marked SourceHeld.
+// Frames before the first result stay SourceNone.
+func holdFill(outputs []core.FrameOutput) {
+	var last *core.FrameOutput
+	for i := range outputs {
+		out := &outputs[i]
+		out.FrameIndex = i
+		if out.Source != core.SourceNone {
+			last = out
+		} else if last != nil {
+			out.Source, out.Setting, out.Detections = core.SourceHeld, last.Setting, last.Detections
+		}
 	}
-	return b
+}
+
+// evaluate scores the first `published` outputs against ground truth — the
+// standard evaluation both schedules report. Unpublished frames score zero.
+func evaluate(v *video.Video, outputs []core.FrameOutput, published int) (frameF1 []float64, accuracy, meanF1 float64) {
+	frameF1 = make([]float64, len(outputs))
+	for i := 0; i < published; i++ {
+		frameF1[i] = metrics.FrameF1(outputs[i].Detections, v.Truth(i), metrics.DefaultIoU)
+	}
+	return frameF1, metrics.VideoAccuracy(frameF1, metrics.DefaultAlpha), metrics.Mean(frameF1)
+}
+
+// scaleDur scales an emulated duration to wall time.
+func scaleDur(d time.Duration, scale float64) time.Duration {
+	return time.Duration(float64(d) * scale)
+}
+
+// sleepScaled sleeps d scaled by the configured time scale.
+func sleepScaled(d time.Duration, scale float64) {
+	if scaled := scaleDur(d, scale); scaled > 0 {
+		time.Sleep(scaled)
+	}
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled, reporting whether the
@@ -941,7 +938,3 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 		return false
 	}
 }
-
-// float bit helpers for the atomic velocity cell.
-func float64ToBits(f float64) uint64   { return math.Float64bits(f) }
-func float64FromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -111,39 +111,55 @@ func TestEmptyVideoRejected(t *testing.T) {
 	}
 }
 
-func TestFrameBuffer(t *testing.T) {
-	b := newFrameBuffer()
-	done := make(chan int, 1)
-	go func() {
-		idx, ok := b.waitNewer(-1)
-		if !ok {
-			idx = -99
+// TestCamera pins the capture clock: newest is monotone and never passes the
+// last frame; waitNewer(than) never returns before frame than+1's capture
+// time, and reports !ok at the end of the stream and when cancelled while
+// blocked.
+func TestCamera(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	for _, n := range []int{1, 4, 12} {
+		cam := camera{ctx: context.Background(), start: time.Now(), interval: interval, n: n}
+		for than, prev := -1, -1; than < n-1; {
+			got, ok := cam.waitNewer(than)
+			if !ok || got <= than || got > n-1 {
+				t.Fatalf("n=%d: waitNewer(%d) = %d, %v; want a frame in (%d, %d]", n, than, got, ok, than, n-1)
+			}
+			if early := time.Until(cam.start.Add(time.Duration(than+1) * interval)); early > 0 {
+				t.Fatalf("n=%d: waitNewer(%d) returned %v before frame %d was captured", n, than, early, than+1)
+			}
+			if now := cam.newest(); now < got || now < prev || now > n-1 {
+				t.Fatalf("n=%d: newest = %d after waitNewer returned %d (previous %d)", n, now, got, prev)
+			}
+			prev, than = got, got
 		}
-		done <- idx
-	}()
-	time.Sleep(5 * time.Millisecond)
-	b.push(3)
-	if got := <-done; got != 3 {
-		t.Fatalf("waitNewer = %d", got)
-	}
-	// Older pushes do not regress the latest index.
-	b.push(1)
-	if idx, ok := b.waitNewer(2); !ok || idx != 3 {
-		t.Fatalf("latest regressed: %d %v", idx, ok)
-	}
-	// Close releases blocked waiters.
-	go func() {
-		_, ok := b.waitNewer(10)
-		if ok {
-			done <- 1
-		} else {
-			done <- 0
+		for _, than := range []int{n - 1, n, n + 7} {
+			if _, ok := cam.waitNewer(than); ok {
+				t.Errorf("n=%d: waitNewer(%d) found a frame past the last", n, than)
+			}
 		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cam := camera{ctx: ctx, start: time.Now(), interval: time.Hour, n: 3}
+	if got, ok := cam.waitNewer(-1); !ok || got != 0 {
+		t.Fatalf("waitNewer(-1) = %d, %v; frame 0 is captured at start", got, ok)
+	}
+	blocked := make(chan bool, 1)
+	go func() {
+		_, ok := cam.waitNewer(0)
+		blocked <- ok
 	}()
-	time.Sleep(5 * time.Millisecond)
-	b.close()
-	if got := <-done; got != 0 {
-		t.Fatal("waitNewer did not observe close")
+	select {
+	case <-blocked:
+		t.Fatal("waitNewer(0) returned an hour early")
+	case <-time.After(5 * time.Millisecond):
+	}
+	cancel()
+	if <-blocked {
+		t.Fatal("waitNewer did not observe the cancellation")
+	}
+	if _, ok := cam.waitNewer(-1); ok {
+		t.Error("waitNewer handed out a frame after cancellation")
 	}
 }
 

@@ -80,7 +80,7 @@ func (t *PixelTracker) Init(ref core.Frame, dets []core.Detection) int {
 // InitWithPyramid is Init for pipelined callers that already built the
 // reference frame's pyramid in a prefetch stage: the tracker takes ownership
 // of pyr and returns the pyramid it no longer needs (nil on the first call),
-// so a fixed pool of pyramids can circulate between prefetcher and tracker.
+// so the caller can trade one pyramid for another instead of allocating.
 func (t *PixelTracker) InitWithPyramid(ref core.Frame, dets []core.Detection, pyr *imgproc.Pyramid) (n int, released *imgproc.Pyramid) {
 	t.objs = t.objs[:0]
 	released = t.prevPyr
@@ -173,7 +173,10 @@ func (t *PixelTracker) heldBoxes() []core.Detection {
 }
 
 // stepFlow tracks the live features from prevPyr into nextPyr and shifts each
-// box by its median flow. The caller owns the pyramid swap.
+// box by its median flow. The caller owns the pyramid swap. The returned
+// velocity implements Eq. 3: the average displacement magnitude of the
+// features matched between the two frames, normalized by the frame gap
+// (0 when none matched).
 func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]core.Detection, float64) {
 	out := make([]core.Detection, 0, len(t.objs))
 
@@ -250,15 +253,4 @@ func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]co
 		velocity = velocitySum / float64(velocityN) / float64(gap)
 	}
 	return out, velocity
-}
-
-// LiveFeatures returns the number of feature points still being tracked.
-func (t *PixelTracker) LiveFeatures() int {
-	n := 0
-	for _, o := range t.objs {
-		if !o.lost {
-			n += len(o.pts)
-		}
-	}
-	return n
 }

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"adavp/internal/core"
-	"adavp/internal/geom"
 )
 
 // Tracker follows a set of detections from a reference frame through
@@ -55,27 +54,6 @@ const maxPlausibleVelocity = 1e6
 // setting. Both pipeline engines filter through this predicate.
 func ValidVelocity(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0 && v < maxPlausibleVelocity
-}
-
-// MotionVelocity implements Eq. 3: the average displacement magnitude of
-// matched feature positions between two frames, normalized by the frame gap.
-// Mismatched slice lengths use the shorter prefix; an empty set yields 0.
-func MotionVelocity(prev, cur []geom.Point, frameGap int) float64 {
-	if frameGap <= 0 {
-		frameGap = 1
-	}
-	n := len(prev)
-	if len(cur) < n {
-		n = len(cur)
-	}
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += cur[i].Dist(prev[i])
-	}
-	return sum / float64(n) / float64(frameGap)
 }
 
 // median returns the median of xs (average of the two middle elements for

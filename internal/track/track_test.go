@@ -11,24 +11,6 @@ import (
 	"adavp/internal/video"
 )
 
-func TestMotionVelocity(t *testing.T) {
-	prev := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 10}}
-	cur := []geom.Point{{X: 3, Y: 4}, {X: 10, Y: 10}}
-	if got := MotionVelocity(prev, cur, 1); math.Abs(got-2.5) > 1e-9 {
-		t.Errorf("velocity = %f, want 2.5", got)
-	}
-	// Gap normalization (Eq. 3): same displacement over 5 frames is 5x slower.
-	if got := MotionVelocity(prev, cur, 5); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("velocity gap 5 = %f, want 0.5", got)
-	}
-	if got := MotionVelocity(nil, nil, 1); got != 0 {
-		t.Errorf("empty velocity = %f", got)
-	}
-	if got := MotionVelocity(prev, cur[:1], 0); math.Abs(got-5) > 1e-9 {
-		t.Errorf("short prefix velocity = %f, want 5", got)
-	}
-}
-
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []float64
@@ -160,6 +142,19 @@ func TestPixelTrackerVelocitySignal(t *testing.T) {
 	fv, sv := velocityOf(fast), velocityOf(slow)
 	if fv <= sv {
 		t.Errorf("velocity signal does not separate content: fast %.3f vs slow %.3f", fv, sv)
+	}
+	// Eq. 3 normalizes by the frame gap: the tracking-frame selector skips
+	// frames, and the same motion seen across a skipped frame must read as
+	// the same px/frame, not twice it.
+	stepTo := func(i int) float64 {
+		tr := NewPixelTracker()
+		ref := slow.FrameWithPixels(2)
+		tr.Init(ref, oracleDets(ref.Truth))
+		_, vel := tr.Step(slow.FrameWithPixels(i))
+		return vel
+	}
+	if gap1, gap2 := stepTo(3), stepTo(4); gap1 <= 0 || gap2 < 0.6*gap1 || gap2 > 1.5*gap1 {
+		t.Errorf("velocity across a skipped frame %.3f px/frame vs %.3f adjacent: not normalized by the frame gap", gap2, gap1)
 	}
 }
 
