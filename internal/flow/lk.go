@@ -15,6 +15,7 @@
 package flow
 
 import (
+	"image"
 	"math"
 	"sync"
 
@@ -92,13 +93,15 @@ type Result struct {
 }
 
 // Scratch holds the reusable buffers of the flow solver: per-level gradient
-// images of the previous frame and the imgproc temporaries behind them. A
+// images of the previous frame (valid only inside the windows the last Track
+// differentiated), the imgproc temporaries behind them and the window list. A
 // Scratch belongs to one pipeline stage and is not safe for concurrent use;
 // the per-point template windows, whose lifetime spans only one banded
 // worker, come from a sync.Pool instead.
 type Scratch struct {
 	gx, gy []*imgproc.Gray
 	img    imgproc.Scratch
+	rects  []image.Rectangle
 }
 
 // tmplBuf is one worker's template window (gradients and intensities of the
@@ -145,8 +148,9 @@ func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params)
 	if levels > p.MaxLevels {
 		levels = p.MaxLevels
 	}
-	// Precompute gradients of the previous image once per level; every point
-	// reuses them (read-only during the fan-out).
+	// Precompute gradients of the previous image once per level, inside the
+	// rectangles the points' template windows read; every point reuses them
+	// (read-only during the fan-out).
 	for len(s.gx) < levels {
 		s.gx = append(s.gx, nil)
 		s.gy = append(s.gy, nil)
@@ -155,7 +159,8 @@ func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params)
 		lvl := prev.Levels[l]
 		s.gx[l] = ensureSize(s.gx[l], lvl.W, lvl.H)
 		s.gy[l] = ensureSize(s.gy[l], lvl.W, lvl.H)
-		imgproc.GradientsInto(s.gx[l], s.gy[l], lvl, &s.img)
+		s.windowRects(pts, levelScale(l), p.WindowRadius, lvl.W, lvl.H)
+		imgproc.GradientsRectsInto(s.gx[l], s.gy[l], lvl, s.rects, &s.img)
 	}
 	out := make([]Result, len(pts)) //adavp:alloc-ok the result slice is returned; its ownership transfers to the caller
 	par.Rows(len(pts), func(lo, hi int) {
@@ -167,6 +172,66 @@ func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params)
 		tmplPool.Put(tb)
 	})
 	return out
+}
+
+// levelScale is the factor from full-resolution coordinates to level l's.
+func levelScale(l int) float64 { return 1 / float64(int(1)<<uint(l)) }
+
+// windowRects sets s.rects to the parts of a w×h pyramid level in which
+// trackOne reads gradients for pts: each point's template window, merged
+// into the first rectangle it overlaps so the points of one object share one
+// (rectangles may still overlap each other, which only repeats work). When
+// the windows add up to half the level or more it is the whole level — the
+// coarse levels, where a window is a large part of the image.
+//
+//adavp:hotpath
+func (s *Scratch) windowRects(pts []geom.Point, scale float64, r, w, h int) {
+	s.rects = s.rects[:0]
+	for _, pt := range pts {
+		x0, x1 := windowSpan(pt.X*scale, r, w)
+		y0, y1 := windowSpan(pt.Y*scale, r, h)
+		win := image.Rect(x0, y0, x1, y1)
+		merged := false
+		for i := range s.rects {
+			if s.rects[i].Overlaps(win) {
+				s.rects[i] = s.rects[i].Union(win)
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			s.rects = append(s.rects, win)
+		}
+	}
+	area := 0
+	for _, rc := range s.rects {
+		area += rc.Dx() * rc.Dy()
+	}
+	if 2*area >= w*h {
+		s.rects = append(s.rects[:0], image.Rect(0, 0, w, h))
+	}
+}
+
+// windowSpan returns the pixels [lo, hi) along one axis of length n that
+// bilinear samples at c−r … c+r touch: each sample reads floor(x) and
+// floor(x)+1, and taps outside the image clamp to its edge pixels. A NaN
+// coordinate gets the whole axis.
+func windowSpan(c float64, r, n int) (lo, hi int) {
+	a := math.Floor(c - float64(r))
+	b := math.Floor(c+float64(r)) + 2
+	if !(a >= 0) {
+		a = 0
+	}
+	if a > float64(n-1) {
+		a = float64(n - 1)
+	}
+	if !(b <= float64(n)) {
+		b = float64(n)
+	}
+	if b < a+1 {
+		b = a + 1
+	}
+	return int(a), int(b)
 }
 
 // ensureSize returns g resized to w×h, reusing its backing array when
@@ -195,8 +260,7 @@ func trackOne(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Poi
 	ok := true
 	var residual float64
 	for l := levels - 1; l >= 0; l-- {
-		scale := 1 / float64(int(1)<<uint(l))
-		base := pt.Scale(scale)
+		base := pt.Scale(levelScale(l))
 		I := prev.Levels[l]
 		J := next.Levels[l]
 		gx := gxs[l]

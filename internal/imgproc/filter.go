@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"image"
 	"math"
 
 	"adavp/internal/par"
@@ -38,80 +39,116 @@ func convolve1D(g *Gray, kernel []float32, horizontal bool) *Gray {
 
 // convolve1DInto applies a 1-D kernel along the given axis with border
 // clamping, writing into dst (same size as g, fully overwritten; dst must
-// not alias g). Rows are processed in parallel bands; pixels whose kernel
-// support lies fully inside the image take a flat-indexed fast path, and the
-// per-pixel accumulation order matches convolve1DRef tap for tap, so output
-// is bitwise-identical to the scalar reference at every worker count.
+// not alias g). Rows are processed in parallel bands by convolveRowH or
+// convolveRowV, whose per-pixel accumulation order matches convolve1DRef tap
+// for tap, so output is bitwise-identical to the scalar reference at every
+// worker count.
 //
 //adavp:hotpath
 func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool) {
-	radius := len(kernel) / 2
 	w, h := g.W, g.H
 	if w == 0 || h == 0 {
 		return
 	}
-	if horizontal {
-		// Interior columns [radius, w-radius) read a contiguous window of
-		// their own row.
-		xLo, xHi := radius, w-radius
-		if xHi < xLo {
-			xHi = xLo
-		}
-		par.Rows(h, func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				row := g.Row(y)
-				out := dst.Row(y)
-				for x := 0; x < xLo && x < w; x++ {
-					out[x] = convolveClampedH(g, kernel, radius, x, y)
-				}
-				for x := xLo; x < xHi; x++ {
-					var acc float32
-					win := row[x-radius:]
-					for i, kv := range kernel {
-						acc += kv * win[i]
-					}
-					out[x] = acc
-				}
-				for x := xHi; x < w; x++ {
-					out[x] = convolveClampedH(g, kernel, radius, x, y)
-				}
-			}
-		})
-		return
-	}
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			convolveRowV(dst.Row(y), g, kernel, y)
+			convolveRow(dst.Row(y), g, kernel, horizontal, y, 0, w)
 		}
 	})
 }
 
-// convolveRowV writes row y of the vertical convolution of g into out
-// (len ≥ g.W). Interior rows [radius, h-radius) see every tap row in bounds,
-// so the taps accumulate column-wise over whole rows — the same additions in
-// the same order as the per-pixel reference; border rows take its clamped
-// taps.
+// convolveRects is convolve1DInto restricted to rects, which must lie inside
+// the image: only the pixels inside some rectangle are written, each to the
+// value the whole-image pass gives it (a pixel's taps do not depend on where
+// the pass started), and the rest of dst is left as it was. Rectangles may
+// overlap. grow extends every rectangle by that many rows up and down,
+// clamped to the image: the rows a vertical pass over rects will read. The
+// bands split the row span the rectangles cover, and a band works the rows of
+// every rectangle that fall inside it, so the call costs one fan-out however
+// many rectangles there are.
 //
 //adavp:hotpath
-func convolveRowV(out []float32, g *Gray, kernel []float32, y int) {
+func convolveRects(dst, g *Gray, kernel []float32, horizontal bool, rects []image.Rectangle, grow int) {
+	y0, y1 := g.H, 0
+	for _, r := range rects {
+		y0, y1 = min(y0, r.Min.Y-grow), max(y1, r.Max.Y+grow)
+	}
+	y0, y1 = max(y0, 0), min(y1, g.H)
+	par.Rows(y1-y0, func(lo, hi int) {
+		for _, r := range rects {
+			for y := max(r.Min.Y-grow, y0+lo); y < min(r.Max.Y+grow, y0+hi); y++ {
+				convolveRow(dst.Row(y), g, kernel, horizontal, y, r.Min.X, r.Max.X)
+			}
+		}
+	})
+}
+
+// convolveRow writes columns [x0, x1) of row y of the convolution of g along
+// the given axis into out (a full row).
+//
+//adavp:hotpath
+func convolveRow(out []float32, g *Gray, kernel []float32, horizontal bool, y, x0, x1 int) {
+	if horizontal {
+		convolveRowH(out, g, kernel, y, x0, x1)
+	} else {
+		convolveRowV(out, g, kernel, y, x0, x1)
+	}
+}
+
+// convolveRowH writes columns [x0, x1) of row y of the horizontal convolution
+// of g into out (a full row). Columns whose kernel support lies inside the
+// image read a contiguous window of their own row; the others take the
+// clamped taps of the scalar reference.
+//
+//adavp:hotpath
+func convolveRowH(out []float32, g *Gray, kernel []float32, y, x0, x1 int) {
 	radius := len(kernel) / 2
-	w := g.W
+	row := g.Row(y)
+	// Interior columns [iLo, iHi): all taps in bounds.
+	iLo := min(max(x0, radius), x1)
+	iHi := max(min(x1, g.W-radius), iLo)
+	for x := x0; x < iLo; x++ {
+		out[x] = convolveClampedH(g, kernel, radius, x, y)
+	}
+	for x := iLo; x < iHi; x++ {
+		var acc float32
+		win := row[x-radius:]
+		for i, kv := range kernel {
+			acc += kv * win[i]
+		}
+		out[x] = acc
+	}
+	for x := iHi; x < x1; x++ {
+		out[x] = convolveClampedH(g, kernel, radius, x, y)
+	}
+}
+
+// convolveRowV writes columns [x0, x1) of row y of the vertical convolution
+// of g into out (len ≥ x1). Interior rows [radius, h-radius) see every tap
+// row in bounds, so the taps accumulate column-wise over whole rows — the
+// same additions in the same order as the per-pixel reference; border rows
+// take its clamped taps.
+//
+//adavp:hotpath
+func convolveRowV(out []float32, g *Gray, kernel []float32, y, x0, x1 int) {
+	radius := len(kernel) / 2
 	if y >= radius && y+radius < g.H {
-		first := g.Row(y - radius)
+		out = out[x0:x1]
+		first := g.Row(y - radius)[x0:x1]
 		kv0 := kernel[0]
-		for x := 0; x < w; x++ {
+		for x := range out {
 			out[x] = kv0 * first[x]
 		}
 		for i := 1; i < len(kernel); i++ {
 			kv := kernel[i]
-			row := g.Row(y - radius + i)
-			for x := 0; x < w; x++ {
+			row := g.Row(y - radius + i)[x0:x1]
+			for x := range out {
 				out[x] += kv * row[x]
 			}
 		}
 		return
 	}
-	for x := 0; x < w; x++ {
+	for x := x0; x < x1; x++ {
 		var acc float32
 		for i, kv := range kernel {
 			acc += kv * g.At(x, y+i-radius)
@@ -188,15 +225,32 @@ func Gradients(g *Gray) (gx, gy *Gray) {
 
 // GradientsInto computes the Scharr gradients into gx, gy (same size as g,
 // fully overwritten) using s for the intermediate pass, allocating nothing
-// when the scratch already holds a same-size buffer.
+// when the scratch already holds a same-size buffer. It is GradientsRectsInto
+// over the whole image.
 //
 //adavp:hotpath
 func GradientsInto(gx, gy, g *Gray, s *Scratch) {
+	s.whole[0] = image.Rect(0, 0, g.W, g.H)
+	GradientsRectsInto(gx, gy, g, s.whole[:], s)
+}
+
+// GradientsRectsInto computes the Scharr gradients of g inside rects only:
+// every pixel of gx, gy (same size as g) that lies in some rectangle gets
+// bitwise the value GradientsInto gives it, clamped image borders included,
+// and the others keep whatever they held. Rectangles must lie inside the
+// image and may overlap. A caller that reads gradients in a few windows — the
+// Lucas–Kanade solver's templates — pays for those windows instead of four
+// whole-image passes.
+//
+//adavp:hotpath
+func GradientsRectsInto(gx, gy, g *Gray, rects []image.Rectangle, s *Scratch) {
+	// The vertical taps read one row above and below each rectangle, so the
+	// horizontal passes cover those too.
 	tmp := s.Take(g.W, g.H)
-	convolve1DInto(tmp, g, scharrDiff, true)
-	convolve1DInto(gx, tmp, scharrSmooth, false)
-	convolve1DInto(tmp, g, scharrSmooth, true)
-	convolve1DInto(gy, tmp, scharrDiff, false)
+	convolveRects(tmp, g, scharrDiff, true, rects, 1)
+	convolveRects(gx, tmp, scharrSmooth, false, rects, 0)
+	convolveRects(tmp, g, scharrSmooth, true, rects, 1)
+	convolveRects(gy, tmp, scharrDiff, false, rects, 0)
 	s.Put(tmp)
 }
 
@@ -255,7 +309,7 @@ func Downsample2Into(dst, g *Gray, s *Scratch) {
 	})
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y)
+			convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y, 0, w)
 		}
 	})
 	s.Put(tmp)

@@ -2,6 +2,7 @@ package imgproc
 
 import (
 	"fmt"
+	"image"
 	"math"
 	"testing"
 
@@ -143,6 +144,50 @@ func TestGradientsParity(t *testing.T) {
 			GradientsInto(gx, gy, g, &s)
 			requireIdentical(t, "GradientsInto.x", refX, gx)
 			requireIdentical(t, "GradientsInto.y", refY, gy)
+		}
+	})
+}
+
+// TestGradientsRectsParity asserts the rectangle form of the Scharr kernel
+// against the whole-image scalar reference: inside every rectangle — strips
+// along each border, single pixels in the corners and the middle, an
+// overlapping pair, the whole image — gx and gy carry bitwise the reference's
+// values, and outside them the destination keeps what it held.
+func TestGradientsRectsParity(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, g *Gray) {
+		w, h := g.W, g.H
+		refX, refY := GradientsRef(g)
+		lists := map[string][]image.Rectangle{
+			"whole":   {image.Rect(0, 0, w, h)},
+			"left":    {image.Rect(0, h/4, w/3+1, h/2+1)},
+			"right":   {image.Rect(w-w/3-1, h/4, w, h/2+1)},
+			"top":     {image.Rect(w/4, 0, w/2+1, h/3+1)},
+			"bottom":  {image.Rect(w/4, h-h/3-1, w/2+1, h)},
+			"pixels":  {image.Rect(0, 0, 1, 1), image.Rect(w-1, 0, w, 1), image.Rect(0, h-1, 1, h), image.Rect(w-1, h-1, w, h), image.Rect(w/2, h/2, w/2+1, h/2+1)},
+			"overlap": {image.Rect(0, 0, w/2+1, h/2+1), image.Rect(w/3, h/3, w, h), image.Rect(w/3, 0, w/2+1, h)},
+		}
+		poison := math.Float32bits(float32(math.NaN()))
+		var s Scratch
+		gx, gy := NewGray(w, h), NewGray(w, h)
+		for name, rects := range lists {
+			gx.Fill(math.Float32frombits(poison))
+			gy.Fill(math.Float32frombits(poison))
+			GradientsRectsInto(gx, gy, g, rects, &s)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					i := y*w + x
+					wantX, wantY := poison, poison
+					for _, r := range rects {
+						if image.Pt(x, y).In(r) {
+							wantX, wantY = math.Float32bits(refX.Pix[i]), math.Float32bits(refY.Pix[i])
+						}
+					}
+					if math.Float32bits(gx.Pix[i]) != wantX || math.Float32bits(gy.Pix[i]) != wantY {
+						t.Fatalf("%s %v: pixel (%d,%d) = (%v, %v), reference (%v, %v)",
+							name, rects, x, y, gx.Pix[i], gy.Pix[i], refX.Pix[i], refY.Pix[i])
+					}
+				}
+			}
 		}
 	})
 }

@@ -1,5 +1,7 @@
 package imgproc
 
+import "image"
+
 // Scratch is a free-list of reusable image buffers for the per-frame
 // kernels: blur, gradients, pyramid reduction and resize all need temporary
 // images whose sizes repeat every frame, and allocating them fresh each time
@@ -19,6 +21,10 @@ package imgproc
 //     Put back.
 type Scratch struct {
 	free []*Gray
+
+	// whole is the one-rectangle list GradientsInto hands GradientsRectsInto;
+	// it lives here so the whole-image call allocates no slice.
+	whole [1]image.Rectangle
 
 	// Memoized Gaussian kernel: per-frame blurs reuse one sigma, so caching
 	// the last kernel keeps GaussianBlurInto allocation-free in steady state.

@@ -17,6 +17,15 @@
 // noise, and the absence of shared queues keeps the package trivially safe
 // for concurrent use from the supervised live pipeline, where a timed-out
 // detector call can still be running while its retry starts.
+//
+// Every band gets a goroutine of its own and the caller parks until they are
+// done. Working the last band on the calling goroutine instead looks cheaper
+// and measured dearer: the one spawned band then sits in the busy caller's
+// run-next slot, which an idle processor steals only as a last resort and
+// after a short sleep, so it starts late on every call (Scharr gradients at
+// 320×180, four calls: 0.65 → 1.0 ms on two cores). A parked caller's
+// processor picks one band up at once and the other is stolen from the
+// ordinary run queue.
 package par
 
 import (
@@ -78,10 +87,13 @@ func Rows(n int, fn func(lo, hi int)) {
 		if i < rem {
 			hi++
 		}
-		go func(lo, hi int) {
+		// The closure captures its band (one allocation) instead of taking
+		// it as arguments, which the compiler would wrap in a second closure.
+		bandLo := lo
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(bandLo, hi)
+		}()
 		lo = hi
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,34 +57,34 @@ func TestRowsCoversExactlyOnce(t *testing.T) {
 }
 
 // TestRowsBandsAreContiguous asserts bands are contiguous, ordered slices of
-// [0, n): sorting band starts must tile the range with no gaps or overlaps.
+// [0, n): sorted by start they must tile the range with no gaps or overlaps,
+// one band per worker.
 func TestRowsBandsAreContiguous(t *testing.T) {
 	restoreWorkers(t)
-	SetWorkers(4)
 	const n = 103
-	var mu sync.Mutex
-	var bands [][2]int
-	Rows(n, func(lo, hi int) {
-		mu.Lock()
-		bands = append(bands, [2]int{lo, hi})
-		mu.Unlock()
-	})
-	covered := make([]bool, n)
-	for _, b := range bands {
-		for i := b[0]; i < b[1]; i++ {
-			if covered[i] {
-				t.Fatalf("index %d covered twice", i)
+	for _, workers := range []int{1, 2, 3, 4, 7} {
+		SetWorkers(workers)
+		var mu sync.Mutex
+		var bands [][2]int
+		Rows(n, func(lo, hi int) {
+			mu.Lock()
+			bands = append(bands, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		if len(bands) != workers {
+			t.Fatalf("got %d bands with %d workers", len(bands), workers)
+		}
+		sort.Slice(bands, func(a, b int) bool { return bands[a][0] < bands[b][0] })
+		next := 0
+		for _, b := range bands {
+			if b[0] != next || b[1] <= b[0] {
+				t.Fatalf("workers=%d: band %v does not continue at %d (bands %v)", workers, b, next, bands)
 			}
-			covered[i] = true
+			next = b[1]
 		}
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d not covered", i)
+		if next != n {
+			t.Fatalf("workers=%d: bands end at %d, want %d", workers, next, n)
 		}
-	}
-	if len(bands) > 4 {
-		t.Fatalf("got %d bands with 4 workers", len(bands))
 	}
 }
 

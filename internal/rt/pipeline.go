@@ -39,8 +39,9 @@ import (
 // publishes, no goroutine, no reordering — which is what the depth-parity
 // tests pin the overlapped path against, byte for byte.
 //
-// Every ring slot owns one frame pyramid between frames: the prefetcher
-// rebuilds it in place for frame i, the processor trades it with the tracker
+// Every ring slot owns one frame pyramid between frames, the level-0 raster
+// included: the prefetcher renders frame i into that raster and rebuilds the
+// levels above it in place, the processor trades the pyramid with the tracker
 // at Init/Step (the tracker keeps the new frame's pyramid as its reference
 // and gives back the one it no longer needs) and puts the traded pyramid back
 // before returning the slot's reuse token. Nothing circulates, so there is
@@ -380,7 +381,16 @@ func (r *stagedRun) detect(slot *pipeSlot, s core.Setting) (dets []core.Detectio
 // the setting currently in the cell — into slot.
 func (r *stagedRun) prefetch(i int, slot *pipeSlot) {
 	t0 := time.Now()
-	f := r.v.FrameWithPixels(i)
+	f := r.v.Frame(i)
+	// The slot owns its pyramid, level 0 included: whichever frame's raster
+	// the pyramid last carried is dead by now, so the new frame renders over
+	// it. Only a pyramid that has never been built has none.
+	if lv := slot.pyr.Levels; len(lv) > 0 {
+		f.Pixels = lv[0]
+	} else {
+		f.Pixels = imgproc.NewGray(r.v.Params.W, r.v.Params.H)
+	}
+	r.v.RenderInto(i, f.Pixels)
 	slot.pyr.Rebuild(f.Pixels, r.tr.PyramidLevels, &r.scratch)
 	slot.frame = f
 	slot.detPrepared = false

@@ -184,42 +184,31 @@ func TestPipelineObservability(t *testing.T) {
 	}
 }
 
-// TestPipelineThroughputGain sanity-checks the point of the exercise: with a
-// non-trivial emulated detector latency, depth 2 must beat depth 1.
-// Continuous detection (cadence 1) maximizes the sleep fraction the prefetch
-// stage can hide, so the expected gain (~1.2-1.4x on one core) sits well
-// above the coarse 1.05x floor; tracker-heavy cadences have a lower overlap
-// ceiling and would flake here. Best-of-two per depth absorbs one-off
-// scheduler or GC hiccups; the real figure is rt.overlap_gain in bench/.
-// Skipped under -race: the detector's slowdown inflates the compute share
-// the sleep cannot hide, and with other test binaries on the cores the
-// ratio sat at 1.04x — an invalid measurement, not a regression.
-func TestPipelineThroughputGain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock ratio is not valid under the race detector")
-	}
-	v := pipelineTestVideo("hw", video.KindHighway, 13, 48)
-	elapsed := func(depth int) time.Duration {
-		best := time.Duration(0)
-		for rep := 0; rep < 2; rep++ {
-			res, err := RunPipelined(context.Background(), v, PipelineConfig{
-				Setting: core.Setting608, Depth: depth, DetectEvery: 1, TimeScale: 0.02,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best == 0 || res.Elapsed < best {
-				best = res.Elapsed
-			}
+// TestPipelineOverlapIsStructural checks the point of the exercise by what
+// the loop records rather than by a wall-clock ratio: at depth 2 some of every
+// run's prefetch time lies inside the previous frame's processing interval
+// (continuous detection with a non-trivial emulated detector latency parks
+// the processor long enough for the prefetcher to get a core even on one
+// CPU), and at depth 1 none can, because the slot is filled inline after that
+// interval has closed. How much wall time the overlap buys is
+// rt.overlap_gain in bench/.
+func TestPipelineOverlapIsStructural(t *testing.T) {
+	v := pipelineTestVideo("hw", video.KindHighway, 13, 24)
+	overlap := func(depth int) *obs.Histogram {
+		reg := obs.NewRegistry()
+		if _, err := RunPipelined(context.Background(), v, PipelineConfig{
+			Setting: core.Setting608, Depth: depth, DetectEvery: 1, TimeScale: 0.02,
+			Obs: reg, StreamID: "s0",
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return best
+		return reg.Histogram(obs.MetricStageOverlap, obs.DefLatencyBuckets, obs.L("stream", "s0"))
 	}
-	seq := elapsed(1)
-	pip := elapsed(2)
-	if float64(seq)/float64(pip) < 1.05 {
-		t.Errorf("depth-2 gain %.2fx (seq %v, pipelined %v): overlap not engaging", float64(seq)/float64(pip), seq, pip)
+	n := int64(v.NumFrames())
+	if h := overlap(1); h.Count() != n-1 || h.Sum() != 0 {
+		t.Errorf("depth 1: %d overlap observations summing to %v s, want %d summing to exactly 0", h.Count(), h.Sum(), n-1)
+	}
+	if h := overlap(2); h.Count() != n-1 || h.Sum() <= 0 {
+		t.Errorf("depth 2: %d overlap observations summing to %v s, want %d with a positive sum: overlap not engaging", h.Count(), h.Sum(), n-1)
 	}
 }

@@ -46,6 +46,12 @@ type PixelTracker struct {
 	prevIndex   int
 	objs        []trackedObject
 	bounds      geom.Rect
+
+	// Per-step working lists of stepFlow, kept across steps: the flow batch,
+	// one object's displacements, and the forward-backward results.
+	batch     []geom.Point
+	dxs, dys  []float64
+	fbResults []flow.Result
 }
 
 // trackedObject is one detection being followed.
@@ -176,50 +182,28 @@ func (t *PixelTracker) heldBoxes() []core.Detection {
 // box by its median flow. The caller owns the pyramid swap. The returned
 // velocity implements Eq. 3: the average displacement magnitude of the
 // features matched between the two frames, normalized by the frame gap
-// (0 when none matched).
+// (0 when none matched). Its working lists live on the tracker and are reset
+// per step; only the returned detections are a fresh slice, because they are
+// published.
 func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]core.Detection, float64) {
 	out := make([]core.Detection, 0, len(t.objs))
 
-	// Gather all live feature points into one flow batch.
-	var batch []geom.Point
-	idx := make([][2]int, 0, 64) // (object index, point index)
+	// Gather all live feature points into one flow batch, object by object.
+	t.batch = t.batch[:0]
 	for oi := range t.objs {
-		if t.objs[oi].lost {
-			continue
-		}
-		for pi, p := range t.objs[oi].pts {
-			batch = append(batch, p)
-			idx = append(idx, [2]int{oi, pi})
+		if !t.objs[oi].lost {
+			t.batch = append(t.batch, t.objs[oi].pts...)
 		}
 	}
 	var results []flow.Result
 	if t.ForwardBackward {
-		fb := t.flowScratch.TrackFB(t.prevPyr, nextPyr, batch, t.FlowParams, t.FBMaxError)
-		results = make([]flow.Result, len(fb))
-		for i, r := range fb {
-			results[i] = r.Result
+		t.fbResults = t.fbResults[:0]
+		for _, r := range t.flowScratch.TrackFB(t.prevPyr, nextPyr, t.batch, t.FlowParams, t.FBMaxError) {
+			t.fbResults = append(t.fbResults, r.Result)
 		}
+		results = t.fbResults
 	} else {
-		results = t.flowScratch.Track(t.prevPyr, nextPyr, batch, t.FlowParams)
-	}
-
-	// Per-object displacement lists.
-	dxs := make([][]float64, len(t.objs))
-	dys := make([][]float64, len(t.objs))
-	kept := make([][]geom.Point, len(t.objs))
-	var velocitySum float64
-	var velocityN int
-	for bi, r := range results {
-		oi := idx[bi][0]
-		if !r.OK {
-			continue
-		}
-		d := r.Pt.Sub(batch[bi])
-		dxs[oi] = append(dxs[oi], d.X)
-		dys[oi] = append(dys[oi], d.Y)
-		kept[oi] = append(kept[oi], r.Pt)
-		velocitySum += d.Norm()
-		velocityN++
+		results = t.flowScratch.Track(t.prevPyr, nextPyr, t.batch, t.FlowParams)
 	}
 
 	// Eq. 3 normalizes by the frame gap because the tracking-frame selector
@@ -229,23 +213,42 @@ func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]co
 		gap = 1
 	}
 	// Shift boxes by the median per-object moving vector. The median makes a
-	// single mistracked feature harmless.
+	// single mistracked feature harmless. Each live object's results follow
+	// the previous object's in the batch; its surviving points are compacted
+	// into its own list in place (the batch holds the originals the
+	// displacements need).
+	var velocitySum float64
+	var velocityN int
+	bi := 0
 	for oi := range t.objs {
 		o := &t.objs[oi]
 		if o.lost {
 			out = append(out, o.det)
 			continue
 		}
-		if len(dxs[oi]) == 0 {
+		t.dxs, t.dys = t.dxs[:0], t.dys[:0]
+		kept := o.pts[:0]
+		for range o.pts {
+			if r := results[bi]; r.OK {
+				d := r.Pt.Sub(t.batch[bi])
+				t.dxs = append(t.dxs, d.X)
+				t.dys = append(t.dys, d.Y)
+				kept = append(kept, r.Pt)
+				velocitySum += d.Norm()
+				velocityN++
+			}
+			bi++
+		}
+		if len(kept) == 0 {
 			// All features lost: freeze the box; it will be recycled at the
 			// next detector calibration.
 			o.lost = true
 			out = append(out, o.det)
 			continue
 		}
-		move := geom.Point{X: median(dxs[oi]), Y: median(dys[oi])}
+		move := geom.Point{X: median(t.dxs), Y: median(t.dys)}
 		o.det.Box = o.det.Box.Translate(move).Clip(t.bounds)
-		o.pts = kept[oi]
+		o.pts = kept
 		out = append(out, o.det)
 	}
 	var velocity float64

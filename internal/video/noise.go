@@ -18,42 +18,71 @@ func mix64(z uint64) uint64 {
 }
 
 // hash2 maps integer lattice coordinates and a seed to a pseudo-random
-// value in [0, 1), stable across platforms and Go releases.
+// value in [0, 1), stable across platforms and Go releases. It is composed
+// of hashX, hashY and hashUnit so a loop over one coordinate can mix the
+// other once.
 //
 //adavp:hotpath
 func hash2(seed uint64, x, y int64) float64 {
-	h := mix64(seed ^ mix64(uint64(x)+0x9e3779b97f4a7c15))
-	h = mix64(h ^ mix64(uint64(y)+0x9e3779b97f4a7c15))
-	return float64(h>>11) / (1 << 53)
+	return hashUnit(hashX(seed, x), hashY(y))
+}
+
+// hashX is hash2's seed-and-column term.
+//
+//adavp:hotpath
+func hashX(seed uint64, x int64) uint64 {
+	return mix64(seed ^ mix64(uint64(x)+0x9e3779b97f4a7c15))
+}
+
+// hashY is hash2's row term.
+//
+//adavp:hotpath
+func hashY(y int64) uint64 { return mix64(uint64(y) + 0x9e3779b97f4a7c15) }
+
+// hashUnit combines the two terms into hash2's value.
+//
+//adavp:hotpath
+func hashUnit(hx, hy uint64) float64 {
+	return float64(mix64(hx^hy)>>11) / (1 << 53)
 }
 
 // smoothstep is the C1-continuous fade used to interpolate lattice values.
 func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
+
+// floor64 floors toward negative infinity so the lattice is seamless across 0.
+func floor64(x float64) int64 {
+	xi := int64(x)
+	if float64(xi) > x {
+		xi--
+	}
+	return xi
+}
+
+// lerp2 interpolates the four corners of a lattice cell with the (already
+// smoothstepped) weights tx, ty.
+func lerp2(v00, v10, v01, v11, tx, ty float64) float64 {
+	top := v00 + tx*(v10-v00)
+	bot := v01 + tx*(v11-v01)
+	return top + ty*(bot-top)
+}
 
 // valueNoise samples single-octave value noise at continuous coordinates.
 // Output is in [0, 1).
 //
 //adavp:hotpath
 func valueNoise(seed uint64, x, y float64) float64 {
-	// Floor toward negative infinity so the lattice is seamless across 0.
-	xi := int64(x)
-	if float64(xi) > x {
-		xi--
-	}
-	yi := int64(y)
-	if float64(yi) > y {
-		yi--
-	}
-	tx := smoothstep(x - float64(xi))
-	ty := smoothstep(y - float64(yi))
-	v00 := hash2(seed, xi, yi)
-	v10 := hash2(seed, xi+1, yi)
-	v01 := hash2(seed, xi, yi+1)
-	v11 := hash2(seed, xi+1, yi+1)
-	top := v00 + tx*(v10-v00)
-	bot := v01 + tx*(v11-v01)
-	return top + ty*(bot-top)
+	xi, yi := floor64(x), floor64(y)
+	return lerp2(hash2(seed, xi, yi), hash2(seed, xi+1, yi), hash2(seed, xi, yi+1), hash2(seed, xi+1, yi+1),
+		smoothstep(x-float64(xi)), smoothstep(y-float64(yi)))
 }
+
+// octaveSeedStep separates the seeds of successive noise octaves.
+const octaveSeedStep = 0x9e37
+
+// fbm2 layers two octaves of value noise (fractional Brownian motion) for a
+// natural-looking texture: n1, sampled at double the frequency of n0, carries
+// half its amplitude. Output is normalized to [0, 1).
+func fbm2(n0, n1 float64) float64 { return (n0 + 0.5*n1) / 1.5 }
 
 // Rain-streak geometry: streaks are lit cells of a slanted lattice that
 // falls across the frame. Tuned for the 320×180 default raster: 2-px wide
@@ -88,25 +117,4 @@ func rainCell(seed uint64, x, y, frame int, density float64) (lit bool, luma flo
 	// Reuse the sub-threshold hash bits for the streak's brightness.
 	frac := h / density
 	return true, rainBlendLo + frac*(rainBlendHi-rainBlendLo)
-}
-
-// fbmNoise layers octaves of value noise (fractional Brownian motion) for a
-// natural-looking texture: octave i has double the frequency and half the
-// amplitude of octave i-1. Output is normalized to [0, 1).
-//
-//adavp:hotpath
-func fbmNoise(seed uint64, x, y float64, octaves int) float64 {
-	if octaves < 1 {
-		octaves = 1
-	}
-	var sum, norm float64
-	amp := 1.0
-	freq := 1.0
-	for i := 0; i < octaves; i++ {
-		sum += amp * valueNoise(seed+uint64(i)*0x9e37, x*freq, y*freq)
-		norm += amp
-		amp /= 2
-		freq *= 2
-	}
-	return sum / norm
 }

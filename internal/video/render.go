@@ -1,8 +1,11 @@
 package video
 
 import (
+	"cmp"
+	"errors"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"adavp/internal/core"
 	"adavp/internal/imgproc"
@@ -47,76 +50,244 @@ func ObjectLuma(videoSeed uint64, objectID int, c core.Class) float64 {
 	return ClassLuma(c) + (h*2-1)*lumaJitter
 }
 
-// Render rasterizes frame i. Rendering is pure: the same video and index
-// always produce the same raster.
+// Render rasterizes frame i into a fresh raster. Rendering is pure: the same
+// video and index always produce the same raster.
 func (v *Video) Render(i int) *imgproc.Gray {
+	img := imgproc.NewGray(v.Params.W, v.Params.H)
+	v.RenderInto(i, img)
+	return img
+}
+
+var errRasterSize = errors.New("video: RenderInto needs a raster of the video's resolution")
+
+// RenderInto rasterizes frame i into dst, which must have the video's
+// resolution and is fully overwritten: an out-of-range index or a dead sensor
+// leaves it all zero. It allocates nothing in steady state, so a caller that
+// owns its rasters (a pipeline ring slot, a frame source) pays for the pixels
+// only.
+//
+// Everything that does not depend on the pixel is computed before the pixel
+// loops and read from renderScratch inside them; every floating-point
+// operation that survives is the one the per-pixel form (renderRef, in the
+// tests) performs, in the same order, so the rasters are bit-identical to it.
+//
+//adavp:hotpath
+func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 	w, h := v.Params.W, v.Params.H
-	img := imgproc.NewGray(w, h)
+	if dst.W != w || dst.H != h {
+		panic(errRasterSize)
+	}
 	if i < 0 || i >= len(v.truth) {
-		return img
+		clear(dst.Pix)
+		return
 	}
 	if len(v.parts) > 0 {
 		// Spliced video: the owning part's seed anchors its textures.
 		pi, local := v.PartIndex(i)
-		return v.parts[pi].Render(local)
+		v.parts[pi].RenderInto(local, dst)
+		return
 	}
 	if v.Params.DeadSensor {
-		// Sensor failure: all-black frames (NewGray zero-fills).
-		return img
+		// Sensor failure: all-black frames.
+		clear(dst.Pix)
+		return
 	}
 	if v.srcFrame != nil {
 		// A dropped frame repeats its source frame exactly: every seed below
 		// keys on the source index, so the rasters are identical.
 		i = v.srcFrame[i]
 	}
-	camX, camY := v.camX[i], v.camY[i]
-	bgSeed := v.seed ^ 0x5bd1e995
+	rs := renderPool.Get().(*renderScratch)
+	defer renderPool.Put(rs)
 
 	// Background: fractal noise in world coordinates so camera pan and ego
 	// scroll translate it exactly like real scenery. Rows are independent,
 	// so the raster fills in parallel bands; every pixel runs the same
 	// scalar expression, keeping rendering pure at any worker count.
+	bg := &rs.bg
+	bg[0].fill(v.seed^0x5bd1e995, 1, w, h, v.camX[i], v.camY[i])
+	bg[1].fill(v.seed^0x5bd1e995+octaveSeedStep, 2, w, h, v.camX[i], v.camY[i])
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			wy := (float64(y) + camY) / bgScale
-			row := img.Row(y)
-			for x := 0; x < w; x++ {
-				wx := (float64(x) + camX) / bgScale
-				n := fbmNoise(bgSeed, wx, wy, 2)
-				row[x] = float32(bgLow + n*(bgHigh-bgLow))
+			row := dst.Row(y)
+			top0, bot0, ty0 := bg[0].row(y, w)
+			top1, bot1, ty1 := bg[1].row(y, w)
+			for x := range row {
+				n0 := top0[x] + ty0*(bot0[x]-top0[x])
+				n1 := top1[x] + ty1*(bot1[x]-top1[x])
+				row[x] = float32(bgLow + fbm2(n0, n1)*(bgHigh-bgLow))
 			}
 		}
 	})
 
 	// Objects, oldest first so newer objects occlude older ones near the
-	// camera — an arbitrary but stable depth order. The render list carries
-	// unclipped boxes so texture stays anchored to the physical object even
-	// when it is partially outside the view.
-	objs := make([]renderObject, len(v.render[i]))
-	copy(objs, v.render[i])
-	sort.Slice(objs, func(a, b int) bool { return objs[a].id < objs[b].id })
-	for _, o := range objs {
-		v.drawObject(img, o, i)
+	// camera — an arbitrary but stable depth order (IDs are unique within a
+	// frame). The render list carries unclipped boxes so texture stays
+	// anchored to the physical object even when it is partially outside the
+	// view.
+	rs.objs = append(rs.objs[:0], v.render[i]...)
+	slices.SortFunc(rs.objs, func(a, b renderObject) int { return cmp.Compare(a.id, b.id) })
+	for _, o := range rs.objs {
+		v.drawObject(dst, o, i, &rs.tex)
 	}
 
 	// Atmospheric/exposure stressors (hostile presets) act on the formed
 	// image before the sensor adds its read noise.
-	v.applyStressors(img, i)
+	v.applyStressors(dst, i)
 
 	// Sensor noise: independent per frame and pixel, deterministic in the
-	// (seed, frame, pixel) triple.
+	// (seed, frame, pixel) triple. hash2's column term is mixed once per
+	// frame and its row term once per row.
 	if amp := float32(v.Params.SensorNoise); amp > 0 {
 		noiseSeed := v.seed ^ 0x6e6f6973 ^ uint64(i)*0x9e3779b97f4a7c15
+		rs.noiseCol = grown(rs.noiseCol, w)
+		cols := rs.noiseCol
+		for x := range cols {
+			cols[x] = hashX(noiseSeed, int64(x))
+		}
 		par.Rows(h, func(lo, hi int) {
 			for y := lo; y < hi; y++ {
-				row := img.Row(y)
-				for x := range row {
-					row[x] += (float32(hash2(noiseSeed, int64(x), int64(y))) - 0.5) * 2 * amp
+				row := dst.Row(y)[:len(cols)]
+				hy := hashY(int64(y))
+				for x, hx := range cols {
+					row[x] += (float32(hashUnit(hx, hy)) - 0.5) * 2 * amp
 				}
 			}
 		})
 	}
-	return img
+}
+
+// renderScratch holds what one RenderInto call computes once and its pixel
+// loops only read. It is pooled rather than kept on the Video because renders
+// of one video overlap (the live pipeline's prefetcher and tracker), and
+// rather than stack-allocated because the par.Rows closures would move it to
+// the heap on every call.
+type renderScratch struct {
+	bg       [2]bgOctave
+	tex      [2]texWindow
+	objs     []renderObject
+	noiseCol []uint64
+}
+
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// grown returns s with length n and undefined contents, reallocating only
+// when its capacity is short. Not inlined, so that escape analysis reports
+// the allocation here once instead of in every hot function that calls it.
+//
+//go:noinline
+//adavp:amortized allocates only when a frame needs a larger table than any this scratch has held; same-size frames reuse the arrays
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// bgOctave is one octave of the background's value noise over a whole frame,
+// with everything that depends on the column alone already applied: for each
+// lattice row the frame touches, the row's hashed corners interpolated
+// horizontally at every pixel column (cell index and smoothstep weight depend
+// on x and the camera offset only). A pixel is then one vertical
+// interpolation between two of these rows. Hashing the corners per pixel —
+// each is shared by bgScale² of them — was almost all of the renderer's time.
+type bgOctave struct {
+	freq, camY float64
+	y0         int64     // lattice row of lerp's first row
+	lerp       []float64 // lattice rows interpolated at every pixel column, row-major
+	col        []int32   // fill's scratch: lattice column of pixel column x, from the first
+	tx         []float64 // fill's scratch: smoothstep weight of pixel column x
+	lat        []float64 // fill's scratch: one row of hashed lattice corners
+}
+
+// fill builds the table for a w×h frame at the given camera offset.
+//
+//adavp:hotpath
+func (o *bgOctave) fill(seed uint64, freq float64, w, h int, camX, camY float64) {
+	o.freq, o.camY = freq, camY
+	o.col, o.tx = grown(o.col, w), grown(o.tx, w)
+	col, tx := o.col, o.tx
+	// The coordinate is monotonic in x and in y, so column 0 and row 0 have
+	// the lowest cells and the last ones the highest.
+	x0 := floor64(camX / bgScale * freq)
+	for x := range col {
+		wx := (float64(x) + camX) / bgScale * freq
+		xi := floor64(wx)
+		col[x] = int32(xi - x0)
+		tx[x] = smoothstep(wx - float64(xi))
+	}
+	o.lat = grown(o.lat, int(col[w-1])+2)
+	o.y0 = floor64(camY / bgScale * freq)
+	rows := int(floor64((float64(h-1)+camY)/bgScale*freq)-o.y0) + 2
+	o.lerp = grown(o.lerp, rows*w)
+	for r := 0; r < rows; r++ {
+		hy := hashY(o.y0 + int64(r))
+		for c := range o.lat {
+			o.lat[c] = hashUnit(hashX(seed, x0+int64(c)), hy)
+		}
+		out := o.lerp[r*w : (r+1)*w]
+		for x, c := range col {
+			out[x] = o.lat[c] + tx[x]*(o.lat[c+1]-o.lat[c])
+		}
+	}
+}
+
+// row returns, for pixel row y of a w-wide frame, the two interpolated
+// lattice rows it lies between and its vertical smoothstep weight.
+//
+//adavp:hotpath
+func (o *bgOctave) row(y, w int) (top, bot []float64, ty float64) {
+	wy := (float64(y) + o.camY) / bgScale * o.freq
+	yi := floor64(wy)
+	r := int(yi-o.y0) * w
+	return o.lerp[r : r+w], o.lerp[r+w : r+2*w], smoothstep(wy - float64(yi))
+}
+
+// texWindow is the part of one texture octave's lattice an object can touch
+// in one frame. Texture coordinates span [deform, objTexCells+deform] per
+// axis, so the window is anchored at floor(deform·freq) and a few cells wide;
+// every pixel and every blur tap of the object indexes it.
+type texWindow struct {
+	seed   uint64
+	ox, oy int64 // lattice coordinates of v[0]
+	side   int64
+	v      [texWindowMax * texWindowMax]float64
+}
+
+// texWindowMax is the widest window: the second octave's coordinates span
+// 2·objTexCells cells, whose corners lie on 2·objTexCells+2 lattice lines, plus
+// one for a span that straddles a line at both ends.
+const texWindowMax = 2*objTexCells + 3
+
+// fill hashes the window of the octave with the given frequency for an
+// object whose texture slid by (deformX, deformY) cells.
+//
+//adavp:hotpath
+func (t *texWindow) fill(seed uint64, freq, deformX, deformY float64) {
+	t.seed = seed
+	t.ox, t.oy = floor64(deformX*freq), floor64(deformY*freq)
+	t.side = int64(objTexCells*freq) + 3
+	for j := int64(0); j < t.side; j++ {
+		for i := int64(0); i < t.side; i++ {
+			t.v[j*t.side+i] = hash2(seed, t.ox+i, t.oy+j)
+		}
+	}
+}
+
+// sample is valueNoise(t.seed, x, y) read from the window; coordinates whose
+// cell is not in it (a deformation so large that adding it rounds the texture
+// coordinate out of its span) take valueNoise itself.
+//
+//adavp:hotpath
+func (t *texWindow) sample(x, y float64) float64 {
+	xi, yi := floor64(x), floor64(y)
+	i, j := xi-t.ox, yi-t.oy
+	if uint64(i) >= uint64(t.side-1) || uint64(j) >= uint64(t.side-1) {
+		return valueNoise(t.seed, x, y)
+	}
+	k := j*t.side + i
+	return lerp2(t.v[k], t.v[k+1], t.v[k+t.side], t.v[k+t.side+1],
+		smoothstep(x-float64(xi)), smoothstep(y-float64(yi)))
 }
 
 // fogGray is the uniform luminance fog pulls every pixel toward: between
@@ -183,7 +354,7 @@ func (v *Video) applyStressors(img *imgproc.Gray, frame int) {
 //     untrackable — the reason fast videos are the hard case (Fig. 2).
 //
 //adavp:hotpath
-func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int) {
+func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int, tex *[2]texWindow) {
 	box := o.box
 	base := ObjectLuma(v.seed, o.id, o.class)
 	texSeed := v.seed ^ (uint64(o.id) * 0x9e3779b97f4a7c15)
@@ -245,7 +416,7 @@ func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int) {
 		}
 		tx := (nx+1)/2*objTexCells + deformX
 		ty := (ny+1)/2*objTexCells + deformY
-		n := fbmNoise(texSeed, tx, ty, 2)
+		n := fbm2(tex[0].sample(tx, ty), tex[1].sample(tx*2, ty*2))
 		val := base + (n-0.5)*2*objTexAmp
 		if val < 0.46 {
 			val = 0.46 // keep objects inside the bright band
@@ -278,6 +449,10 @@ func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int) {
 	if yHi < yLo || xHi < xLo {
 		return
 	}
+	// The texture lattice this object can touch this frame, hashed once for
+	// all of its pixels and blur taps.
+	tex[0].fill(texSeed, 1, deformX, deformY)
+	tex[1].fill(texSeed+octaveSeedStep, 2, deformX, deformY)
 	par.Rows(yHi-yLo+1, func(lo, hi int) {
 		for y := yLo + lo; y < yLo+hi; y++ {
 			row := img.Row(y)
