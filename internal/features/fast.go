@@ -1,8 +1,6 @@
 package features
 
 import (
-	"sort"
-
 	"adavp/internal/geom"
 	"adavp/internal/imgproc"
 )
@@ -58,49 +56,36 @@ func DetectFAST(img *imgproc.Gray, masks []geom.Rect, p FASTParams) []Feature {
 	if p.Threshold <= 0 {
 		p.Threshold = 0.08
 	}
-	inMask := func(x, y int) bool {
-		if len(masks) == 0 {
-			return true
-		}
-		pt := geom.Point{X: float64(x), Y: float64(y)}
-		for _, m := range masks {
-			if m.Contains(pt) {
-				return true
-			}
-		}
-		return false
+	// The circle reaches three pixels out, so the border is three wide.
+	var s Scratch
+	s.maskRects(masks, img.W, img.H, 3)
+	if len(s.rects) == 0 {
+		return nil
 	}
+	y0, y1 := rowRange(s.rects)
 
-	// Score map for non-max suppression: 0 for non-corners.
+	// Score map for non-max suppression: 0 for non-corners and outside the
+	// masks.
 	score := imgproc.NewGray(img.W, img.H)
-	for y := 3; y < img.H-3; y++ {
-		for x := 3; x < img.W-3; x++ {
-			if !inMask(x, y) {
-				continue
-			}
-			if s := fastScore(img, x, y, p.Threshold, p.N); s > 0 {
-				score.Pix[y*img.W+x] = s
+	for y := y0; y < y1; y++ {
+		row := score.Row(y)
+		for _, sp := range rowSpans(s.spans, s.rects, y) {
+			for x := sp.x0; x < sp.x1; x++ {
+				row[x] = fastScore(img, x, y, p.Threshold, p.N)
 			}
 		}
 	}
-	var cands []Feature
-	for y := 3; y < img.H-3; y++ {
-		for x := 3; x < img.W-3; x++ {
-			s := score.Pix[y*img.W+x]
-			if s <= 0 || !isLocalMax(score, x, y, s) {
-				continue
+	for y := y0; y < y1; y++ {
+		row := score.Row(y)
+		for _, sp := range rowSpans(s.spans, s.rects, y) {
+			for x := sp.x0; x < sp.x1; x++ {
+				if v := row[x]; v > 0 && isLocalMax(score, x, y, v) {
+					s.cands = append(s.cands, Feature{Pt: geom.Point{X: float64(x), Y: float64(y)}, Score: float64(v)})
+				}
 			}
-			cands = append(cands, Feature{Pt: geom.Point{X: float64(x), Y: float64(y)}, Score: float64(s)})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
-	if p.MinDistance > 0 {
-		cands = enforceMinDistance(cands, p.MinDistance)
-	}
-	if p.MaxCorners > 0 && len(cands) > p.MaxCorners {
-		cands = cands[:p.MaxCorners]
-	}
-	return cands
+	return s.strongest(s.cands, p.MinDistance, p.MaxCorners, img.W, img.H)
 }
 
 // fastScore runs the segment test at (x, y) and returns the corner score

@@ -6,6 +6,7 @@ import (
 	"adavp/internal/geom"
 	"adavp/internal/imgproc"
 	"adavp/internal/rng"
+	"adavp/internal/video"
 )
 
 // drawRect paints an axis-aligned bright rectangle on a dark background; its
@@ -167,8 +168,44 @@ func BenchmarkDetect320(b *testing.B) {
 	}
 	masks := []geom.Rect{{Left: 0, Top: 0, W: 320, H: 180}}
 	p := DefaultParams()
+	var scratch Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Detect(img, masks, p)
+		_ = scratch.Detect(img, masks, p)
+	}
+}
+
+// BenchmarkDetect704 is the tracker's Init at the benchmark's frame size: a
+// rendered 704×396 frame through one reused Scratch, on the truth boxes (what
+// the tracker passes) and on one whole-frame mask — the worst case, where
+// nothing can be skipped. The reference rows are the whole-frame form the
+// parity tests compare against.
+func BenchmarkDetect704(b *testing.B) {
+	vp := video.ScenarioParams(video.KindCityStreet)
+	vp.W, vp.H = 704, 396
+	f := video.Generate("v", vp, 1, 12).FrameWithPixels(8)
+	var boxes []geom.Rect
+	for _, o := range f.Truth {
+		boxes = append(boxes, o.Box)
+	}
+	whole := []geom.Rect{{W: 704, H: 396}}
+	p := trackerParams()
+	for _, c := range []struct {
+		name  string
+		masks []geom.Rect
+	}{{"truth-boxes", boxes}, {"whole-frame", whole}} {
+		b.Run(c.name, func(b *testing.B) {
+			var scratch Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = scratch.Detect(f.Pixels, c.masks, p)
+			}
+		})
+		b.Run(c.name+"/reference", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = detectRef(f.Pixels, c.masks, p)
+			}
+		})
 	}
 }

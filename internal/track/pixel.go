@@ -38,14 +38,17 @@ type PixelTracker struct {
 	// spare pyramid's buffers from the new frame and swaps, instead of
 	// reallocating the whole stack every frame. scratch feeds the imgproc
 	// temporaries of the rebuild; flowScratch keeps the Lucas–Kanade
-	// gradient buffers alive across Steps.
+	// gradient buffers alive across Steps, featScratch the Shi–Tomasi
+	// buffers across Inits.
 	prevPyr     *imgproc.Pyramid
 	sparePyr    *imgproc.Pyramid
 	scratch     imgproc.Scratch
 	flowScratch flow.Scratch
+	featScratch features.Scratch
 	prevIndex   int
 	objs        []trackedObject
 	bounds      geom.Rect
+	masks       []geom.Rect // initFeatures' box list, reset per Init
 
 	// Per-step working lists of stepFlow, kept across steps: the flow batch,
 	// one object's displacements, and the forward-backward results.
@@ -111,11 +114,11 @@ func (t *PixelTracker) InitWithPyramid(ref core.Frame, dets []core.Detection, py
 // initFeatures extracts good features inside the detection boxes and builds
 // the tracked-object list.
 func (t *PixelTracker) initFeatures(ref core.Frame, dets []core.Detection) int {
-	masks := make([]geom.Rect, 0, len(dets))
+	t.masks = t.masks[:0]
 	for _, d := range dets {
-		masks = append(masks, d.Box)
+		t.masks = append(t.masks, d.Box)
 	}
-	feats := features.Detect(ref.Pixels, masks, t.FeatureParams)
+	feats := t.featScratch.Detect(ref.Pixels, t.masks, t.FeatureParams)
 	total := 0
 	for _, d := range dets {
 		obj := trackedObject{det: d}
