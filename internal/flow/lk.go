@@ -105,24 +105,44 @@ type Scratch struct {
 }
 
 // tmplBuf is one worker's template window (gradients and intensities of the
-// patch being tracked).
+// patch being tracked) and the tap tables the window is sampled through.
 type tmplBuf struct {
 	x, y, i []float64
+	// xt and yt are the column and row taps of the window being sampled,
+	// 2r+1 each: the template's, then J's for each Newton iteration.
+	xt, yt []tap
+}
+
+// tap is one axis of a bilinear sample: the lower and upper pixel index,
+// clamped to the level the way Gray.At clamps (row taps pre-multiplied by the
+// width), and the fraction between them.
+type tap struct {
+	lo, hi int
+	f      float32
 }
 
 var tmplPool = sync.Pool{New: func() any { return new(tmplBuf) }}
 
-// ensure resizes the template buffers for window radius r.
+// ensure resizes the template buffers and tap tables for window radius r.
 //
 //adavp:hotpath
 func (t *tmplBuf) ensure(r int) {
-	n := (2*r + 1) * (2*r + 1)
-	if cap(t.x) < n {
-		t.x = make([]float64, n)
-		t.y = make([]float64, n)
-		t.i = make([]float64, n)
+	m := 2*r + 1
+	t.x, t.y, t.i = grown(t.x, m*m), grown(t.y, m*m), grown(t.i, m*m)
+	t.xt, t.yt = grown(t.xt, m), grown(t.yt, m)
+}
+
+// grown returns s with length n and undefined contents, reallocating only
+// when its capacity is short. Not inlined, so that escape analysis reports the
+// allocation here once instead of in every hot function that calls it.
+//
+//go:noinline
+//adavp:amortized allocates only when a worker's template buffer first meets a larger window radius; the pooled buffers are reused
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	t.x, t.y, t.i = t.x[:n], t.y[:n], t.i[:n]
+	return s[:n]
 }
 
 // Track estimates, for every point pts[i] in the previous frame, its position
@@ -141,16 +161,27 @@ func Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params) []Result {
 //adavp:hotpath
 func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params) []Result {
 	p = p.withDefaults()
-	levels := len(prev.Levels)
-	if l := len(next.Levels); l < levels {
-		levels = l
-	}
-	if levels > p.MaxLevels {
-		levels = p.MaxLevels
-	}
-	// Precompute gradients of the previous image once per level, inside the
-	// rectangles the points' template windows read; every point reuses them
-	// (read-only during the fan-out).
+	levels := s.differentiate(prev, next, pts, p)
+	out := make([]Result, len(pts)) //adavp:alloc-ok the result slice is returned; its ownership transfers to the caller
+	par.Rows(len(pts), func(lo, hi int) {
+		tb := tmplPool.Get().(*tmplBuf)
+		tb.ensure(p.WindowRadius)
+		for i := lo; i < hi; i++ {
+			out[i] = trackOne(prev, next, s.gx[:levels], s.gy[:levels], pts[i], levels, p, tb)
+		}
+		tmplPool.Put(tb)
+	})
+	return out
+}
+
+// differentiate returns the number of pyramid levels Track works on and
+// leaves in s.gx, s.gy the gradients of prev's levels inside the rectangles
+// the points' template windows read; every point reuses them (read-only
+// during the fan-out). p must carry its defaults.
+//
+//adavp:hotpath
+func (s *Scratch) differentiate(prev, next *imgproc.Pyramid, pts []geom.Point, p Params) int {
+	levels := min(len(prev.Levels), len(next.Levels), p.MaxLevels)
 	for len(s.gx) < levels {
 		s.gx = append(s.gx, nil)
 		s.gy = append(s.gy, nil)
@@ -162,16 +193,7 @@ func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params)
 		s.windowRects(pts, levelScale(l), p.WindowRadius, lvl.W, lvl.H)
 		imgproc.GradientsRectsInto(s.gx[l], s.gy[l], lvl, s.rects, &s.img)
 	}
-	out := make([]Result, len(pts)) //adavp:alloc-ok the result slice is returned; its ownership transfers to the caller
-	par.Rows(len(pts), func(lo, hi int) {
-		tb := tmplPool.Get().(*tmplBuf)
-		tb.ensure(p.WindowRadius)
-		for i := lo; i < hi; i++ {
-			out[i] = trackOne(prev, next, s.gx[:levels], s.gy[:levels], pts[i], levels, p, tb)
-		}
-		tmplPool.Put(tb)
-	})
-	return out
+	return levels
 }
 
 // levelScale is the factor from full-resolution coordinates to level l's.
@@ -252,38 +274,43 @@ func ensureSize(g *imgproc.Gray, w, h int) *imgproc.Gray {
 
 // trackOne runs the coarse-to-fine estimation for a single point.
 //
+// Every window sample is Gray.Bilinear's arithmetic on Gray.At's clamped taps,
+// but the floor, fraction and clamp of a coordinate are taken once per window
+// column and once per window row (tb.xt, tb.yt) instead of once per sample:
+// the template's once per level — gx, gy and I are the same size, so they
+// share them — and J's once per Newton iteration and for the final residual.
+// The coordinates keep the association the per-sample form used, base + dx in
+// the template and (base + dx) + ν in J, so every entry is bitwise the floor
+// and fraction Bilinear computed for the samples of its column or row.
+//
 //adavp:hotpath
 func trackOne(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Point, levels int, p Params, tb *tmplBuf) Result {
-	r := p.WindowRadius
 	// Displacement guess carried across levels, expressed at the current level.
 	var guess geom.Point
 	ok := true
 	var residual float64
+	tmplX, tmplY, tmplI := tb.x, tb.y, tb.i
 	for l := levels - 1; l >= 0; l-- {
 		base := pt.Scale(levelScale(l))
-		I := prev.Levels[l]
-		J := next.Levels[l]
-		gx := gxs[l]
-		gy := gys[l]
+		I, w, h := levelPix(prev.Levels[l])
+		gx, _, _ := levelPix(gxs[l])
+		gy, _, _ := levelPix(gys[l])
+		J, jw, jh := levelPix(next.Levels[l])
 
 		// Structure tensor of the template window around base in I.
+		tb.windowTaps(base, w, h)
 		var a, b2, c float64
-		tmplX := tb.x
-		tmplY := tb.y
-		tmplI := tb.i
 		k0 := 0
-		for dy := -r; dy <= r; dy++ {
-			for dx := -r; dx <= r; dx++ {
-				x := base.X + float64(dx)
-				y := base.Y + float64(dy)
-				ix := float64(gx.Bilinear(x, y))
-				iy := float64(gy.Bilinear(x, y))
+		for _, ty := range tb.yt {
+			for _, tx := range tb.xt {
+				ix := float64(bilerp(gx, tx, ty))
+				iy := float64(bilerp(gy, tx, ty))
 				a += ix * ix
 				b2 += ix * iy
 				c += iy * iy
 				tmplX[k0] = ix
 				tmplY[k0] = iy
-				tmplI[k0] = float64(I.Bilinear(x, y))
+				tmplI[k0] = float64(bilerp(I, tx, ty))
 				k0++
 			}
 		}
@@ -305,13 +332,12 @@ func trackOne(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Poi
 		// Newton iterations refining the displacement at this level.
 		nu := guess
 		for iter := 0; iter < p.MaxIters; iter++ {
+			tb.shiftedTaps(base, nu, jw, jh)
 			var bx, by float64
 			k := 0
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					x := base.X + float64(dx)
-					y := base.Y + float64(dy)
-					diff := tmplI[k] - float64(J.Bilinear(x+nu.X, y+nu.Y))
+			for _, ty := range tb.yt {
+				for _, tx := range tb.xt {
+					diff := tmplI[k] - float64(bilerp(J, tx, ty))
 					bx += diff * tmplX[k]
 					by += diff * tmplY[k]
 					k++
@@ -331,13 +357,12 @@ func trackOne(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Poi
 			guess = guess.Scale(2)
 		} else {
 			// Final residual at full resolution.
+			tb.shiftedTaps(base, nu, jw, jh)
 			var sum float64
 			k := 0
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					x := base.X + float64(dx)
-					y := base.Y + float64(dy)
-					sum += math.Abs(tmplI[k] - float64(J.Bilinear(x+nu.X, y+nu.Y)))
+			for _, ty := range tb.yt {
+				for _, tx := range tb.xt {
+					sum += math.Abs(tmplI[k] - float64(bilerp(J, tx, ty)))
 					k++
 				}
 			}
@@ -356,4 +381,88 @@ func trackOne(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Poi
 		}
 	}
 	return Result{Pt: final, OK: ok, Residual: residual}
+}
+
+// windowTaps fills t's tap tables for the window centred on c in a w×h
+// level: entry k samples c + (k−r) along its axis.
+//
+//adavp:hotpath
+func (t *tmplBuf) windowTaps(c geom.Point, w, h int) {
+	r := len(t.xt) / 2
+	for k := range t.xt {
+		t.xt[k] = axisTap(c.X+float64(k-r), w, 1)
+	}
+	for k := range t.yt {
+		t.yt[k] = axisTap(c.Y+float64(k-r), h, w)
+	}
+}
+
+// shiftedTaps is windowTaps for that window displaced by d: entry k samples
+// (c + (k−r)) + d, the association trackOne has always sampled J at. Folding
+// it into c + d + (k−r) would round differently.
+//
+//adavp:hotpath
+func (t *tmplBuf) shiftedTaps(c, d geom.Point, w, h int) {
+	r := len(t.xt) / 2
+	for k := range t.xt {
+		t.xt[k] = axisTap((c.X+float64(k-r))+d.X, w, 1)
+	}
+	for k := range t.yt {
+		t.yt[k] = axisTap((c.Y+float64(k-r))+d.Y, h, w)
+	}
+}
+
+// axisTap is Bilinear's floor and fraction of coordinate v and At's clamp of
+// both taps to an axis of n > 0 pixels, indices scaled by stride. The upper
+// tap is x0+1 in int arithmetic, as in Bilinear, so a NaN, infinite or huge
+// coordinate — whose conversion is the minimum int on amd64 — clamps the way
+// it always did.
+//
+//adavp:hotpath
+func axisTap(v float64, n, stride int) tap {
+	x0 := int(math.Floor(v))
+	return tap{lo: clampIndex(x0, n) * stride, hi: clampIndex(x0+1, n) * stride, f: float32(v - float64(x0))}
+}
+
+// clampIndex clamps i to [0, n) the way Gray.At does.
+//
+//adavp:hotpath
+func clampIndex(i, n int) int {
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return n - 1
+	}
+	return i
+}
+
+// bilerp is Bilinear's interpolation of pix between the taps of a window
+// column x and row y. Inside the image the clamped taps are the plain ones,
+// so the same body serves interior and border samples.
+//
+//adavp:hotpath
+func bilerp(pix []float32, x, y tap) float32 {
+	v00 := pix[y.lo+x.lo]
+	v10 := pix[y.lo+x.hi]
+	v01 := pix[y.hi+x.lo]
+	v11 := pix[y.hi+x.hi]
+	top := v00 + x.f*(v10-v00)
+	bot := v01 + x.f*(v11-v01)
+	return top + y.f*(bot-top)
+}
+
+// zeroLevel stands in for an empty pyramid level: every tap clamps to its one
+// pixel. Gray.At returns 0 for every tap of an empty image and Bilinear still
+// interpolates between those zeros, so a NaN or infinite fraction stays NaN.
+var zeroLevel [1]float32
+
+// levelPix returns g's pixels and size, an empty image as zeroLevel.
+//
+//adavp:hotpath
+func levelPix(g *imgproc.Gray) (pix []float32, w, h int) {
+	if g.W == 0 || g.H == 0 {
+		return zeroLevel[:], 1, 1
+	}
+	return g.Pix, g.W, g.H
 }

@@ -6,7 +6,9 @@ import (
 
 	"adavp/internal/geom"
 	"adavp/internal/imgproc"
+	"adavp/internal/par"
 	"adavp/internal/rng"
+	"adavp/internal/video"
 )
 
 // texturedImage builds an image with smooth random texture, which is ideal
@@ -232,5 +234,56 @@ func BenchmarkTrack50Points(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Track(pp, np, pts, p)
+	}
+}
+
+// track704 is the scene-cut kind's rendered 704×396 frames 2 and 3 with the
+// 30 features PixelTracker would follow in frame 2's truth boxes — about the
+// 30.67 points a pixel_seq step tracks.
+func track704() framePair {
+	return renderedPairs([]video.Kind{video.KindSceneCut})[0]
+}
+
+// TestTrackSteadyStateAllocs pins what a warm Scratch.Track allocates at one
+// worker: the returned results and one par.Rows closure header per fan-out —
+// the points' own and the four passes of the windowed gradients on each of
+// the three levels — never a template window or tap table.
+func TestTrackSteadyStateAllocs(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	par.SetWorkers(1)
+	fp := track704()
+	var s Scratch
+	p := DefaultParams()
+	s.Track(fp.prev, fp.next, fp.pts, p)
+	const want = 1 + 1 + 4*3
+	if allocs := testing.AllocsPerRun(20, func() { s.Track(fp.prev, fp.next, fp.pts, p) }); allocs != want {
+		t.Errorf("warm Scratch.Track allocates %.1f allocs/op, want %d", allocs, want)
+	}
+}
+
+// trackSink keeps the benchmarked calls' results alive.
+var trackSink []Result
+
+// BenchmarkTrack704 tracks track704's points through a reused Scratch;
+// BenchmarkTrack704Ref is the same call with trackOneRef as the solver.
+func BenchmarkTrack704(b *testing.B) {
+	fp := track704()
+	var s Scratch
+	p := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trackSink = s.Track(fp.prev, fp.next, fp.pts, p)
+	}
+}
+
+func BenchmarkTrack704Ref(b *testing.B) {
+	fp := track704()
+	var s Scratch
+	p := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trackSink = s.trackRef(fp.prev, fp.next, fp.pts, p)
 	}
 }

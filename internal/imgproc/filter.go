@@ -126,8 +126,9 @@ func convolveRowH(out []float32, g *Gray, kernel []float32, y, x0, x1 int) {
 // convolveRowV writes columns [x0, x1) of row y of the vertical convolution
 // of g into out (len ≥ x1). Interior rows [radius, h-radius) see every tap
 // row in bounds, so the taps accumulate column-wise over whole rows — the
-// same additions in the same order as the per-pixel reference; border rows
-// take its clamped taps.
+// same additions in the same order as the per-pixel reference, starting, as
+// it does, from +0 (a first product of −0 stays −0 on its own but is +0 once
+// added to +0); border rows take its clamped taps.
 //
 //adavp:hotpath
 func convolveRowV(out []float32, g *Gray, kernel []float32, y, x0, x1 int) {
@@ -137,7 +138,7 @@ func convolveRowV(out []float32, g *Gray, kernel []float32, y, x0, x1 int) {
 		first := g.Row(y - radius)[x0:x1]
 		kv0 := kernel[0]
 		for x := range out {
-			out[x] = kv0 * first[x]
+			out[x] = 0 + kv0*first[x]
 		}
 		for i := 1; i < len(kernel); i++ {
 			kv := kernel[i]
@@ -255,8 +256,15 @@ func GradientsRectsInto(gx, gy, g *Gray, rects []image.Rectangle, s *Scratch) {
 }
 
 // burtAdelson is the [1 4 6 4 1]/16 anti-aliasing filter used by the
-// pyramid reduction step.
-var burtAdelson = []float32{1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16}
+// pyramid reduction step; ba0, ba1 and ba2 are its outer, inner and centre
+// taps, which the register passes of Downsample2Into use as constants.
+const (
+	ba0 float32 = 1.0 / 16
+	ba1 float32 = 4.0 / 16
+	ba2 float32 = 6.0 / 16
+)
+
+var burtAdelson = []float32{ba0, ba1, ba2, ba1, ba0}
 
 // Downsample2 returns the image reduced by a factor of two with the
 // Burt–Adelson [1 4 6 4 1]/16 anti-aliasing filter applied along both axes
@@ -275,9 +283,13 @@ func Downsample2(g *Gray) *Gray {
 // is fused with the decimation: the horizontal Burt–Adelson pass is evaluated
 // only at even source columns (the only ones decimation keeps) into a
 // half-width intermediate, and the vertical pass only at even source rows —
-// about 37% of the arithmetic of filter-everything-then-decimate. Every
-// surviving value is computed with the identical taps in the identical order,
-// so the output is bitwise-identical to Downsample2Ref.
+// about 37% of the arithmetic of filter-everything-then-decimate. Outputs
+// whose five taps are all in bounds accumulate in a register with the taps as
+// constants: a horizontal one reads one five-pixel slice of its row, and a
+// vertical output row is one sweep over its five source rows. Border outputs
+// take the clamped per-tap path. Every value starts from +0 and adds the
+// identical products in the identical order as Convolve1DRef, so the output
+// is bitwise-identical to Downsample2Ref.
 //
 //adavp:hotpath
 func Downsample2Into(dst, g *Gray, s *Scratch) {
@@ -286,21 +298,17 @@ func Downsample2Into(dst, g *Gray, s *Scratch) {
 		return
 	}
 	tmp := s.Take(w, g.H)
-	// Destination columns [1, xHi) have their source column 2x at least two
-	// pixels from either edge and read a contiguous window of their own row.
-	xHi := max(1, (g.W-1)/2)
+	// Destination columns [1, xHi) and rows [1, yHi) have their source column
+	// or row at least two pixels from either edge.
+	xHi, yHi := max(1, (g.W-1)/2), max(1, (g.H-1)/2)
 	par.Rows(g.H, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			row := g.Row(y)
 			out := tmp.Row(y)
 			out[0] = convolveClampedH(g, burtAdelson, 2, 0, y)
 			for x := 1; x < xHi; x++ {
-				var acc float32
-				win := row[2*x-2:]
-				for i, kv := range burtAdelson {
-					acc += kv * win[i]
-				}
-				out[x] = acc
+				win := row[2*x-2 : 2*x+3]
+				out[x] = 0 + ba0*win[0] + ba1*win[1] + ba2*win[2] + ba1*win[3] + ba0*win[4]
 			}
 			for x := xHi; x < w; x++ {
 				out[x] = convolveClampedH(g, burtAdelson, 2, 2*x, y)
@@ -309,7 +317,15 @@ func Downsample2Into(dst, g *Gray, s *Scratch) {
 	})
 	par.Rows(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y, 0, w)
+			if y < 1 || y >= yHi {
+				convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y, 0, w)
+				continue
+			}
+			out, c := dst.Row(y)[:w], 2*y
+			r0, r1, r2, r3, r4 := tmp.Row(c - 2)[:w], tmp.Row(c - 1)[:w], tmp.Row(c)[:w], tmp.Row(c + 1)[:w], tmp.Row(c + 2)[:w]
+			for x := range out {
+				out[x] = 0 + ba0*r0[x] + ba1*r1[x] + ba2*r2[x] + ba1*r3[x] + ba0*r4[x]
+			}
 		}
 	})
 	s.Put(tmp)

@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"math"
@@ -398,4 +399,153 @@ func TestScratchTakePut(t *testing.T) {
 		t.Error("Take for a larger size must allocate fresh")
 	}
 	s.Put(nil) // no-op
+}
+
+// hostileImages are w×h frames whose pixels the rendered video never
+// produces: signed zeros, subnormals a few steps from zero whose products
+// with the smaller taps underflow to ±0, NaN, ±Inf and ±1e38 near the top of
+// the float32 range, each sprinkled over a smooth image or filling a column,
+// a row or all of it.
+// A kernel that starts an accumulation from its first product instead of +0,
+// or reorders taps, parts from the reference on them.
+func hostileImages(w, h int) map[string]*Gray {
+	negZero := float32(math.Copysign(0, -1))
+	sub := math.Float32frombits(1) // 2^-149
+	values := map[string]float32{
+		"-0": negZero, "+4·2^-149": 4 * sub, "-4·2^-149": -4 * sub, "-2^-149": -sub,
+		"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1)),
+		"+1e38": 1e38, "-1e38": -1e38,
+	}
+	// An odd column or row is one decimation drops but its neighbours' taps
+	// read.
+	cx, cy := min(w/2|1, w-1), min(h/2|1, h-1)
+	out := map[string]*Gray{}
+	for name, v := range values {
+		col := NewGray(w, h)
+		for y := 0; y < h; y++ {
+			col.Pix[y*w+cx] = v
+		}
+		out[name+" column"] = col
+		row := NewGray(w, h)
+		for x := 0; x < w; x++ {
+			row.Pix[cy*w+x] = v
+		}
+		out[name+" row"] = row
+		all := NewGray(w, h)
+		all.Fill(v)
+		out[name+" everywhere"] = all
+		sprinkled := testImage(w, h)
+		for i := 0; i < len(sprinkled.Pix); i += 7 {
+			sprinkled.Pix[i] = v
+		}
+		out[name+" sprinkled"] = sprinkled
+	}
+	// Negative zeros next to tiny negatives, whose products with the smaller
+	// taps underflow to −0.
+	mixed := NewGray(w, h)
+	for i := range mixed.Pix {
+		mixed.Pix[i] = []float32{negZero, -sub, -4 * sub, negZero}[i%4]
+	}
+	out["-0 and -subnormal"] = mixed
+	return out
+}
+
+// TestHostilePixelParity runs Downsample2, the pyramid, the Scharr gradients
+// (whole and over rectangles) and the Gaussian blur over hostileImages at
+// degenerate, odd and small sizes, against the scalar references, by
+// Float32bits.
+func TestHostilePixelParity(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var s Scratch
+	for _, size := range [][2]int{{16, 16}, {5, 2}, {17, 31}, {1, 9}, {9, 1}, {64, 48}} {
+		for name, g := range hostileImages(size[0], size[1]) {
+			for _, workers := range []int{1, 3} {
+				par.SetWorkers(workers)
+				label := fmt.Sprintf("%dx%d %s w%d", size[0], size[1], name, workers)
+				requireIdentical(t, label+" Downsample2", Downsample2Ref(g), Downsample2(g))
+				ref, got := NewPyramidRef(g, 4), NewPyramid(g, 4)
+				for l := range ref.Levels {
+					requireIdentical(t, fmt.Sprintf("%s pyramid level %d", label, l), ref.Levels[l], got.Levels[l])
+				}
+				refX, refY := GradientsRef(g)
+				gx, gy := NewGray(g.W, g.H), NewGray(g.W, g.H)
+				GradientsInto(gx, gy, g, &s)
+				requireIdentical(t, label+" GradientsInto.x", refX, gx)
+				requireIdentical(t, label+" GradientsInto.y", refY, gy)
+				// Two overlapping rectangles that cover the image, over a
+				// poisoned destination.
+				gx.Fill(float32(math.NaN()))
+				gy.Fill(float32(math.NaN()))
+				rects := []image.Rectangle{image.Rect(0, 0, g.W/2+1, g.H), image.Rect(g.W/3, 0, g.W, g.H)}
+				GradientsRectsInto(gx, gy, g, rects, &s)
+				requireIdentical(t, label+" GradientsRectsInto.x", refX, gx)
+				requireIdentical(t, label+" GradientsRectsInto.y", refY, gy)
+				for _, sigma := range []float64{0.8, 1.5} {
+					requireIdentical(t, fmt.Sprintf("%s GaussianBlur(%v)", label, sigma), GaussianBlurRef(g, sigma), GaussianBlur(g, sigma))
+				}
+			}
+		}
+	}
+}
+
+// FuzzDownsample2 compares the fused reduction with Downsample2Ref on images
+// of arbitrary float32 bit patterns — every four bytes of data are one pixel,
+// NaN payloads and subnormals included — at the width width picks: 1 gives
+// 1×N, N gives N×1, and anything between an odd or even w × ⌊N/w⌋. Values
+// compare by bits, −0 included, except that any two NaNs are equal: adding
+// two NaNs keeps the payload of the first operand on amd64, and which one is
+// first is the compiler's choice (the reference and the clamped border path,
+// the same Go expression, already differ there). The seed corpus runs under
+// plain go test.
+func FuzzDownsample2(f *testing.F) {
+	pixels := func(vs ...float32) []byte {
+		b := make([]byte, 0, 4*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	negZero, sub := float32(math.Copysign(0, -1)), math.Float32frombits(1)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	hostile := []float32{negZero, -4 * sub, 4 * sub, nan, inf, -inf, 1e38, -1e38, 0.5, 0, -sub}
+	var ramp []float32
+	for i := 0; i < 7*9; i++ {
+		ramp = append(ramp, hostile[i%len(hostile)]*float32(1+i%3))
+	}
+	noisy := testImage(13, 11).Pix
+	for i := 0; i < len(noisy); i += 5 {
+		noisy[i] = math.Float32frombits(0x7f800001 + uint32(i)) // signalling NaNs, distinct payloads
+	}
+	for _, c := range []struct {
+		pix []float32
+		w   uint16
+	}{
+		{ramp, 1}, {ramp, uint16(len(ramp))}, {ramp, 7}, {ramp, 9}, {ramp, 5},
+		{noisy, 13}, {noisy, 1}, {noisy, 11},
+		{[]float32{negZero, -4 * sub, negZero, -sub, negZero, -4 * sub, negZero, -sub, negZero, -4 * sub}, 5},
+		{[]float32{1, 2, 3}, 3},
+	} {
+		f.Add(pixels(c.pix...), c.w)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, width uint16) {
+		n := min(len(data)/4, 1<<12)
+		if n == 0 {
+			return
+		}
+		w := 1 + (int(width)+n-1)%n
+		g := NewGray(w, n/w)
+		for i := range g.Pix {
+			g.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		var s Scratch
+		got := NewGray(g.W/2, g.H/2)
+		Downsample2Into(got, g, &s)
+		want := Downsample2Ref(g)
+		for i := range want.Pix {
+			a, b := want.Pix[i], got.Pix[i]
+			if math.Float32bits(a) != math.Float32bits(b) && !(a != a && b != b) {
+				t.Fatalf("%dx%d: pixel %d (x=%d y=%d): %x, reference %x", g.W, g.H, i, i%got.W, i/got.W, math.Float32bits(b), math.Float32bits(a))
+			}
+		}
+	})
 }
