@@ -18,6 +18,8 @@
 #                     (BENCH_serve.json) from the canonical loadgen matrix
 #   make loadgen-smoke run the loadgen bench matrix to a throwaway file with
 #                     the schema check on — proves the harness end to end
+#   make loc          print the size figure ROADMAP tracks: lines of non-test
+#                     Go outside bench/, lint testdata included
 #   make soak         bounded chaos soak under the race detector: same-seed sim
 #                     soak pair (byte parity) then a wall-clock live soak, both
 #                     ending in machine-checked invariant reports
@@ -34,7 +36,7 @@ GO ?= go
 # the gate.
 COVER_FLOOR ?= 81.9
 
-.PHONY: build test race vet lint escapecheck cover check bench-smoke loadgen-bench loadgen-smoke soak clean
+.PHONY: build test race vet lint escapecheck cover check bench-smoke loadgen-bench loadgen-smoke soak loc clean
 
 build:
 	$(GO) build ./...
@@ -128,6 +130,12 @@ soak:
 		-churn-rate 0.25 -fault-rate 0.08 -fault-burst 2 -soak-minutes 1 -seed 1
 
 check: build vet lint escapecheck test race bench-smoke loadgen-smoke
+
+# Lines of non-test Go outside bench/ (its own module), counting the lint
+# fixtures under testdata/: the one size figure ROADMAP reports at each
+# re-anchor, so every before/after is counted the same way.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.git/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

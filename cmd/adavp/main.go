@@ -465,18 +465,12 @@ func parsePolicy(name string) (adavp.Policy, error) {
 }
 
 func parseSetting(px int) (adavp.Setting, error) {
-	switch px {
-	case 320:
-		return adavp.Setting320, nil
-	case 416:
-		return adavp.Setting416, nil
-	case 512:
-		return adavp.Setting512, nil
-	case 608:
-		return adavp.Setting608, nil
-	default:
-		return core.SettingInvalid, fmt.Errorf("unknown setting %d (use 320|416|512|608)", px)
+	for _, s := range core.AdaptiveSettings {
+		if s.InputSize() == px {
+			return s, nil
+		}
 	}
+	return core.SettingInvalid, fmt.Errorf("unknown setting %d (use 320|416|512|608)", px)
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {

@@ -33,11 +33,6 @@ import (
 // Thresholds is one (v1, v2, v3) triple, ascending.
 type Thresholds [3]float64
 
-// Valid reports whether the triple is ascending and non-negative.
-func (t Thresholds) Valid() bool {
-	return t[0] >= 0 && t[0] <= t[1] && t[1] <= t[2]
-}
-
 // Decide maps a velocity to a setting using this triple.
 func (t Thresholds) Decide(velocity float64) core.Setting {
 	switch {

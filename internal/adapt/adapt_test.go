@@ -29,19 +29,10 @@ func TestThresholdsDecide(t *testing.T) {
 	}
 }
 
-func TestThresholdsValid(t *testing.T) {
-	if !(Thresholds{1, 2, 3}).Valid() {
-		t.Error("ascending triple invalid")
-	}
-	if (Thresholds{2, 1, 3}).Valid() {
-		t.Error("non-ascending triple valid")
-	}
-	if (Thresholds{-1, 1, 2}).Valid() {
-		t.Error("negative triple valid")
-	}
-	if !(Thresholds{1, 1, 1}).Valid() {
-		t.Error("tied triple should be valid")
-	}
+// valid reports whether th is ascending and non-negative, the shape
+// DefaultModel and Train promise.
+func valid(th Thresholds) bool {
+	return th[0] >= 0 && th[0] <= th[1] && th[1] <= th[2]
 }
 
 func TestDefaultModelComplete(t *testing.T) {
@@ -51,7 +42,7 @@ func TestDefaultModelComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("no thresholds for %v", s)
 		}
-		if !th.Valid() {
+		if !valid(th) {
 			t.Fatalf("%v thresholds invalid: %v", s, th)
 		}
 	}
@@ -106,7 +97,7 @@ func TestTrainSeparableData(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	th := m.PerSetting[core.Setting512]
-	if !th.Valid() {
+	if !valid(th) {
 		t.Fatalf("invalid thresholds %v", th)
 	}
 	// Every training sample must be classified correctly (data is separable).
@@ -144,7 +135,7 @@ func TestTrainNoisyDataStillOrdered(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	th := m.PerSetting[core.Setting608]
-	if !th.Valid() {
+	if !valid(th) {
 		t.Fatalf("invalid thresholds %v", th)
 	}
 	// Recovered thresholds must be near the generating ones.

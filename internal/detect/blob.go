@@ -49,13 +49,10 @@ func (d *BlobDetector) Detect(f core.Frame, s core.Setting) []core.Detection {
 	return d.DetectCtx(context.Background(), f, s)
 }
 
-// blobDrops counts blobScratch instances dropped because their Detect call
-// was abandoned by the watchdog. Exposed for the -race regression test.
+// blobDrops counts blobScratch instances dropped (not returned to the pool)
+// because their Detect call was abandoned by the watchdog mid-flight; the
+// -race regression test reads it.
 var blobDrops atomic.Int64
-
-// BlobScratchDrops returns the number of pooled scratches dropped (not
-// returned to the pool) because their call was abandoned mid-flight.
-func BlobScratchDrops() int64 { return blobDrops.Load() }
 
 // DetectCtx implements ContextDetector. ctx carries the supervision layer's
 // abandonment signal; the detection itself never blocks on it.
@@ -341,7 +338,6 @@ func buildCandidates() []shapeCandidate {
 const (
 	rectCoreFrac    = 0.86
 	ellipseCoreFrac = 0.883
-	ellipseFill     = math.Pi / 4 // area of an ellipse inside its bbox
 )
 
 // classify converts a component to a detection in native frame coordinates.

@@ -26,7 +26,7 @@ func TestAbandonedDetectDropsScratch(t *testing.T) {
 	sup := guard.New(guard.Config{})
 	release := make(chan struct{})
 	done := make(chan struct{})
-	drops0 := BlobScratchDrops()
+	drops0 := blobDrops.Load()
 	_, outcome := sup.Call(5*time.Millisecond, func(ctx context.Context) []core.Detection {
 		defer close(done)
 		<-release // hold the call past its watchdog deadline
@@ -51,7 +51,7 @@ func TestAbandonedDetectDropsScratch(t *testing.T) {
 			t.Fatalf("retry detection %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if drops := BlobScratchDrops() - drops0; drops < 1 {
+	if drops := blobDrops.Load() - drops0; drops < 1 {
 		t.Fatalf("abandoned DetectCtx dropped %d scratches, want >= 1", drops)
 	}
 }

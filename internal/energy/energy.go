@@ -126,16 +126,3 @@ func (m *Model) Energy(run *trace.Run) Breakdown {
 	b.DDR = m.DDRPerGPU*b.GPU + m.DDRPerCPU*b.CPU
 	return b
 }
-
-// EnergyAtScale integrates the run and extrapolates it to a target video
-// duration (e.g. the paper's 78.5-minute test set), preserving the run's
-// power profile. The scale is the ratio of target to the run's own video
-// length (not its wall-clock duration, which exceeds video length for
-// slower-than-real-time policies).
-func (m *Model) EnergyAtScale(run *trace.Run, videoLen, target time.Duration) Breakdown {
-	b := m.Energy(run)
-	if videoLen <= 0 || target <= 0 {
-		return b
-	}
-	return b.Scale(float64(target) / float64(videoLen))
-}

@@ -66,22 +66,6 @@ func TestEnergyUnknownSettingFallsBack(t *testing.T) {
 	}
 }
 
-func TestEnergyAtScale(t *testing.T) {
-	m := DefaultModel()
-	run := &trace.Run{Policy: "MPDT", Busy: []trace.Interval{
-		{Resource: trace.ResourceGPU, Setting: core.Setting320, Start: 0, End: time.Minute},
-	}}
-	base := m.Energy(run)
-	scaled := m.EnergyAtScale(run, time.Minute, time.Hour)
-	if math.Abs(scaled.GPU-base.GPU*60) > 1e-9 {
-		t.Errorf("scaled GPU = %f, want %f", scaled.GPU, base.GPU*60)
-	}
-	// Degenerate durations return the unscaled value.
-	if got := m.EnergyAtScale(run, 0, time.Hour); got != base {
-		t.Error("zero video length should not scale")
-	}
-}
-
 // The Table III column structure: on the same video, energy must order as
 // MARLIN < MPDT (sequential idles the GPU between triggers while parallel
 // saturates it), and continuous-608 must dwarf everything.

@@ -85,16 +85,6 @@ type Scratch struct {
 	cell, next []int32
 }
 
-// ScoreMap computes the per-pixel minimum-eigenvalue response of the
-// structure tensor with the given block size. Exposed for tests and for the
-// content-analysis tooling. It is Scratch's score pass over the whole image
-// with throwaway buffers.
-func ScoreMap(img *imgproc.Gray, blockSize int) *imgproc.Gray {
-	var s Scratch
-	s.scoreRects(img, blockSize, []image.Rectangle{image.Rect(0, 0, img.W, img.H)})
-	return s.score
-}
-
 // Detect finds good features in img. If masks is non-empty, only pixels whose
 // centers fall inside at least one mask rectangle are considered — this is
 // how AdaVP limits extraction to YOLO-detected bounding boxes. Features are
@@ -120,8 +110,7 @@ func (s *Scratch) Detect(img *imgproc.Gray, masks []geom.Rect, p Params) []Featu
 	if img.W < 3 || img.H < 3 {
 		return nil
 	}
-	// The border is excluded because gradients there are clamped.
-	s.maskRects(masks, img.W, img.H, 1)
+	s.maskRects(masks, img.W, img.H)
 	if len(s.rects) == 0 {
 		return nil
 	}

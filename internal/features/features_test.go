@@ -145,7 +145,8 @@ func TestDetectDefaultsForZeroParams(t *testing.T) {
 func TestScoreMapCornerVsEdgeVsFlat(t *testing.T) {
 	img := imgproc.NewGray(64, 64)
 	drawRect(img, 16, 16, 32, 32, 1)
-	score := ScoreMap(img, 3)
+	var s Scratch
+	score := scoreMap(&s, img, 3)
 	corner := score.At(16, 16)
 	edge := score.At(32, 16) // midpoint of the top edge
 	flat := score.At(32, 32) // interior

@@ -7,19 +7,22 @@ import (
 	"adavp/internal/geom"
 )
 
-// Both detectors restrict extraction to mask rectangles (§V: the detected
-// boxes), and both walk them the same way: each mask becomes once the integer
-// pixel rectangle its Contains test accepts, and a row of the frame is then
-// visited as the merged runs of those rectangles — so the cost follows the
-// mask area, and the pixels still arrive in the row-major order of a
-// whole-frame scan filtered by Contains.
+// The detector restricts extraction to mask rectangles (§V: the detected
+// boxes): each mask becomes once the integer pixel rectangle its Contains
+// test accepts, and a row of the frame is then visited as the merged runs of
+// those rectangles — so the cost follows the mask area, and the pixels still
+// arrive in the row-major order of a whole-frame scan filtered by Contains.
+
+// border is the width of the frame edge the detector never reports a feature
+// in: gradients there are clamped.
+const border = 1
 
 // maskRects sets s.rects to, for every mask, the rectangle of the pixels
 // (x, y) with border ≤ x < w−border and border ≤ y < h−border whose center
 // mask.Contains accepts; masks without such a pixel add nothing. No masks at
 // all means no restriction: the whole interior. It also gives s.spans room
 // for a row of them.
-func (s *Scratch) maskRects(masks []geom.Rect, w, h, border int) {
+func (s *Scratch) maskRects(masks []geom.Rect, w, h int) {
 	s.rects = s.rects[:0]
 	if len(masks) == 0 {
 		s.rects = append(s.rects, image.Rect(border, border, w-border, h-border))

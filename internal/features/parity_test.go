@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"image"
 	"math"
 	"testing"
 
@@ -79,26 +80,39 @@ func TestDetectMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScoreMapMatchesReference pins the exported whole-image score map, border
-// pixels included, at odd, even and oversized block sizes.
+// scoreMap is s's score pass over the whole of img: the score map, border
+// pixels included, in s's buffer.
+func scoreMap(s *Scratch, img *imgproc.Gray, blockSize int) *imgproc.Gray {
+	s.scoreRects(img, blockSize, []image.Rectangle{image.Rect(0, 0, img.W, img.H)})
+	return s.score
+}
+
+// TestScoreMapMatchesReference pins Scratch's score pass over the whole image,
+// border pixels included, at odd, even and oversized block sizes. One Scratch
+// is carried through every image, block size and worker count, and a fresh
+// one must agree with it: a value left over from a larger image or window
+// would show.
 func TestScoreMapMatchesReference(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	v := video.GenerateKind("v", video.KindCityStreet, 3, 6)
 	img := v.FrameWithPixels(4).Pixels
+	var reused Scratch
 	for _, img := range []*imgproc.Gray{img, noiseImage(5, 4, 1), noiseImage(1, 1, 2), imgproc.NewGray(0, 0), imgproc.NewGray(0, 5), imgproc.NewGray(5, 0)} {
 		for _, block := range []int{0, 3, 4, 7, 1001} {
 			par.SetWorkers(1)
 			want := scoreMapRef(img, block)
 			for _, workers := range []int{1, 3} {
 				par.SetWorkers(workers)
-				got := ScoreMap(img, block)
-				if got.W != want.W || got.H != want.H || len(got.Pix) != len(want.Pix) {
-					t.Fatalf("%dx%d block %d: score map is %dx%d", img.W, img.H, block, got.W, got.H)
-				}
-				for i := range got.Pix {
-					if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
-						t.Fatalf("%dx%d block %d workers %d: pixel %d = %x, reference %x", img.W, img.H,
-							block, workers, i, math.Float32bits(got.Pix[i]), math.Float32bits(want.Pix[i]))
+				var fresh Scratch
+				for name, got := range map[string]*imgproc.Gray{"reused": scoreMap(&reused, img, block), "fresh": scoreMap(&fresh, img, block)} {
+					if got.W != want.W || got.H != want.H || len(got.Pix) != len(want.Pix) {
+						t.Fatalf("%s %dx%d block %d: score map is %dx%d", name, img.W, img.H, block, got.W, got.H)
+					}
+					for i := range got.Pix {
+						if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+							t.Fatalf("%s %dx%d block %d workers %d: pixel %d = %x, reference %x", name, img.W, img.H,
+								block, workers, i, math.Float32bits(got.Pix[i]), math.Float32bits(want.Pix[i]))
+						}
 					}
 				}
 			}

@@ -13,12 +13,13 @@ import (
 // reference the parity tests compare (*Scratch).Detect against: whole-frame
 // gradients, three product images, three summed-area tables, a whole-frame
 // score map, and masks applied as a per-pixel filter. Only the names changed
-// (scoreMapRef, detectRef, enforceMinDistanceRef); isLocalMax is the
-// package's own, which both forms share. It must stay unoptimized.
+// (scoreMapRef, detectRef, enforceMinDistanceRef), and the gradients come from
+// imgproc.GradientsInto, whose output imgproc's parity tests pin to the
+// whole-image reference; isLocalMax is the package's own, which both forms
+// share. It must stay unoptimized.
 
 // scoreMapRef computes the per-pixel minimum-eigenvalue response of the
-// structure tensor with the given block size. Exposed for tests and for the
-// content-analysis tooling.
+// structure tensor with the given block size.
 func scoreMapRef(img *imgproc.Gray, blockSize int) *imgproc.Gray {
 	if blockSize < 1 {
 		blockSize = 3
@@ -26,8 +27,9 @@ func scoreMapRef(img *imgproc.Gray, blockSize int) *imgproc.Gray {
 	if blockSize%2 == 0 {
 		blockSize++
 	}
-	gx, gy := imgproc.Gradients(img)
 	w, h := img.W, img.H
+	gx, gy := imgproc.NewGray(w, h), imgproc.NewGray(w, h)
+	imgproc.GradientsInto(gx, gy, img, new(imgproc.Scratch))
 	// Gradient products.
 	xx := imgproc.NewGray(w, h)
 	xy := imgproc.NewGray(w, h)

@@ -23,14 +23,7 @@ type FBResult struct {
 
 // TrackFB runs forward and backward Lucas–Kanade and rejects points whose
 // round-trip error exceeds maxFBError (<= 0 selects the conventional 1.0
-// pixel). It costs roughly twice a plain Track call. It is a convenience
-// wrapper over Scratch.TrackFB with throwaway buffers.
-func TrackFB(prev, next *imgproc.Pyramid, pts []geom.Point, p Params, maxFBError float64) []FBResult {
-	var s Scratch
-	return s.TrackFB(prev, next, pts, p, maxFBError)
-}
-
-// TrackFB is the allocation-reusing form of the package-level TrackFB.
+// pixel). It costs roughly twice a plain Track call.
 func (s *Scratch) TrackFB(prev, next *imgproc.Pyramid, pts []geom.Point, p Params, maxFBError float64) []FBResult {
 	if maxFBError <= 0 {
 		maxFBError = 1.0

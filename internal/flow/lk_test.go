@@ -22,7 +22,8 @@ func texturedImage(w, h int, seed uint64) *imgproc.Gray {
 	// Smooth enough that the coarse pyramid levels still carry gradient
 	// signal (real video frames are band-limited by the camera optics), then
 	// contrast-stretched back to [0, 1] so gradients stay strong.
-	sm := imgproc.GaussianBlur(img, 2.5)
+	sm := imgproc.NewGray(w, h)
+	imgproc.GaussianBlurInto(sm, img, 2.5, new(imgproc.Scratch))
 	lo, hi := float32(1), float32(0)
 	for _, v := range sm.Pix {
 		if v < lo {

@@ -75,24 +75,20 @@ func requireSameResults(t *testing.T, name string, ref, got []Result) {
 	}
 }
 
-// TestTrackFBParityAcrossWorkerCounts covers the forward-backward path.
+// TestTrackFBParityAcrossWorkerCounts covers the forward-backward path, on
+// the Scratch the other forward-backward tests share (trackFB checks each call
+// against a fresh one), with the point set changing between worker counts.
 func TestTrackFBParityAcrossWorkerCounts(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	prev, next := parityFrames(96, 72)
 	pts := []geom.Point{{X: 20, Y: 20}, {X: 48, Y: 36}, {X: 70, Y: 50}, {X: 30, Y: 55}}
 	p := DefaultParams()
 	par.SetWorkers(1)
-	ref := TrackFB(prev, next, pts, p, 0)
+	ref := trackFB(t, prev, next, pts, p, 0)
 	for _, workers := range []int{2, 4} {
 		par.SetWorkers(workers)
-		got := TrackFB(prev, next, pts, p, 0)
-		for i := range ref {
-			if ref[i].OK != got[i].OK ||
-				math.Float64bits(ref[i].FBError) != math.Float64bits(got[i].FBError) ||
-				math.Float64bits(ref[i].Pt.X) != math.Float64bits(got[i].Pt.X) ||
-				math.Float64bits(ref[i].Pt.Y) != math.Float64bits(got[i].Pt.Y) {
-				t.Fatalf("workers=%d point %d: %+v vs %+v", workers, i, got[i], ref[i])
-			}
+		for n := len(pts); n >= 1; n -= 2 {
+			requireSameFBResults(t, fmt.Sprintf("workers=%d, first %d points", workers, n), ref[:n], trackFB(t, prev, next, pts[:n], p, 0))
 		}
 	}
 }

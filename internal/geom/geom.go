@@ -46,13 +46,6 @@ func RectFromCenter(c Point, w, h float64) Rect {
 	return Rect{Left: c.X - w/2, Top: c.Y - h/2, W: w, H: h}
 }
 
-// RectFromCorners builds the rectangle spanning two opposite corners.
-func RectFromCorners(a, b Point) Rect {
-	left := math.Min(a.X, b.X)
-	top := math.Min(a.Y, b.Y)
-	return Rect{Left: left, Top: top, W: math.Abs(a.X - b.X), H: math.Abs(a.Y - b.Y)}
-}
-
 // Right returns the x coordinate of the right edge.
 func (r Rect) Right() float64 { return r.Left + r.W }
 
@@ -80,17 +73,6 @@ func (r Rect) Translate(d Point) Rect {
 	return r
 }
 
-// ScaleAboutCenter returns r with width and height multiplied by s, keeping
-// the center fixed.
-func (r Rect) ScaleAboutCenter(s float64) Rect {
-	return RectFromCenter(r.Center(), r.W*s, r.H*s)
-}
-
-// Scale returns r with all coordinates multiplied by s (a resolution change).
-func (r Rect) Scale(s float64) Rect {
-	return Rect{Left: r.Left * s, Top: r.Top * s, W: r.W * s, H: r.H * s}
-}
-
 // Contains reports whether the point p lies inside r (inclusive of the left
 // and top edges, exclusive of the right and bottom edges).
 func (r Rect) Contains(p Point) bool {
@@ -107,22 +89,6 @@ func (r Rect) Intersect(q Rect) Rect {
 	if right <= left || bottom <= top {
 		return Rect{}
 	}
-	return Rect{Left: left, Top: top, W: right - left, H: bottom - top}
-}
-
-// Union returns the smallest rectangle containing both r and q. If either is
-// empty the other is returned.
-func (r Rect) Union(q Rect) Rect {
-	if r.Empty() {
-		return q
-	}
-	if q.Empty() {
-		return r
-	}
-	left := math.Min(r.Left, q.Left)
-	top := math.Min(r.Top, q.Top)
-	right := math.Max(r.Right(), q.Right())
-	bottom := math.Max(r.Bottom(), q.Bottom())
 	return Rect{Left: left, Top: top, W: right - left, H: bottom - top}
 }
 

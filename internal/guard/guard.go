@@ -179,9 +179,6 @@ type Stats struct {
 	Abandoned int
 }
 
-// Faults returns the total hard-fault count.
-func (s Stats) Faults() int { return s.Timeouts + s.Panics + s.EmptyBursts }
-
 // EscalationBudget caps the total number of model-setting downgrades a group
 // of supervisors may apply. In a multi-stream serving run every stream's
 // supervisor shares one budget, so a correlated fault burst (an overloaded

@@ -29,18 +29,10 @@ func GaussianKernel(sigma float64) []float32 {
 	return k
 }
 
-// convolve1D applies a 1-D kernel along the given axis with border clamping,
-// allocating the output.
-func convolve1D(g *Gray, kernel []float32, horizontal bool) *Gray {
-	out := NewGray(g.W, g.H)
-	convolve1DInto(out, g, kernel, horizontal)
-	return out
-}
-
 // convolve1DInto applies a 1-D kernel along the given axis with border
 // clamping, writing into dst (same size as g, fully overwritten; dst must
 // not alias g). Rows are processed in parallel bands by convolveRowH or
-// convolveRowV, whose per-pixel accumulation order matches convolve1DRef tap
+// convolveRowV, whose per-pixel accumulation order matches Convolve1DRef tap
 // for tap, so output is bitwise-identical to the scalar reference at every
 // worker count.
 //
@@ -170,22 +162,10 @@ func convolveClampedH(g *Gray, kernel []float32, radius, x, y int) float32 {
 	return acc
 }
 
-// GaussianBlur returns the image smoothed with a separable Gaussian of the
-// given sigma. Sigma <= 0 returns a copy of the input.
-func GaussianBlur(g *Gray, sigma float64) *Gray {
-	if sigma <= 0 {
-		return g.Clone()
-	}
-	k := GaussianKernel(sigma)
-	tmp := convolve1D(g, k, true)
-	out := NewGray(g.W, g.H)
-	convolve1DInto(out, tmp, k, false)
-	return out
-}
-
-// GaussianBlurInto smooths g into dst (same size, fully overwritten; must
-// not alias g) drawing the intermediate pass from s, allocating nothing in
-// steady state. Sigma <= 0 copies the input.
+// GaussianBlurInto smooths g with a separable Gaussian of the given sigma into
+// dst (same size, fully overwritten; must not alias g) drawing the
+// intermediate pass from s, allocating nothing in steady state. Sigma <= 0
+// copies the input.
 //
 //adavp:hotpath
 func GaussianBlurInto(dst, g *Gray, sigma float64, s *Scratch) {
@@ -211,23 +191,10 @@ var (
 	scharrDiff   = []float32{-0.5, 0, 0.5}
 )
 
-// gradientAxis computes a smoothed derivative along one axis.
-func gradientAxis(g *Gray, horizontal bool) *Gray {
-	if horizontal {
-		return convolve1D(convolve1D(g, scharrDiff, true), scharrSmooth, false)
-	}
-	return convolve1D(convolve1D(g, scharrSmooth, true), scharrDiff, false)
-}
-
-// Gradients returns the Scharr image gradients (dI/dx, dI/dy).
-func Gradients(g *Gray) (gx, gy *Gray) {
-	return gradientAxis(g, true), gradientAxis(g, false)
-}
-
-// GradientsInto computes the Scharr gradients into gx, gy (same size as g,
-// fully overwritten) using s for the intermediate pass, allocating nothing
-// when the scratch already holds a same-size buffer. It is GradientsRectsInto
-// over the whole image.
+// GradientsInto computes the Scharr image gradients (dI/dx, dI/dy) into gx, gy
+// (same size as g, fully overwritten) using s for the intermediate pass,
+// allocating nothing when the scratch already holds a same-size buffer. It is
+// GradientsRectsInto over the whole image.
 //
 //adavp:hotpath
 func GradientsInto(gx, gy, g *Gray, s *Scratch) {
@@ -266,24 +233,16 @@ const (
 
 var burtAdelson = []float32{ba0, ba1, ba2, ba1, ba0}
 
-// Downsample2 returns the image reduced by a factor of two with the
-// Burt–Adelson [1 4 6 4 1]/16 anti-aliasing filter applied along both axes
-// before decimation. It is the pyramid reduction step used by pyramidal
+// Downsample2Into reduces g by a factor of two into dst (which must be
+// g.W/2 × g.H/2, fully overwritten), drawing temporaries from s: the
+// Burt–Adelson [1 4 6 4 1]/16 anti-aliasing filter along both axes, then
+// decimation. It is the pyramid reduction step used by pyramidal
 // Lucas–Kanade. Images with odd dimensions lose the last row/column,
-// matching OpenCV's buildOpticalFlowPyramid.
-func Downsample2(g *Gray) *Gray {
-	out := NewGray(g.W/2, g.H/2)
-	var s Scratch
-	Downsample2Into(out, g, &s)
-	return out
-}
-
-// Downsample2Into performs the pyramid reduction into dst (which must be
-// g.W/2 × g.H/2, fully overwritten), drawing temporaries from s. The filter
-// is fused with the decimation: the horizontal Burt–Adelson pass is evaluated
-// only at even source columns (the only ones decimation keeps) into a
-// half-width intermediate, and the vertical pass only at even source rows —
-// about 37% of the arithmetic of filter-everything-then-decimate. Outputs
+// matching OpenCV's buildOpticalFlowPyramid. The filter is fused with the
+// decimation: the horizontal Burt–Adelson pass is evaluated only at even
+// source columns (the only ones decimation keeps) into a half-width
+// intermediate, and the vertical pass only at even source rows — about 37% of
+// the arithmetic of filter-everything-then-decimate. Outputs
 // whose five taps are all in bounds accumulate in a register with the taps as
 // constants: a horizontal one reads one five-pixel slice of its row, and a
 // vertical output row is one sweep over its five source rows. Border outputs

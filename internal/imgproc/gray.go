@@ -118,16 +118,6 @@ func (g *Gray) Bilinear(x, y float64) float32 {
 	return top + fy*(bot-top)
 }
 
-// Resize returns the image scaled to w×h by bilinear interpolation. This is
-// the operation that models feeding a camera frame into a DNN at a given
-// input size (e.g. YOLOv3-320 vs YOLOv3-608): the smaller the target, the
-// more fine detail is destroyed.
-func (g *Gray) Resize(w, h int) *Gray {
-	out := NewGray(w, h)
-	g.ResizeInto(out)
-	return out
-}
-
 // resizeTaps holds the per-destination-column tap tables of one ResizeInto
 // call. They are pooled rather than stack-allocated because their size is the
 // destination width (unknown at compile time) and rather than kept on Gray
@@ -163,9 +153,12 @@ var (
 	resizeTapPool  = sync.Pool{New: func() any { return new(resizeTaps) }}
 )
 
-// ResizeInto scales the image into dst (whose W, H select the target size),
-// overwriting its pixels. Destination rows are computed in parallel bands;
-// each destination pixel runs the same scalar arithmetic as Bilinear, so the
+// ResizeInto scales the image into dst (whose W, H select the target size) by
+// bilinear interpolation, overwriting its pixels. This is the operation that
+// models feeding a camera frame into a DNN at a given input size (e.g.
+// YOLOv3-320 vs YOLOv3-608): the smaller the target, the more fine detail is
+// destroyed. Destination rows are computed in parallel bands; each
+// destination pixel runs the same scalar arithmetic as Bilinear, so the
 // output is bitwise-identical for every worker count. Interior destination
 // pixels — those whose four source taps are all in bounds — skip the clamped
 // At path entirely.
@@ -260,27 +253,6 @@ func (g *Gray) Mean() float64 {
 	var sum float64
 	for _, v := range g.Pix {
 		sum += float64(v)
-	}
-	return sum / float64(len(g.Pix))
-}
-
-// AbsDiffMean returns the mean absolute pixel difference between g and o.
-// It is used as a cheap frame-difference measure in tests and by the MARLIN
-// baseline's scene-change heuristics. It panics if dimensions differ.
-func (g *Gray) AbsDiffMean(o *Gray) float64 {
-	if g.W != o.W || g.H != o.H {
-		panic(fmt.Sprintf("imgproc: AbsDiffMean size mismatch %dx%d vs %dx%d", g.W, g.H, o.W, o.H))
-	}
-	if len(g.Pix) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range g.Pix {
-		d := float64(g.Pix[i] - o.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
 	}
 	return sum / float64(len(g.Pix))
 }

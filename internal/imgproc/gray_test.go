@@ -140,7 +140,8 @@ func TestResizeIdentity(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = float32(s.Float64())
 	}
-	out := g.Resize(7, 5)
+	out := NewGray(7, 5)
+	g.ResizeInto(out)
 	for i := range g.Pix {
 		if math.Abs(float64(out.Pix[i]-g.Pix[i])) > 1e-6 {
 			t.Fatalf("identity resize changed pixel %d: %f -> %f", i, g.Pix[i], out.Pix[i])
@@ -151,7 +152,8 @@ func TestResizeIdentity(t *testing.T) {
 func TestResizePreservesMeanOfConstant(t *testing.T) {
 	g := NewGray(10, 10)
 	g.Fill(0.37)
-	out := g.Resize(4, 6)
+	out := NewGray(4, 6)
+	g.ResizeInto(out)
 	for i, v := range out.Pix {
 		if math.Abs(float64(v)-0.37) > 1e-6 {
 			t.Fatalf("resize of constant image produced pixel %d = %f", i, v)
@@ -180,17 +182,23 @@ func TestResizeDownDestroysDetail(t *testing.T) {
 		}
 		return sum / float64(len(img.Pix))
 	}
-	small := g.Resize(8, 8)
+	small := NewGray(8, 8)
+	g.ResizeInto(small)
 	if variance(small) >= variance(g)*0.5 {
 		t.Errorf("downsampling kept too much detail: %f vs %f", variance(small), variance(g))
 	}
 }
 
 func TestResizeEmpty(t *testing.T) {
-	g := NewGray(4, 4)
-	out := g.Resize(0, 0)
-	if out.W != 0 || out.H != 0 {
-		t.Errorf("Resize(0,0) = %dx%d", out.W, out.H)
+	// Into an empty image is a no-op; from one, the destination is zeroed.
+	NewGray(4, 4).ResizeInto(NewGray(0, 0))
+	out := NewGray(3, 2)
+	out.Fill(0.5)
+	NewGray(0, 0).ResizeInto(out)
+	for i, v := range out.Pix {
+		if v != 0 {
+			t.Fatalf("resize of an empty image left pixel %d = %f", i, v)
+		}
 	}
 }
 
@@ -203,25 +211,4 @@ func TestMean(t *testing.T) {
 	if got := NewGray(0, 0).Mean(); got != 0 {
 		t.Errorf("Mean of empty = %f", got)
 	}
-}
-
-func TestAbsDiffMean(t *testing.T) {
-	a := NewGray(2, 2)
-	b := NewGray(2, 2)
-	b.Fill(0.25)
-	if got := a.AbsDiffMean(b); math.Abs(got-0.25) > 1e-9 {
-		t.Errorf("AbsDiffMean = %f", got)
-	}
-	if got := a.AbsDiffMean(a); got != 0 {
-		t.Errorf("AbsDiffMean(self) = %f", got)
-	}
-}
-
-func TestAbsDiffMeanPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AbsDiffMean with mismatched sizes did not panic")
-		}
-	}()
-	NewGray(2, 2).AbsDiffMean(NewGray(3, 3))
 }

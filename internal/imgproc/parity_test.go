@@ -11,7 +11,7 @@ import (
 )
 
 // The golden parity suite: the banded-parallel, flat-indexed kernels must be
-// bitwise-identical to the retained scalar references (ref.go) at every
+// bitwise-identical to the retained scalar references (ref_test.go) at every
 // tested size and worker count. This is what guarantees that the perf
 // rewrite cannot perturb a single simulation or experiment result.
 
@@ -74,8 +74,9 @@ func TestResizeParity(t *testing.T) {
 		for _, target := range [][2]int{{g.W, g.H}, {g.W/2 + 1, g.H/2 + 1}, {2*g.W + 3, g.H + 1}, {7, 5}} {
 			w, h := target[0], target[1]
 			ref := g.ResizeRef(w, h)
-			got := g.Resize(w, h)
-			requireIdentical(t, fmt.Sprintf("Resize(%d,%d)", w, h), ref, got)
+			got := NewGray(w, h)
+			g.ResizeInto(got)
+			requireIdentical(t, fmt.Sprintf("ResizeInto(%d,%d)", w, h), ref, got)
 		}
 	})
 }
@@ -105,8 +106,9 @@ func TestConvolveParity(t *testing.T) {
 		for name, k := range kernels {
 			for _, horizontal := range []bool{true, false} {
 				ref := Convolve1DRef(g, k, horizontal)
-				got := convolve1D(g, k, horizontal)
-				requireIdentical(t, fmt.Sprintf("convolve1D(%s,h=%v)", name, horizontal), ref, got)
+				got := NewGray(g.W, g.H)
+				convolve1DInto(got, g, k, horizontal)
+				requireIdentical(t, fmt.Sprintf("convolve1DInto(%s,h=%v)", name, horizontal), ref, got)
 			}
 		}
 	})
@@ -118,10 +120,8 @@ func TestGaussianBlurParity(t *testing.T) {
 		dst := NewGray(g.W, g.H)
 		for _, sigma := range []float64{0, 0.8, 2.5} {
 			ref := GaussianBlurRef(g, sigma)
-			requireIdentical(t, fmt.Sprintf("GaussianBlur(%.1f)", sigma),
-				ref, GaussianBlur(g, sigma))
-			// Scratch form twice: second call reuses buffers AND the
-			// memoized kernel.
+			// Twice through one scratch: the second call reuses buffers AND
+			// the memoized kernel.
 			for i := 0; i < 2; i++ {
 				GaussianBlurInto(dst, g, sigma, &s)
 				requireIdentical(t, fmt.Sprintf("GaussianBlurInto(%.1f)#%d", sigma, i), ref, dst)
@@ -133,11 +133,7 @@ func TestGaussianBlurParity(t *testing.T) {
 func TestGradientsParity(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, g *Gray) {
 		refX, refY := GradientsRef(g)
-		gotX, gotY := Gradients(g)
-		requireIdentical(t, "Gradients.x", refX, gotX)
-		requireIdentical(t, "Gradients.y", refY, gotY)
-
-		// Scratch-reusing form, twice through the same scratch.
+		// Twice through the same scratch: fresh, then reused.
 		var s Scratch
 		gx := NewGray(g.W, g.H)
 		gy := NewGray(g.W, g.H)
@@ -196,9 +192,7 @@ func TestGradientsRectsParity(t *testing.T) {
 func TestDownsample2Parity(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, g *Gray) {
 		ref := Downsample2Ref(g)
-		requireIdentical(t, "Downsample2", ref, Downsample2(g))
-
-		// Scratch-reusing form, twice through the same scratch.
+		// Twice through the same scratch: fresh, then reused.
 		var s Scratch
 		dst := NewGray(g.W/2, g.H/2)
 		for i := 0; i < 2; i++ {
@@ -450,7 +444,7 @@ func hostileImages(w, h int) map[string]*Gray {
 	return out
 }
 
-// TestHostilePixelParity runs Downsample2, the pyramid, the Scharr gradients
+// TestHostilePixelParity runs Downsample2Into, the pyramid, the Scharr gradients
 // (whole and over rectangles) and the Gaussian blur over hostileImages at
 // degenerate, odd and small sizes, against the scalar references, by
 // Float32bits.
@@ -462,7 +456,9 @@ func TestHostilePixelParity(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				par.SetWorkers(workers)
 				label := fmt.Sprintf("%dx%d %s w%d", size[0], size[1], name, workers)
-				requireIdentical(t, label+" Downsample2", Downsample2Ref(g), Downsample2(g))
+				half := NewGray(g.W/2, g.H/2)
+				Downsample2Into(half, g, &s)
+				requireIdentical(t, label+" Downsample2Into", Downsample2Ref(g), half)
 				ref, got := NewPyramidRef(g, 4), NewPyramid(g, 4)
 				for l := range ref.Levels {
 					requireIdentical(t, fmt.Sprintf("%s pyramid level %d", label, l), ref.Levels[l], got.Levels[l])
@@ -480,8 +476,10 @@ func TestHostilePixelParity(t *testing.T) {
 				GradientsRectsInto(gx, gy, g, rects, &s)
 				requireIdentical(t, label+" GradientsRectsInto.x", refX, gx)
 				requireIdentical(t, label+" GradientsRectsInto.y", refY, gy)
+				blurred := NewGray(g.W, g.H)
 				for _, sigma := range []float64{0.8, 1.5} {
-					requireIdentical(t, fmt.Sprintf("%s GaussianBlur(%v)", label, sigma), GaussianBlurRef(g, sigma), GaussianBlur(g, sigma))
+					GaussianBlurInto(blurred, g, sigma, &s)
+					requireIdentical(t, fmt.Sprintf("%s GaussianBlurInto(%v)", label, sigma), GaussianBlurRef(g, sigma), blurred)
 				}
 			}
 		}

@@ -7,8 +7,8 @@ import "math"
 // per-pixel loops over the bounds-checked At accessor, allocating their
 // outputs. They are the golden references — the parity tests assert the
 // optimized kernels are bitwise-identical to them at several sizes and
-// worker counts, and the benchmark harness reports the rewrite's speedup
-// against them. They must not be "optimized": their value is being obviously
+// worker counts, and the Kernel benchmarks report the rewrite's speedup
+// against them. Only this package's tests call them. They must not be "optimized": their value is being obviously
 // correct and unchanged.
 
 // BilinearRef is the scalar reference for Gray.Bilinear: four clamped At
@@ -27,7 +27,7 @@ func (g *Gray) BilinearRef(x, y float64) float32 {
 	return top + fy*(bot-top)
 }
 
-// ResizeRef is the scalar reference for Gray.Resize.
+// ResizeRef is the scalar reference for Gray.ResizeInto.
 func (g *Gray) ResizeRef(w, h int) *Gray {
 	out := NewGray(w, h)
 	if w == 0 || h == 0 || g.W == 0 || g.H == 0 {
@@ -45,7 +45,7 @@ func (g *Gray) ResizeRef(w, h int) *Gray {
 	return out
 }
 
-// Convolve1DRef is the scalar reference for convolve1D.
+// Convolve1DRef is the scalar reference for convolve1DInto.
 func Convolve1DRef(g *Gray, kernel []float32, horizontal bool) *Gray {
 	out := NewGray(g.W, g.H)
 	radius := len(kernel) / 2
@@ -66,7 +66,7 @@ func Convolve1DRef(g *Gray, kernel []float32, horizontal bool) *Gray {
 	return out
 }
 
-// GaussianBlurRef is the scalar reference for GaussianBlur.
+// GaussianBlurRef is the scalar reference for GaussianBlurInto.
 func GaussianBlurRef(g *Gray, sigma float64) *Gray {
 	if sigma <= 0 {
 		return g.Clone()
@@ -75,14 +75,14 @@ func GaussianBlurRef(g *Gray, sigma float64) *Gray {
 	return Convolve1DRef(Convolve1DRef(g, k, true), k, false)
 }
 
-// GradientsRef is the scalar reference for Gradients.
+// GradientsRef is the scalar reference for GradientsInto.
 func GradientsRef(g *Gray) (gx, gy *Gray) {
 	gx = Convolve1DRef(Convolve1DRef(g, scharrDiff, true), scharrSmooth, false)
 	gy = Convolve1DRef(Convolve1DRef(g, scharrSmooth, true), scharrDiff, false)
 	return gx, gy
 }
 
-// Downsample2Ref is the scalar reference for Downsample2.
+// Downsample2Ref is the scalar reference for Downsample2Into.
 func Downsample2Ref(g *Gray) *Gray {
 	sm := Convolve1DRef(Convolve1DRef(g, burtAdelson, true), burtAdelson, false)
 	w := g.W / 2

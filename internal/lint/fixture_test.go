@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"testing"
 )
 
 // This file is the analysistest equivalent for the suite: fixtures under
@@ -16,7 +17,7 @@ import (
 //
 // where each quoted string is a regexp that must match a diagnostic
 // reported on that line. Lines without a want comment must produce no
-// diagnostics. RunFixture loads the fixture package with the production
+// diagnostics. runFixture loads the fixture package with the production
 // loader, runs one analyzer, and diffs findings against expectations, so a
 // fixture exercises exactly the code path `make lint` runs.
 
@@ -31,16 +32,9 @@ type fixtureExpectation struct {
 	matched bool
 }
 
-// reporter is the subset of testing.T the harness needs.
-type reporter interface {
-	Helper()
-	Errorf(format string, args ...any)
-	Fatalf(format string, args ...any)
-}
-
-// RunFixture checks analyzer a against the fixture package in dir
+// runFixture checks analyzer a against the fixture package in dir
 // (relative to the internal/lint package directory).
-func RunFixture(t reporter, a *Analyzer, dir string) {
+func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	moduleRoot, err := FindModuleRoot(".")
 	if err != nil {
@@ -104,7 +98,7 @@ func collectWants(pkg *Package) ([]*fixtureExpectation, error) {
 	return wants, nil
 }
 
-func matchWants(t reporter, fset *token.FileSet, diags []Diagnostic, wants []*fixtureExpectation) {
+func matchWants(t *testing.T, fset *token.FileSet, diags []Diagnostic, wants []*fixtureExpectation) {
 	t.Helper()
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)

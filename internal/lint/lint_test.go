@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,39 +12,39 @@ import (
 )
 
 // Each fixture package carries // want "regex" comments on every line the
-// analyzer must flag; RunFixture fails on both missed and spurious
+// analyzer must flag; runFixture fails on both missed and spurious
 // diagnostics, so every fixture exercises flagged AND clean cases.
 
 func TestDetRandFixture(t *testing.T) {
-	RunFixture(t, DetRand, "testdata/src/internal/sim")
+	runFixture(t, DetRand, "testdata/src/internal/sim")
 }
 
 func TestDetRandWallClockExemptFixture(t *testing.T) {
-	RunFixture(t, DetRand, "testdata/src/internal/experiments")
+	runFixture(t, DetRand, "testdata/src/internal/experiments")
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	RunFixture(t, HotAlloc, "testdata/src/hotalloc")
+	runFixture(t, HotAlloc, "testdata/src/hotalloc")
 }
 
 func TestBandSafeFixture(t *testing.T) {
-	RunFixture(t, BandSafe, "testdata/src/bandsafe")
+	runFixture(t, BandSafe, "testdata/src/bandsafe")
 }
 
 func TestLeakyGoFixture(t *testing.T) {
-	RunFixture(t, LeakyGo, "testdata/src/leakygo")
+	runFixture(t, LeakyGo, "testdata/src/leakygo")
 }
 
 func TestPoolPairFixture(t *testing.T) {
-	RunFixture(t, PoolPair, "testdata/src/poolpair")
+	runFixture(t, PoolPair, "testdata/src/poolpair")
 }
 
 func TestDetRandInterprocFixture(t *testing.T) {
-	RunFixture(t, DetRand, "testdata/src/interproc/internal/sim")
+	runFixture(t, DetRand, "testdata/src/interproc/internal/sim")
 }
 
 func TestHotAllocInterprocFixture(t *testing.T) {
-	RunFixture(t, HotAlloc, "testdata/src/interproc/hot")
+	runFixture(t, HotAlloc, "testdata/src/interproc/hot")
 }
 
 // TestDirectiveLedger keeps DESIGN §9's "grep adavp: is the complete
@@ -87,17 +88,18 @@ func TestDirectiveLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	directive := regexp.MustCompile(`^//adavp:([a-z-]*)`)
+	fset := token.NewFileSet()
 	for _, dir := range dirs {
 		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
 		for _, path := range files {
-			f, err := parser.ParseFile(loader.Fset(), path, nil, parser.ParseComments)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					if m := directive.FindStringSubmatch(c.Text); m != nil && !live[m[1]] {
-						t.Errorf("%s: //adavp:%s is read by no analyzer and not by escapecheck", loader.Fset().Position(c.Pos()), m[1])
+						t.Errorf("%s: //adavp:%s is read by no analyzer and not by escapecheck", fset.Position(c.Pos()), m[1])
 					}
 				}
 			}

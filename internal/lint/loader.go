@@ -117,9 +117,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor resolves an import path to a source directory: module-internal
 // paths map under the module root, anything else must be standard library.
 func (l *Loader) dirFor(path string) (string, error) {

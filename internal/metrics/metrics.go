@@ -141,21 +141,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation, or 0 for fewer than two
-// samples.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // CDF is an empirical cumulative distribution over float64 samples.
 type CDF struct {
 	sorted []float64
@@ -178,24 +163,3 @@ func (c *CDF) P(x float64) float64 {
 	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(c.sorted))
 }
-
-// Quantile returns the q-th quantile (q in [0, 1]) by nearest-rank.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
-}
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }

@@ -75,7 +75,7 @@ func TestDrawLabelNearBox(t *testing.T) {
 	// Some label pixels exist in the band above the box.
 	lit := 0
 	for y := 40 - glyphH - 2; y < 40; y++ {
-		for x := 50; x < 50+TextWidth("car"); x++ {
+		for x := 50; x < 50+3*(glyphW+1)-1; x++ {
 			if out.At(x, y) == 1 {
 				lit++
 			}
@@ -92,11 +92,8 @@ func TestDrawTextWidthAndClipping(t *testing.T) {
 	if w != 3*(glyphW+1) {
 		t.Errorf("drawn width = %d", w)
 	}
-	if TextWidth("CAR") != 3*(glyphW+1)-1 {
-		t.Errorf("TextWidth = %d", TextWidth("CAR"))
-	}
-	if TextWidth("") != 0 {
-		t.Error("empty TextWidth != 0")
+	if w := DrawText(img, 0, 1, "", 1); w != 0 {
+		t.Errorf("empty text drawn width = %d", w)
 	}
 	// Clipped text must not panic.
 	DrawText(img, 25, 8, "LONG TEXT PAST THE EDGE", 1)

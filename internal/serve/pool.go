@@ -36,7 +36,6 @@ type Pool struct {
 	stats Stats
 
 	mu      sync.Mutex
-	slots   int
 	free    int
 	queue   *FairQueue
 	nextID  int
@@ -58,17 +57,12 @@ type group struct {
 	pending int
 }
 
-// NewPool builds a non-batching pool of `slots` detector slots (clamped to
-// ≥ 1) whose wait queue admits at most queueBound requests (clamped to ≥ 1):
-// every grant serves exactly one request, the pre-batching behavior. A
-// non-nil registry receives the aggregate queue-depth gauge and the
-// batch-size histogram.
-func NewPool(slots, queueBound int, reg *obs.Registry) *Pool {
-	return NewBatchPool(slots, queueBound, BatchConfig{Size: 1}, reg)
-}
-
-// NewBatchPool builds a batching pool: each slot grant drains up to
-// batch.Size compatible requests and grants them as one fused inference.
+// NewBatchPool builds a pool of `slots` detector slots (clamped to ≥ 1) whose
+// wait queue admits at most queueBound requests (clamped to ≥ 1): each slot
+// grant drains up to batch.Size compatible requests and grants them as one
+// fused inference, so Size 1 serves exactly one request per grant, the
+// pre-batching behavior. A non-nil registry receives the aggregate
+// queue-depth gauge and the batch-size histogram.
 func NewBatchPool(slots, queueBound int, batch BatchConfig, reg *obs.Registry) *Pool {
 	if slots < 1 {
 		slots = 1
@@ -76,18 +70,11 @@ func NewBatchPool(slots, queueBound int, batch BatchConfig, reg *obs.Registry) *
 	return &Pool{
 		reg:     reg,
 		batch:   batch.WithDefaults(),
-		slots:   slots,
 		free:    slots,
 		queue:   NewFairQueue(queueBound),
 		waiters: make(map[int]*waiter),
 	}
 }
-
-// Slots returns K, the number of concurrent detector slots.
-func (p *Pool) Slots() int { return p.slots }
-
-// Batch returns the pool's batching configuration (Size ≥ 1).
-func (p *Pool) Batch() BatchConfig { return p.batch }
 
 // Stats reads the per-stage pipeline counters.
 func (p *Pool) Stats() StatsSnapshot { return p.stats.Snapshot() }

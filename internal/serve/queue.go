@@ -171,12 +171,6 @@ func (q *FairQueue) AppendBatch(batch []Request, max int, skip func(Request) boo
 // PopBatch(1) ≡ Pop. Returns nil on an empty queue.
 func (q *FairQueue) PopBatch(max int) []Request { return q.AppendBatch(nil, max, nil) }
 
-// PopBatchFunc is PopBatch with AppendBatch's skip predicate for abandoned
-// entries.
-func (q *FairQueue) PopBatchFunc(max int, skip func(Request) bool) []Request {
-	return q.AppendBatch(nil, max, skip)
-}
-
 // less orders the heap: oldest calibration first, then FIFO.
 func (q *FairQueue) less(i, j int) bool {
 	a, b := q.heap[i], q.heap[j]

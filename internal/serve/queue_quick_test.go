@@ -113,7 +113,7 @@ func runScript(t *testing.T, s qscript) bool {
 				return false
 			}
 		case 2:
-			got := q.PopBatchFunc(op.max, func(r Request) bool { return cancelled[r.Index] })
+			got := q.AppendBatch(nil, op.max, func(r Request) bool { return cancelled[r.Index] })
 			// Model drain with cancelled entries transparent: walk the pop
 			// order, dropping cancelled entries without counting them; the
 			// first live request supplies the setting, then subsequent live
@@ -249,7 +249,7 @@ func TestFairQueueQuickBatchDrainPrefix(t *testing.T) {
 				}
 			}
 		}
-		batch := a.PopBatchFunc(3, skip)
+		batch := a.AppendBatch(nil, 3, skip)
 		for i, r := range batch {
 			want, ok := livePop(b)
 			if !ok || want.Index != r.Index {

@@ -16,7 +16,7 @@ import (
 )
 
 func TestPoolGrantAndRelease(t *testing.T) {
-	p := NewPool(1, 4, nil)
+	p := NewBatchPool(1, 4, BatchConfig{Size: 1}, nil)
 	ctx := context.Background()
 	rel1, err := p.Acquire(ctx, "a", core.Setting512, 0)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestPoolGrantAndRelease(t *testing.T) {
 }
 
 func TestPoolBackpressure(t *testing.T) {
-	p := NewPool(1, 1, obs.NewRegistry())
+	p := NewBatchPool(1, 1, BatchConfig{Size: 1}, obs.NewRegistry())
 	ctx := context.Background()
 	rel, err := p.Acquire(ctx, "holder", core.Setting512, 0)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestPoolBackpressure(t *testing.T) {
 }
 
 func TestPoolCancelledWaiterSkipped(t *testing.T) {
-	p := NewPool(1, 4, nil)
+	p := NewBatchPool(1, 4, BatchConfig{Size: 1}, nil)
 	ctx := context.Background()
 	rel, err := p.Acquire(ctx, "holder", core.Setting512, 0)
 	if err != nil {

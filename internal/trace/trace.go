@@ -124,40 +124,6 @@ type Run struct {
 	Duration time.Duration
 }
 
-// FaultCounts aggregates the fault log by "component/action:kind" (the kind
-// suffix is dropped for actions without one). Nil when the run was
-// fault-free.
-func (r *Run) FaultCounts() map[string]int {
-	if len(r.Faults) == 0 {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, ev := range r.Faults {
-		key := ev.Component + "/" + ev.Action
-		if ev.Kind != "" && ev.Kind != ev.Action {
-			key += ":" + ev.Kind
-		}
-		out[key]++
-	}
-	return out
-}
-
-// BusyTime sums the busy time of one resource, optionally filtered to a
-// setting (SettingInvalid matches all).
-func (r *Run) BusyTime(res Resource, s core.Setting) time.Duration {
-	var total time.Duration
-	for _, iv := range r.Busy {
-		if iv.Resource != res {
-			continue
-		}
-		if s != core.SettingInvalid && iv.Setting != s {
-			continue
-		}
-		total += iv.Dur()
-	}
-	return total
-}
-
 // CyclesPerSwitch returns, for each switch, the number of cycles the
 // previous setting persisted — the quantity whose CDF is the paper's Fig. 7.
 func (r *Run) CyclesPerSwitch() []float64 {

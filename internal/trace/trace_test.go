@@ -45,22 +45,6 @@ func TestIntervalDur(t *testing.T) {
 	}
 }
 
-func TestBusyTime(t *testing.T) {
-	r := sampleRun()
-	if got := r.BusyTime(ResourceGPU, core.SettingInvalid); got != 880*time.Millisecond {
-		t.Errorf("GPU total = %v", got)
-	}
-	if got := r.BusyTime(ResourceGPU, core.Setting512); got != 380*time.Millisecond {
-		t.Errorf("GPU@512 = %v", got)
-	}
-	if got := r.BusyTime(ResourceCPUTrack, core.SettingInvalid); got != 40*time.Millisecond {
-		t.Errorf("CPU track = %v", got)
-	}
-	if got := r.BusyTime(ResourceCPUOverlay, core.SettingInvalid); got != 0 {
-		t.Errorf("overlay = %v", got)
-	}
-}
-
 func TestCyclesPerSwitch(t *testing.T) {
 	r := &Run{Switches: []Switch{{CycleIndex: 3}, {CycleIndex: 4}, {CycleIndex: 10}}}
 	got := r.CyclesPerSwitch()

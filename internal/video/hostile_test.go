@@ -18,7 +18,7 @@ func TestKindPartition(t *testing.T) {
 		t.Errorf("NumHostileKinds = %d, want >= 6", NumHostileKinds)
 	}
 	for _, k := range AllKinds() {
-		if k.Hostile() {
+		if k > firstHostile {
 			t.Errorf("benign AllKinds contains hostile %v", k)
 		}
 		if !k.Valid() {
@@ -26,7 +26,7 @@ func TestKindPartition(t *testing.T) {
 		}
 	}
 	for _, k := range HostileKinds() {
-		if !k.Hostile() || !k.Valid() {
+		if k < firstHostile || !k.Valid() {
 			t.Errorf("HostileKinds contains non-hostile or invalid %v", k)
 		}
 	}

@@ -50,7 +50,7 @@ func TestRenderObjectsBrighterThanBackground(t *testing.T) {
 		whole := it.BoxMean(0, 0, img.W, img.H)
 		for _, o := range truth {
 			// Interior mean (shrunk to avoid the dark rim).
-			in := o.Box.ScaleAboutCenter(0.5)
+			in := geom.RectFromCenter(o.Box.Center(), o.Box.W/2, o.Box.H/2)
 			m := it.BoxMean(int(in.Left), int(in.Top), int(in.Right()), int(in.Bottom()))
 			if o.Box.W < 6 || o.Box.H < 6 {
 				continue // too small for a meaningful interior sample

@@ -106,9 +106,6 @@ func (k Kind) Valid() bool {
 	return k > KindInvalid && k < numKinds && k != firstHostile
 }
 
-// Hostile reports whether k is one of the long-tail chaos presets.
-func (k Kind) Hostile() bool { return k > firstHostile && k < numKinds }
-
 // AllKinds returns the fourteen benign scenario kinds in declaration order.
 // The training and test datasets are built from these; hostile presets are
 // deliberately excluded (see HostileKinds).
