@@ -197,12 +197,12 @@ type Options struct {
 	// time: kernels are bitwise-deterministic at any worker count.
 	Workers int
 	// PipelineDepth, when > 1, runs the staged frame-prefetch pipeline on
-	// the live paths: a pixel-mode RunLive stream renders up to PipelineDepth
-	// upcoming frames ahead of its detector/tracker threads, and a
-	// RunLiveMulti stream keeps that prefetch running even while blocked
-	// waiting for a shared detector slot — overlapping its frame builds with
-	// other streams' detections without ever touching the slot queue, so
-	// grant order and the fairness bound are unchanged. On the virtual-clock
+	// the live paths: a pixel-mode stream's tracker renders up to
+	// PipelineDepth-1 of its planned frames ahead of the current step, also
+	// while a RunLiveMulti stream's detector waits for a shared slot. That
+	// overlaps its frame builds with other streams' detections without ever
+	// touching the slot queue, so grant order and the fairness bound are
+	// unchanged. On the virtual-clock
 	// RunMulti the same depth enables the scheduler's prefetch accounting
 	// (frames banked while waiting), which never alters the schedule.
 	// Values <= 1 keep the sequential paths.
@@ -257,8 +257,8 @@ type Result struct {
 	// Partial marks a live run cut short by context cancellation; the
 	// metrics cover the frames that completed before the cut.
 	Partial bool
-	// PrefetchedWhileWaiting counts frames whose prefetch completed while
-	// the live stream was blocked waiting for a shared detector slot
+	// PrefetchedWhileWaiting counts the tracker's frame prefetches that
+	// completed while the live stream waited for a shared detector slot
 	// (Options.PipelineDepth > 1 in pixel mode; zero otherwise).
 	PrefetchedWhileWaiting int
 }
@@ -421,8 +421,9 @@ type StreamRun struct {
 	MaxWait, MaxOccupancy, MaxCalibAge time.Duration
 	// PrefetchedWhileWaiting counts frames the staged prefetch banked while
 	// this stream waited for a detector slot (Options.PipelineDepth > 1).
-	// Live pixel streams count real prefetched frame builds; the
-	// virtual-clock scheduler counts its schedule-neutral accounting model's.
+	// Live pixel streams count the tracker ring's builds during the wait;
+	// the virtual-clock scheduler counts its accounting model's, an upper
+	// estimate of the same overlap.
 	PrefetchedWhileWaiting int
 	// Err is the stream's pipeline error, if any (live cancellation).
 	Err error

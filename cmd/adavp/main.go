@@ -123,7 +123,7 @@ func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 		return nil
 	})
 	o.pipelineDepth = 1
-	fs.Func("pipeline-depth", "staged frame-prefetch depth for -live and -streams runs (integer in 1..16; >1 renders that many upcoming frames ahead of the detector/tracker — and keeps rendering while the stream waits for a shared slot; 1 keeps the sequential path)", func(s string) error {
+	fs.Func("pipeline-depth", "staged frame-prefetch depth for -live and -streams runs (integer in 1..16; >1 renders up to depth-1 of the tracker's planned frames ahead of the step in progress — including while the stream waits for a shared slot; 1 keeps the sequential path)", func(s string) error {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 || n > 16 {
 			return fmt.Errorf("pipeline depth %q out of range (use an integer in 1..16)", s)

@@ -157,17 +157,18 @@ func TestSoakRTCancel(t *testing.T) {
 }
 
 // TestSoakRTPipelined: the pipelined preset — pixel streams with staged
-// frame prefetch contending for one shared slot. The prefetch stage keeps
-// running while streams block in Pool.Acquire (the soak must bank
-// prefetched frames to prove it), and because prefetch never touches the
-// pool the fairness bound must hold exactly as it does sequentially —
+// frame prefetch contending for one shared slot. While a stream blocks in
+// Pool.Acquire its tracker keeps stepping the previous cycle through the
+// prefetching ring (the soak must bank prefetched frames to prove it; the
+// default segment length gives streams the three or more detections that
+// takes, even under the race detector), and because prefetch never touches
+// the pool the fairness bound must hold exactly as it does sequentially —
 // along with the usual rt survival invariants (zero goroutine growth,
 // bounded heap).
 func TestSoakRTPipelined(t *testing.T) {
 	rep, err := SoakRT(context.Background(), Config{
 		Streams:       4,
 		Slots:         1,
-		SegmentFrames: 20,
 		WallBudget:    2 * time.Second,
 		PipelineDepth: 3,
 		Seed:          5,

@@ -139,33 +139,37 @@ func TestAdaptivePipelineCancelRefill(t *testing.T) {
 // prefetcher fills every slot and blocks waiting for a reuse token.
 // Cancelling right there must leave every slot holding its pyramid — there
 // is no pool to hand anything back to — at depth 1 (no prefetcher at all)
-// as at depth 2 and 3.
+// as at depth 2 and 3. The second pass re-arms the same slots, as Run does
+// once per tracker cycle: the tokens the cancelled pass kept come back.
 func TestStagedRingReclaimsPyramidsOnCancel(t *testing.T) {
 	for _, depth := range []int{1, 2, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
 		built := make(chan int, 16)
-		r := newStagedRing(ctx, depth, 10, func(i int, slot *pipeSlot) {
+		r := newStagedRing(depth, func(i int, slot *pipeSlot) {
 			if slot.pyr == nil {
 				t.Errorf("depth %d: frame %d built into a slot without a pyramid", depth, i)
 			}
 			built <- i
 		})
-		if depth > 1 {
-			for i := 0; i < depth; i++ {
-				if got := <-built; got != i {
-					t.Fatalf("depth %d: built frame %d, want %d", depth, got, i)
+		for pass := 0; pass < 2; pass++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			r.arm(ctx, 10)
+			if depth > 1 {
+				for i := 0; i < depth; i++ {
+					if got := <-built; got != i {
+						t.Fatalf("depth %d pass %d: built frame %d, want %d", depth, pass, got, i)
+					}
 				}
+				// Out of tokens: the prefetcher is parked (or about to park) on
+				// the token channel with nothing in hand.
+				time.Sleep(5 * time.Millisecond)
 			}
-			// Out of tokens: the prefetcher is parked (or about to park) on the
-			// token channel with nothing in hand.
-			time.Sleep(5 * time.Millisecond)
-		}
-		cancel()
-		if held, total := r.audit(); held != total || total != depth {
-			t.Fatalf("depth %d: %d of %d slots hold their pyramid after cancellation", depth, held, total)
-		}
-		if len(built) != 0 {
-			t.Errorf("depth %d: prefetcher lapped the ring without a token", depth)
+			cancel()
+			if held, total := r.audit(); held != total || total != depth {
+				t.Fatalf("depth %d pass %d: %d of %d slots hold their pyramid after cancellation", depth, pass, held, total)
+			}
+			if len(built) != 0 {
+				t.Errorf("depth %d pass %d: prefetcher lapped the ring without a token", depth, pass)
+			}
 		}
 	}
 }

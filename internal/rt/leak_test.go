@@ -124,6 +124,30 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	requireBaselineGoroutines(t, base)
 }
 
+// TestRunPixelRingLeaksNoGoroutines is TestRunPipelinedLeaksNoGoroutines
+// for the live schedule: a pixel-mode Run at depth 3 starts a ring
+// prefetcher per tracker cycle, and a cancellation at any point — inside a
+// cycle or between two — must join it before Run returns.
+func TestRunPixelRingLeaksNoGoroutines(t *testing.T) {
+	v := pipelineTestVideo("hw", video.KindHighway, 5, 120)
+	base := runtime.NumGoroutine()
+	cfg := Config{
+		TimeScale:     0.01,
+		Seed:          1,
+		PixelMode:     true,
+		Detector:      detect.NewBlobDetector(),
+		NewTracker:    func(uint64) track.Tracker { return track.NewPixelTracker() },
+		PipelineDepth: 3,
+	}
+	for _, after := range []time.Duration{5, 20, 60} {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(after*time.Millisecond, cancel)
+		_, _ = Run(ctx, v, cfg)
+		cancel()
+		requireBaselineGoroutines(t, base)
+	}
+}
+
 // TestRunPipelinedLeaksNoGoroutines is the satellite regression for the
 // staged pipeline's shutdown: the prefetcher goroutine must exit on every
 // cancellation path — including mid-run cancellation at depth>1 — and the

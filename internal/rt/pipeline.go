@@ -174,36 +174,48 @@ func (s *pipeSlot) take() *imgproc.Pyramid {
 }
 
 // stagedRing owns the prefetch→process hand-off: depth slots, each with its
-// own pyramid and detector-input raster, filled strictly in frame order by
-// build. At depth > 1 a prefetcher goroutine fills them ahead of the
-// processor; the reuse tokens bound it: it may overwrite slot i%depth only
-// after the processor released the slot's previous occupant. Depth 1 is the
-// same ring with one slot that next fills inline on the calling goroutine —
-// the sequential reference the parity tests compare against.
+// own pyramid and detector-input raster, allocated once and filled strictly
+// in order by build during a pass (arm … audit) — one per RunPipelined run,
+// one per Run tracker cycle. At depth > 1 a prefetcher goroutine fills them
+// ahead of the processor; the reuse tokens bound it: it may overwrite slot
+// i%depth only after the processor released the slot's previous occupant.
+// Depth 1 is the same ring with one slot that next fills inline on the
+// calling goroutine — the sequential reference the parity tests compare
+// against.
 type stagedRing struct {
 	ring  []pipeSlot
 	build func(i int, slot *pipeSlot)
-	// Nil at depth 1, which has no prefetcher to talk to.
-	filled chan int
+	// Nil at depth 1 (no prefetcher); all but tokens belong to the pass.
 	tokens chan struct{}
+	filled chan int
 	done   chan struct{}
+	stop   context.CancelFunc
 }
 
-func newStagedRing(ctx context.Context, depth, n int, build func(i int, slot *pipeSlot)) *stagedRing {
+func newStagedRing(depth int, build func(i int, slot *pipeSlot)) *stagedRing {
 	r := &stagedRing{ring: make([]pipeSlot, depth), build: build}
 	for i := range r.ring {
 		r.ring[i].pyr = &imgproc.Pyramid{}
 		r.ring[i].detIn = &imgproc.Gray{}
 	}
-	if depth == 1 {
-		return r
+	if depth > 1 {
+		r.tokens = make(chan struct{}, depth)
 	}
-	r.filled = make(chan int, depth)
-	r.tokens = make(chan struct{}, depth)
-	r.done = make(chan struct{})
-	for i := 0; i < depth; i++ {
+	return r
+}
+
+// arm starts a pass over items 0..n-1. At depth > 1 it refills the tokens
+// the joined previous pass kept and starts the prefetcher.
+func (r *stagedRing) arm(ctx context.Context, n int) {
+	if r.tokens == nil {
+		return
+	}
+	for len(r.tokens) < cap(r.tokens) {
 		r.tokens <- struct{}{}
 	}
+	ctx, r.stop = context.WithCancel(ctx)
+	r.filled = make(chan int, len(r.ring))
+	r.done = make(chan struct{})
 	go func() {
 		defer close(r.done)
 		defer close(r.filled)
@@ -213,7 +225,7 @@ func newStagedRing(ctx context.Context, depth, n int, build func(i int, slot *pi
 			case <-ctx.Done():
 				return
 			}
-			build(i, &r.ring[i%depth])
+			r.build(i, &r.ring[i%len(r.ring)])
 			select {
 			case r.filled <- i:
 			case <-ctx.Done():
@@ -221,14 +233,13 @@ func newStagedRing(ctx context.Context, depth, n int, build func(i int, slot *pi
 			}
 		}
 	}()
-	return r
 }
 
 // next returns the slot holding frame i, which must be requested in order;
 // ok is false when the run was cancelled before the frame was built.
 func (r *stagedRing) next(i int) (*pipeSlot, bool) {
 	slot := &r.ring[i%len(r.ring)]
-	if r.filled == nil {
+	if r.tokens == nil {
 		r.build(i, slot)
 		return slot, true
 	}
@@ -260,11 +271,12 @@ func (r *stagedRing) release(slot *pipeSlot, traded *imgproc.Pyramid) {
 	}
 }
 
-// audit waits for the prefetcher to exit and counts the slots holding their
-// pyramid — the conservation audit: this equals the slot count on every
-// shutdown path, cancelled or clean.
+// audit ends the pass — it stops and joins the prefetcher, at most one build
+// in flight — and counts the slots holding their pyramid: the conservation
+// audit, equal to the slot count on every shutdown path, cancelled or clean.
 func (r *stagedRing) audit() (held, total int) {
 	if r.done != nil {
+		r.stop()
 		<-r.done
 	}
 	for i := range r.ring {
@@ -523,7 +535,8 @@ func RunPipelined(ctx context.Context, v *video.Video, cfg PipelineConfig) (*Pip
 	r := newStagedRun(v, cfg)
 	res := r.res
 	r.start = time.Now()
-	ring := newStagedRing(ctx, cfg.Depth, n, r.prefetch)
+	ring := newStagedRing(cfg.Depth, r.prefetch)
+	ring.arm(ctx, n)
 
 	// Process + publish, strictly in frame order. The previous frame's
 	// processing interval is what the next slot's prefetch can have

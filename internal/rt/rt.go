@@ -13,7 +13,9 @@
 //   - The object tracker thread tracks the frames accumulated between two
 //     detections, honoring the tracking-frame selection scheme, and cancels
 //     its remaining work after finishing the current task once the detector
-//     has fetched a new frame (§IV-B's synchronization rule).
+//     has fetched a new frame (§IV-B's synchronization rule). It reads the
+//     planned frames through a stagedRing, which in pixel mode at
+//     Config.PipelineDepth > 1 renders up to depth-1 of them ahead.
 //
 // Shared data (detection results, display outputs) is guarded by a mutex and
 // atomics; cross-thread signalling is the generation counter plus a channel
@@ -23,7 +25,8 @@
 // Two schedules run over these parts: Run is the camera-paced, frame-dropping
 // MPDT above; RunPipelined (pipeline.go) processes every frame at a fixed
 // cadence, byte-deterministic at any depth. Merging the loops would make each
-// shared step branch on its caller; everything under them exists once.
+// shared step branch on its caller; everything under them, the prefetch
+// ring included, exists once.
 //
 // The pipeline is supervised (internal/guard): every Detect call runs in a
 // goroutine with panic recovery and a watchdog deadline derived from the
@@ -103,15 +106,13 @@ type Config struct {
 	// Nil runs against a dedicated always-free slot — the single-stream
 	// special case (N=1, K=1).
 	Slots DetectorSlots
-	// PipelineDepth, when >1 in pixel mode, runs the staged frame-prefetch
-	// ahead of the detector/tracker threads: up to PipelineDepth upcoming
-	// frames are rendered (raster only — a pure function of the frame index)
-	// while the stream is blocked elsewhere, most importantly inside
-	// Slots.Acquire. A stream queueing for a shared detector slot keeps its
-	// prefetch stage running, so another stream's detect sleep overlaps with
-	// this stream's renders. Behavior-neutral by construction: consumers that
-	// miss the cache render inline, and the prefetcher never touches the slot
-	// pool, so grant order is exactly as without it. Depth ≤ 1 disables.
+	// PipelineDepth, when >1 in pixel mode, is the depth of the tracker
+	// thread's stagedRing: it renders up to PipelineDepth-1 of the cycle's
+	// planned frames ahead of the current step, also while the detector
+	// thread queues in Slots.Acquire, so another stream's detect sleep
+	// overlaps this stream's renders. Behavior-neutral: a rendered frame is a
+	// pure function of its index, and the ring never touches the slot pool.
+	// Depth ≤ 1, or model mode, fetches every frame inline.
 	PipelineDepth int
 }
 
@@ -180,9 +181,9 @@ type Result struct {
 	// Partial marks a run cut short by context cancellation: Outputs and
 	// the metrics cover the frames that completed before the cut.
 	Partial bool
-	// PrefetchedWhileWaiting counts frames whose prefetch completed while
-	// this stream was blocked in slot acquisition — the overlap the serve
-	// pipeline buys. Always zero when Config.PipelineDepth ≤ 1.
+	// PrefetchedWhileWaiting counts the tracker ring's builds that completed
+	// while the detector thread was blocked in slot acquisition. Always zero
+	// when Config.PipelineDepth ≤ 1 or in model mode.
 	PrefetchedWhileWaiting int
 }
 
@@ -214,103 +215,11 @@ func (c camera) waitNewer(than int) (int, bool) {
 	return c.newest(), true
 }
 
-// framePrefetcher is the serve-path prefetch stage: a single goroutine that
-// follows the camera cursor and renders the next PipelineDepth frames ahead
-// of it into a bounded cache, so the detector and tracker threads fetch warm
-// rasters instead of rendering on their critical path. The rendered frame is
-// a pure function of its index, so a cache hit and an inline render are
-// interchangeable — the stage is behavior-neutral and needs no draining on
-// shutdown beyond its goroutine exiting with the camera.
-//
-// Its reason to exist is the blocked-stream overlap: while the detector loop
-// is parked inside DetectorSlots.Acquire waiting for a shared slot, the
-// prefetcher keeps rendering — another stream's emulated detect sleep is this
-// stream's pyramid-and-raster budget. The waiting flag brackets exactly that
-// window, and the accounting (frames completed inside it, cache population
-// while it is up) feeds the serve observability.
-type framePrefetcher struct {
-	v     *video.Video
-	depth int
-
-	mu    sync.Mutex
-	cache map[int]core.Frame
-
-	waiting     atomic.Bool
-	builtWhile  atomic.Int64 // frames whose render completed while waiting
-	inflightG   *obs.Gauge
-	prefetchedC *obs.Counter
-}
-
-func newFramePrefetcher(v *video.Video, depth int, reg *obs.Registry, labels []obs.Label) *framePrefetcher {
-	return &framePrefetcher{
-		v:           v,
-		depth:       depth,
-		cache:       make(map[int]core.Frame, 2*depth),
-		inflightG:   reg.Gauge(obs.MetricFramesInFlightWaiting, labels...),
-		prefetchedC: reg.Counter(obs.MetricPrefetchedWaiting, labels...),
-	}
-}
-
-// run follows the camera: each time a newer frame is captured, render up to
-// depth frames ahead of it. Exits when the camera has nothing newer to wait
-// for (last frame captured or run cancelled — the camera observes ctx).
-func (pf *framePrefetcher) run(cam camera) {
-	n := pf.v.NumFrames()
-	cursor := -1
-	rendered := -1
-	for {
-		latest, ok := cam.waitNewer(cursor)
-		if !ok {
-			return
-		}
-		cursor = latest
-		for i := latest + 1; i <= latest+pf.depth && i < n; i++ {
-			if i <= rendered {
-				continue
-			}
-			f := pf.v.FrameWithPixels(i)
-			rendered = i
-			pf.mu.Lock()
-			pf.cache[i] = f
-			for k := range pf.cache {
-				if k <= i-2*pf.depth {
-					delete(pf.cache, k)
-				}
-			}
-			held := len(pf.cache)
-			pf.mu.Unlock()
-			if pf.waiting.Load() {
-				// This render landed while the stream was queueing for a
-				// detector slot: banked work, the whole point of the stage.
-				pf.builtWhile.Add(1)
-				pf.prefetchedC.Inc()
-				pf.inflightG.Set(float64(held))
-			}
-		}
-	}
-}
-
-// get returns the cached frame for index i, if the prefetcher got there.
-func (pf *framePrefetcher) get(i int) (core.Frame, bool) {
-	pf.mu.Lock()
-	f, ok := pf.cache[i]
-	pf.mu.Unlock()
-	return f, ok
-}
-
-// setWaiting brackets the detector loop's slot acquisition; leaving the
-// window resets the in-flight gauge (the banked frames are being consumed).
-func (pf *framePrefetcher) setWaiting(w bool) {
-	pf.waiting.Store(w)
-	if !w {
-		pf.inflightG.Set(0)
-	}
-}
-
 // cycleWork is one detection hand-off from the detector to the tracker:
-// track frames (RefFrame, EndFrame) against RefDets.
+// track frames (Ref.Index, EndFrame) against RefDets, from the reference
+// frame the detector already fetched.
 type cycleWork struct {
-	RefFrame   int
+	Ref        core.Frame
 	RefDets    []core.Detection
 	EndFrame   int
 	Setting    core.Setting
@@ -366,7 +275,12 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 		sup:      guard.New(cfg.Guard),
 		outputs:  make([]core.FrameOutput, v.NumFrames()),
 		work:     make(chan cycleWork, 1),
+		depth:    1,
 	}
+	if cfg.PixelMode {
+		p.depth = max(cfg.PipelineDepth, 1)
+	}
+	p.waitBase.Store(-1)
 	p.resolveSeries()
 	if cfg.Fault != nil {
 		p.fdet = fault.NewDetector(det, *cfg.Fault, fault.Live)
@@ -394,7 +308,7 @@ type pipeline struct {
 	sup      *guard.Supervisor
 	fdet     *fault.Detector // non-nil when a fault profile is injected
 	ftrk     *fault.Tracker
-	prefetch *framePrefetcher // non-nil when PipelineDepth>1 in pixel mode
+	depth    int // the tracker ring's: PipelineDepth in pixel mode, else 1
 	// start is the run's one clock origin: capture times (cam) and every
 	// published `at` timestamp are offsets from it.
 	start time.Time
@@ -407,6 +321,14 @@ type pipeline struct {
 	// velocityBits shares the tracker's latest cycle velocity (Eq. 3) with
 	// the detector thread for model adaptation.
 	velocityBits atomic.Uint64
+
+	// The cycle the tracker ring builds from, set before each arm.
+	stepFrom int
+	plan     []int
+	// waitBase is prefetched's value when the detector thread entered its
+	// current Slots.Acquire, else -1.
+	waitBase   atomic.Int64
+	prefetched atomic.Int64 // ring builds completed inside a wait
 
 	outMu    sync.Mutex
 	outputs  []core.FrameOutput
@@ -428,6 +350,10 @@ type pipeline struct {
 	slotExecH *obs.Histogram
 	trackH    *obs.Histogram
 	overlayH  *obs.Histogram
+	prefetchH *obs.Histogram
+	// Nil below depth 2, where nothing is prefetched.
+	prefetchedC *obs.Counter
+	waitingG    *obs.Gauge
 }
 
 func (p *pipeline) resolveSeries() {
@@ -439,6 +365,11 @@ func (p *pipeline) resolveSeries() {
 	p.slotExecH = reg.Histogram(obs.MetricSlotExec, obs.DefLatencyBuckets, ls...)
 	p.trackH = reg.StageHistogram(obs.StageTrack, ls...)
 	p.overlayH = reg.StageHistogram(obs.StageOverlay, ls...)
+	p.prefetchH = reg.StageHistogram(obs.StagePrefetch, ls...)
+	if p.depth > 1 {
+		p.prefetchedC = reg.Counter(obs.MetricPrefetchedWaiting, ls...)
+		p.waitingG = reg.Gauge(obs.MetricFramesInFlightWaiting, ls...)
+	}
 }
 
 // observeDetect records one detect-stage sample, labeled with the setting
@@ -452,19 +383,25 @@ func (p *pipeline) observeDetect(s core.Setting, d time.Duration) {
 	p.cfg.Obs.StageHistogram(obs.StageDetect, ls...).ObserveDuration(d)
 }
 
-// frame fetches a frame (with pixels only in pixel mode). With the prefetch
-// stage running, a warm render is returned as-is; a miss renders inline —
-// identical bytes either way, the stage only moves the work off this path.
+// frame fetches a frame (with pixels only in pixel mode).
 func (p *pipeline) frame(i int) core.Frame {
 	if p.cfg.PixelMode {
-		if p.prefetch != nil {
-			if f, ok := p.prefetch.get(i); ok {
-				return f
-			}
-		}
 		return p.v.FrameWithPixels(i)
 	}
 	return p.v.Frame(i)
+}
+
+// buildStep is the tracker ring's build: fetch the cycle's k-th planned
+// frame, banking it when it lands while the detector thread waits for a slot.
+func (p *pipeline) buildStep(k int, slot *pipeSlot) {
+	t0 := time.Now()
+	slot.frame = p.frame(p.stepFrom + p.plan[k])
+	p.prefetchH.ObserveDuration(time.Since(t0))
+	if base := p.waitBase.Load(); base >= 0 && p.depth > 1 {
+		n := p.prefetched.Add(1)
+		p.prefetchedC.Inc()
+		p.waitingG.Set(float64(n - base))
+	}
 }
 
 // sleep emulates a component latency, scaled.
@@ -482,27 +419,16 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 	p.cam = camera{ctx: ctx, start: p.start, n: p.v.NumFrames(),
 		interval: max(scaleDur(p.v.FrameInterval(), p.cfg.TimeScale), time.Microsecond)}
 	var wg sync.WaitGroup
-	spawn := func(loop func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			loop()
-		}()
-	}
-	// Frame-prefetch stage (serve-path pipelining): renders ahead of the
-	// camera cursor so slot-wait time is spent building rasters. It exits
-	// with the camera, needing no ctx plumbing of its own.
-	if p.cfg.PipelineDepth > 1 && p.cfg.PixelMode {
-		p.prefetch = newFramePrefetcher(p.v, p.cfg.PipelineDepth, p.cfg.Obs, p.stream)
-		spawn(func() { p.prefetch.run(p.cam) })
-	}
-	// Object detector thread.
-	spawn(func() {
+	wg.Add(2)
+	go func() { // object detector thread
+		defer wg.Done()
 		defer close(p.work)
 		p.detectorLoop(ctx)
-	})
-	// Object tracker thread.
-	spawn(func() { p.trackerLoop(ctx) })
+	}()
+	go func() { // object tracker thread
+		defer wg.Done()
+		p.trackerLoop(ctx)
+	}()
 	wg.Wait()
 	res := p.finish()
 	if err := ctx.Err(); err != nil {
@@ -525,11 +451,10 @@ func (p *pipeline) detectDeadline(s core.Setting) time.Duration {
 // downgrades on repeated faults. ok is false when every attempt failed —
 // the caller then keeps the previous calibration on screen. The returned
 // setting reflects any downgrade (or post-recovery restore) applied.
-func (p *pipeline) superviseDetect(ctx context.Context, frameIdx int, setting core.Setting) ([]core.Detection, core.Setting, bool) {
-	cycle := int(p.cycles.Load())
+func (p *pipeline) superviseDetect(ctx context.Context, frame core.Frame, setting core.Setting) ([]core.Detection, core.Setting, bool) {
+	cycle, frameIdx := int(p.cycles.Load()), frame.Index
 	gcfg := p.sup.Config()
 	for attempt := 0; ; attempt++ {
-		frame := p.frame(frameIdx)
 		s := setting
 		dets, outcome := p.sup.Call(p.detectDeadline(s), func(callCtx context.Context) []core.Detection {
 			// callCtx is the watchdog's abandonment signal for this one call,
@@ -573,12 +498,12 @@ func (p *pipeline) superviseDetect(ctx context.Context, frameIdx int, setting co
 // next.
 type detectorState struct {
 	setting core.Setting
-	// prevFrame is the reference frame of the cycle in progress (-1 before
+	// prev is the reference frame of the cycle in progress (Index -1 before
 	// the first calibration) and prevDets the detections it is tracked from.
-	prevFrame int
-	prevDets  []core.Detection
+	prev     core.Frame
+	prevDets []core.Detection
 	// lastFetched is the wait cursor: it advances on every fetch, granted or
-	// refused, so a refused bootstrap fetch (prevFrame still -1) waits for the
+	// refused, so a refused bootstrap fetch (prev.Index still -1) waits for the
 	// NEXT captured frame instead of spinning on — and re-counting — the same
 	// one.
 	lastFetched int
@@ -593,7 +518,7 @@ type detectorState struct {
 // newest frame, acquire a detector slot, adapt the setting, hand the finished
 // cycle to the tracker, detect (supervised), release the slot.
 func (p *pipeline) detectorLoop(ctx context.Context) {
-	d := &detectorState{setting: p.cfg.Setting, prevFrame: -1, lastFetched: -1}
+	d := &detectorState{setting: p.cfg.Setting, prev: core.Frame{Index: -1}, lastFetched: -1}
 	// Frame 0 is captured as the clock starts, so the first fetch does not
 	// read the clock — however late this thread was scheduled, the run begins
 	// with frame 0 — and every later one waits on it.
@@ -612,7 +537,7 @@ func (p *pipeline) detectorLoop(ctx context.Context) {
 		granted := time.Now()
 		// Fetching a new frame tells the tracker to wind down (§IV-B).
 		gen := p.generation.Add(1)
-		if d.prevFrame >= 0 {
+		if d.prev.Index >= 0 {
 			d.setting = p.adaptSetting(d.setting)
 			// Hand the accumulated frames to the tracker before starting the
 			// new inference, so both work in parallel.
@@ -628,20 +553,17 @@ func (p *pipeline) detectorLoop(ctx context.Context) {
 // acquireSlot claims a detector slot before the cycle commits and returns the
 // frame to detect in it: from the shared pool, or — nil Slots, single-stream
 // as the N=1, K=1 case — a dedicated one that is always free. The wait is
-// measured here; the pool itself is clock-free. The prefetch stage keeps
-// rendering through the block: the waiting bracket is what attributes its
-// completions to the queueing window.
+// measured here; the pool itself is clock-free. Meanwhile the tracker thread
+// is still stepping the previous cycle through its ring: the waiting window
+// (waitBase) is what attributes the ring's builds to the queueing.
 func (p *pipeline) acquireSlot(ctx context.Context, d *detectorState, fetched int) (release func(), frameIdx int, err error) {
 	requested := time.Now()
 	release, frameIdx, err = func() {}, fetched, ctx.Err()
 	if p.cfg.Slots != nil {
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(true)
-		}
+		p.waitBase.Store(p.prefetched.Load())
 		release, err = p.cfg.Slots.Acquire(ctx, p.cfg.StreamID, d.setting, d.lastCalib)
-		if p.prefetch != nil {
-			p.prefetch.setWaiting(false)
-		}
+		p.waitBase.Store(-1)
+		p.waitingG.Set(0)
 	}
 	if err != nil {
 		return nil, fetched, err
@@ -668,21 +590,22 @@ func (p *pipeline) deferDetection(ctx context.Context, d *detectorState, frameId
 		p.deferred.Add(1)
 		p.deferredC.Inc()
 	}
-	if d.prevFrame < 0 {
+	if d.prev.Index < 0 {
 		return true
 	}
 	if !p.handOff(ctx, d, frameIdx, p.generation.Add(1)) {
 		return false
 	}
-	d.prevFrame = frameIdx
+	// The next cycle tracks from the deferred frame; its Init needs pixels.
+	d.prev = p.frame(frameIdx)
 	return true
 }
 
-// handOff gives the tracker the frames (prevFrame, endFrame) to track against
+// handOff gives the tracker the frames (prev.Index, endFrame) to track against
 // the previous calibration. It reports false when the run was cancelled first.
 func (p *pipeline) handOff(ctx context.Context, d *detectorState, endFrame int, gen uint64) bool {
 	select {
-	case p.work <- cycleWork{RefFrame: d.prevFrame, RefDets: d.prevDets, EndFrame: endFrame, Setting: d.setting, Generation: gen}:
+	case p.work <- cycleWork{Ref: d.prev, RefDets: d.prevDets, EndFrame: endFrame, Setting: d.setting, Generation: gen}:
 		return true
 	case <-ctx.Done():
 		return false
@@ -714,10 +637,12 @@ func (p *pipeline) adaptSetting(cur core.Setting) core.Setting {
 
 // calibrate runs the supervised detection of frameIdx inside the granted
 // slot, releases the slot, and publishes the calibration (or, when every
-// attempt faulted, holds the previous one on screen).
+// attempt faulted, holds the previous one on screen). The frame is fetched
+// once, for every attempt and for the next cycle's tracker Init.
 func (p *pipeline) calibrate(ctx context.Context, d *detectorState, frameIdx int, granted time.Time, release func()) {
 	detStart := time.Now()
-	dets, setting, detected := p.superviseDetect(ctx, frameIdx, d.setting)
+	frame := p.frame(frameIdx)
+	dets, setting, detected := p.superviseDetect(ctx, frame, d.setting)
 	d.setting = setting
 	p.sleep(p.latDet.Detect(setting))
 	occ := time.Since(granted)
@@ -744,24 +669,25 @@ func (p *pipeline) calibrate(ctx context.Context, d *detectorState, frameIdx int
 	p.setOutput(out)
 	p.cycles.Add(1)
 	p.cyclesC.Inc()
-	d.prevFrame = frameIdx
+	d.prev = frame
 	d.lastFetched = max(d.lastFetched, frameIdx)
 }
 
 // trackerLoop is the CPU thread: process each cycle's buffered frames under
 // panic supervision, validating every velocity sample before it can reach
-// the adaptation model.
+// the adaptation model. The planned frames come through the run's stagedRing.
 func (p *pipeline) trackerLoop(ctx context.Context) {
+	ring := newStagedRing(p.depth, p.buildStep)
 	for w := range p.work {
 		if ctx.Err() != nil {
 			return
 		}
-		buffered := w.EndFrame - 1 - w.RefFrame
+		buffered := w.EndFrame - 1 - w.Ref.Index
 		if buffered <= 0 {
 			continue
 		}
 		feStart := time.Now()
-		if !p.safeTrack(w.RefFrame, func() { p.tracker.Init(p.frame(w.RefFrame), w.RefDets) }) {
+		if !p.safeTrack(w.Ref.Index, func() { p.tracker.Init(w.Ref, w.RefDets) }) {
 			continue
 		}
 		p.sleep(p.latTrk.FeatureExtract())
@@ -769,50 +695,64 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 		// busy log.
 		p.trackH.ObserveDuration(time.Since(feStart))
 
-		plan := p.selector.Plan(buffered)
-		tracked := 0
-		var velSum float64
-		var velN int
-		cur := w.RefDets
-		for _, idx := range plan {
-			// §IV-B: cancel after the current task once the detector has
-			// fetched a newer frame.
-			if p.generation.Load() > w.Generation {
-				break
-			}
-			frameIdx := w.RefFrame + 1 + idx
-			stepStart := time.Now()
-			var dets []core.Detection
-			var vel float64
-			if !p.safeTrack(frameIdx, func() { dets, vel = p.tracker.Step(p.frame(frameIdx)) }) {
-				// The tracker panicked mid-cycle: hold the last good boxes
-				// for this frame and abandon the rest of the cycle — the
-				// next detection re-initializes the tracker from scratch.
-				p.setOutput(core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceHeld, Setting: w.Setting, Detections: cur})
-				tracked++
-				break
-			}
-			dets = detect.Sanitize(dets)
-			p.sleep(p.latTrk.TrackFrame(len(cur)))
-			p.trackH.ObserveDuration(time.Since(stepStart))
-			ovStart := time.Now()
-			p.sleep(p.latTrk.Overlay())
-			p.setOutput(core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: w.Setting, Detections: dets})
-			p.overlayH.ObserveDuration(time.Since(ovStart))
-			cur = dets
-			tracked++
-			if track.ValidVelocity(vel) {
-				velSum += vel
-				velN++
-			}
-		}
+		p.stepFrom, p.plan = w.Ref.Index+1, p.selector.Plan(buffered)
+		tracked, vel := p.trackPlan(ctx, ring, w)
 		p.selector.Update(tracked, buffered)
-		if velN > 0 {
-			if m := velSum / float64(velN); track.ValidVelocity(m) {
-				p.velocityBits.Store(math.Float64bits(m))
-			}
+		if track.ValidVelocity(vel) {
+			p.velocityBits.Store(math.Float64bits(vel))
 		}
 	}
+}
+
+// trackPlan steps the tracker through the planned frames and returns how
+// many it tracked and their mean velocity (NaN without a valid sample).
+// §IV-B: it stops once the detector has fetched a newer frame, checked before
+// arming and before each slot goes back, so at most depth-1 builds go unread.
+func (p *pipeline) trackPlan(ctx context.Context, ring *stagedRing, w cycleWork) (tracked int, vel float64) {
+	if p.generation.Load() > w.Generation {
+		return 0, math.NaN()
+	}
+	ring.arm(ctx, len(p.plan))
+	defer ring.audit()
+	var velSum float64
+	var velN int
+	cur := w.RefDets
+	for k := range p.plan {
+		slot, ok := ring.next(k)
+		if !ok {
+			break
+		}
+		f := slot.frame
+		stepStart := time.Now()
+		var dets []core.Detection
+		var v float64
+		if !p.safeTrack(f.Index, func() { dets, v = p.tracker.Step(f) }) {
+			// The tracker panicked mid-cycle: hold the last good boxes
+			// for this frame and abandon the rest of the cycle — the
+			// next detection re-initializes the tracker from scratch.
+			p.setOutput(core.FrameOutput{FrameIndex: f.Index, Source: core.SourceHeld, Setting: w.Setting, Detections: cur})
+			tracked++
+			break
+		}
+		dets = detect.Sanitize(dets)
+		p.sleep(p.latTrk.TrackFrame(len(cur)))
+		p.trackH.ObserveDuration(time.Since(stepStart))
+		ovStart := time.Now()
+		p.sleep(p.latTrk.Overlay())
+		p.setOutput(core.FrameOutput{FrameIndex: f.Index, Source: core.SourceTracker, Setting: w.Setting, Detections: dets})
+		p.overlayH.ObserveDuration(time.Since(ovStart))
+		cur = dets
+		tracked++
+		if track.ValidVelocity(v) {
+			velSum += v
+			velN++
+		}
+		if p.generation.Load() > w.Generation {
+			break
+		}
+		ring.release(slot, slot.pyr)
+	}
+	return tracked, velSum / float64(velN) // 0/0 is NaN
 }
 
 // safeTrack runs one tracker call on the given frame with panic recovery.
@@ -830,18 +770,16 @@ func (p *pipeline) safeTrack(frame int, call func()) (ok bool) {
 // finish hold-fills unprocessed frames and evaluates the run.
 func (p *pipeline) finish() *Result {
 	res := &Result{
-		Outputs:          p.outputs,
-		Cycles:           int(p.cycles.Load()),
-		Switches:         int(p.switches.Load()),
-		Deferred:         int(p.deferred.Load()),
-		MaxCalibAge:      p.maxCalibAge,
-		MaxSlotOccupancy: p.maxSlotOcc,
-		Health:           p.sup.Health(),
-		Faults:           p.sup.Stats(),
-		Events:           p.sup.Events(),
-	}
-	if p.prefetch != nil {
-		res.PrefetchedWhileWaiting = int(p.prefetch.builtWhile.Load())
+		Outputs:                p.outputs,
+		Cycles:                 int(p.cycles.Load()),
+		Switches:               int(p.switches.Load()),
+		Deferred:               int(p.deferred.Load()),
+		MaxCalibAge:            p.maxCalibAge,
+		MaxSlotOccupancy:       p.maxSlotOcc,
+		Health:                 p.sup.Health(),
+		Faults:                 p.sup.Stats(),
+		Events:                 p.sup.Events(),
+		PrefetchedWhileWaiting: int(p.prefetched.Load()),
 	}
 	if p.fdet != nil {
 		res.Injected = make(map[string]int)

@@ -65,10 +65,10 @@ type RunConfig struct {
 	// PipelineDepth is the default per-stream frame-prefetch depth
 	// (rt.Config.PipelineDepth) applied to every stream that leaves its own
 	// depth zero. With depth > 1 a stream blocked in Pool.Acquire keeps its
-	// prefetch stage rendering upcoming frames, so another stream's detect
-	// sleep overlaps its builds. Prefetch never touches the pool or the wait
-	// queue, so grant order — and the fairness bound — are unchanged. <= 1
-	// leaves the streams sequential.
+	// tracker's ring rendering the planned frames of the cycle in progress,
+	// so another stream's detect sleep overlaps its builds. Prefetch never
+	// touches the pool or the wait queue, so grant order — and the fairness
+	// bound — are unchanged. <= 1 leaves the streams sequential.
 	PipelineDepth int
 }
 

@@ -255,12 +255,15 @@ func TestServeBackpressureDefers(t *testing.T) {
 
 // TestServePipelinedPrefetchWhileWaiting is the serve half of the staged
 // pipeline: with RunConfig.PipelineDepth applied to pixel-mode streams
-// contending for one slot, a stream blocked in Pool.Acquire keeps its
-// prefetch stage rendering — so frames complete their builds during the
-// wait and are banked in the per-stream prefetched-while-waiting counter.
-// The prefetcher never touches the pool, so the scheduling contract is
-// unchanged: every stream still completes full-length outputs and the
-// queue drains.
+// contending for one slot, a stream's tracker keeps stepping its previous
+// cycle while the detector thread is blocked in Pool.Acquire, and the
+// tracker's ring renders the planned frames ahead of it — builds that
+// complete during the wait are banked in the per-stream
+// prefetched-while-waiting counter. A cycle reaches the tracker at the next
+// grant, so only a stream that runs three or more detections can bank; the
+// videos are long enough for that even under the race detector. The ring
+// never touches the pool, so the scheduling contract is unchanged: every
+// stream still completes full-length outputs and the queue drains.
 func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 	reg := obs.NewRegistry()
 	kinds := []video.Kind{video.KindHighway, video.KindIntersection, video.KindCityStreet}
@@ -269,7 +272,7 @@ func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 		id := fmt.Sprintf("p%d", i)
 		specs[i] = StreamSpec{
 			ID:    id,
-			Video: video.GenerateKind(id, kinds[i], uint64(i+1), 120),
+			Video: video.GenerateKind(id, kinds[i], uint64(i+1), 360),
 			Config: rt.Config{
 				TimeScale: 0.01,
 				Seed:      uint64(200 + i),

@@ -55,12 +55,13 @@ type MultiConfig struct {
 	// counters.
 	Obs *obs.Registry
 	// PipelineDepth models the live path's staged prefetch: while a granted
-	// request waited for its slot, the stream's prefetch stage kept rendering
-	// frames, up to PipelineDepth deep. On the virtual clock this is pure
-	// accounting — timing and grant order are byte-identical with the field
-	// unset — but it quantifies the overlap the live pool gets for free: each
-	// grant banks min(wait/frameInterval, PipelineDepth) prefetched frames
-	// into the per-stream MetricPrefetchedWaiting counter. <= 1 disables.
+	// request waited for its slot, the stream's tracker ring kept rendering
+	// planned frames. Pure accounting — timing and grant order are
+	// byte-identical with the field unset: each grant banks
+	// min(wait/frameInterval, PipelineDepth) frames into the per-stream
+	// MetricPrefetchedWaiting counter, an upper estimate of the live count,
+	// which stops at depth-1 ahead or at the cycle's end and starts only at
+	// the stream's third detection. <= 1 disables.
 	PipelineDepth int
 }
 
@@ -192,9 +193,9 @@ func (r *multiRun) Plan(i int, requested, grant time.Duration) (time.Duration, b
 		r.obs.Histogram(obs.MetricSlotWait, obs.DefLatencyBuckets, obs.L("stream", m.id)).ObserveDuration(wait)
 	}
 	// The staged-prefetch model: while the request waited, the stream's
-	// prefetch stage kept rendering camera frames — one per frame interval,
-	// at most PipelineDepth in flight. Pure accounting: nothing about the
-	// schedule changes.
+	// tracker ring kept rendering — one frame per interval, at most
+	// PipelineDepth (an upper estimate, see MultiConfig.PipelineDepth).
+	// Pure accounting: nothing about the schedule changes.
 	if banked := min(int(wait/m.e.delta), r.depth); banked > 0 && r.depth > 1 {
 		m.out.PrefetchedWhileWaiting += banked
 		if r.obs != nil {
