@@ -31,7 +31,7 @@
 GO ?= go
 
 # Coverage floor for `make cover` (total statement coverage, percent):
-# measured minus one. The suite sits at 82.9%; the floor trails it so honest
+# measured minus one. The suite sits at 84.1%; the floor trails it so honest
 # refactors don't flap, while a PR that lands a subsystem without tests fails
 # the gate.
 COVER_FLOOR ?= 81.9

@@ -16,7 +16,7 @@
 //     budget recovery after fault bursts.
 //
 // Both check the fairness invariant: no stream's calibration age may exceed
-// serve.FairnessBound for the soak's observed slot occupancy.
+// serve.FairnessBoundBatched for the soak's observed slot occupancy.
 package chaos
 
 import (

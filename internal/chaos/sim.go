@@ -48,7 +48,7 @@ func SoakSim(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("chaos: round %d: %w", round, err)
 		}
 		// Fairness under batching: the generalized bound from the round's
-		// longest single-request span (equal to FairnessBound at B=1).
+		// longest single-request span (the unbatched bound at B=1).
 		bound := serve.FairnessBoundBatched(len(plans), cfg.Slots, cfg.Batch.Size,
 			res.MaxSingleOccupancy, plans[0].Video.FrameInterval(), cfg.Batch.Linger)
 		if bound > rep.FairnessBound {

@@ -124,10 +124,10 @@ func (d *BlobDetector) inputDims(f core.Frame, s core.Setting) (w, h int, ok boo
 // PrepareInput renders the setting-scaled detector input for a frame into
 // dst, growing dst's buffer as needed. It returns false — leaving dst
 // untouched — when the setting reads the frame at native resolution (no
-// resize to prefetch) or the frame cannot be detected on. This is the
-// setting-DEPENDENT half of the staged pipeline's prefetch work: the raster
-// it produces is only valid for the (frame, setting) pair it was built for,
-// which is what the adaptive pipeline's cancel-and-refill keys on.
+// resize to do) or the frame cannot be detected on. The raster is only valid
+// for the (frame, setting) pair it was built for. bench/'s layer walk is its
+// only non-test caller: it stays because the walk times the resize
+// (detect.prepare_ms) apart from the blob pass (detect.blob_ms).
 func (d *BlobDetector) PrepareInput(f core.Frame, s core.Setting, dst *imgproc.Gray) bool {
 	w, h, ok := d.inputDims(f, s)
 	if !ok || (w == f.Pixels.W && h == f.Pixels.H) {
@@ -143,11 +143,11 @@ func (d *BlobDetector) PrepareInput(f core.Frame, s core.Setting, dst *imgproc.G
 }
 
 // DetectPrepared is Detect with the setting-scaled input already rendered by
-// PrepareInput: bitwise-identical detections, no resize on the caller's
-// critical path. A nil, mis-sized or stale prepared raster (built for a
-// different setting) falls back to resizing inline — the cancel-and-refill
-// degenerate case — so the result never depends on whether the prefetched
-// raster was usable.
+// PrepareInput: bitwise-identical detections. A nil, mis-sized or stale
+// prepared raster (built for a different setting) falls back to resizing
+// inline, so the result never depends on whether the raster was usable. Like
+// PrepareInput, it serves bench/'s layer walk, which splits
+// detect.prepare_ms from detect.blob_ms.
 func (d *BlobDetector) DetectPrepared(f core.Frame, s core.Setting, prepared *imgproc.Gray) []core.Detection {
 	// DetectPrepared calls are never watchdog-abandoned, so there is no
 	// abandonment signal to carry.

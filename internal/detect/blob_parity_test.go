@@ -54,10 +54,11 @@ func TestBlobDetectorParityAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBlobDetectorPreparedParity pins the prepared-input contract the staged
-// pipeline relies on: DetectPrepared over a PrepareInput raster is bitwise
-// Detect — and so is every degenerate prepared argument (nil, wrong-setting
-// raster), because the fallback resizes inline through the very same kernel.
+// TestBlobDetectorPreparedParity pins the prepared-input contract bench/'s
+// layer walk relies on when it times the resize apart from the blob pass:
+// DetectPrepared over a PrepareInput raster is bitwise Detect — and so is
+// every degenerate prepared argument (nil, wrong-setting raster), because the
+// fallback resizes inline through the very same kernel.
 func TestBlobDetectorPreparedParity(t *testing.T) {
 	v := video.GenerateKind("blob-prep", video.KindCityStreet, 7, 20)
 	d := NewBlobDetector()

@@ -89,24 +89,6 @@ const (
 	// once it wrapped — how much history /metrics scrapers lost. The series
 	// appears after the first drop; its absence means the journal is intact.
 	MetricJournalDropped = "adavp_journal_events_dropped_total"
-	// MetricFramesInFlight is the number of frames concurrently inside the
-	// staged pipeline — issued to the prefetch stage but not yet published.
-	// It tops out at the configured pipeline depth; a gauge stuck at 1 under
-	// depth>1 means the prefetcher is starved rather than overlapping.
-	MetricFramesInFlight = "adavp_frames_in_flight"
-	// MetricStageOverlap is a histogram of how long each frame's prefetch
-	// ran concurrently with the processing of the preceding frame, in
-	// seconds — the realized cross-frame overlap. Identically zero at
-	// pipeline depth 1; its sum is wall time the pipeline saved.
-	MetricStageOverlap = "adavp_stage_overlap_seconds"
-	// MetricPrefetchStale counts prefetched detector-input rasters cancelled
-	// because a calibration decision moved the setting on before the frame
-	// reached the detector; MetricPrefetchRefill counts the inline rebuilds
-	// at the live setting that replaced them. Stale ≤ refill by construction
-	// (a refill also covers slots whose prefetch skipped the raster). Both
-	// are bookkeeping about wasted prefetch work, never about outputs.
-	MetricPrefetchStale  = "adavp_prefetch_stale_cancelled_total"
-	MetricPrefetchRefill = "adavp_prefetch_refill_total"
 	// MetricPrefetchedWaiting counts the live tracker ring's renders that
 	// completed while the stream's detector loop waited for a shared slot —
 	// the serve-path overlap: one stream's detect sleep is another's render.
@@ -127,10 +109,9 @@ const (
 	StageTrack   = "track"
 	StageOverlay = "overlay"
 	StageAdapt   = "adapt-decision"
-	// StagePrefetch is the staged pipeline's render+pyramid precompute of a
-	// future frame; StagePublish is its in-order result hand-off.
+	// StagePrefetch is one build of the live tracker's frame ring: fetching
+	// (in pixel mode, rendering) a planned frame ahead of its step.
 	StagePrefetch = "prefetch"
-	StagePublish  = "publish"
 )
 
 // DefLatencyBuckets are the default histogram bounds for stage latencies, in

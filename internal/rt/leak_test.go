@@ -44,17 +44,11 @@ func rtGoroutines() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by adavp/internal/rt.")
 }
 
-// goroutineProbe records rtGoroutines from inside the run: wrapped as a
-// Detector on every Detect call, as a Tracker on every Step.
+// goroutineProbe records rtGoroutines from inside the run, wrapped as a
+// Tracker on every Step.
 type goroutineProbe struct {
 	seen []int
-	det  *detect.BlobDetector
 	track.Tracker
-}
-
-func (g *goroutineProbe) Detect(f core.Frame, s core.Setting) []core.Detection {
-	g.seen = append(g.seen, rtGoroutines())
-	return g.det.Detect(f, s)
 }
 
 func (g *goroutineProbe) Step(f core.Frame) ([]core.Detection, float64) {
@@ -62,20 +56,26 @@ func (g *goroutineProbe) Step(f core.Frame) ([]core.Detection, float64) {
 	return g.Tracker.Step(f)
 }
 
-// TestRunPipelinedDepth1StartsNoGoroutine pins the sequential reference: at
-// depth 1 the ring fills its one slot inline, so the run starts no goroutine
-// of its own; at depth 2 there is exactly the prefetcher, until it has built
-// the last frame.
+// TestRunPipelinedDepth1StartsNoGoroutine pins the sequential reference on
+// the ring RunPipelined runs on: at depth 1 it fills its one slot inline, so a
+// pass starts no goroutine of its own; at depth 2 every build runs on exactly
+// one, the prefetcher.
 func TestRunPipelinedDepth1StartsNoGoroutine(t *testing.T) {
-	v := pipelineTestVideo("hw", video.KindHighway, 5, 16)
+	const n = 8
 	for depth, want := range map[int]int{1: 0, 2: 1} {
-		probe := &goroutineProbe{det: detect.NewBlobDetector()}
-		_, err := RunPipelined(context.Background(), v, PipelineConfig{Depth: depth, DetectEvery: 2, TimeScale: 0.001, Detector: probe})
-		if err != nil {
-			t.Fatal(err)
+		var seen []int
+		r := newStagedRing(depth, func(int, *pipeSlot) { seen = append(seen, rtGoroutines()) })
+		r.arm(context.Background(), n)
+		for i := 0; i < n; i++ {
+			slot, ok := r.next(i)
+			if !ok {
+				t.Fatalf("depth %d: frame %d never built", depth, i)
+			}
+			r.release(slot, slot.take())
 		}
-		if len(probe.seen) != 8 || slices.Max(probe.seen) != want {
-			t.Errorf("depth %d: goroutines started by the run at each of 8 detector calls: %v, want at most %d", depth, probe.seen, want)
+		r.audit() // joins the prefetcher: seen is ours again
+		if len(seen) != n || slices.Min(seen) != want || slices.Max(seen) != want {
+			t.Errorf("depth %d: goroutines started by the ring at each of %d builds: %v, want %d", depth, n, seen, want)
 		}
 	}
 }

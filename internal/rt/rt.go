@@ -163,7 +163,7 @@ type Result struct {
 	// MaxCalibAge is the longest wall-clock gap between consecutive
 	// calibration completions (the first measured from run start) — the
 	// live counterpart of sim.StreamOutcome.MaxCalibAge, checked against
-	// serve.FairnessBound by the chaos soak.
+	// serve.FairnessBoundBatched by the chaos soak.
 	MaxCalibAge time.Duration
 	// MaxSlotOccupancy is the longest this stream held a detector slot
 	// (supervision, retries and emulated inference included) — the

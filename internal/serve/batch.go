@@ -60,31 +60,34 @@ func BatchLatency(single time.Duration, b int) time.Duration {
 	return single + time.Duration(float64(single)*BatchGamma*float64(b-1))
 }
 
-// FairnessBoundBatched generalizes FairnessBound to the batching executor:
-// the worst-case calibration age of any stream when N streams share K slots
-// whose grants drain up to `batch` compatible requests each, with
-// maxOccupancy the longest *single-request* occupancy (setting-switch
-// overhead plus one inference) and linger the batching executor's fill
-// timeout (zero for the work-conserving live pool).
+// FairnessBoundBatched returns the documented worst-case calibration age of
+// any stream under the oldest-calibration-first policy, when N streams share
+// K work-conserving slots whose grants drain up to `batch` compatible
+// requests each, with maxOccupancy the longest *single-request* occupancy
+// (setting-switch overhead plus one inference), frameInterval the capture
+// interval and linger the batching executor's fill timeout (zero for the
+// work-conserving live pool).
 //
-// Derivation (DESIGN.md §16 has the full sketch): AppendBatch drains a strict
-// prefix of the oldest-calibration-first pop order, so every request granted
-// before ours is one Pop would also have granted before ours — batching
-// never reorders, and the PR 5 round-count argument survives verbatim: after
-// our stream re-requests, each of the N-1 other streams is served at most
-// once before us, costing ceil((N-1)/K) slot-grant spans on K
-// work-conserving slots, plus one residual grant already in flight and our
-// own. What changes is the worst-case span of one grant: a full batch
-// stretches its slot to BatchLatency(maxOccupancy, batch), and a lingering
-// executor may additionally hold the slot idle for up to linger before
-// executing. Joining a batch only ever serves a request *earlier* than its
-// solo grant, so the bound is safe for every mix of settings — the all-
-// singleton worst case (total skew) is exactly the B=1 bound plus linger:
+// Derivation (DESIGN.md §12 and §16.2): when a stream completes a calibration
+// at time T it re-requests within one frame interval. Any other stream
+// granted a slot after T leaves with a calibration newer than T, so strict
+// oldest-first ordering serves each of the N-1 other streams at most once
+// before this one, costing ceil((N-1)/K) slot-grant spans on K
+// work-conserving slots, plus one residual grant already in flight and the
+// stream's own. AppendBatch drains a strict prefix of the pop order, so every
+// request granted before ours is one Pop would also have granted before ours:
+// batching never reorders. What it changes is the worst-case span of one
+// grant: a full batch stretches its slot to BatchLatency(maxOccupancy, batch),
+// and a lingering executor may additionally hold the slot idle for up to
+// linger before executing. Joining a batch only ever serves a request
+// *earlier* than its solo grant, so the bound is safe for every mix of
+// settings:
 //
 //	age ≤ (ceil((N-1)/K) + 2) × (BatchLatency(maxOccupancy, batch) + linger) + frameInterval
 //
-// With batch ≤ 1 and linger 0 this reduces term-for-term to FairnessBound,
-// which the degenerate-pin test asserts as exact equality.
+// With batch ≤ 1 and linger 0 the span is exactly maxOccupancy
+// (BatchLatency(d, 1) ≡ d): the unbatched bound, which the multi-stream tests
+// (internal/sim) assert observed calibration ages against.
 func FairnessBoundBatched(streams, slots, batch int, maxOccupancy, frameInterval, linger time.Duration) time.Duration {
 	if streams < 1 {
 		streams = 1

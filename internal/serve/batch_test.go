@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -40,9 +41,9 @@ func TestBatchLatencySubLinear(t *testing.T) {
 	}
 }
 
-// TestFairnessBoundBatchedDegenerates pins the generalized bound to the
-// PR 5 bound as exact equality at B=1 with no linger, across a grid of
-// topologies.
+// TestFairnessBoundBatchedDegenerates pins the generalized bound at B=1 with
+// no linger to the unbatched closed form (ceil((N−1)/K) + 2)·occ + fi, as
+// exact equality across a grid of topologies.
 func TestFairnessBoundBatchedDegenerates(t *testing.T) {
 	occs := []time.Duration{10 * time.Millisecond, 384 * time.Millisecond, 2 * time.Second}
 	fi := 33 * time.Millisecond
@@ -50,9 +51,10 @@ func TestFairnessBoundBatchedDegenerates(t *testing.T) {
 		for slots := 1; slots <= 4; slots++ {
 			for _, occ := range occs {
 				got := FairnessBoundBatched(streams, slots, 1, occ, fi, 0)
-				want := FairnessBound(streams, slots, occ, fi)
+				rounds := int(math.Ceil(float64(streams-1) / float64(slots)))
+				want := time.Duration(rounds+2)*occ + fi
 				if got != want {
-					t.Fatalf("FairnessBoundBatched(%d, %d, 1, %v, %v, 0) = %v, want FairnessBound's %v",
+					t.Fatalf("FairnessBoundBatched(%d, %d, 1, %v, %v, 0) = %v, want the closed form's %v",
 						streams, slots, occ, fi, got, want)
 				}
 			}

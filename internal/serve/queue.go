@@ -209,32 +209,3 @@ func (q *FairQueue) down(i int) {
 		i = smallest
 	}
 }
-
-// FairnessBound returns the documented worst-case calibration age of any
-// stream under the oldest-calibration-first policy, given N streams sharing
-// K work-conserving slots whose longest single occupancy (detection plus any
-// setting-switch overhead) is maxOccupancy, and a capture interval of
-// frameInterval.
-//
-// Derivation: when a stream completes a calibration at time T it re-requests
-// within one frame interval. Any other stream granted a slot after T leaves
-// with a calibration newer than T, so strict oldest-first ordering means each
-// of the N-1 other streams can be served at most once before this one — at
-// most (N-1)/K × maxOccupancy of queueing on K work-conserving slots — plus
-// one residual occupancy already in flight on the granting slot and the
-// stream's own detection:
-//
-//	age ≤ (ceil((N-1)/K) + 2) × maxOccupancy + frameInterval
-//
-// The multi-stream determinism test (internal/sim) asserts every stream's
-// observed calibration age against this bound.
-func FairnessBound(streams, slots int, maxOccupancy, frameInterval time.Duration) time.Duration {
-	if streams < 1 {
-		streams = 1
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	rounds := (streams - 1 + slots - 1) / slots
-	return time.Duration(rounds+2)*maxOccupancy + frameInterval
-}

@@ -76,23 +76,25 @@ func TestFairQueueInterleavedOrdering(t *testing.T) {
 	}
 }
 
+// TestFairnessBound pins the unbatched bound — FairnessBoundBatched at batch 1
+// with no linger — on hand-counted topologies.
 func TestFairnessBound(t *testing.T) {
 	occ := 500 * time.Millisecond
 	fi := 40 * time.Millisecond
 	// Single stream, single slot: one residual + own occupancy.
-	if got, want := FairnessBound(1, 1, occ, fi), 2*occ+fi; got != want {
-		t.Errorf("FairnessBound(1,1) = %v, want %v", got, want)
+	if got, want := FairnessBoundBatched(1, 1, 1, occ, fi, 0), 2*occ+fi; got != want {
+		t.Errorf("bound(1,1) = %v, want %v", got, want)
 	}
 	// 8 streams, 2 slots: ceil(7/2)=4 rounds + residual + own.
-	if got, want := FairnessBound(8, 2, occ, fi), 6*occ+fi; got != want {
-		t.Errorf("FairnessBound(8,2) = %v, want %v", got, want)
+	if got, want := FairnessBoundBatched(8, 2, 1, occ, fi, 0), 6*occ+fi; got != want {
+		t.Errorf("bound(8,2) = %v, want %v", got, want)
 	}
-	// More slots than streams degenerates to the single-stream case.
-	if got, want := FairnessBound(3, 8, occ, fi), 3*occ+fi; got != want {
-		t.Errorf("FairnessBound(3,8) = %v, want %v", got, want)
+	// More slots than other streams: one round + residual + own.
+	if got, want := FairnessBoundBatched(3, 8, 1, occ, fi, 0), 3*occ+fi; got != want {
+		t.Errorf("bound(3,8) = %v, want %v", got, want)
 	}
 	// Degenerate inputs are clamped, not panicking.
-	if FairnessBound(0, 0, occ, fi) <= 0 {
-		t.Error("clamped FairnessBound not positive")
+	if FairnessBoundBatched(0, 0, 1, occ, fi, 0) <= 0 {
+		t.Error("clamped bound not positive")
 	}
 }

@@ -87,8 +87,8 @@ type StreamOutcome struct {
 	MaxOccupancy time.Duration
 	// MaxCalibAge is the longest gap between consecutive calibration
 	// completions (the first measured from time zero). The fairness
-	// guarantee: MaxCalibAge never exceeds serve.FairnessBound for the
-	// run's observed maximum occupancy.
+	// guarantee: MaxCalibAge never exceeds serve.FairnessBoundBatched for
+	// the run's observed occupancy.
 	MaxCalibAge time.Duration
 	// PrefetchedWhileWaiting counts frames the stream's modeled prefetch
 	// stage built while its requests waited for a slot (capped at

@@ -71,7 +71,8 @@ func TestRunMultiDeterministic(t *testing.T) {
 
 // TestRunMultiFairnessBound asserts the documented no-starvation guarantee:
 // under oldest-calibration-first scheduling, no stream's calibration age ever
-// exceeds serve.FairnessBound for the run's observed maximum slot occupancy.
+// exceeds the unbatched bound — serve.FairnessBoundBatched at batch 1, no
+// linger — for the run's observed maximum slot occupancy.
 func TestRunMultiFairnessBound(t *testing.T) {
 	streams := testStreams(8)
 	res, err := RunMulti(streams, MultiConfig{Slots: 2})
@@ -84,7 +85,7 @@ func TestRunMultiFairnessBound(t *testing.T) {
 			frameInterval = fi
 		}
 	}
-	bound := serve.FairnessBound(len(streams), 2, res.MaxOccupancy, frameInterval)
+	bound := serve.FairnessBoundBatched(len(streams), 2, 1, res.MaxOccupancy, frameInterval, 0)
 	for _, s := range res.Streams {
 		if s.MaxCalibAge > bound {
 			t.Errorf("stream %s: MaxCalibAge %v exceeds fairness bound %v (maxOccupancy %v)",
