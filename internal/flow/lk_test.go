@@ -245,11 +245,17 @@ func track704() framePair {
 	return renderedPairs([]video.Kind{video.KindSceneCut})[0]
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestTrackSteadyStateAllocs pins what a warm Scratch.Track allocates at one
 // worker: the returned results and one par.Rows closure header per fan-out —
 // the points' own and the four passes of the windowed gradients on each of
 // the three levels — never a template window or tap table.
 func TestTrackSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a random share of Puts, so the template pool's count is not exact")
+	}
 	t.Cleanup(func() { par.SetWorkers(0) })
 	par.SetWorkers(1)
 	fp := track704()

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"adavp/internal/core"
@@ -26,6 +27,11 @@ type MatchResult struct {
 	TP, FP, FN int
 }
 
+// matchInline is the frame size Match scores without allocating: up to this
+// many detections and this many ground-truth objects fit its stack arrays.
+// Larger frames (occlusion storms) fall back to the heap.
+const matchInline = 64
+
 // Match greedily matches detections to ground-truth objects. A detection is
 // a true positive when it has the same label as an unmatched ground-truth
 // object and their boxes overlap with IoU >= iouThresh (Eq. 2). Detections
@@ -36,13 +42,30 @@ func Match(dets []core.Detection, truth []core.Object, iouThresh float64) MatchR
 	if iouThresh <= 0 {
 		iouThresh = DefaultIoU
 	}
-	order := make([]int, len(dets))
-	for i := range order {
-		order[i] = i
+	var orderBuf [matchInline]int
+	order := orderBuf[:0]
+	if len(dets) > matchInline {
+		order = make([]int, 0, len(dets))
 	}
-	sort.SliceStable(order, func(a, b int) bool { return dets[order[a]].Score > dets[order[b]].Score })
+	for i := range dets {
+		order = append(order, i)
+	}
+	// Higher score first, decided by Score > and nothing else (not
+	// cmp.Compare, which orders NaN): SortStableFunc runs sort.SliceStable's
+	// insertion-sort-plus-symMerge, so ties and NaN scores land where they
+	// always did.
+	slices.SortStableFunc(order, func(a, b int) int {
+		if dets[a].Score > dets[b].Score {
+			return -1
+		}
+		return 0
+	})
 
-	used := make([]bool, len(truth))
+	var usedBuf [matchInline]bool
+	used := usedBuf[:]
+	if len(truth) > matchInline {
+		used = make([]bool, len(truth))
+	}
 	var res MatchResult
 	for _, di := range order {
 		d := dets[di]

@@ -18,6 +18,11 @@
 //     detection (the paper's "without tracking" baseline).
 //   - PolicyContinuous: detect every frame with no skipping; runtime
 //     stretches far beyond real time (the 7×/10.3× rows of Table III).
+//
+// One Run is single-threaded. RunSet and CollectTrainingSamples run a video
+// set's independent per-video runs concurrently, on GOMAXPROCS goroutines
+// that each claim the next video, and assemble the results in video order:
+// their output does not depend on GOMAXPROCS.
 package sim
 
 import (
