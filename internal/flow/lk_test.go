@@ -251,11 +251,10 @@ var raceEnabled bool
 // TestTrackSteadyStateAllocs pins what a warm Scratch.Track allocates at one
 // worker: the returned results and one par.Rows closure header per fan-out —
 // the points' own and the four passes of the windowed gradients on each of
-// the three levels — never a template window or tap table.
+// the three levels — never a template window or tap table. Under -race,
+// sync.Pool drops a random share of Puts, so pool misses can only add to the
+// count: there the test pins the floor instead of the exact figure.
 func TestTrackSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a random share of Puts, so the template pool's count is not exact")
-	}
 	t.Cleanup(func() { par.SetWorkers(0) })
 	par.SetWorkers(1)
 	fp := track704()
@@ -263,7 +262,11 @@ func TestTrackSteadyStateAllocs(t *testing.T) {
 	p := DefaultParams()
 	s.Track(fp.prev, fp.next, fp.pts, p)
 	const want = 1 + 1 + 4*3
-	if allocs := testing.AllocsPerRun(20, func() { s.Track(fp.prev, fp.next, fp.pts, p) }); allocs != want {
+	allocs := testing.AllocsPerRun(20, func() { s.Track(fp.prev, fp.next, fp.pts, p) })
+	switch {
+	case raceEnabled && allocs < want:
+		t.Errorf("warm Scratch.Track allocates %.1f allocs/op under -race, want at least %d", allocs, want)
+	case !raceEnabled && allocs != want:
 		t.Errorf("warm Scratch.Track allocates %.1f allocs/op, want %d", allocs, want)
 	}
 }
