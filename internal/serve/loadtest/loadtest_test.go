@@ -1,11 +1,15 @@
 package loadtest
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"adavp/internal/core"
+	"adavp/internal/rng"
 	"adavp/internal/serve"
 )
 
@@ -205,5 +209,117 @@ func TestLightLoadLingerNeverGrantsBeforeRequest(t *testing.T) {
 			t.Fatalf("sample %d: wait %.3fms, exec %.3fms, e2e %.3fms: granted before it was requested",
 				i, g.waits[i], g.execs[i], g.e2es[i])
 		}
+	}
+}
+
+// quantilesRef is quantiles as it was before selection: sort a copy, then
+// read the ceil-rank samples off it.
+func quantilesRef(xs []float64) Quantiles {
+	if len(xs) == 0 {
+		return Quantiles{}
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pick := func(q float64) float64 {
+		i := int(math.Ceil(q*float64(len(s)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		return s[i]
+	}
+	return Quantiles{P50: pick(0.50), P95: pick(0.95), P99: pick(0.99), Max: s[len(s)-1]}
+}
+
+// sameQuantiles compares two distributions bit for bit.
+func sameQuantiles(a, b Quantiles) bool {
+	return math.Float64bits(a.P50) == math.Float64bits(b.P50) &&
+		math.Float64bits(a.P95) == math.Float64bits(b.P95) &&
+		math.Float64bits(a.P99) == math.Float64bits(b.P99) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max)
+}
+
+// TestQuantilesMatchSort holds the selection-based quantiles to the sort
+// they replaced, bit for bit: on random lengths up to 5000, on sorted,
+// reversed, all-equal and two-valued inputs, and on the lengths where a
+// ceil rank steps. The input is left as it was.
+func TestQuantilesMatchSort(t *testing.T) {
+	r := rng.New(35).DeriveString("quantiles")
+	check := func(name string, xs []float64) {
+		t.Helper()
+		orig := append([]float64(nil), xs...)
+		got, want := quantiles(xs), quantilesRef(xs)
+		if !sameQuantiles(got, want) {
+			t.Fatalf("%s (n=%d): %+v, sort gives %+v", name, len(xs), got, want)
+		}
+		if !reflect.DeepEqual(xs, orig) {
+			t.Fatalf("%s (n=%d): quantiles reordered its input", name, len(xs))
+		}
+	}
+	shapes := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"random", func(i, n int) float64 { return r.Range(0, 1000) }},
+		{"few distinct", func(i, n int) float64 { return float64(r.Intn(7)) * 33.5 }},
+		{"sorted", func(i, n int) float64 { return float64(i) * 0.25 }},
+		{"reversed", func(i, n int) float64 { return float64(n-i) * 0.25 }},
+		{"all equal", func(i, n int) float64 { return 42.125 }},
+		{"two-valued", func(i, n int) float64 { return float64(1 + r.Intn(2)) }},
+		{"organ pipe", func(i, n int) float64 { return float64(min(i, n-i)) }},
+	}
+	lengths := []int{1, 2, 3, 20, 21, 99, 100, 101, 199, 200, 201, 1000}
+	for k := 0; k < 200; k++ {
+		lengths = append(lengths, 1+r.Intn(5000))
+	}
+	for _, n := range lengths {
+		for _, sh := range shapes {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = sh.gen(i, n)
+			}
+			check(sh.name, xs)
+		}
+	}
+	check("empty", nil)
+}
+
+// TestQuantilesEqualSamplesLinear: Hoare partitioning splits a run of equal
+// samples down the middle, so 50k of them cost a few linear passes, not the
+// quadratic blow-up a one-sided partition gives.
+func TestQuantilesEqualSamplesLinear(t *testing.T) {
+	xs := make([]float64, 50000)
+	for i := range xs {
+		xs[i] = 7
+	}
+	start := time.Now()
+	q := quantiles(xs)
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("50k equal samples took %v", took)
+	}
+	if q != (Quantiles{P50: 7, P95: 7, P99: 7, Max: 7}) {
+		t.Fatalf("equal samples gave %+v", q)
+	}
+}
+
+// BenchmarkRunScaling runs the canonical unbatched scenario at three stream
+// counts over one horizon and reports the cost per grant. The slots are
+// saturated at every count, so a scheduler whose admission does not scan
+// every stream keeps ns/grant close to flat as N grows.
+func BenchmarkRunScaling(b *testing.B) {
+	for _, n := range []int{64, 1000, 4000} {
+		cfg := BenchConfigs()[0]
+		cfg.Streams = n
+		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			grants := 0
+			for i := 0; i < b.N; i++ {
+				rep, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				grants += rep.Grants
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+		})
 	}
 }

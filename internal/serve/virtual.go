@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -68,12 +69,14 @@ type VirtualResult struct {
 // executing or retired.
 const never = time.Duration(math.MaxInt64)
 
-// virtual is RunVirtual's state: flat per-stream slices, so the admission
-// scan is one comparison per stream and touches no stream object.
+// virtual is RunVirtual's state. Every stream's request state is indexed by
+// stream: due keys the streams that have a request to admit by when they
+// ask, so an admission peeks at its minimum and costs O(log N) instead of a
+// scan over all N streams.
 type virtual struct {
 	streams VirtualStreams
 	q       *FairQueue
-	due     []time.Duration // when stream i's next request is issued, or never
+	due     dueHeap         // streams with a request to admit, by due time
 	asked   []time.Duration // when stream i's admitted request was issued
 	depth   *obs.Gauge
 	sizes   *obs.Histogram
@@ -105,7 +108,7 @@ func RunVirtual(start []time.Duration, streams VirtualStreams, cfg VirtualConfig
 	v := &virtual{
 		streams: streams,
 		q:       NewFairQueue(cfg.QueueBound),
-		due:     append([]time.Duration(nil), start...),
+		due:     newDueHeap(start),
 		asked:   make([]time.Duration, len(start)),
 		depth:   cfg.Obs.Gauge(obs.MetricQueueDepth),
 		sizes:   cfg.Obs.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets),
@@ -150,26 +153,27 @@ func (v *virtual) noteDepth() {
 // time, index) order so simultaneous arrivals enqueue deterministically, and
 // returns when the next one after t is issued (never if no stream has one). A
 // full queue refuses: the stream retries when its Refused callback says, or
-// retires.
+// retires. A retry no later than the refused request would be refused again
+// at once, for ever, so it panics.
 func (v *virtual) admit(t time.Duration) (next time.Duration) {
 	for {
-		i := -1
-		next = never
-		for j, at := range v.due {
-			if at < next { // strictly: the lowest index wins among equal times
-				i, next = j, at
-			}
-		}
+		var i int
+		i, next = v.due.min()
 		if next > t {
 			break
 		}
 		r := v.streams.Key(i)
 		r.Index = i
 		if v.q.Push(r) {
-			v.asked[i], v.due[i] = next, never
-		} else {
-			v.due[i] = dueAt(v.streams.Refused(i, next))
+			v.asked[i] = next
+			v.due.set(i, never)
+			continue
 		}
+		retry, ok := v.streams.Refused(i, next)
+		if ok && retry <= next {
+			panic(fmt.Sprintf("serve: RunVirtual: stream %d refused at %v asked to retry at %v, not later", i, next, retry))
+		}
+		v.due.set(i, dueAt(retry, ok))
 	}
 	v.noteDepth()
 	return next
@@ -218,11 +222,120 @@ func (v *virtual) execute(members []Request, t time.Duration) time.Duration {
 		batchEnd := t + BatchLatency(maxSpan, len(detecting))
 		end = max(end, batchEnd)
 		for _, r := range detecting {
-			v.due[r.Index] = dueAt(v.streams.Complete(r.Index, v.asked[r.Index], t, batchEnd))
+			v.due.set(r.Index, dueAt(v.streams.Complete(r.Index, v.asked[r.Index], t, batchEnd)))
 		}
 	}
 	v.res.MaxOccupancy = max(v.res.MaxOccupancy, end-t)
 	v.res.Busy += end - t
 	v.res.Horizon = max(v.res.Horizon, end)
 	return end
+}
+
+// dueHeap is an indexed binary min-heap of the streams that have a request
+// to admit, ordered by (due time, stream index) — the order a scan for the
+// strictly earliest due time, lowest index among ties, would pick them in. A
+// stream due never is simply absent.
+type dueHeap struct {
+	at   []time.Duration // stream i's due time, while it is in the heap
+	pos  []int           // stream i's position in heap, or -1 when absent
+	heap []int           // stream indices
+}
+
+// newDueHeap returns the heap of streams first due at start[i].
+func newDueHeap(start []time.Duration) dueHeap {
+	h := dueHeap{at: make([]time.Duration, len(start)), pos: make([]int, len(start)), heap: make([]int, 0, len(start))}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	for i, at := range start {
+		h.set(i, at)
+	}
+	return h
+}
+
+// min returns the earliest-due stream and its due time, or (-1, never) when
+// no stream has a request to admit.
+func (h *dueHeap) min() (int, time.Duration) {
+	if len(h.heap) == 0 {
+		return -1, never
+	}
+	i := h.heap[0]
+	return i, h.at[i]
+}
+
+// set makes stream i due at at: it inserts the stream, moves it, or removes
+// it when at is never.
+func (h *dueHeap) set(i int, at time.Duration) {
+	p := h.pos[i]
+	if at == never {
+		if p < 0 {
+			return
+		}
+		last := len(h.heap) - 1
+		h.swap(p, last)
+		h.heap = h.heap[:last]
+		h.pos[i] = -1
+		if p < last {
+			h.fix(p)
+		}
+		return
+	}
+	h.at[i] = at
+	if p < 0 {
+		p = len(h.heap)
+		h.heap = append(h.heap, i)
+		h.pos[i] = p
+	}
+	h.fix(p)
+}
+
+// fix restores the heap order around position p after its key changed. If
+// up moves the key, p then holds its old parent, which down leaves in place.
+func (h *dueHeap) fix(p int) {
+	h.up(p)
+	h.down(p)
+}
+
+// less orders the heap: earliest due first, then lowest stream index.
+func (h *dueHeap) less(p, q int) bool {
+	a, b := h.heap[p], h.heap[q]
+	if h.at[a] != h.at[b] {
+		return h.at[a] < h.at[b]
+	}
+	return a < b
+}
+
+func (h *dueHeap) swap(p, q int) {
+	h.heap[p], h.heap[q] = h.heap[q], h.heap[p]
+	h.pos[h.heap[p]], h.pos[h.heap[q]] = p, q
+}
+
+func (h *dueHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *dueHeap) down(i int) {
+	n := len(h.heap)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h.swap(i, smallest)
+		i = smallest
+	}
 }

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"adavp/internal/core"
+	"adavp/internal/obs"
+	"adavp/internal/rng"
 )
 
 // A scripted client for RunVirtual: no engines, no rng. Each stream follows a
@@ -282,6 +285,20 @@ func checkRun(t *testing.T, name string, scripts []script, cfg VirtualConfig, ga
 // runs are equal. The first slice of exploring all request/release orders.
 func TestRunVirtualScripted(t *testing.T) {
 	const gap = 10 * msec
+	runs := scriptedScenarios(t, func(scripts []script, cfg VirtualConfig) {
+		name := fmt.Sprintf("%+v %+v", cfg, scripts)
+		resA, logA := checkRun(t, name, scripts, cfg, gap)
+		resB, logB := checkRun(t, name, scripts, cfg, gap)
+		if resA != resB || !reflect.DeepEqual(logA, logB) {
+			t.Fatalf("%s: two runs differ", name)
+		}
+	})
+	t.Logf("%d scenarios checked", runs)
+}
+
+// scriptedScenarios calls visit on every TestRunVirtualScripted scenario and
+// returns how many there were.
+func scriptedScenarios(t *testing.T, visit func(scripts []script, cfg VirtualConfig)) int {
 	// One choice per stream: when it first asks, how long its detections
 	// take, which setting it runs and how it ends.
 	var choices []script
@@ -306,13 +323,7 @@ func TestRunVirtualScripted(t *testing.T) {
 		for _, slots := range []int{1, 2} {
 			for _, batch := range []BatchConfig{{Size: 1}, {Size: 2}, {Size: 2, Linger: 8 * msec}} {
 				for _, bound := range []int{0, 1} {
-					cfg := VirtualConfig{Slots: slots, QueueBound: bound, Batch: batch}
-					name := fmt.Sprintf("%+v %+v", cfg, scripts)
-					resA, logA := checkRun(t, name, scripts, cfg, gap)
-					resB, logB := checkRun(t, name, scripts, cfg, gap)
-					if resA != resB || !reflect.DeepEqual(logA, logB) {
-						t.Fatalf("%s: two runs differ", name)
-					}
+					visit(scripts, VirtualConfig{Slots: slots, QueueBound: bound, Batch: batch})
 					runs++
 				}
 			}
@@ -339,7 +350,7 @@ func TestRunVirtualScripted(t *testing.T) {
 		}
 	}
 	pick(nil, 0)
-	t.Logf("%d scenarios checked", runs)
+	return runs
 }
 
 // TestRunVirtualGrantNeverPrecedesRequest is the smallest instance of the
@@ -360,4 +371,317 @@ func TestRunVirtualGrantNeverPrecedesRequest(t *testing.T) {
 	if res.Busy != 60*msec || res.Horizon != 40*msec {
 		t.Errorf("busy %v over horizon %v; want 60ms over 40ms", res.Busy, res.Horizon)
 	}
+}
+
+// virtualRef is runVirtualRef's state: due holds every stream's due time.
+type virtualRef struct {
+	streams VirtualStreams
+	q       *FairQueue
+	due     []time.Duration // when stream i's next request is issued, or never
+	asked   []time.Duration // when stream i's admitted request was issued
+	depth   *obs.Gauge
+	sizes   *obs.Histogram
+	res     VirtualResult
+}
+
+// runVirtualRef is RunVirtual as it was before admission peeked at a
+// due-time heap: the same loop, with admit scanning every stream for the
+// strictly earliest due time (lowest index among ties). It is the oracle
+// TestRunVirtualMatchesScan holds the heap to.
+func runVirtualRef(start []time.Duration, streams VirtualStreams, cfg VirtualConfig) VirtualResult {
+	batch := cfg.Batch.WithDefaults()
+	if cfg.Slots < 1 {
+		cfg.Slots = 1
+	}
+	if cfg.QueueBound <= 0 {
+		cfg.QueueBound = len(start)
+	}
+	v := &virtualRef{
+		streams: streams,
+		q:       NewFairQueue(cfg.QueueBound),
+		due:     append([]time.Duration(nil), start...),
+		asked:   make([]time.Duration, len(start)),
+		depth:   cfg.Obs.Gauge(obs.MetricQueueDepth),
+		sizes:   cfg.Obs.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets),
+	}
+	free := make([]time.Duration, cfg.Slots)
+	var members []Request
+	for {
+		si := 0
+		for i := 1; i < len(free); i++ {
+			if free[i] < free[si] {
+				si = i
+			}
+		}
+		t := free[si]
+		next := v.admit(t)
+		if v.q.Len() == 0 {
+			if next == never {
+				break
+			}
+			t = next // nothing is asking yet: the slot idles to the next arrival
+			next = v.admit(t)
+		}
+		members = v.q.AppendBatch(members[:0], batch.Size, nil)
+		for deadline := t + batch.Linger; len(members) < batch.Size && next <= deadline; {
+			t = next
+			next = v.admit(t)
+			members = v.q.AppendBatch(members, batch.Size, nil)
+		}
+		v.noteDepth()
+		free[si] = v.execute(members, t)
+	}
+	return v.res
+}
+
+// noteDepth tracks the queue's peak depth and mirrors its level to the gauge.
+func (v *virtualRef) noteDepth() {
+	v.res.PeakQueueDepth = max(v.res.PeakQueueDepth, v.q.Len())
+	v.depth.Set(float64(v.q.Len()))
+}
+
+// admit moves every request issued by t into the wait queue, in (request
+// time, index) order so simultaneous arrivals enqueue deterministically, and
+// returns when the next one after t is issued (never if no stream has one). A
+// full queue refuses: the stream retries when its Refused callback says, or
+// retires.
+func (v *virtualRef) admit(t time.Duration) (next time.Duration) {
+	for {
+		i := -1
+		next = never
+		for j, at := range v.due {
+			if at < next { // strictly: the lowest index wins among equal times
+				i, next = j, at
+			}
+		}
+		if next > t {
+			break
+		}
+		r := v.streams.Key(i)
+		r.Index = i
+		if v.q.Push(r) {
+			v.asked[i], v.due[i] = next, never
+		} else {
+			v.due[i] = dueAt(v.streams.Refused(i, next))
+		}
+	}
+	v.noteDepth()
+	return next
+}
+
+// execute grants one drained batch a slot that is free at t and returns when
+// the slot frees again. Every member is planned in batch order, the
+// detecting members' spans fuse through BatchLatency, and then every
+// detecting member is completed in batch order against the shared end — so a
+// client's random draws keep their place whatever the batch size.
+func (v *virtualRef) execute(members []Request, t time.Duration) time.Duration {
+	v.res.Batches++
+	v.res.Granted += len(members)
+	v.res.MaxBatch = max(v.res.MaxBatch, len(members))
+	v.sizes.Observe(float64(len(members)))
+
+	// A slot that idled forward or lingered admitted everything issued by
+	// its own, later, clock, and a slot freed before that finds those
+	// requests still queued: it idles until the last of its members has
+	// asked, so a grant never precedes a request it serves.
+	for _, r := range members {
+		t = max(t, v.asked[r.Index])
+	}
+	end := t
+	var maxSpan time.Duration
+	detecting := members[:0]
+	for _, r := range members {
+		span, detects := v.streams.Plan(r.Index, v.asked[r.Index], t)
+		v.res.MaxSingleSpan = max(v.res.MaxSingleSpan, span)
+		if detects {
+			maxSpan = max(maxSpan, span)
+			detecting = append(detecting, r)
+		} else {
+			end = max(end, t+span)
+		}
+	}
+	if len(detecting) > 0 {
+		batchEnd := t + BatchLatency(maxSpan, len(detecting))
+		end = max(end, batchEnd)
+		for _, r := range detecting {
+			v.due[r.Index] = dueAt(v.streams.Complete(r.Index, v.asked[r.Index], t, batchEnd))
+		}
+	}
+	v.res.MaxOccupancy = max(v.res.MaxOccupancy, end-t)
+	v.res.Busy += end - t
+	v.res.Horizon = max(v.res.Horizon, end)
+	return end
+}
+
+// call is one logged VirtualStreams callback with its arguments and returns:
+// 'K'ey, 'R'efused, 'P'lan or 'C'omplete.
+type call struct {
+	kind   byte
+	stream int
+	args   [3]time.Duration
+	key    Request
+	ret    time.Duration
+	ok     bool
+}
+
+// recorder logs every callback a scheduler makes on the streams it wraps.
+type recorder struct {
+	VirtualStreams
+	log []call
+}
+
+func (r *recorder) Key(i int) Request {
+	k := r.VirtualStreams.Key(i)
+	r.log = append(r.log, call{kind: 'K', stream: i, key: k})
+	return k
+}
+
+func (r *recorder) Refused(i int, at time.Duration) (time.Duration, bool) {
+	retry, ok := r.VirtualStreams.Refused(i, at)
+	r.log = append(r.log, call{kind: 'R', stream: i, args: [3]time.Duration{at}, ret: retry, ok: ok})
+	return retry, ok
+}
+
+func (r *recorder) Plan(i int, requested, grant time.Duration) (time.Duration, bool) {
+	span, detects := r.VirtualStreams.Plan(i, requested, grant)
+	r.log = append(r.log, call{kind: 'P', stream: i, args: [3]time.Duration{requested, grant}, ret: span, ok: detects})
+	return span, detects
+}
+
+func (r *recorder) Complete(i int, requested, grant, end time.Duration) (time.Duration, bool) {
+	next, ok := r.VirtualStreams.Complete(i, requested, grant, end)
+	r.log = append(r.log, call{kind: 'C', stream: i, args: [3]time.Duration{requested, grant, end}, ret: next, ok: ok})
+	return next, ok
+}
+
+// matchScan runs RunVirtual and runVirtualRef over two clients built the
+// same way and fails unless their results and callback logs are equal.
+func matchScan(t *testing.T, name string, cfg VirtualConfig, client func() ([]time.Duration, VirtualStreams)) {
+	t.Helper()
+	start, streams := client()
+	got := &recorder{VirtualStreams: streams}
+	res := RunVirtual(start, got, cfg)
+	start, streams = client()
+	want := &recorder{VirtualStreams: streams}
+	ref := runVirtualRef(start, want, cfg)
+	if res != ref {
+		t.Fatalf("%s: result %+v, scan gives %+v", name, res, ref)
+	}
+	if len(got.log) != len(want.log) {
+		t.Fatalf("%s: %d callbacks, scan makes %d", name, len(got.log), len(want.log))
+	}
+	for k := range got.log {
+		if got.log[k] != want.log[k] {
+			t.Fatalf("%s: callback %d is %+v, scan makes %+v", name, k, got.log[k], want.log[k])
+		}
+	}
+}
+
+// randomClient is a seeded VirtualStreams whose times all fall on whole
+// milliseconds, so due-time ties are common: streams start within 20 ms,
+// ask again 0–3 ms after a calibration, retry a refusal 1–5 ms later,
+// switch settings now and then, and retire by a refusal, a grant that
+// detects nothing or running out of cycles.
+type randomClient struct {
+	r         *rng.Stream
+	setting   []core.Setting
+	lastCalib []time.Duration
+	left      []int
+}
+
+func newRandomClient(seed uint64, n int) ([]time.Duration, VirtualStreams) {
+	c := &randomClient{r: rng.New(seed).DeriveString("client"), setting: make([]core.Setting, n),
+		lastCalib: make([]time.Duration, n), left: make([]int, n)}
+	start := make([]time.Duration, n)
+	for i := range start {
+		start[i] = time.Duration(c.r.Intn(20)) * msec
+		c.setting[i] = c.pickSetting()
+		c.left[i] = 1 + c.r.Intn(12)
+	}
+	return start, c
+}
+
+func (c *randomClient) pickSetting() core.Setting {
+	return []core.Setting{core.Setting512, core.Setting416, core.Setting320}[c.r.Intn(3)]
+}
+
+func (c *randomClient) Key(i int) Request {
+	return Request{Stream: fmt.Sprintf("r%d", i), Setting: c.setting[i], LastCalib: c.lastCalib[i]}
+}
+
+func (c *randomClient) Refused(i int, at time.Duration) (time.Duration, bool) {
+	return at + time.Duration(1+c.r.Intn(5))*msec, !c.r.Bool(0.02)
+}
+
+func (c *randomClient) Plan(i int, requested, grant time.Duration) (time.Duration, bool) {
+	return time.Duration(2+c.r.Intn(30)) * msec, !c.r.Bool(0.03)
+}
+
+func (c *randomClient) Complete(i int, requested, grant, end time.Duration) (time.Duration, bool) {
+	c.lastCalib[i] = end
+	if c.left[i]--; c.left[i] == 0 {
+		return 0, false
+	}
+	if c.r.Bool(0.1) {
+		c.setting[i] = c.pickSetting()
+	}
+	return end.Truncate(msec) + time.Duration(c.r.Intn(4))*msec, true
+}
+
+// TestRunVirtualMatchesScan holds RunVirtual's due-time heap to the scan it
+// replaced: on every TestRunVirtualScripted scenario and on 50 seeded larger
+// configurations, the result and the full callback log — order, arguments
+// and returns — must be the scan's.
+func TestRunVirtualMatchesScan(t *testing.T) {
+	const gap = 10 * msec
+	scriptedScenarios(t, func(scripts []script, cfg VirtualConfig) {
+		matchScan(t, fmt.Sprintf("%+v %+v", cfg, scripts), cfg, func() ([]time.Duration, VirtualStreams) {
+			client, start := newScripted(t, scripts, gap)
+			return start, client
+		})
+	})
+	seeds := rng.New(35).DeriveString("configs")
+	for seed := uint64(1); seed <= 50; seed++ {
+		n := 1 + seeds.Intn(300)
+		cfg := VirtualConfig{
+			Slots:      1 + seeds.Intn(8),
+			QueueBound: 1 + seeds.Intn(n),
+			Batch:      BatchConfig{Size: 1 + seeds.Intn(8)},
+		}
+		if seeds.Bool(0.5) {
+			cfg.Batch.Linger = time.Duration(1+seeds.Intn(10)) * msec
+		}
+		matchScan(t, fmt.Sprintf("seed %d, %d streams, %+v", seed, n, cfg), cfg, func() ([]time.Duration, VirtualStreams) {
+			return newRandomClient(seed, n)
+		})
+	}
+}
+
+// stuckClient refuses correctly until its stream's retry falls back onto the
+// refused request's own time — a retry the queue, still full, would refuse
+// again at once, for ever.
+type stuckClient struct{ randomClient }
+
+func (c *stuckClient) Refused(i int, at time.Duration) (time.Duration, bool) {
+	return at, true
+}
+
+// TestRunVirtualPanicsOnRetryNotLater: a Refused callback that breaks the
+// VirtualStreams contract by retrying no later than the refused request
+// used to make RunVirtual spin; now it panics naming the stream and both
+// times.
+func TestRunVirtualPanicsOnRetryNotLater(t *testing.T) {
+	start, streams := newRandomClient(3, 4)
+	client := &stuckClient{*streams.(*randomClient)}
+	for i := range start {
+		start[i] = 5 * msec
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "stream 1 refused at 5ms asked to retry at 5ms"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want it to name %q", msg, want)
+		}
+	}()
+	RunVirtual(start, client, VirtualConfig{Slots: 1, QueueBound: 1})
+	t.Fatal("RunVirtual returned")
 }
