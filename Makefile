@@ -5,7 +5,8 @@
 #   make race         run the concurrency-sensitive packages under the race detector
 #   make vet          static analysis (go vet) and the gofmt gate
 #   make lint         project-specific analyzers (cmd/adavplint): determinism,
-#                     hot-path allocations, band safety, goroutine leaks, pool pairing
+#                     band safety, goroutine leaks (hot-kernel allocations are
+#                     counted by each kernel package's TestSteadyStateAllocs)
 #   make escapecheck  compiler escape-analysis gate: fail if any
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline
@@ -48,11 +49,11 @@ test:
 # layer (including the staged cross-frame pipeline — prefetch/reorder under
 # concurrent cancellation), the fault injectors, the observability registry
 # (scraped while the pipeline writes), plus everything that drives or
-# implements the par.Rows worker pool (kernels, detector, flow,
+# implements the par.Rows worker pool (kernels, Shi–Tomasi, detector, flow,
 # renderer, tracker).
 race:
 	$(GO) test -race ./internal/rt/ ./internal/fault/ ./internal/guard/ ./internal/sim/ \
-		./internal/par/ ./internal/imgproc/ ./internal/flow/ ./internal/video/ \
+		./internal/par/ ./internal/imgproc/ ./internal/features/ ./internal/flow/ ./internal/video/ \
 		./internal/detect/ ./internal/track/ ./internal/obs/ ./internal/serve/ \
 		./internal/serve/loadtest/ ./internal/chaos/
 
@@ -63,9 +64,9 @@ vet:
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# The five invariants DESIGN.md §9/§15 document: detrand, hotalloc,
-# bandsafe, leakygo, poolpair — detrand and hotalloc interprocedural over the
-# module-wide call graph. Exits non-zero on any finding.
+# The three invariants DESIGN.md §9/§15 document: detrand, bandsafe,
+# leakygo — detrand interprocedural over the module-wide call graph. Exits
+# non-zero on any finding.
 lint:
 	$(GO) run ./cmd/adavplint
 

@@ -388,9 +388,11 @@ type ServeOptions struct {
 	// setting) one slot grant drains from the wait queue and executes as a
 	// single fused inference. Values < 1 mean 1 — the unbatched executor.
 	BatchSize int
-	// BatchLinger is how long a partially-filled batch may hold its slot
-	// waiting for compatible arrivals. Honored exactly by the virtual-clock
-	// scheduler; the live pool is work-conserving and ignores it.
+	// BatchLinger bounds how long a partially-filled batch may hold its slot
+	// for compatible arrivals. Only the virtual-clock scheduler applies it,
+	// and only to requests it knows arrive inside the window (see
+	// serve.BatchConfig.Linger); the live pool is work-conserving and
+	// ignores it.
 	BatchLinger time.Duration
 	// MaxStreams is the admission-control cap: larger stream sets are
 	// rejected up front. 0 means unlimited.

@@ -68,7 +68,7 @@ func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 		o.batchSize = n
 		return nil
 	})
-	fs.Func("batch-timeout", "how long a partial batch lingers for compatible arrivals (positive duration, e.g. 5ms|20ms)", func(s string) error {
+	fs.Func("batch-timeout", "how long a partial batch may wait for compatible arrivals already due inside the window (positive duration, e.g. 5ms|20ms)", func(s string) error {
 		d, err := time.ParseDuration(s)
 		if err != nil || d <= 0 {
 			return fmt.Errorf("batch timeout %q is not a positive duration (use e.g. 5ms, 20ms)", s)

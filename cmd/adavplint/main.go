@@ -1,6 +1,8 @@
 // Command adavplint runs the repository's static-invariant suite
-// (internal/lint) over the module: detrand, hotalloc, bandsafe, leakygo,
-// poolpair. It is the multichecker behind `make lint`.
+// (internal/lint) over the module: detrand, bandsafe and leakygo. It is the
+// multichecker behind `make lint`. Steady-state allocation in the hot
+// kernels is not a lint check: each kernel package's TestSteadyStateAllocs
+// counts it, and `make escapecheck` watches the compiler's escapes.
 //
 // Usage:
 //

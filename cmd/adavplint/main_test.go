@@ -16,13 +16,13 @@ func TestRun(t *testing.T) {
 		stdout, stderr string
 	}{
 		{"list names the suite in reporting order", []string{"-list"}, 0,
-			`^detrand .*\nhotalloc .*\nbandsafe .*\nleakygo .*\npoolpair .*\n$`, `^$`},
+			`^detrand .*\nbandsafe .*\nleakygo .*\n$`, `^$`},
 		{"unknown analyzer lists the valid set", []string{"-only", "lockorder"}, 2,
-			`^$`, `unknown analyzer "lockorder" \(valid: detrand, hotalloc, bandsafe, leakygo, poolpair\)`},
+			`^$`, `unknown analyzer "lockorder" \(valid: detrand, bandsafe, leakygo\)`},
 		{"-json is not a flag", []string{"-json"}, 2,
 			`^$`, `flag provided but not defined: -json`},
-		{"fixture directory fails with a positioned finding", []string{"-only", "poolpair", "../../internal/lint/testdata/src/poolpair"}, 1,
-			`(?m)^\S*poolpair\.go:\d+:\d+: \[poolpair\] pool\.Get without a matching pool\.Put`, `1 finding\(s\)`},
+		{"fixture directory fails with a positioned finding", []string{"-only", "leakygo", "../../internal/lint/testdata/src/leakygo"}, 1,
+			`(?m)^\S*leakygo\.go:\d+:\d+: \[leakygo\] goroutine has no visible shutdown path`, `2 finding\(s\)`},
 		{"clean package is silent", []string{"../../internal/geom"}, 0, `^$`, `^$`},
 	}
 	for _, tc := range cases {

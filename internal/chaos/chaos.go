@@ -39,7 +39,7 @@ type Config struct {
 	// Batch configures the batching executor preset: each slot grant drains
 	// up to Batch.Size compatible requests and fuses them into one batched
 	// inference (serve.BatchConfig). The zero value is the unbatched pool;
-	// Batch.Linger is honored by the sim soak only (the live pool is
+	// Batch.Linger applies to the sim soak only (the live pool is
 	// work-conserving). The fairness invariant is checked against the
 	// generalized serve.FairnessBoundBatched in both modes.
 	Batch serve.BatchConfig

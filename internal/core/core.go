@@ -263,3 +263,22 @@ type FrameOutput struct {
 	// Ready is the pipeline time at which this output became available.
 	Ready time.Duration
 }
+
+// HoldFill gives every frame nobody processed the result that was on screen
+// at the time: the nearest earlier result's setting, detections and ready
+// time, marked SourceHeld. Frames before the first result are reset to an
+// empty SourceNone output. outputs[i] is frame i.
+func HoldFill(outputs []FrameOutput) {
+	var last *FrameOutput
+	for i := range outputs {
+		out := &outputs[i]
+		switch {
+		case out.Source != SourceNone:
+			last = out
+		case last != nil:
+			*out = FrameOutput{FrameIndex: i, Source: SourceHeld, Setting: last.Setting, Detections: last.Detections, Ready: last.Ready}
+		default:
+			*out = FrameOutput{FrameIndex: i, Source: SourceNone}
+		}
+	}
+}

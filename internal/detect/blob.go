@@ -72,7 +72,7 @@ func (d *BlobDetector) detect(ctx context.Context, f core.Frame, s core.Setting,
 	// supervision layer a watchdog-abandoned Detect call may still be
 	// running when its retry starts, so the detector must tolerate
 	// concurrent calls on itself.
-	bs := blobPool.Get().(*blobScratch) //adavp:pool-drop released below: Put on completion, dropped when the watchdog abandoned the call
+	bs := blobPool.Get().(*blobScratch) // Put back below, or dropped if the watchdog abandoned the call
 	small := img
 	var resized *imgproc.Gray
 	if w != img.W || h != img.H {

@@ -337,15 +337,13 @@ func (s *Scratch) strongest(cands []Feature, minDist float64, maxCorners, w, h i
 	if len(kept) == 0 {
 		return nil
 	}
-	out := make([]Feature, len(kept)) //adavp:alloc-ok the result slice is returned; its ownership transfers to the caller
+	out := make([]Feature, len(kept)) // returned: the caller owns the results
 	copy(out, kept)
 	return out
 }
 
 // ensureGray returns g resized to w×h with undefined contents, reusing its
 // backing array when possible.
-//
-//adavp:amortized allocates only on first use or when the frame or the prefix region grows; steady-state frames reuse the array
 func ensureGray(g *imgproc.Gray, w, h int) *imgproc.Gray {
 	if g == nil || cap(g.Pix) < w*h {
 		return imgproc.NewGray(w, h)
@@ -359,7 +357,6 @@ func ensureGray(g *imgproc.Gray, w, h int) *imgproc.Gray {
 // kept out of line so that the compiler reports its make here, where the
 // growth is accounted for, and not inside each hot caller.
 //
-//adavp:amortized allocates only when a call needs more than every call before it: a larger prefix region or spacing grid, more masks
 //go:noinline
 func ensureLen[T any](b []T, n int) []T {
 	if cap(b) < n {

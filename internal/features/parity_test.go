@@ -269,33 +269,3 @@ func TestDetectTiedScoresKeepReferenceOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestDetectSteadyStateAllocs pins what a warm Scratch.Detect allocates: the
-// returned features, sort.Slice's fixed words, and one closure header per
-// par.Rows fan-out (four in the gradients, two in the table, one in the score
-// pass) — never a buffer, and nothing that grows with the masks, the
-// candidates or the features kept.
-func TestDetectSteadyStateAllocs(t *testing.T) {
-	t.Cleanup(func() { par.SetWorkers(0) })
-	par.SetWorkers(1)
-	v := video.GenerateKind("v", video.KindCityStreet, 3, 8)
-	f := v.FrameWithPixels(5)
-	var masks []geom.Rect
-	for _, o := range f.Truth {
-		masks = append(masks, o.Box)
-	}
-	if len(masks) < 2 {
-		t.Fatalf("frame has %d objects, want a few", len(masks))
-	}
-	var s Scratch
-	p := trackerParams()
-	if n := len(s.Detect(f.Pixels, masks, p)); n < 10 {
-		t.Fatalf("warm-up found %d features, want a populated result", n)
-	}
-	const budget = 12
-	allocs := testing.AllocsPerRun(20, func() { s.Detect(f.Pixels, masks, p) })
-	if allocs > budget {
-		t.Errorf("warm Scratch.Detect allocates %.1f allocs/op (budget %d)", allocs, budget)
-	}
-	t.Logf("%.1f allocs/op", allocs)
-}

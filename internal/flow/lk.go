@@ -137,7 +137,6 @@ func (t *tmplBuf) ensure(r int) {
 // allocation here once instead of in every hot function that calls it.
 //
 //go:noinline
-//adavp:amortized allocates only when a worker's template buffer first meets a larger window radius; the pooled buffers are reused
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -162,7 +161,7 @@ func Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params) []Result {
 func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params) []Result {
 	p = p.withDefaults()
 	levels := s.differentiate(prev, next, pts, p)
-	out := make([]Result, len(pts)) //adavp:alloc-ok the result slice is returned; its ownership transfers to the caller
+	out := make([]Result, len(pts)) // returned: the caller owns the results
 	par.Rows(len(pts), func(lo, hi int) {
 		tb := tmplPool.Get().(*tmplBuf)
 		tb.ensure(p.WindowRadius)
@@ -258,8 +257,6 @@ func windowSpan(c float64, r, n int) (lo, hi int) {
 
 // ensureSize returns g resized to w×h, reusing its backing array when
 // possible.
-//
-//adavp:amortized allocates only on first use or when the pyramid level grows; steady-state frames reuse the array
 func ensureSize(g *imgproc.Gray, w, h int) *imgproc.Gray {
 	if g == nil {
 		return imgproc.NewGray(w, h)

@@ -6,7 +6,6 @@ import (
 
 	"adavp/internal/geom"
 	"adavp/internal/imgproc"
-	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/video"
 )
@@ -243,32 +242,6 @@ func BenchmarkTrack50Points(b *testing.B) {
 // 30.67 points a pixel_seq step tracks.
 func track704() framePair {
 	return renderedPairs([]video.Kind{video.KindSceneCut})[0]
-}
-
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
-
-// TestTrackSteadyStateAllocs pins what a warm Scratch.Track allocates at one
-// worker: the returned results and one par.Rows closure header per fan-out —
-// the points' own and the four passes of the windowed gradients on each of
-// the three levels — never a template window or tap table. Under -race,
-// sync.Pool drops a random share of Puts, so pool misses can only add to the
-// count: there the test pins the floor instead of the exact figure.
-func TestTrackSteadyStateAllocs(t *testing.T) {
-	t.Cleanup(func() { par.SetWorkers(0) })
-	par.SetWorkers(1)
-	fp := track704()
-	var s Scratch
-	p := DefaultParams()
-	s.Track(fp.prev, fp.next, fp.pts, p)
-	const want = 1 + 1 + 4*3
-	allocs := testing.AllocsPerRun(20, func() { s.Track(fp.prev, fp.next, fp.pts, p) })
-	switch {
-	case raceEnabled && allocs < want:
-		t.Errorf("warm Scratch.Track allocates %.1f allocs/op under -race, want at least %d", allocs, want)
-	case !raceEnabled && allocs != want:
-		t.Errorf("warm Scratch.Track allocates %.1f allocs/op, want %d", allocs, want)
-	}
 }
 
 // trackSink keeps the benchmarked calls' results alive.

@@ -144,8 +144,9 @@ func (t *resizeTaps) ensure(w int) {
 // single-slot cache in front of it exists because sync.Pool contents are
 // dropped by the garbage collector: under allocation pressure every resize
 // paid a pool refill (new(resizeTaps) plus two table allocations, the
-// allocs/op regression TestResizeIntoAllocFree pins), while the atomic cell
-// survives GC, so the serial steady state is allocation-free again.
+// allocs/op regression the ResizeInto row of TestSteadyStateAllocs pins),
+// while the atomic cell survives GC, so the serial steady state is
+// allocation-free again.
 // Concurrent resizes — a watchdog-abandoned detection racing its retry —
 // overflow to the pool, which refills on demand.
 var (

@@ -34,8 +34,6 @@ type Scratch struct {
 
 // gaussianKernel returns GaussianKernel(sigma), reusing the previous result
 // when sigma is unchanged.
-//
-//adavp:amortized allocates only when sigma changes; per-frame blurs reuse one sigma
 func (s *Scratch) gaussianKernel(sigma float64) []float32 {
 	if s.kernel == nil || s.kernelSigma != sigma {
 		s.kernel = GaussianKernel(sigma)
@@ -46,8 +44,6 @@ func (s *Scratch) gaussianKernel(sigma float64) []float32 {
 
 // Take returns a w×h buffer with undefined contents, reusing a free buffer
 // whose backing array is large enough, else allocating.
-//
-//adavp:amortized allocates only when the free list has no buffer of this size; steady-state frames hit the list
 func (s *Scratch) Take(w, h int) *Gray {
 	need := w * h
 	for i := len(s.free) - 1; i >= 0; i-- {

@@ -2,7 +2,7 @@ package lint
 
 // All returns the full adavplint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, HotAlloc, BandSafe, LeakyGo, PoolPair}
+	return []*Analyzer{DetRand, BandSafe, LeakyGo}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -111,7 +111,10 @@ func checkBandWrite(pass *Pass, info *types.Info, supp *suppIndex, lo, hi token.
 	if !ok || id.Name == "_" {
 		return
 	}
-	obj := objOf(info, id)
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
 	if obj == nil {
 		return
 	}

@@ -26,19 +26,16 @@ import (
 //     an invariant that only holds for some implementations is not an
 //     invariant.
 //
-// Each node also records the facts the analyzers propagate: the first
-// unsuppressed wall-clock read (time.Now/Since/Until), the first
-// unsuppressed math/rand reference, the function's unamortized allocation
-// sites (the same amortization tests hotalloc applies locally), and the
-// //adavp:hotpath and //adavp:amortized annotations. Suppression comments are
-// consumed while the facts are collected, so an //adavp:detrand-ok deep in a
-// helper stops taint at the source rather than requiring every caller to
-// re-justify it.
+// Each node also records the facts detrand propagates: the first
+// unsuppressed wall-clock read (time.Now/Since/Until) and the first
+// unsuppressed math/rand reference. Suppression comments are consumed while
+// the facts are collected, so an //adavp:detrand-ok deep in a helper stops
+// taint at the source rather than requiring every caller to re-justify it.
 //
-// The traversals (taint, allocation trails) are memoized on the graph;
-// recursion cycles are cut by treating an in-progress node as clean, an
-// under-approximation that can only miss facts inside mutually recursive
-// clusters — none of which exist in this module's kernels.
+// The taint traversal is memoized on the graph; recursion cycles are cut by
+// treating an in-progress node as clean, an under-approximation that can
+// only miss facts inside mutually recursive clusters — none of which exist
+// in this module's kernels.
 
 // EdgeKind classifies a call-graph edge.
 type EdgeKind uint8
@@ -70,12 +67,6 @@ type CallEdge struct {
 	Kind   EdgeKind
 }
 
-// allocSite is one unamortized allocation inside a function body.
-type allocSite struct {
-	pos  token.Pos
-	what string // "make", "new", or "growing append"
-}
-
 // CallNode is one declared function or method of a module package. Function
 // literals are not separate nodes: a closure's body belongs to the declaring
 // function, which matches how the per-function analyzers treat them.
@@ -86,17 +77,10 @@ type CallNode struct {
 	// Callees holds outgoing edges in source order.
 	Callees []CallEdge
 
-	// HotPath marks //adavp:hotpath. Amortized marks //adavp:amortized — the
-	// function allocates only on its cold path (first use, buffer growth)
-	// and may be treated as allocation-free in steady state.
-	HotPath   bool
-	Amortized bool
-
 	clockPos  token.Pos
 	clockName string
 	randPos   token.Pos
 	randName  string
-	allocs    []allocSite
 }
 
 // CallGraph is the module-wide call graph plus the memoized interprocedural
@@ -112,7 +96,6 @@ type CallGraph struct {
 
 	ifaceMemo map[ifaceKey][]*types.Func
 	detMemo   map[*types.Func]*DetTaint
-	allocMemo map[*types.Func]*AllocTrail
 }
 
 type ifaceKey struct {
@@ -129,7 +112,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		nodes:     make(map[*types.Func]*CallNode),
 		ifaceMemo: make(map[ifaceKey][]*types.Func),
 		detMemo:   make(map[*types.Func]*DetTaint),
-		allocMemo: make(map[*types.Func]*AllocTrail),
 	}
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
@@ -154,13 +136,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				g.nodes[fn] = &CallNode{
-					Func:      fn,
-					Decl:      fd,
-					Pkg:       pkg,
-					HotPath:   funcHasAnnotation(fd, "hotpath"),
-					Amortized: funcDocDirective(fd, "amortized"),
-				}
+				g.nodes[fn] = &CallNode{Func: fn, Decl: fd, Pkg: pkg}
 			}
 		}
 		scope := pkg.Types.Scope()
@@ -272,8 +248,6 @@ func (g *CallGraph) buildNode(n *CallNode) {
 		}
 		return true
 	})
-
-	n.allocs = localAllocSites(info, supp, n.Decl)
 }
 
 // edgesForCall appends the edge(s) of one call expression: a direct edge for
@@ -374,58 +348,6 @@ func (g *CallGraph) taintOf(f *types.Func, visiting map[*types.Func]bool) *DetTa
 		}
 	}
 	g.detMemo[f] = t
-	return t
-}
-
-// AllocTrail is the result of the transitive-allocation query: the function
-// reaches an unamortized allocation through callees that are not themselves
-// //adavp:hotpath roots.
-type AllocTrail struct {
-	// Chain is the call chain from the queried function to the allocating
-	// one, inclusive.
-	Chain    []*types.Func
-	SitePos  token.Pos
-	SiteWhat string
-}
-
-// AllocTrailOf reports whether f transitively reaches an unamortized
-// allocation. Traversal stops at //adavp:hotpath-annotated nodes (those are
-// roots of their own transitive check, so a hot kernel calling another hot
-// kernel composes without re-verification) and at //adavp:amortized ones —
-// helpers like imgproc's Scratch.Take that allocate only on first use or
-// buffer growth, which callers may treat as allocation-free in steady
-// state.
-func (g *CallGraph) AllocTrailOf(f *types.Func) *AllocTrail {
-	return g.allocTrailOf(f, make(map[*types.Func]bool))
-}
-
-func (g *CallGraph) allocTrailOf(f *types.Func, visiting map[*types.Func]bool) *AllocTrail {
-	if t, ok := g.allocMemo[f]; ok {
-		return t
-	}
-	if visiting[f] {
-		return nil
-	}
-	n := g.nodes[f]
-	if n == nil || n.HotPath || n.Amortized {
-		g.allocMemo[f] = nil
-		return nil
-	}
-	visiting[f] = true
-	defer delete(visiting, f)
-
-	var t *AllocTrail
-	if len(n.allocs) > 0 {
-		t = &AllocTrail{Chain: []*types.Func{f}, SitePos: n.allocs[0].pos, SiteWhat: n.allocs[0].what}
-	} else {
-		for _, e := range n.Callees {
-			if ct := g.allocTrailOf(e.Callee, visiting); ct != nil {
-				t = &AllocTrail{Chain: append([]*types.Func{f}, ct.Chain...), SitePos: ct.SitePos, SiteWhat: ct.SiteWhat}
-				break
-			}
-		}
-	}
-	g.allocMemo[f] = t
 	return t
 }
 

@@ -15,12 +15,13 @@ import (
 )
 
 // This file is the compiler escape-analysis gate behind `make escapecheck`:
-// the hotalloc analyzer proves no *explicit* make/new/append runs in a
-// //adavp:hotpath function, but the compiler can still silently heap-box a
-// value the analyzer never sees — a closure capture, an interface
-// conversion, a fmt argument. The gate parses `go build -gcflags=-m`
-// diagnostics, keeps the escapes that fall inside hotpath function bodies,
-// and diffs them against a committed baseline (ESCAPES.baseline): any NEW
+// the kernel packages' allocation ledgers (TestSteadyStateAllocs) count what
+// a //adavp:hotpath function allocates on the paths their rows run, but the
+// compiler can heap-box a value on a branch no row takes — a closure
+// capture, an interface conversion, a fmt argument. The gate parses
+// `go build -gcflags=-m` diagnostics, keeps the escapes that fall inside
+// hotpath function bodies, and diffs them against a committed baseline
+// (ESCAPES.baseline): any NEW
 // escape in a hot function fails the build. Baseline entries are keyed by
 // (file, function, compiler message) — not line numbers — so unrelated
 // edits don't churn the file.

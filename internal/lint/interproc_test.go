@@ -28,7 +28,7 @@ func loadForTest(t *testing.T, dir string) (*Loader, *Package) {
 }
 
 // TestInterprocFindingsRequireCallGraph pins the claim behind this suite's
-// upgrade: the two-hop violations in the interproc fixtures are provably
+// upgrade: the two-hop violations in the interproc fixture are provably
 // invisible to the PR 3 per-package analyzers (a nil call graph), and
 // visible with one.
 func TestInterprocFindingsRequireCallGraph(t *testing.T) {
@@ -38,7 +38,6 @@ func TestInterprocFindingsRequireCallGraph(t *testing.T) {
 		want int // findings with the graph
 	}{
 		{"testdata/src/interproc/internal/sim", DetRand, 2},
-		{"testdata/src/interproc/hot", HotAlloc, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.a.Name, func(t *testing.T) {

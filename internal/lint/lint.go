@@ -1,23 +1,18 @@
 // Package lint is adavplint: a static-analysis suite that turns this
-// repository's prose invariants into build-failing checks. Five analyzers
+// repository's prose invariants into build-failing checks. Three analyzers
 // enforce the contracts the reproduction rests on, sharing a module-wide
-// static call graph (callgraph.go) so detrand and hotalloc violations are
-// caught interprocedurally:
+// static call graph (callgraph.go) so detrand violations are caught
+// interprocedurally and named band and goroutine functions are checked at
+// their declarations:
 //
 //   - detrand: deterministic packages must not — directly or through any
 //     chain of module calls — read the wall clock, use math/rand, or
 //     iterate maps in output-affecting order (ISSUE: the Fig. 9 / Table 2
 //     numbers depend on seeded internal/rng).
-//   - hotalloc: functions annotated //adavp:hotpath — the per-frame pixel
-//     kernels — and their transitive callees must not allocate in steady
-//     state; //adavp:amortized marks cold-path-only allocators traversal
-//     may stop at.
 //   - bandsafe: closures or named functions passed to par.Rows may only
 //     write through their band indices and must not fan out reentrantly.
 //   - leakygo: every goroutine in non-test code — go func(){...} or
 //     go namedFunc() — must be cancellable or join-bounded.
-//   - poolpair: a sync.Pool.Get must be paired with a Put in the same
-//     function, or carry an explicit //adavp:pool-drop justification.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only:
@@ -25,7 +20,9 @@
 // the first. The loader in loader.go plays the role of go/packages for the
 // single-module, stdlib-only world this repository lives in. escape.go
 // adds the compiler escape-analysis gate behind `make escapecheck` (see
-// cmd/escapecheck).
+// cmd/escapecheck), which reads the //adavp:hotpath annotation. That the
+// hot kernels allocate nothing in steady state is not checked here: each
+// kernel package's TestSteadyStateAllocs counts it (DESIGN.md §9.2).
 //
 // Suppressions are comments of the form
 //
@@ -182,24 +179,6 @@ func hasDirective(text, directive string) bool {
 		rest = rest[:nl]
 	}
 	return strings.TrimSpace(rest) != ""
-}
-
-// funcDocDirective reports whether the declaration's doc comment carries a
-// comment line starting with "//adavp:<name> <why>" — an annotation that,
-// like a suppression, demands a justification (//adavp:amortized is the
-// user).
-func funcDocDirective(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	marker := "//adavp:" + name
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if strings.HasPrefix(text, marker) && hasDirective(text, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // funcHasAnnotation reports whether the declaration's doc comment carries

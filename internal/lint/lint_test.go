@@ -23,10 +23,6 @@ func TestDetRandWallClockExemptFixture(t *testing.T) {
 	runFixture(t, DetRand, "testdata/src/internal/experiments")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, HotAlloc, "testdata/src/hotalloc")
-}
-
 func TestBandSafeFixture(t *testing.T) {
 	runFixture(t, BandSafe, "testdata/src/bandsafe")
 }
@@ -35,26 +31,18 @@ func TestLeakyGoFixture(t *testing.T) {
 	runFixture(t, LeakyGo, "testdata/src/leakygo")
 }
 
-func TestPoolPairFixture(t *testing.T) {
-	runFixture(t, PoolPair, "testdata/src/poolpair")
-}
-
 func TestDetRandInterprocFixture(t *testing.T) {
 	runFixture(t, DetRand, "testdata/src/interproc/internal/sim")
 }
 
-func TestHotAllocInterprocFixture(t *testing.T) {
-	runFixture(t, HotAlloc, "testdata/src/interproc/hot")
-}
-
 // TestDirectiveLedger keeps DESIGN §9's "grep adavp: is the complete
 // exception ledger" free of dead entries. The live directives are whatever
-// this package's non-test source passes to its four comment readers — pinned
-// to the seven DESIGN lists — and every comment in the module that starts
+// this package's non-test source passes to its three comment readers — pinned
+// to the four DESIGN lists — and every comment in the module that starts
 // with //adavp:<directive> (prose that merely mentions one does not count)
 // must name one of them, so an annotation cannot outlive its reader.
 func TestDirectiveLedger(t *testing.T) {
-	reader := regexp.MustCompile(`(?:\.has|Suppressed|funcHasAnnotation|funcDocDirective)\((?:fd, )?"([a-z-]+)"`)
+	reader := regexp.MustCompile(`(?:\.has|Suppressed|funcHasAnnotation)\((?:fd, )?"([a-z-]+)"`)
 	live := make(map[string]bool)
 	srcs, _ := filepath.Glob("*.go")
 	for _, name := range srcs {
@@ -73,7 +61,7 @@ func TestDirectiveLedger(t *testing.T) {
 		names = append(names, d)
 	}
 	sort.Strings(names)
-	if got, want := strings.Join(names, " "), "alloc-ok amortized bandsafe-ok detrand-ok hotpath leak-ok pool-drop"; got != want {
+	if got, want := strings.Join(names, " "), "bandsafe-ok detrand-ok hotpath leak-ok"; got != want {
 		t.Errorf("directives read by internal/lint = %s, want %s", got, want)
 	}
 

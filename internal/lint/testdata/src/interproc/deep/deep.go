@@ -1,8 +1,7 @@
 // Package deep is the second hop of the interproc fixtures: the actual
-// nondeterminism and allocation sinks, two calls away from the packages
-// held to the contracts. Nothing here is flagged — deep is neither a
-// deterministic package nor a hotpath — the findings surface at the
-// distant callers.
+// nondeterminism sinks, two calls away from the package held to the
+// contract. Nothing here is flagged — deep is not a deterministic package —
+// the findings surface at the distant callers.
 package deep
 
 import (
@@ -16,14 +15,5 @@ func Stamp() int64 { return time.Now().UnixNano() }
 // Pick consults the global math/rand stream.
 func Pick(n int) int { return rand.Intn(n) }
 
-// Grow allocates a fresh buffer on every call.
-func Grow(n int) []float32 { return make([]float32, n) }
-
-// Clean is a pure helper: no clock, no rand, no allocation.
+// Clean is a pure helper: no clock, no rand.
 func Clean(x int) int { return x * 2 }
-
-// Ensure models an amortized allocator: the annotation asserts steady-state
-// reuse, so allocation trails stop here instead of blaming hot callers.
-//
-//adavp:amortized fixture: callers see steady-state reuse; the fresh slice models the cold-path grow
-func Ensure(n int) []float32 { return make([]float32, n) }

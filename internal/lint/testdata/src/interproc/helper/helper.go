@@ -1,5 +1,5 @@
 // Package helper is the first hop of the interproc fixtures: every
-// function here is locally clean — no clock, no rand, no allocation — so
+// function here is locally clean — no clock, no rand — so
 // the per-package PR 3 analyzers see nothing. Only the call graph reveals
 // what these forward to.
 package helper
@@ -11,12 +11,6 @@ func Jitter() int64 { return deep.Stamp() }
 
 // Choose is one hop from math/rand.
 func Choose(n int) int { return deep.Pick(n) }
-
-// Build is one hop from an unamortized allocation.
-func Build(n int) []float32 { return deep.Grow(n) }
-
-// Reserve is one hop from an //adavp:amortized allocator.
-func Reserve(n int) []float32 { return deep.Ensure(n) }
 
 // Pure stays clean all the way down.
 func Pure(x int) int { return deep.Clean(x) }

@@ -809,7 +809,7 @@ func (p *pipeline) finish() *Result {
 			}
 		}
 	}
-	holdFill(p.outputs)
+	core.HoldFill(p.outputs)
 	var bySource [core.SourceHeld + 1]int64
 	for _, out := range p.outputs {
 		bySource[out.Source]++
@@ -821,22 +821,6 @@ func (p *pipeline) finish() *Result {
 	}
 	res.FrameF1, res.Accuracy, res.MeanF1 = evaluate(p.v, p.outputs, len(p.outputs))
 	return res
-}
-
-// holdFill gives every frame nobody processed the result that was on screen
-// at the time: the nearest earlier frame's detections, marked SourceHeld.
-// Frames before the first result stay SourceNone.
-func holdFill(outputs []core.FrameOutput) {
-	var last *core.FrameOutput
-	for i := range outputs {
-		out := &outputs[i]
-		out.FrameIndex = i
-		if out.Source != core.SourceNone {
-			last = out
-		} else if last != nil {
-			out.Source, out.Setting, out.Detections = core.SourceHeld, last.Setting, last.Detections
-		}
-	}
 }
 
 // evaluate scores the first `published` outputs against ground truth — the

@@ -26,13 +26,14 @@ type BatchConfig struct {
 	// one-request-per-grant executor, byte-identical to the pre-batching
 	// scheduler.
 	Size int
-	// Linger is the longest a partially-filled batch may hold its slot
-	// waiting for more compatible arrivals before executing. Only the
-	// scheduler that owns a clock honors it: RunVirtual (and so sim.RunMulti
-	// and the load generator) models it exactly, while the live Pool is
-	// work-conserving and never lingers — it reads no clock, so a live grant
-	// executes whatever compatible prefix is queued at release time. Zero
-	// (the default) disables lingering everywhere.
+	// Linger bounds how long a partially-filled batch may hold its slot for
+	// more compatible arrivals. Only RunVirtual (and so sim.RunMulti and the
+	// load generator) applies it, and only to arrivals it knows are coming:
+	// the grant slips to each request issued inside the window, and the
+	// window is never waited out, so a lone request is granted at once. The
+	// live Pool reads no clock and never lingers: a live grant executes
+	// whatever compatible prefix is queued at release time. Zero (the
+	// default) disables lingering everywhere.
 	Linger time.Duration
 }
 

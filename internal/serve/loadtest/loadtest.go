@@ -46,8 +46,8 @@ type Config struct {
 	// which never refuses — each stream keeps at most one request in flight.
 	QueueBound int
 	// Batch configures the batching executor under test; the zero value is
-	// the unbatched one-request-per-grant scheduler. Linger is honored
-	// exactly (serve.RunVirtual owns the clock).
+	// the unbatched one-request-per-grant scheduler. Linger holds a short
+	// batch only for arrivals already due inside the window (serve.RunVirtual).
 	Batch serve.BatchConfig
 	// FrameInterval is the camera interval: a stream re-requests one interval
 	// after its previous calibration completes. Default 33ms (~30 FPS).

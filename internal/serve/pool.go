@@ -28,8 +28,8 @@ var ErrQueueFull = errors.New("serve: detector wait queue full")
 // measured by the callers around Acquire and release. That also means the
 // live pool is work-conserving — it cannot honor BatchConfig.Linger (a fill
 // timeout needs a clock) and instead fuses whatever compatible prefix is
-// queued at release time; RunVirtual, its virtual-clock twin, models
-// lingering exactly.
+// queued at release time. RunVirtual, its virtual-clock twin, lingers only
+// for arrivals it knows are coming, which no timer could know.
 type Pool struct {
 	reg   *obs.Registry
 	batch BatchConfig

@@ -40,8 +40,9 @@ type VirtualConfig struct {
 	// QueueBound caps the wait queue; values <= 0 mean one entry per stream,
 	// which never refuses.
 	QueueBound int
-	// Batch is the batching executor's configuration. Linger is honored
-	// exactly: the loop owns the clock.
+	// Batch is the batching executor's configuration. Linger holds a short
+	// batch only for arrivals already due inside the window (see
+	// RunVirtual).
 	Batch BatchConfig
 	// Obs, when set, receives the queue-depth gauge and the batch-size
 	// histogram, the two aggregate series Pool publishes.
@@ -90,12 +91,17 @@ type virtual struct {
 // issued by its free time, in (request time, index) order; if nothing waits
 // it idles forward to the next arrival. It then drains one batch — the
 // oldest-calibration-first head plus its same-setting prefix, up to
-// Batch.Size — and, when Batch.Linger is set and the batch is short, holds the
-// slot for compatible arrivals inside the window, the grant slipping to each
-// arrival's request time. Incompatible arrivals stay queued and an
+// Batch.Size. When Batch.Linger is set and the batch is short, the slot
+// lingers only for arrivals it knows are coming: while the next request is
+// issued within Linger of the slot's clock, the grant slips to that request
+// time and the batch tops up with compatible requests. It never waits out
+// the window, so a lone request is granted at once, and an incompatible
+// arrival inside the window still moves the grant to its request time while
+// nothing joins the batch. Incompatible arrivals stay queued and an
 // incompatible head stops the drain, so lingering never reorders grants. A
-// batch is granted at one instant, no earlier than any member asked
-// (execute). The run ends when nothing is queued and every stream has
+// live pool driven by a timer cannot see arrivals coming, which is why Pool
+// does not linger at all. A batch is granted at one instant, no earlier than
+// any member asked (execute). The run ends when nothing is queued and every stream has
 // retired. Deterministic: no clock is read and no map is ranged over.
 func RunVirtual(start []time.Duration, streams VirtualStreams, cfg VirtualConfig) VirtualResult {
 	batch := cfg.Batch.WithDefaults()

@@ -353,23 +353,46 @@ func scriptedScenarios(t *testing.T, visit func(scripts []script, cfg VirtualCon
 	return runs
 }
 
-// TestRunVirtualGrantNeverPrecedesRequest is the smallest instance of the
-// defect: slot 0 idles forward to t=10ms and admits everything issued by
-// then, but B=1 leaves the second request queued; slot 1, still free at t=0,
-// must not grant it before t=10ms.
+// TestRunVirtualGrantNeverPrecedesRequest pins exact grant times on the
+// smallest scenarios that show when a grant happens. The first is the
+// defect this test was written against: slot 0 idles forward to t=10ms and
+// admits everything issued by then, but B=1 leaves the second request
+// queued; slot 1, still free at t=0, must not grant it before t=10ms. The
+// other two show what Linger means on the virtual clock: the loop holds a
+// short batch only up to arrivals it already knows of inside the window. A
+// lone request is granted at once, not at the deadline. An incompatible
+// arrival at 5ms moves the first request's grant to 5ms, and nothing joins
+// its batch.
 func TestRunVirtualGrantNeverPrecedesRequest(t *testing.T) {
-	scripts := []script{
-		{setting: core.Setting512, start: 10 * msec, spans: []time.Duration{30 * msec}, tail: -1},
-		{setting: core.Setting512, start: 10 * msec, spans: []time.Duration{30 * msec}, tail: -1},
+	one := func(setting core.Setting, start time.Duration) script {
+		return script{setting: setting, start: start, spans: []time.Duration{30 * msec}, tail: -1}
 	}
-	res, log := checkRun(t, "two arrivals, two idle slots", scripts, VirtualConfig{Slots: 2, Batch: BatchConfig{Size: 1}}, 10*msec)
-	for _, e := range log {
-		if e.kind == 'C' && (e.grant != 10*msec || e.end != 40*msec) {
-			t.Errorf("stream %d: granted %v, ended %v; want 10ms and 40ms", e.stream, e.grant, e.end)
+	linger := VirtualConfig{Slots: 1, Batch: BatchConfig{Size: 2, Linger: 8 * msec}}
+	for _, tc := range []struct {
+		name          string
+		scripts       []script
+		cfg           VirtualConfig
+		grants, ends  []time.Duration // by stream
+		busy, horizon time.Duration
+		maxBatch      int
+	}{
+		{"two arrivals, two idle slots", []script{one(core.Setting512, 10*msec), one(core.Setting512, 10*msec)},
+			VirtualConfig{Slots: 2, Batch: BatchConfig{Size: 1}},
+			[]time.Duration{10 * msec, 10 * msec}, []time.Duration{40 * msec, 40 * msec}, 60 * msec, 40 * msec, 1},
+		{"a lone request under linger", []script{one(core.Setting512, 0)}, linger,
+			[]time.Duration{0}, []time.Duration{30 * msec}, 30 * msec, 30 * msec, 1},
+		{"an incompatible arrival inside the linger window", []script{one(core.Setting512, 0), one(core.Setting320, 5*msec)}, linger,
+			[]time.Duration{5 * msec, 35 * msec}, []time.Duration{35 * msec, 65 * msec}, 60 * msec, 65 * msec, 1},
+	} {
+		res, log := checkRun(t, tc.name, tc.scripts, tc.cfg, 10*msec)
+		for _, e := range log {
+			if e.kind == 'C' && (e.grant != tc.grants[e.stream] || e.end != tc.ends[e.stream]) {
+				t.Errorf("%s: stream %d granted %v, ended %v; want %v and %v", tc.name, e.stream, e.grant, e.end, tc.grants[e.stream], tc.ends[e.stream])
+			}
 		}
-	}
-	if res.Busy != 60*msec || res.Horizon != 40*msec {
-		t.Errorf("busy %v over horizon %v; want 60ms over 40ms", res.Busy, res.Horizon)
+		if res.Busy != tc.busy || res.Horizon != tc.horizon || res.MaxBatch != tc.maxBatch {
+			t.Errorf("%s: busy %v over horizon %v, largest batch %d; want %v over %v, %d", tc.name, res.Busy, res.Horizon, res.MaxBatch, tc.busy, tc.horizon, tc.maxBatch)
+		}
 	}
 }
 

@@ -43,11 +43,10 @@ type MultiConfig struct {
 	// Batch configures the batching executor: each slot grant drains up to
 	// Batch.Size compatible requests (same model setting) from the wait
 	// queue and fuses them into one batched inference lasting
-	// serve.BatchLatency(longest member span, members). On the virtual
-	// clock Batch.Linger is honored exactly: a partially-filled batch holds
-	// its slot for compatible arrivals within the linger window before
-	// executing. The zero value (Size 0 → 1, Linger 0) is the pre-batching
-	// scheduler, byte-identical to PR 5's.
+	// serve.BatchLatency(longest member span, members). Batch.Linger lets a
+	// partially-filled batch hold its slot for arrivals already due inside
+	// the linger window (serve.RunVirtual). The zero value (Size 0 → 1,
+	// Linger 0) is the unbatched scheduler.
 	Batch serve.BatchConfig
 	// Obs, when set, receives every stream's telemetry under the shared
 	// schema with stream=<id> labels, plus the aggregate scheduler series:

@@ -655,26 +655,7 @@ func (e *engine) runContinuous() {
 // finish fills held outputs, evaluates per-frame F1 and assembles the result.
 func (e *engine) finish() *Result {
 	n := e.v.NumFrames()
-	var last core.FrameOutput
-	haveLast := false
-	for i := 0; i < n; i++ {
-		if e.outputs[i].Source == core.SourceNone {
-			if haveLast {
-				e.outputs[i] = core.FrameOutput{
-					FrameIndex: i,
-					Source:     core.SourceHeld,
-					Setting:    last.Setting,
-					Detections: last.Detections,
-					Ready:      last.Ready,
-				}
-			} else {
-				e.outputs[i] = core.FrameOutput{FrameIndex: i, Source: core.SourceNone}
-			}
-		} else {
-			last = e.outputs[i]
-			haveLast = true
-		}
-	}
+	core.HoldFill(e.outputs[:n])
 	// Export the injected-fault log (call index stands in for the cycle;
 	// the virtual clock has no per-call timestamps for wrapped components).
 	if e.faultDet != nil {

@@ -176,7 +176,6 @@ var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
 // the allocation here once instead of in every hot function that calls it.
 //
 //go:noinline
-//adavp:amortized allocates only when a frame needs a larger table than any this scratch has held; same-size frames reuse the arrays
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)

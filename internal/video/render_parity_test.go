@@ -162,6 +162,24 @@ func TestRenderMatchesReferenceEdgeCases(t *testing.T) {
 	}
 }
 
+// FuzzRenderInto holds RenderInto to renderRef bit for bit over scenario
+// kind, seed and frame index, at one worker and at several
+// (requireMatchesRef). Frames are 160×90 so a fuzzing run tries many videos;
+// the video is generated up to the frame it renders. The seed corpus, one
+// entry per kind, runs under plain go test.
+func FuzzRenderInto(f *testing.F) {
+	kinds := EveryKind()
+	for i := range kinds {
+		f.Add(uint8(i), uint64(i+1), uint8(5*i))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, frame uint8) {
+		p := ScenarioParams(kinds[int(kind)%len(kinds)])
+		p.W, p.H = 160, 90
+		i := int(frame) % 64
+		requireMatchesRef(t, Generate("fuzz", p, seed, i+1), i)
+	})
+}
+
 // TestRenderIntoDelegatesAndZeroFills covers the paths that never reach the
 // pixel loops: out-of-range indices and the dead sensor leave a dirty raster
 // all zero, and a spliced video renders through its parts.
