@@ -394,8 +394,8 @@ type ServeOptions struct {
 	// serve.BatchConfig.Linger); the live pool is work-conserving and
 	// ignores it.
 	BatchLinger time.Duration
-	// MaxStreams is the admission-control cap: larger stream sets are
-	// rejected up front. 0 means unlimited.
+	// MaxStreams is the admission-control cap: RunMulti and RunLiveMulti
+	// reject larger stream sets up front. 0 means unlimited.
 	MaxStreams int
 	// DowngradeBudget caps guard fault-escalation downgrades across ALL
 	// streams of a live run, so a correlated fault burst cannot walk every
@@ -405,6 +405,14 @@ type ServeOptions struct {
 	// downgrade grant per interval of pipeline time (saturating at the
 	// budget), so escalation headroom recovers once a fault burst ends.
 	DowngradeRefill time.Duration
+}
+
+// admit is the admission-control check of both multi-stream entry points.
+func (so ServeOptions) admit(streams int) error {
+	if so.MaxStreams > 0 && streams > so.MaxStreams {
+		return fmt.Errorf("adavp: %d streams exceed the admission cap %d", streams, so.MaxStreams)
+	}
+	return nil
 }
 
 // StreamRun is one stream's outcome in a multi-stream run.
@@ -458,8 +466,8 @@ type MultiResult struct {
 // parallel policies (AdaVP, MPDT) can be scheduled. Two same-seed calls are
 // byte-for-byte identical, including the telemetry in Options.Obs.
 func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, error) {
-	if so.MaxStreams > 0 && len(videos) > so.MaxStreams {
-		return nil, fmt.Errorf("adavp: %d streams exceed the admission cap %d", len(videos), so.MaxStreams)
+	if err := so.admit(len(videos)); err != nil {
+		return nil, err
 	}
 	streams := make([]sim.MultiStream, len(videos))
 	for i, v := range videos {
@@ -511,6 +519,9 @@ func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, err
 // shared. As with RunLive, only AdaVP and MPDT run live. Cancelled streams
 // carry their partial Result alongside StreamRun.Err.
 func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale float64, so ServeOptions) (*MultiResult, error) {
+	if err := so.admit(len(videos)); err != nil {
+		return nil, err
+	}
 	specs := make([]serve.StreamSpec, len(videos))
 	for i, v := range videos {
 		cfg, err := rtConfig(opts, i, timeScale)
@@ -519,15 +530,17 @@ func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale 
 		}
 		specs[i] = serve.StreamSpec{ID: fmt.Sprintf("s%d", i), Video: v, Config: cfg}
 	}
+	var budget *guard.EscalationBudget
+	if so.DowngradeBudget > 0 {
+		budget = guard.NewEscalationBudgetWithRefill(so.DowngradeBudget, so.DowngradeRefill)
+	}
 	r, err := serve.Run(ctx, specs, serve.RunConfig{
-		Slots:           so.Slots,
-		QueueBound:      so.QueueBound,
-		Batch:           serve.BatchConfig{Size: so.BatchSize, Linger: so.BatchLinger},
-		MaxStreams:      so.MaxStreams,
-		DowngradeBudget: so.DowngradeBudget,
-		DowngradeRefill: so.DowngradeRefill,
-		PipelineDepth:   opts.PipelineDepth,
-		Obs:             opts.Obs,
+		Slots:         so.Slots,
+		QueueBound:    so.QueueBound,
+		Batch:         serve.BatchConfig{Size: so.BatchSize, Linger: so.BatchLinger},
+		Budget:        budget,
+		PipelineDepth: opts.PipelineDepth,
+		Obs:           opts.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adavp: %w", err)

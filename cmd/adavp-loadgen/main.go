@@ -23,7 +23,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"time"
 
 	"adavp/internal/core"
@@ -38,8 +37,7 @@ type cliOpts struct {
 	streams     int
 	slots       int
 	queueBound  int
-	batchSize   int
-	batchLinger time.Duration
+	batch       serve.BatchConfig
 	horizon     time.Duration
 	churn       float64
 	flashCrowds int
@@ -49,9 +47,8 @@ type cliOpts struct {
 }
 
 // newFlagSet registers every flag on a fresh FlagSet writing into o. The
-// -batch-size and -batch-timeout flags validate at parse time, like
-// cmd/adavp's -setting: an out-of-range value fails the parse with an error
-// naming the valid range instead of surviving until the run starts.
+// -batch-size and -batch-timeout flags are serve.BatchFlags, shared with
+// cmd/adavp, and validate at parse time.
 func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 	fs := flag.NewFlagSet("adavp-loadgen", eh)
 	fs.BoolVar(&o.bench, "bench", false, "run the canonical BENCH_serve.json scenario matrix instead of one ad-hoc scenario (scenario flags are then ignored)")
@@ -59,23 +56,7 @@ func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 	fs.IntVar(&o.streams, "streams", 200, "synthetic stream population N")
 	fs.IntVar(&o.slots, "slots", 4, "shared detector slots K")
 	fs.IntVar(&o.queueBound, "queue-bound", 0, "wait-queue capacity (0: N, which never defers)")
-	o.batchSize = 1
-	fs.Func("batch-size", "detector batch capacity B: one slot grant fuses up to B same-setting requests (integer in 1..64; default 1, unbatched)", func(s string) error {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 || n > 64 {
-			return fmt.Errorf("batch size %q out of range (use an integer in 1..64)", s)
-		}
-		o.batchSize = n
-		return nil
-	})
-	fs.Func("batch-timeout", "how long a partial batch may wait for compatible arrivals already due inside the window (positive duration, e.g. 5ms|20ms)", func(s string) error {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("batch timeout %q is not a positive duration (use e.g. 5ms, 20ms)", s)
-		}
-		o.batchLinger = d
-		return nil
-	})
+	serve.BatchFlags(fs, &o.batch)
 	fs.DurationVar(&o.horizon, "horizon", 30*time.Second, "virtual-time length of the run")
 	fs.Float64Var(&o.churn, "churn", 2, "disconnect/reconnect cycles per stream per virtual minute (0: no churn)")
 	fs.IntVar(&o.flashCrowds, "flash-crowds", 2, "cohorts of streams connecting simultaneously, spread across the horizon")
@@ -115,7 +96,7 @@ func run(o cliOpts, w io.Writer) error {
 			Streams:     o.streams,
 			Slots:       o.slots,
 			QueueBound:  o.queueBound,
-			Batch:       serve.BatchConfig{Size: o.batchSize, Linger: o.batchLinger},
+			Batch:       o.batch,
 			Horizon:     o.horizon,
 			Settings:    []core.Setting{core.Setting512, core.Setting416, core.Setting320},
 			SettingSkew: o.skew,

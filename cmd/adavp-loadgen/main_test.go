@@ -40,8 +40,8 @@ func TestBatchSizeFlagAcceptsValidSizes(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if o.batchSize != 1 {
-		t.Errorf("default batch size %d, want 1 (unbatched)", o.batchSize)
+	if o.batch.Size != 1 {
+		t.Errorf("default batch size %d, want 1 (unbatched)", o.batch.Size)
 	}
 }
 
@@ -67,8 +67,8 @@ func TestBatchTimeoutFlagValidatesAtParseTime(t *testing.T) {
 	if err := fs.Parse([]string{"-batch-timeout", "5ms"}); err != nil {
 		t.Fatalf("-batch-timeout 5ms rejected: %v", err)
 	}
-	if o.batchLinger != 5*time.Millisecond {
-		t.Fatalf("-batch-timeout 5ms parsed to %v", o.batchLinger)
+	if o.batch.Linger != 5*time.Millisecond {
+		t.Fatalf("-batch-timeout 5ms parsed to %v", o.batch.Linger)
 	}
 }
 

@@ -65,8 +65,7 @@ type cliOpts struct {
 	soak                   bool
 	soakMinutes            float64
 	churnRate              float64
-	batchSize              int
-	batchLinger            time.Duration
+	batch                  serve.BatchConfig
 	pipelineDepth          int
 }
 
@@ -105,23 +104,7 @@ func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :9090) for the duration of the run")
 	fs.IntVar(&o.streams, "streams", 1, "serve this many concurrent streams against the shared detector pool (adavp|mpdt; stream i uses seed+i)")
 	fs.IntVar(&o.detectorSlots, "detector-slots", 1, "detector slots shared by all streams (K < streams queues requests oldest-calibration-first)")
-	o.batchSize = 1
-	fs.Func("batch-size", "detector batch capacity B: one slot grant fuses up to B same-setting requests (integer in 1..64; default 1, unbatched)", func(s string) error {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 || n > 64 {
-			return fmt.Errorf("batch size %q out of range (use an integer in 1..64)", s)
-		}
-		o.batchSize = n
-		return nil
-	})
-	fs.Func("batch-timeout", "how long a partial batch may wait for compatible arrivals already due inside the window (positive duration, e.g. 5ms|20ms; applied by virtual-clock runs — the live pool is work-conserving)", func(s string) error {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("batch timeout %q is not a positive duration (use e.g. 5ms, 20ms)", s)
-		}
-		o.batchLinger = d
-		return nil
-	})
+	serve.BatchFlags(fs, &o.batch)
 	o.pipelineDepth = 1
 	fs.Func("pipeline-depth", "staged frame-prefetch depth for -live and -streams runs (integer in 1..16; >1 renders up to depth-1 of the tracker's planned frames ahead of the step in progress — including while the stream waits for a shared slot; 1 keeps the sequential path)", func(s string) error {
 		n, err := strconv.Atoi(s)
@@ -317,8 +300,8 @@ func runMulti(kind adavp.Scenario, opts adavp.Options, o cliOpts) error {
 		videos[i] = adavp.GenerateVideo(kind, o.seed+uint64(i), o.frames)
 	}
 	fmt.Printf("serving: %d %s streams (%d frames each) over %d detector slot(s), batch capacity %d\n",
-		o.streams, kind, o.frames, o.detectorSlots, o.batchSize)
-	so := adavp.ServeOptions{Slots: o.detectorSlots, BatchSize: o.batchSize, BatchLinger: o.batchLinger}
+		o.streams, kind, o.frames, o.detectorSlots, o.batch.Size)
+	so := adavp.ServeOptions{Slots: o.detectorSlots, BatchSize: o.batch.Size, BatchLinger: o.batch.Linger}
 
 	if o.live {
 		res, err := adavp.RunLiveMulti(context.Background(), videos, opts, o.timeScale, so)
@@ -373,7 +356,7 @@ func runSoak(opts adavp.Options, o cliOpts) error {
 	cfg := chaos.Config{
 		Streams:       streams,
 		Slots:         o.detectorSlots,
-		Batch:         serve.BatchConfig{Size: o.batchSize, Linger: o.batchLinger},
+		Batch:         o.batch,
 		ChurnRate:     o.churnRate,
 		Fault:         opts.Fault,
 		Seed:          o.seed,

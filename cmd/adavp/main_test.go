@@ -173,8 +173,8 @@ func TestBatchSizeFlagValidatesAtParseTime(t *testing.T) {
 	if err := fs.Parse([]string{"-batch-size", "8"}); err != nil {
 		t.Fatalf("-batch-size 8 rejected: %v", err)
 	}
-	if o.batchSize != 8 {
-		t.Fatalf("-batch-size 8 parsed to %d", o.batchSize)
+	if o.batch.Size != 8 {
+		t.Fatalf("-batch-size 8 parsed to %d", o.batch.Size)
 	}
 }
 

@@ -1,6 +1,11 @@
 package serve
 
-import "time"
+import (
+	"flag"
+	"fmt"
+	"strconv"
+	"time"
+)
 
 // BatchGamma is the calibrated marginal cost of fusing one more compatible
 // request into a batched inference, as a fraction of the single-request
@@ -48,6 +53,30 @@ func (b BatchConfig) WithDefaults() BatchConfig {
 		b.Linger = 0
 	}
 	return b
+}
+
+// BatchFlags registers -batch-size and -batch-timeout on fs, writing into b,
+// and sets b.Size to 1, the unbatched default. Both validate at parse time:
+// an out-of-range value fails the parse with an error naming the valid range
+// instead of surviving until the run starts.
+func BatchFlags(fs *flag.FlagSet, b *BatchConfig) {
+	b.Size = 1
+	fs.Func("batch-size", "detector batch capacity B: one slot grant fuses up to B same-setting requests (integer in 1..64; default 1, unbatched)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 || n > 64 {
+			return fmt.Errorf("batch size %q out of range (use an integer in 1..64)", s)
+		}
+		b.Size = n
+		return nil
+	})
+	fs.Func("batch-timeout", "how long a partial batch may wait for compatible arrivals already due inside the window (positive duration, e.g. 5ms|20ms; applied by virtual-clock runs — the live pool is work-conserving)", func(s string) error {
+		d, err := time.ParseDuration(s)
+		if err != nil || d <= 0 {
+			return fmt.Errorf("batch timeout %q is not a positive duration (use e.g. 5ms, 20ms)", s)
+		}
+		b.Linger = d
+		return nil
+	})
 }
 
 // BatchLatency returns the modeled duration of one batched inference: the

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"flag"
+	"io"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +72,18 @@ func TestFairnessBoundBatchedDegenerates(t *testing.T) {
 	}
 	if bl := FairnessBoundBatched(8, 2, 1, 384*time.Millisecond, fi, 5*time.Millisecond); bl <= base {
 		t.Errorf("bound with linger (%v) not above zero-linger (%v)", bl, base)
+	}
+}
+
+// requireDrained checks the ledger's conservation at quiescence: nothing is
+// executing, every granted request was released, and every admitted request
+// was refused, granted or cancelled — an immediate grant counts as a grant
+// of one, and a grant that raced its caller's cancellation as granted.
+func requireDrained(t *testing.T, p *Pool) {
+	t.Helper()
+	st := p.Stats()
+	if st.Executing != 0 || st.Released != st.Granted || st.Admitted != st.Refused+st.Granted+st.Cancelled {
+		t.Fatalf("flow did not drain: %+v", st)
 	}
 }
 
@@ -139,9 +155,7 @@ func TestPoolBatchedGrant(t *testing.T) {
 		t.Fatal(gc.err)
 	}
 	gc.release()
-	if st := p.Stats(); st.Executing != 0 || st.Released != st.Granted {
-		t.Fatalf("flow did not drain: %+v", st)
-	}
+	requireDrained(t, p)
 }
 
 // TestPoolBatchSettingSkewSplitsGrants: waiters at different settings never
@@ -218,9 +232,7 @@ func TestPoolBatchFillsPastCancelledWaiter(t *testing.T) {
 	ga.release()
 	gb.release()
 	gc.release()
-	if st := p.Stats(); st.Executing != 0 || st.Released != st.Granted {
-		t.Fatalf("flow did not drain: %+v", st)
-	}
+	requireDrained(t, p)
 }
 
 // TestPoolBatchScansPastIncompatibleCancelled: a cancelled waiter whose
@@ -287,11 +299,46 @@ func TestPoolBatchedCancelSkipped(t *testing.T) {
 		t.Fatal(gl.err)
 	}
 	gl.release()
-	st := p.Stats()
-	if st.Cancelled != 1 {
+	if st := p.Stats(); st.Cancelled != 1 {
 		t.Fatalf("Cancelled = %d, want 1", st.Cancelled)
 	}
-	if st.Executing != 0 || st.Released != st.Granted {
-		t.Fatalf("flow did not drain around the cancelled waiter: %+v", st)
+	requireDrained(t, p)
+}
+
+// FuzzBatchFlags drives BatchFlags, the one -batch-size / -batch-timeout
+// validator both CLIs register, with arbitrary strings: a value is accepted
+// iff it is an integer in 1..64 (size) or a duration above zero (timeout); an
+// accepted value lands in the BatchConfig and leaves the other field at its
+// default; a rejection names the valid range and changes nothing. The seeds
+// are both CLIs' known bad inputs, each tried on both flags, plus good ones.
+func FuzzBatchFlags(f *testing.F) {
+	for _, s := range []string{"0", "-1", "65", "four", "2.0", "0s", "-5ms", "10", "never", "", "1", "64", "+8", "5ms", "20ms"} {
+		f.Add(s, s)
 	}
+	parse := func(name, value string) (BatchConfig, error) {
+		var b BatchConfig
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		BatchFlags(fs, &b)
+		return b, fs.Parse([]string{"-" + name, value})
+	}
+	f.Fuzz(func(t *testing.T, size, timeout string) {
+		b, err := parse("batch-size", size)
+		n, perr := strconv.ParseInt(size, 10, 64)
+		switch ok := perr == nil && n >= 1 && n <= 64; {
+		case ok && (err != nil || b != BatchConfig{Size: int(n)}):
+			t.Errorf("-batch-size %q: got %+v, %v; want Size %d", size, b, err, n)
+		case !ok && (err == nil || !strings.Contains(err.Error(), "1..64") || b != BatchConfig{Size: 1}):
+			t.Errorf("-batch-size %q: got %+v, %v; want a rejection naming 1..64", size, b, err)
+		}
+
+		b, err = parse("batch-timeout", timeout)
+		d, derr := time.ParseDuration(timeout)
+		switch ok := derr == nil && d > 0; {
+		case ok && (err != nil || b != BatchConfig{Size: 1, Linger: d}):
+			t.Errorf("-batch-timeout %q: got %+v, %v; want Linger %v", timeout, b, err, d)
+		case !ok && (err == nil || !strings.Contains(err.Error(), "positive duration") || b != BatchConfig{Size: 1}):
+			t.Errorf("-batch-timeout %q: got %+v, %v; want a rejection saying positive duration", timeout, b, err)
+		}
+	})
 }

@@ -21,7 +21,7 @@ var ErrQueueFull = errors.New("serve: detector wait queue full")
 // drains up to Batch.Size compatible requests (same model setting) from the
 // queue and grants them together — the members run their inferences
 // concurrently as one fused batch, and the slot frees when the last member
-// releases. Pool implements rt.DetectorSlots.
+// releases. Pool implements rt.DetectorSlots, over the ledger RunVirtual keeps.
 //
 // The pool itself never reads a clock: grant order derives entirely from the
 // calibration timestamps callers pass in, and slot-wait/execution times are
@@ -31,13 +31,9 @@ var ErrQueueFull = errors.New("serve: detector wait queue full")
 // queued at release time. RunVirtual, its virtual-clock twin, lingers only
 // for arrivals it knows are coming, which no timer could know.
 type Pool struct {
-	reg   *obs.Registry
-	batch BatchConfig
-	stats Stats
-
 	mu      sync.Mutex
+	led     ledger // queue, stage counters and series; guarded by mu
 	free    int
-	queue   *FairQueue
 	nextID  int
 	waiters map[int]*waiter
 	reqs    []Request // grantNextLocked's batch buffer, reused across grants
@@ -68,38 +64,25 @@ func NewBatchPool(slots, queueBound int, batch BatchConfig, reg *obs.Registry) *
 		slots = 1
 	}
 	return &Pool{
-		reg:     reg,
-		batch:   batch.WithDefaults(),
+		led:     newLedger(queueBound, batch.WithDefaults().Size, reg),
 		free:    slots,
-		queue:   NewFairQueue(queueBound),
 		waiters: make(map[int]*waiter),
 	}
 }
 
 // Stats reads the per-stage pipeline counters.
-func (p *Pool) Stats() StatsSnapshot { return p.stats.Snapshot() }
+func (p *Pool) Stats() StatsSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.led.stats
+}
 
 // QueueDepth returns the current number of waiting requests (including
 // requests whose callers have since been cancelled but not yet skipped).
 func (p *Pool) QueueDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.queue.Len()
-}
-
-// publishDepth mirrors the queue depth into the registry; callers hold p.mu.
-func (p *Pool) publishDepth() {
-	if p.reg != nil {
-		p.reg.Gauge(obs.MetricQueueDepth).Set(float64(p.queue.Len()))
-	}
-}
-
-// observeBatch accounts one slot grant fusing n requests; callers hold p.mu.
-func (p *Pool) observeBatch(n int) {
-	p.stats.noteBatch(n)
-	if p.reg != nil {
-		p.reg.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets).Observe(float64(n))
-	}
+	return p.led.q.Len()
 }
 
 // Acquire implements rt.DetectorSlots: it blocks until a detector slot is
@@ -112,8 +95,8 @@ func (p *Pool) Acquire(ctx context.Context, stream string, setting core.Setting,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p.stats.admitted.Add(1)
 	p.mu.Lock()
+	p.led.stats.Admitted++
 	if p.free > 0 {
 		// Invariant: a free slot implies an empty queue (release grants
 		// waiters before freeing), so taking it immediately cannot overtake
@@ -121,21 +104,18 @@ func (p *Pool) Acquire(ctx context.Context, stream string, setting core.Setting,
 		// release closure re-enters p.mu when invoked, so it is built after
 		// the unlock; the group is still private to this caller.
 		p.free--
-		p.observeBatch(1)
+		p.led.grant(1)
 		p.mu.Unlock()
 		return p.memberRelease(&group{pending: 1}), nil
 	}
 	id := p.nextID
 	p.nextID++
-	if !p.queue.Push(Request{Stream: stream, Index: id, Setting: setting, LastCalib: lastCalib}) {
+	if !p.led.push(Request{Stream: stream, Index: id, Setting: setting, LastCalib: lastCalib}) {
 		p.mu.Unlock()
-		p.stats.refused.Add(1)
 		return nil, ErrQueueFull
 	}
 	w := &waiter{ch: make(chan struct{}, 1)}
 	p.waiters[id] = w
-	p.stats.queued.Add(1)
-	p.publishDepth()
 	p.mu.Unlock()
 
 	select {
@@ -156,7 +136,7 @@ func (p *Pool) Acquire(ctx context.Context, stream string, setting core.Setting,
 			return nil, ctx.Err()
 		}
 		w.cancelled = true
-		p.stats.cancelled.Add(1)
+		p.led.stats.Cancelled++
 		p.mu.Unlock()
 		return nil, ctx.Err()
 	}
@@ -172,11 +152,10 @@ func (p *Pool) memberRelease(g *group) func() {
 	return func() {
 		once.Do(func() {
 			p.mu.Lock()
-			p.stats.noteRelease()
+			p.led.release()
 			g.pending--
 			if g.pending == 0 {
 				p.grantNextLocked()
-				p.publishDepth()
 			}
 			p.mu.Unlock()
 		})
@@ -191,7 +170,7 @@ func (p *Pool) memberRelease(g *group) func() {
 // terminate the scan — the batch fills to Size from live waiters whenever
 // enough compatible ones are queued. Callers hold p.mu.
 func (p *Pool) grantNextLocked() {
-	reqs := p.queue.AppendBatch(p.reqs[:0], p.batch.Size, func(r Request) bool {
+	reqs := p.led.drain(p.reqs[:0], func(r Request) bool {
 		w := p.waiters[r.Index]
 		if w == nil || w.cancelled {
 			delete(p.waiters, r.Index)
@@ -213,7 +192,7 @@ func (p *Pool) grantNextLocked() {
 		w.g = g
 		grantees = append(grantees, w)
 	}
-	p.observeBatch(g.pending)
+	p.led.grant(g.pending)
 	for _, w := range grantees {
 		w.ch <- struct{}{}
 	}

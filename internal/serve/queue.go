@@ -11,8 +11,8 @@
 //
 //   - FairQueue: the pure scheduling policy — a bounded
 //     oldest-calibration-first priority queue whose AppendBatch forms every
-//     batch. Deterministic and clock-free, it is shared verbatim by the two
-//     schedulers below, so both queue and fuse in the exact same order.
+//     batch. Deterministic and clock-free, it sits in the one ledger
+//     (ledger.go) both schedulers below queue, drain and count batches through.
 //   - Pool: the live K-slot batching executor around FairQueue that rt's
 //     detector loop blocks on. Bounded waiting with backpressure: when the
 //     wait queue is full Acquire fails fast and the stream skips the
@@ -23,9 +23,9 @@
 //     (admit, idle-advance, batch drain, linger, BatchLatency fusing) that
 //     owns a clock instead of blocking goroutines. sim.RunMulti (engines)
 //     and loadtest.Run (synthetic load) are its two clients, reached through
-//     the VirtualStreams callbacks. The two schedulers share a policy, not a
-//     mechanism: a mutex pool has no clock to linger on and a clock loop has
-//     no goroutines to block.
+//     the VirtualStreams callbacks. The two share the policy and the ledger,
+//     not the slot clocks: a mutex pool has no clock to linger on and a
+//     clock loop has no goroutines to block.
 //   - Run: the live multi-stream runner — one supervised rt pipeline per
 //     stream against a shared Pool, a shared observability registry
 //     (per-stream series labeled stream=<id>) and a shared guard escalation
@@ -33,7 +33,7 @@
 //
 // A request's life is an explicit staged pipeline —
 // admit → queue → batch → detect → publish — with per-stage flow counters in
-// Stats (stats.go) and the queueing vs. execution split published as the
+// StatsSnapshot and the queueing vs. execution split published as the
 // MetricSlotWait / MetricSlotExec histograms by the clock-owning callers.
 //
 // Determinism contract: this package never reads a clock (it is on the

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"adavp/internal/guard"
 	"adavp/internal/obs"
@@ -42,22 +42,11 @@ type RunConfig struct {
 	// the pre-batching one-request-per-grant pool. The live pool is
 	// work-conserving and ignores Batch.Linger (serve owns no clock).
 	Batch BatchConfig
-	// MaxStreams is the admission-control cap: stream sets larger than this
-	// are rejected up front. 0 means unlimited.
-	MaxStreams int
-	// DowngradeBudget bounds the number of guard fault-escalation downgrades
-	// across ALL streams, so a correlated fault burst cannot walk every
-	// stream down to the smallest model at once. 0 means unlimited.
-	DowngradeBudget int
-	// DowngradeRefill, when positive alongside DowngradeBudget, restores one
-	// downgrade grant per interval of pipeline time, saturating at the
-	// budget — so the system regains escalation headroom once a fault burst
-	// ends instead of staying one-shot for the rest of the run.
-	DowngradeRefill time.Duration
-	// Budget, when set, overrides the internally constructed escalation
-	// budget (DowngradeBudget/DowngradeRefill are then ignored). The chaos
-	// soak uses this to own one budget across many serving rounds and assert
-	// it recovers after fault bursts.
+	// Budget, when set, is the guard escalation budget every stream's
+	// supervisor draws fault-escalation downgrades from, so a correlated
+	// fault burst cannot walk every stream down to the smallest model at
+	// once. Nil means unlimited. The caller owns it: the facade builds one
+	// per run, the chaos soak keeps one across many serving rounds.
 	Budget *guard.EscalationBudget
 	// Obs, when set, receives every stream's telemetry (series labeled
 	// stream=<id>) plus the aggregate queue-depth gauge and stream count.
@@ -88,51 +77,46 @@ type RunResult struct {
 	Stats StatsSnapshot
 }
 
-// Run executes N live streams against K shared detector slots: admission
-// control up front, then one supervised rt pipeline per stream, all blocking
-// on the same Pool, publishing into the same registry under stream=<id>
-// labels, and drawing downgrades from the same escalation budget. It returns
+// CheckStreams validates a stream set of n streams, where stream(i) returns
+// stream i's ID and video: there is at least one stream, and every stream
+// has a non-empty ID no other stream shares and a non-empty video. Run and
+// sim.RunMulti both call it and prefix its errors with their package name.
+func CheckStreams(n int, stream func(i int) (id string, v *video.Video)) error {
+	if n == 0 {
+		return errors.New("no streams")
+	}
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		id, v := stream(i)
+		if id == "" {
+			return fmt.Errorf("stream %d: empty ID", i)
+		}
+		if seen[id] {
+			return fmt.Errorf("duplicate stream ID %q", id)
+		}
+		seen[id] = true
+		if v == nil || v.NumFrames() == 0 {
+			return fmt.Errorf("stream %q: empty video", id)
+		}
+	}
+	return nil
+}
+
+// Run executes N live streams against K shared detector slots: the stream
+// set is checked up front (CheckStreams; the admission cap is the facade's),
+// then one supervised rt pipeline per stream runs, all blocking on the same
+// Pool, publishing into the same registry under stream=<id> labels, and
+// drawing downgrades from cfg.Budget. It returns
 // when every stream has finished (or, under cancellation, drained).
 func Run(ctx context.Context, streams []StreamSpec, cfg RunConfig) (*RunResult, error) {
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("serve: no streams")
+	if err := CheckStreams(len(streams), func(i int) (string, *video.Video) { return streams[i].ID, streams[i].Video }); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.MaxStreams > 0 && len(streams) > cfg.MaxStreams {
-		return nil, fmt.Errorf("serve: %d streams exceed the admission cap %d", len(streams), cfg.MaxStreams)
+	if cfg.QueueBound <= 0 {
+		cfg.QueueBound = len(streams)
 	}
-	if cfg.Slots < 1 {
-		cfg.Slots = 1
-	}
-	bound := cfg.QueueBound
-	if bound <= 0 {
-		bound = len(streams)
-	}
-	seen := make(map[string]bool, len(streams))
-	for i, s := range streams {
-		if s.ID == "" {
-			return nil, fmt.Errorf("serve: stream %d: empty ID", i)
-		}
-		if seen[s.ID] {
-			return nil, fmt.Errorf("serve: duplicate stream ID %q", s.ID)
-		}
-		seen[s.ID] = true
-		if s.Video == nil || s.Video.NumFrames() == 0 {
-			return nil, fmt.Errorf("serve: stream %q: empty video", s.ID)
-		}
-	}
-
-	budget := cfg.Budget
-	if budget == nil && cfg.DowngradeBudget > 0 {
-		if cfg.DowngradeRefill > 0 {
-			budget = guard.NewEscalationBudgetWithRefill(cfg.DowngradeBudget, cfg.DowngradeRefill)
-		} else {
-			budget = guard.NewEscalationBudget(cfg.DowngradeBudget)
-		}
-	}
-	if cfg.Obs != nil {
-		cfg.Obs.Gauge(obs.MetricStreams).Set(float64(len(streams)))
-	}
-	pool := NewBatchPool(cfg.Slots, bound, cfg.Batch, cfg.Obs)
+	cfg.Obs.Gauge(obs.MetricStreams).Set(float64(len(streams)))
+	pool := NewBatchPool(cfg.Slots, cfg.QueueBound, cfg.Batch, cfg.Obs)
 
 	res := &RunResult{Streams: make([]StreamResult, len(streams))}
 	var wg sync.WaitGroup
@@ -141,7 +125,7 @@ func Run(ctx context.Context, streams []StreamSpec, cfg RunConfig) (*RunResult, 
 		c.Obs = cfg.Obs
 		c.StreamID = s.ID
 		c.Slots = pool
-		c.Guard.Budget = budget
+		c.Guard.Budget = cfg.Budget
 		if c.PipelineDepth == 0 {
 			c.PipelineDepth = cfg.PipelineDepth
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +84,7 @@ func TestPoolBackpressure(t *testing.T) {
 	}
 	rel()
 	<-waiterDone
+	requireDrained(t, p)
 }
 
 func TestPoolCancelledWaiterSkipped(t *testing.T) {
@@ -127,6 +129,7 @@ func TestPoolCancelledWaiterSkipped(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("release never reached the waiter behind the cancelled entry")
 	}
+	requireDrained(t, p)
 }
 
 // liveSpecs builds n live stream specs over distinct scenarios and seeds.
@@ -209,7 +212,7 @@ func TestServeSharedDowngradeBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	res, err := Run(ctx, specs, RunConfig{Slots: 1, DowngradeBudget: 1})
+	res, err := Run(ctx, specs, RunConfig{Slots: 1, Budget: guard.NewEscalationBudget(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,24 +314,24 @@ func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestServeValidation: admission control rejects malformed stream sets.
+// TestServeValidation: Run rejects malformed stream sets through
+// CheckStreams, under its own serve: prefix.
 func TestServeValidation(t *testing.T) {
 	v := video.GenerateKind("v", video.KindHighway, 1, 50)
 	good := StreamSpec{ID: "a", Video: v}
 	cases := []struct {
 		name    string
 		streams []StreamSpec
-		cfg     RunConfig
 	}{
-		{"empty set", nil, RunConfig{}},
-		{"empty id", []StreamSpec{{Video: v}}, RunConfig{}},
-		{"duplicate id", []StreamSpec{good, good}, RunConfig{}},
-		{"nil video", []StreamSpec{{ID: "b"}}, RunConfig{}},
-		{"admission cap", []StreamSpec{good, {ID: "b", Video: v}}, RunConfig{MaxStreams: 1}},
+		{"empty set", nil},
+		{"empty id", []StreamSpec{{Video: v}}},
+		{"duplicate id", []StreamSpec{good, good}},
+		{"nil video", []StreamSpec{{ID: "b"}}},
 	}
 	for _, tc := range cases {
-		if _, err := Run(context.Background(), tc.streams, tc.cfg); err == nil {
-			t.Errorf("%s: Run accepted invalid input", tc.name)
+		_, err := Run(context.Background(), tc.streams, RunConfig{})
+		if err == nil || !strings.HasPrefix(err.Error(), "serve: ") {
+			t.Errorf("%s: Run returned %v, want a serve: error", tc.name, err)
 		}
 	}
 }

@@ -76,11 +76,9 @@ const never = time.Duration(math.MaxInt64)
 // scan over all N streams.
 type virtual struct {
 	streams VirtualStreams
-	q       *FairQueue
+	led     ledger          // the wait queue, batch counters and series Pool keeps too
 	due     dueHeap         // streams with a request to admit, by due time
 	asked   []time.Duration // when stream i's admitted request was issued
-	depth   *obs.Gauge
-	sizes   *obs.Histogram
 	res     VirtualResult
 }
 
@@ -113,11 +111,9 @@ func RunVirtual(start []time.Duration, streams VirtualStreams, cfg VirtualConfig
 	}
 	v := &virtual{
 		streams: streams,
-		q:       NewFairQueue(cfg.QueueBound),
+		led:     newLedger(cfg.QueueBound, batch.Size, cfg.Obs),
 		due:     newDueHeap(start),
 		asked:   make([]time.Duration, len(start)),
-		depth:   cfg.Obs.Gauge(obs.MetricQueueDepth),
-		sizes:   cfg.Obs.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets),
 	}
 	free := make([]time.Duration, cfg.Slots)
 	var members []Request
@@ -130,29 +126,25 @@ func RunVirtual(start []time.Duration, streams VirtualStreams, cfg VirtualConfig
 		}
 		t := free[si]
 		next := v.admit(t)
-		if v.q.Len() == 0 {
+		if v.led.q.Len() == 0 {
 			if next == never {
 				break
 			}
 			t = next // nothing is asking yet: the slot idles to the next arrival
 			next = v.admit(t)
 		}
-		members = v.q.AppendBatch(members[:0], batch.Size, nil)
+		members = v.led.drain(members[:0], nil)
 		for deadline := t + batch.Linger; len(members) < batch.Size && next <= deadline; {
 			t = next
 			next = v.admit(t)
-			members = v.q.AppendBatch(members, batch.Size, nil)
+			members = v.led.drain(members, nil)
 		}
-		v.noteDepth()
 		free[si] = v.execute(members, t)
 	}
+	st := v.led.stats
+	v.res.Batches, v.res.Granted, v.res.MaxBatch = int(st.Batches), int(st.Granted), int(st.MaxBatch)
+	v.res.PeakQueueDepth = v.led.peak
 	return v.res
-}
-
-// noteDepth tracks the queue's peak depth and mirrors its level to the gauge.
-func (v *virtual) noteDepth() {
-	v.res.PeakQueueDepth = max(v.res.PeakQueueDepth, v.q.Len())
-	v.depth.Set(float64(v.q.Len()))
 }
 
 // admit moves every request issued by t into the wait queue, in (request
@@ -170,7 +162,7 @@ func (v *virtual) admit(t time.Duration) (next time.Duration) {
 		}
 		r := v.streams.Key(i)
 		r.Index = i
-		if v.q.Push(r) {
+		if v.led.push(r) {
 			v.asked[i] = next
 			v.due.set(i, never)
 			continue
@@ -181,7 +173,6 @@ func (v *virtual) admit(t time.Duration) (next time.Duration) {
 		}
 		v.due.set(i, dueAt(retry, ok))
 	}
-	v.noteDepth()
 	return next
 }
 
@@ -199,10 +190,7 @@ func dueAt(at time.Duration, ok bool) time.Duration {
 // detecting member is completed in batch order against the shared end — so a
 // client's random draws keep their place whatever the batch size.
 func (v *virtual) execute(members []Request, t time.Duration) time.Duration {
-	v.res.Batches++
-	v.res.Granted += len(members)
-	v.res.MaxBatch = max(v.res.MaxBatch, len(members))
-	v.sizes.Observe(float64(len(members)))
+	v.led.grant(len(members))
 
 	// A slot that idled forward or lingered admitted everything issued by
 	// its own, later, clock, and a slot freed before that finds those

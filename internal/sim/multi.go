@@ -235,22 +235,11 @@ func (r *multiRun) Complete(i int, requested, grant, end time.Duration) (time.Du
 // order among simultaneous arrivals). A panicking component is recovered into
 // an error.
 func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err error) {
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("sim: no streams")
+	if err := serve.CheckStreams(len(streams), func(i int) (string, *video.Video) { return streams[i].ID, streams[i].Video }); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	seen := make(map[string]bool, len(streams))
 	run := &multiRun{ms: make([]*mstream, len(streams)), obs: cfg.Obs, depth: cfg.PipelineDepth}
 	for i, s := range streams {
-		if s.ID == "" {
-			return nil, fmt.Errorf("sim: stream %d: empty ID", i)
-		}
-		if seen[s.ID] {
-			return nil, fmt.Errorf("sim: duplicate stream ID %q", s.ID)
-		}
-		seen[s.ID] = true
-		if s.Video == nil || s.Video.NumFrames() == 0 {
-			return nil, fmt.Errorf("sim: stream %q: empty video", s.ID)
-		}
 		c := s.Config.withDefaults()
 		if c.Policy != PolicyAdaVP && c.Policy != PolicyMPDT {
 			return nil, fmt.Errorf("sim: stream %q: multi-stream runs schedule the parallel policies (AdaVP, MPDT), got %v", s.ID, c.Policy)

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,7 +283,8 @@ func TestRunMultiPipelineDepthAccounting(t *testing.T) {
 	}
 }
 
-// TestRunMultiValidation: admission control rejects malformed stream sets.
+// TestRunMultiValidation: RunMulti rejects malformed stream sets — the
+// stream-set rows through serve.CheckStreams — under its own sim: prefix.
 func TestRunMultiValidation(t *testing.T) {
 	v := testVideo(t)
 	good := MultiStream{ID: "a", Video: v, Config: Config{Policy: PolicyAdaVP}}
@@ -297,8 +299,9 @@ func TestRunMultiValidation(t *testing.T) {
 		{"sequential policy", []MultiStream{{ID: "c", Video: v, Config: Config{Policy: PolicyMARLIN}}}},
 	}
 	for _, tc := range cases {
-		if _, err := RunMulti(tc.streams, MultiConfig{}); err == nil {
-			t.Errorf("%s: RunMulti accepted invalid input", tc.name)
+		_, err := RunMulti(tc.streams, MultiConfig{})
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+			t.Errorf("%s: RunMulti returned %v, want a sim: error", tc.name, err)
 		}
 	}
 }
