@@ -4,9 +4,10 @@
 #   make test         run the full test suite
 #   make race         run the concurrency-sensitive packages under the race detector
 #   make vet          static analysis (go vet) and the gofmt gate
-#   make lint         project-specific analyzers (cmd/adavplint): determinism,
-#                     band safety, goroutine leaks (hot-kernel allocations are
-#                     counted by each kernel package's TestSteadyStateAllocs)
+#   make lint         the project's determinism analyzer (cmd/adavplint:
+#                     detrand); hot-kernel allocations are counted by each
+#                     kernel package's TestSteadyStateAllocs, goroutine leaks
+#                     by each package's leak test, band races by `make race`
 #   make escapecheck  compiler escape-analysis gate: fail if any
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline
@@ -50,7 +51,9 @@ test:
 # concurrent cancellation), the fault injectors, the observability registry
 # (scraped while the pipeline writes), plus everything that drives or
 # implements the par.Rows worker pool (kernels, Shi–Tomasi, detector, flow,
-# renderer, tracker).
+# renderer, tracker). -race is the band-race check: each kernel package's
+# parity suite runs its par.Rows bands at several worker counts, so a band
+# that writes shared state fails here (DESIGN.md §9.3).
 race:
 	$(GO) test -race ./internal/rt/ ./internal/fault/ ./internal/guard/ ./internal/sim/ \
 		./internal/par/ ./internal/imgproc/ ./internal/features/ ./internal/flow/ ./internal/video/ \
@@ -64,9 +67,9 @@ vet:
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# The three invariants DESIGN.md §9/§15 document: detrand, bandsafe,
-# leakygo — detrand interprocedural over the module-wide call graph. Exits
-# non-zero on any finding.
+# The determinism invariant DESIGN.md §9.1/§15 document: detrand,
+# interprocedural over the module-wide call graph. Exits non-zero on any
+# finding.
 lint:
 	$(GO) run ./cmd/adavplint
 

@@ -1,17 +1,18 @@
-// Command adavplint runs the repository's static-invariant suite
-// (internal/lint) over the module: detrand, bandsafe and leakygo. It is the
-// multichecker behind `make lint`. Steady-state allocation in the hot
-// kernels is not a lint check: each kernel package's TestSteadyStateAllocs
-// counts it, and `make escapecheck` watches the compiler's escapes.
+// Command adavplint runs the repository's determinism analyzer
+// (internal/lint's detrand) over the module: it is `make lint`. Steady-state
+// allocation in the hot kernels is not a lint check: each kernel package's
+// TestSteadyStateAllocs counts it, and `make escapecheck` watches the
+// compiler's escapes. Goroutine leaks and band races are caught by tests and
+// the race detector (DESIGN.md §9.3, §9.4).
 //
 // Usage:
 //
-//	adavplint [-list] [-only name[,name]] [dir ...]
+//	adavplint [dir ...]
 //
 // With no directories it checks every package in the module. All requested
 // packages are loaded first and a single module-wide call graph is built
-// over them, so the interprocedural analyzers see every caller and callee
-// regardless of which package is being reported on. Exit status is 1 when
+// over them, so detrand sees every caller and callee regardless of which
+// package is being reported on. Exit status is 1 when
 // any diagnostic is reported, 2 on usage or load errors. Output is one line
 // per finding:
 //
@@ -36,30 +37,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("adavplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-8s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(stderr, "adavplint: unknown analyzer %q (valid: %s)\n",
-					name, strings.Join(lint.Names(), ", "))
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	root, err := lint.FindModuleRoot(".")
@@ -79,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Load everything first: the call graph must span every requested
-	// package (plus its module imports) before any analyzer runs.
+	// package (plus its module imports) before detrand runs.
 	pkgs := make([]*lint.Package, 0, len(dirs))
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
@@ -93,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cwd, _ := os.Getwd()
 	findings := 0
 	for _, pkg := range pkgs {
-		diags, err := lint.RunAnalyzers(pkg, analyzers, graph)
+		diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.DetRand}, graph)
 		if err != nil {
 			return fatal(stderr, err)
 		}

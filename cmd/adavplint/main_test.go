@@ -15,14 +15,12 @@ func TestRun(t *testing.T) {
 		code           int
 		stdout, stderr string
 	}{
-		{"list names the suite in reporting order", []string{"-list"}, 0,
-			`^detrand .*\nbandsafe .*\nleakygo .*\n$`, `^$`},
-		{"unknown analyzer lists the valid set", []string{"-only", "lockorder"}, 2,
-			`^$`, `unknown analyzer "lockorder" \(valid: detrand, bandsafe, leakygo\)`},
+		{"-only is not a flag", []string{"-only", "detrand"}, 2,
+			`^$`, `flag provided but not defined: -only`},
 		{"-json is not a flag", []string{"-json"}, 2,
 			`^$`, `flag provided but not defined: -json`},
-		{"fixture directory fails with a positioned finding", []string{"-only", "leakygo", "../../internal/lint/testdata/src/leakygo"}, 1,
-			`(?m)^\S*leakygo\.go:\d+:\d+: \[leakygo\] goroutine has no visible shutdown path`, `2 finding\(s\)`},
+		{"fixture directory fails with a positioned finding", []string{"../../internal/lint/testdata/src/internal/experiments"}, 1,
+			`(?m)^\S*experiments\.go:\d+:\d+: \[detrand\] map iteration order is randomized`, `1 finding\(s\)`},
 		{"clean package is silent", []string{"../../internal/geom"}, 0, `^$`, `^$`},
 	}
 	for _, tc := range cases {

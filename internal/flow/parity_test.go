@@ -75,24 +75,6 @@ func requireSameResults(t *testing.T, name string, ref, got []Result) {
 	}
 }
 
-// TestTrackFBParityAcrossWorkerCounts covers the forward-backward path, on
-// the Scratch the other forward-backward tests share (trackFB checks each call
-// against a fresh one), with the point set changing between worker counts.
-func TestTrackFBParityAcrossWorkerCounts(t *testing.T) {
-	t.Cleanup(func() { par.SetWorkers(0) })
-	prev, next := parityFrames(96, 72)
-	pts := []geom.Point{{X: 20, Y: 20}, {X: 48, Y: 36}, {X: 70, Y: 50}, {X: 30, Y: 55}}
-	p := DefaultParams()
-	par.SetWorkers(1)
-	ref := trackFB(t, prev, next, pts, p, 0)
-	for _, workers := range []int{2, 4} {
-		par.SetWorkers(workers)
-		for n := len(pts); n >= 1; n -= 2 {
-			requireSameFBResults(t, fmt.Sprintf("workers=%d, first %d points", workers, n), ref[:n], trackFB(t, prev, next, pts[:n], p, 0))
-		}
-	}
-}
-
 // solver is the per-point signature trackOne and trackOneRef share.
 type solver func(prev, next *imgproc.Pyramid, gxs, gys []*imgproc.Gray, pt geom.Point, levels int, p Params, tb *tmplBuf) Result
 

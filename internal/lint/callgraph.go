@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// This file builds the static call graph behind the interprocedural
-// analyzers. The graph covers every function declaration of every loaded
+// This file builds the static call graph behind detrand's interprocedural
+// check. The graph covers every function declaration of every loaded
 // module package (standard-library bodies are never parsed, so calls into
 // std are leaves) and carries three kinds of edges:
 //

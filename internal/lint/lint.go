@@ -1,18 +1,15 @@
 // Package lint is adavplint: a static-analysis suite that turns this
-// repository's prose invariants into build-failing checks. Three analyzers
-// enforce the contracts the reproduction rests on, sharing a module-wide
-// static call graph (callgraph.go) so detrand violations are caught
-// interprocedurally and named band and goroutine functions are checked at
-// their declarations:
+// repository's determinism contract into a build-failing check. One
+// analyzer, detrand, runs over a module-wide static call graph
+// (callgraph.go), so a violation is caught however many module calls away
+// from the deterministic package it sits: deterministic packages must not
+// read the wall clock, use math/rand, or iterate maps in output-affecting
+// order (the Fig. 9 / Table 2 numbers depend on seeded internal/rng).
 //
-//   - detrand: deterministic packages must not — directly or through any
-//     chain of module calls — read the wall clock, use math/rand, or
-//     iterate maps in output-affecting order (ISSUE: the Fig. 9 / Table 2
-//     numbers depend on seeded internal/rng).
-//   - bandsafe: closures or named functions passed to par.Rows may only
-//     write through their band indices and must not fan out reentrantly.
-//   - leakygo: every goroutine in non-test code — go func(){...} or
-//     go namedFunc() — must be cancellable or join-bounded.
+// The concurrency invariants are checked by tests, not here: each package
+// that starts a goroutine has a plain test that fails when one outlives the
+// run (internal/leaktest), and the par.Rows kernels' parity suites run
+// under the race detector in `make race` (DESIGN.md §9.3, §9.4).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only:
@@ -43,7 +40,7 @@ import (
 
 // Analyzer is one named check, mirroring analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the command line.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description: the invariant and why it holds.
 	Doc string
@@ -78,13 +75,12 @@ type Pass struct {
 
 	pkg   *Package
 	diags *[]Diagnostic
-	supp  *suppIndex
 }
 
 // Reportf records a finding at pos. Findings positioned inside generated
 // files are dropped: the fix belongs in the generator.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.pkg != nil && p.pkg.IsGenerated(pos) {
+	if p.pkg.IsGenerated(pos) {
 		return
 	}
 	if p.Graph != nil && p.Graph.IsGenerated(pos) {
@@ -101,19 +97,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // above it, carries an "//adavp:<directive> <why>" comment with a non-empty
 // justification.
 func (p *Pass) Suppressed(directive string, pos token.Pos) bool {
-	return p.suppOf().has(directive, pos)
-}
-
-// suppOf returns the pass's suppression index, building it on first use.
-func (p *Pass) suppOf() *suppIndex {
-	if p.supp == nil {
-		if p.pkg != nil {
-			p.supp = p.pkg.suppIdx()
-		} else {
-			p.supp = newSuppIndex(p.Fset, p.Files)
-		}
-	}
-	return p.supp
+	return p.pkg.suppIdx().has(directive, pos)
 }
 
 // suppIndex is the per-package suppression-comment lookup: file line →
@@ -222,21 +206,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			return f
 		}
-	}
-	return nil
-}
-
-// funcValueOf resolves an expression used as a function value (a named
-// function or method value passed as an argument) to its *types.Func, or
-// nil.
-func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[e].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[e.Sel].(*types.Func)
-		return f
 	}
 	return nil
 }

@@ -23,22 +23,14 @@ func TestDetRandWallClockExemptFixture(t *testing.T) {
 	runFixture(t, DetRand, "testdata/src/internal/experiments")
 }
 
-func TestBandSafeFixture(t *testing.T) {
-	runFixture(t, BandSafe, "testdata/src/bandsafe")
-}
-
-func TestLeakyGoFixture(t *testing.T) {
-	runFixture(t, LeakyGo, "testdata/src/leakygo")
-}
-
 func TestDetRandInterprocFixture(t *testing.T) {
 	runFixture(t, DetRand, "testdata/src/interproc/internal/sim")
 }
 
 // TestDirectiveLedger keeps DESIGN §9's "grep adavp: is the complete
 // exception ledger" free of dead entries. The live directives are whatever
-// this package's non-test source passes to its three comment readers — pinned
-// to the four DESIGN lists — and every comment in the module that starts
+// this package's non-test source passes to its comment readers — pinned to
+// the two DESIGN lists — and every comment in the module that starts
 // with //adavp:<directive> (prose that merely mentions one does not count)
 // must name one of them, so an annotation cannot outlive its reader.
 func TestDirectiveLedger(t *testing.T) {
@@ -61,7 +53,7 @@ func TestDirectiveLedger(t *testing.T) {
 		names = append(names, d)
 	}
 	sort.Strings(names)
-	if got, want := strings.Join(names, " "), "bandsafe-ok detrand-ok hotpath leak-ok"; got != want {
+	if got, want := strings.Join(names, " "), "detrand-ok hotpath"; got != want {
 		t.Errorf("directives read by internal/lint = %s, want %s", got, want)
 	}
 

@@ -223,14 +223,13 @@ func StartServer(ctx context.Context, addr string, reg *Registry) (*Server, erro
 		ln:   ln,
 		done: make(chan struct{}),
 	}
-	go s.serve(ctx)
+	go s.serve()
 	go s.watch(ctx)
 	return s, nil
 }
 
-// serve runs the accept loop; it exits when watch closes the server on
-// cancellation of the ctx it was handed.
-func (s *Server) serve(context.Context) {
+// serve runs the accept loop; it exits when watch closes the server.
+func (s *Server) serve() {
 	defer close(s.done)
 	_ = s.srv.Serve(s.ln)
 }

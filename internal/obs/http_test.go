@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adavp/internal/leaktest"
 )
 
 func testRegistry() *Registry {
@@ -89,6 +91,7 @@ func TestPprofEndpoints(t *testing.T) {
 }
 
 func TestStartServerLifecycle(t *testing.T) {
+	base := leaktest.Count()
 	ctx, cancel := context.WithCancel(context.Background())
 	s, err := StartServer(ctx, "127.0.0.1:0", testRegistry())
 	if err != nil {
@@ -109,4 +112,5 @@ func TestStartServerLifecycle(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down after cancel")
 	}
+	leaktest.Check(t, base)
 }

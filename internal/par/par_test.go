@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"adavp/internal/leaktest"
 )
 
 // restoreWorkers resets the pool configuration after a test.
@@ -112,6 +114,7 @@ func TestRowsSerialWhenOneWorker(t *testing.T) {
 func TestRowsConcurrentCallers(t *testing.T) {
 	restoreWorkers(t)
 	SetWorkers(4)
+	base := leaktest.Count()
 	const callers = 8
 	const rows = 200
 	var wg sync.WaitGroup
@@ -136,6 +139,7 @@ func TestRowsConcurrentCallers(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	leaktest.Check(t, base)
 }
 
 // TestRowsReentrant asserts nested Rows calls (a parallel kernel invoked

@@ -10,31 +10,10 @@ import (
 
 	"adavp/internal/core"
 	"adavp/internal/detect"
+	"adavp/internal/leaktest"
 	"adavp/internal/track"
 	"adavp/internal/video"
 )
-
-// requireBaselineGoroutines polls until the goroutine count returns to at
-// most base+tolerance, failing with a full stack dump if it never does.
-// Polling with tolerance absorbs runtime and test-harness goroutines that
-// come and go on their own schedule.
-func requireBaselineGoroutines(t *testing.T, base int) {
-	t.Helper()
-	const tolerance = 3
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= base+tolerance {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine count %d never returned to baseline %d (+%d)\n%s",
-				runtime.NumGoroutine(), base, tolerance, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // rtGoroutines counts the live goroutines this package started, read off
 // their "created by" frames — exact where a NumGoroutine delta would also see
@@ -108,20 +87,20 @@ func TestRunHoldsTwoGoroutines(t *testing.T) {
 // when cancelled mid-run and when completing normally.
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	v := video.GenerateKind("hw", video.KindHighway, 5, 300)
-	base := runtime.NumGoroutine()
+	base := leaktest.Count()
 
 	// Cancelled mid-run: teardown must not depend on reaching the end of
 	// the video.
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
 	_, _ = Run(ctx, v, liveConfig())
-	requireBaselineGoroutines(t, base)
+	leaktest.Check(t, base)
 
 	// Completing normally.
 	if _, err := Run(context.Background(), v, liveConfig()); err != nil {
 		t.Fatal(err)
 	}
-	requireBaselineGoroutines(t, base)
+	leaktest.Check(t, base)
 }
 
 // TestRunPixelRingLeaksNoGoroutines is TestRunPipelinedLeaksNoGoroutines
@@ -130,7 +109,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 // cycle or between two — must join it before Run returns.
 func TestRunPixelRingLeaksNoGoroutines(t *testing.T) {
 	v := pipelineTestVideo("hw", video.KindHighway, 5, 120)
-	base := runtime.NumGoroutine()
+	base := leaktest.Count()
 	cfg := Config{
 		TimeScale:     0.01,
 		Seed:          1,
@@ -144,7 +123,7 @@ func TestRunPixelRingLeaksNoGoroutines(t *testing.T) {
 		time.AfterFunc(after*time.Millisecond, cancel)
 		_, _ = Run(ctx, v, cfg)
 		cancel()
-		requireBaselineGoroutines(t, base)
+		leaktest.Check(t, base)
 	}
 }
 
@@ -156,7 +135,7 @@ func TestRunPixelRingLeaksNoGoroutines(t *testing.T) {
 // teardown fails here even when the count recovers.
 func TestRunPipelinedLeaksNoGoroutines(t *testing.T) {
 	v := pipelineTestVideo("hw", video.KindHighway, 5, 120)
-	base := runtime.NumGoroutine()
+	base := leaktest.Count()
 
 	// Cancelled mid-run, repeatedly: the cancellation window is narrow, so
 	// several staggered cancels sweep it.
@@ -165,7 +144,7 @@ func TestRunPipelinedLeaksNoGoroutines(t *testing.T) {
 		time.AfterFunc(after*time.Millisecond, cancel)
 		res, _ := RunPipelined(ctx, v, PipelineConfig{Depth: 3, DetectEvery: 8, TimeScale: 0.001})
 		cancel()
-		requireBaselineGoroutines(t, base)
+		leaktest.Check(t, base)
 		if res.pyramidsTotal != 3 || res.pyramidsFree != res.pyramidsTotal {
 			t.Fatalf("cancel@%vms: %d of %d slots hold their pyramid — cancellation dropped pyramids",
 				after, res.pyramidsFree, res.pyramidsTotal)
@@ -177,7 +156,7 @@ func TestRunPipelinedLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBaselineGoroutines(t, base)
+	leaktest.Check(t, base)
 	if res.pyramidsFree != res.pyramidsTotal {
 		t.Fatalf("clean run: %d of %d slots hold their pyramid", res.pyramidsFree, res.pyramidsTotal)
 	}

@@ -11,6 +11,7 @@ import (
 	"adavp/internal/core"
 	"adavp/internal/detect"
 	"adavp/internal/fault"
+	"adavp/internal/leaktest"
 	"adavp/internal/obs"
 	"adavp/internal/video"
 )
@@ -64,6 +65,7 @@ func sameRun(t *testing.T, what string, a, b *Result) {
 // videos run one at a time (GOMAXPROCS 1, the serial path) or fan out over
 // 2 or 7 goroutines.
 func TestRunSetMatchesAcrossProcs(t *testing.T) {
+	base := leaktest.Count()
 	videos := video.TestSet(3, 240)
 	for name, cfg := range setParityConfigs() {
 		var ref *SetResult
@@ -88,6 +90,7 @@ func TestRunSetMatchesAcrossProcs(t *testing.T) {
 			}
 		}
 	}
+	leaktest.Check(t, base)
 }
 
 // TestRunSetReturnsLowestIndexError: with empty videos at indices 3 and 7,
@@ -125,6 +128,7 @@ func TestRunSetRejectsSharedState(t *testing.T) {
 // TestCollectTrainingSamplesMatchesAcrossProcs: the fanned-out training
 // pipeline returns the serial pipeline's samples, in the same order.
 func TestCollectTrainingSamplesMatchesAcrossProcs(t *testing.T) {
+	base := leaktest.Count()
 	videos := video.TrainingSet(2, 90)[:9]
 	var samples [2][]adapt.Sample
 	for k, procs := range []int{1, 4} {
@@ -137,6 +141,7 @@ func TestCollectTrainingSamplesMatchesAcrossProcs(t *testing.T) {
 	if !reflect.DeepEqual(samples[0], samples[1]) {
 		t.Errorf("GOMAXPROCS 4 collected %d samples, GOMAXPROCS 1 %d, or they differ", len(samples[1]), len(samples[0]))
 	}
+	leaktest.Check(t, base)
 }
 
 // BenchmarkRunSetTestSet is one sim_sweep-style round: the five policies

@@ -26,13 +26,6 @@ type PixelTracker struct {
 	FlowParams flow.Params
 	// PyramidLevels bounds the image pyramids built per frame.
 	PyramidLevels int
-	// ForwardBackward enables round-trip verification of tracked features
-	// (~2x flow cost): a feature is kept only when tracking it backward
-	// returns within FBMaxError pixels of its origin. Catches features that
-	// silently slid onto other surfaces.
-	ForwardBackward bool
-	// FBMaxError is the round-trip rejection threshold (<= 0 selects 1.0).
-	FBMaxError float64
 
 	// prevPyr and sparePyr alternate frame over frame: Step rebuilds the
 	// spare pyramid's buffers from the new frame and swaps, instead of
@@ -50,11 +43,10 @@ type PixelTracker struct {
 	bounds      geom.Rect
 	masks       []geom.Rect // initFeatures' box list, reset per Init
 
-	// Per-step working lists of stepFlow, kept across steps: the flow batch,
-	// one object's displacements, and the forward-backward results.
-	batch     []geom.Point
-	dxs, dys  []float64
-	fbResults []flow.Result
+	// Per-step working lists of stepFlow, kept across steps: the flow batch
+	// and one object's displacements.
+	batch    []geom.Point
+	dxs, dys []float64
 }
 
 // trackedObject is one detection being followed.
@@ -198,16 +190,7 @@ func (t *PixelTracker) stepFlow(next core.Frame, nextPyr *imgproc.Pyramid) ([]co
 			t.batch = append(t.batch, t.objs[oi].pts...)
 		}
 	}
-	var results []flow.Result
-	if t.ForwardBackward {
-		t.fbResults = t.fbResults[:0]
-		for _, r := range t.flowScratch.TrackFB(t.prevPyr, nextPyr, t.batch, t.FlowParams, t.FBMaxError) {
-			t.fbResults = append(t.fbResults, r.Result)
-		}
-		results = t.fbResults
-	} else {
-		results = t.flowScratch.Track(t.prevPyr, nextPyr, t.batch, t.FlowParams)
-	}
+	results := t.flowScratch.Track(t.prevPyr, nextPyr, t.batch, t.FlowParams)
 
 	// Eq. 3 normalizes by the frame gap because the tracking-frame selector
 	// skips frames (j - i may exceed 1).

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"adavp/internal/metrics"
 	"adavp/internal/par"
 	"adavp/internal/video"
 )
@@ -63,24 +62,5 @@ func TestPixelTrackerPyramidReuseDeterministic(t *testing.T) {
 					workers, s, gotVels[s], refVels[s])
 			}
 		}
-	}
-}
-
-// TestPixelTrackerForwardBackwardReuse covers the FB path through the shared
-// flow scratch: quality must be unaffected by buffer reuse.
-func TestPixelTrackerForwardBackwardReuse(t *testing.T) {
-	v := video.GenerateKind("reuse-fb", video.KindMeetingRoom, 17, 20)
-	tr := NewPixelTracker()
-	tr.ForwardBackward = true
-	ref := v.FrameWithPixels(0)
-	tr.Init(ref, oracleDets(ref.Truth))
-	var f1s []float64
-	for i := 1; i <= 10; i++ {
-		f := v.FrameWithPixels(i)
-		dets, _ := tr.Step(f)
-		f1s = append(f1s, metrics.FrameF1(dets, f.Truth, 0.5))
-	}
-	if got := metrics.Mean(f1s); got < 0.7 {
-		t.Errorf("FB tracking with reused buffers decayed: mean F1 %.3f", got)
 	}
 }

@@ -347,27 +347,3 @@ func BenchmarkModelTrackerStep(b *testing.B) {
 		_, _ = tr.Step(v.Frame(1 + i%50))
 	}
 }
-
-func TestPixelTrackerForwardBackwardOption(t *testing.T) {
-	v := video.GenerateKind("v", video.KindHighway, 41, 12)
-	run := func(fb bool) float64 {
-		tr := NewPixelTracker()
-		tr.ForwardBackward = fb
-		ref := v.FrameWithPixels(0)
-		tr.Init(ref, oracleDets(ref.Truth))
-		var f1s []float64
-		for i := 1; i < 8; i++ {
-			f := v.FrameWithPixels(i)
-			dets, _ := tr.Step(f)
-			f1s = append(f1s, metrics.FrameF1(dets, f.Truth, 0.5))
-		}
-		return metrics.Mean(f1s)
-	}
-	plain := run(false)
-	verified := run(true)
-	// FB verification must not collapse tracking quality on clean content;
-	// it prunes features, so a modest dip is acceptable.
-	if verified < plain-0.25 {
-		t.Errorf("FB tracking F1 %.3f far below plain %.3f", verified, plain)
-	}
-}
