@@ -46,16 +46,17 @@ build:
 test:
 	$(GO) test ./...
 
-# Packages with real concurrency: the live pipeline and its supervision
-# layer (including the staged cross-frame pipeline — prefetch/reorder under
-# concurrent cancellation), the fault injectors, the observability registry
-# (scraped while the pipeline writes), plus everything that drives or
-# implements the par.Rows worker pool (kernels, Shi–Tomasi, detector, flow,
-# renderer, tracker). -race is the band-race check: each kernel package's
+# Packages with real concurrency: the facade (its RunLive and RunLiveMulti
+# tests start live pipelines over a shared slot pool and registry), the live
+# pipeline and its supervision layer (including the staged cross-frame
+# pipeline — prefetch/reorder under concurrent cancellation), the fault
+# injectors, the observability registry (scraped while the pipeline writes),
+# plus everything that drives or implements the par.Rows worker pool
+# (kernels, Shi–Tomasi, detector, flow, renderer, tracker). -race is the band-race check: each kernel package's
 # parity suite runs its par.Rows bands at several worker counts, so a band
 # that writes shared state fails here (DESIGN.md §9.3).
 race:
-	$(GO) test -race ./internal/rt/ ./internal/fault/ ./internal/guard/ ./internal/sim/ \
+	$(GO) test -race . ./internal/rt/ ./internal/fault/ ./internal/guard/ ./internal/sim/ \
 		./internal/par/ ./internal/imgproc/ ./internal/features/ ./internal/flow/ ./internal/video/ \
 		./internal/detect/ ./internal/track/ ./internal/obs/ ./internal/serve/ \
 		./internal/serve/loadtest/ ./internal/chaos/

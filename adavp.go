@@ -192,10 +192,6 @@ type Options struct {
 	// to lost results; the live pipeline executes them for real under the
 	// supervision layer.
 	Fault *FaultProfile
-	// Workers sets the pixel-kernel worker pool for this process (0 keeps
-	// the current setting, default NumCPU). The pool only affects wall
-	// time: kernels are bitwise-deterministic at any worker count.
-	Workers int
 	// PipelineDepth, when > 1, runs the staged frame-prefetch pipeline on
 	// the live paths: a pixel-mode stream's tracker renders up to
 	// PipelineDepth-1 of its planned frames ahead of the current step, also
@@ -278,9 +274,6 @@ func simConfig(opts Options, i int) sim.Config {
 	if cfg.Policy == sim.PolicyInvalid {
 		cfg.Policy = PolicyAdaVP
 	}
-	if opts.Workers > 0 {
-		par.SetWorkers(opts.Workers) // the pool is process-wide; sim.Config carries no worker count
-	}
 	if opts.PixelMode {
 		cfg.PixelMode = true
 		cfg.Detector = detect.NewBlobDetector()
@@ -341,7 +334,6 @@ func rtConfig(opts Options, i int, timeScale float64) (rt.Config, error) {
 		TimeScale:     timeScale,
 		PixelMode:     opts.PixelMode,
 		Fault:         opts.Fault,
-		Workers:       opts.Workers,
 		Obs:           opts.Obs,
 		PipelineDepth: opts.PipelineDepth,
 	}
@@ -397,14 +389,6 @@ type ServeOptions struct {
 	// MaxStreams is the admission-control cap: RunMulti and RunLiveMulti
 	// reject larger stream sets up front. 0 means unlimited.
 	MaxStreams int
-	// DowngradeBudget caps guard fault-escalation downgrades across ALL
-	// streams of a live run, so a correlated fault burst cannot walk every
-	// stream down to the smallest model at once. 0 means unlimited.
-	DowngradeBudget int
-	// DowngradeRefill, when positive alongside DowngradeBudget, restores one
-	// downgrade grant per interval of pipeline time (saturating at the
-	// budget), so escalation headroom recovers once a fault burst ends.
-	DowngradeRefill time.Duration
 }
 
 // admit is the admission-control check of both multi-stream entry points.
@@ -515,9 +499,10 @@ func RunMulti(videos []*Video, opts Options, so ServeOptions) (*MultiResult, err
 // RunLiveMulti executes one supervised live pipeline per video, all
 // contending for a shared pool of detector slots (internal/serve). Stream i
 // runs opts with Seed+i. Each stream has its own tracker, adaptation state
-// and guard supervisor; the slots, the downgrade budget and the registry are
-// shared. As with RunLive, only AdaVP and MPDT run live. Cancelled streams
-// carry their partial Result alongside StreamRun.Err.
+// and guard supervisor; the slots and the registry are shared, and no
+// downgrade budget caps the supervisors' escalations. As with RunLive, only
+// AdaVP and MPDT run live. Cancelled streams carry their partial Result
+// alongside StreamRun.Err.
 func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale float64, so ServeOptions) (*MultiResult, error) {
 	if err := so.admit(len(videos)); err != nil {
 		return nil, err
@@ -530,15 +515,10 @@ func RunLiveMulti(ctx context.Context, videos []*Video, opts Options, timeScale 
 		}
 		specs[i] = serve.StreamSpec{ID: fmt.Sprintf("s%d", i), Video: v, Config: cfg}
 	}
-	var budget *guard.EscalationBudget
-	if so.DowngradeBudget > 0 {
-		budget = guard.NewEscalationBudgetWithRefill(so.DowngradeBudget, so.DowngradeRefill)
-	}
 	r, err := serve.Run(ctx, specs, serve.RunConfig{
 		Slots:         so.Slots,
 		QueueBound:    so.QueueBound,
 		Batch:         serve.BatchConfig{Size: so.BatchSize, Linger: so.BatchLinger},
-		Budget:        budget,
 		PipelineDepth: opts.PipelineDepth,
 		Obs:           opts.Obs,
 	})

@@ -159,7 +159,7 @@ func run(o cliOpts) error {
 	}
 	opts := adavp.Options{
 		Policy: policy, Setting: o.setting, Seed: o.seed, PixelMode: o.pixel,
-		Workers: o.workers, PipelineDepth: o.pipelineDepth,
+		PipelineDepth: o.pipelineDepth,
 	}
 	effective := adavp.SetWorkers(o.workers)
 	if o.metricsAddr != "" {

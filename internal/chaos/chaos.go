@@ -17,6 +17,11 @@
 //
 // Both check the fairness invariant: no stream's calibration age may exceed
 // serve.FairnessBoundBatched for the soak's observed slot occupancy.
+//
+// The soak's shape and the rt invariants' bounds are package constants
+// (SegmentsPerStream, DowngradeBudget, DowngradeRefill, MaxHeapDelta,
+// FairnessSlack), so every soak is gated the same way; Config carries what
+// the CLI and the tests vary.
 package chaos
 
 import (
@@ -28,6 +33,27 @@ import (
 	"adavp/internal/rng"
 	"adavp/internal/serve"
 	"adavp/internal/video"
+)
+
+// The soak's fixed shape and the bounds its rt invariants are checked
+// against.
+const (
+	// SegmentsPerStream is how many scenario segments each stream's video
+	// splices per round — every boundary is a mid-stream scenario switch.
+	SegmentsPerStream = 3
+	// DowngradeBudget and DowngradeRefill shape the rt soak's shared
+	// escalation budget: capacity, and the pipeline-time interval that
+	// restores one grant.
+	DowngradeBudget = 4
+	DowngradeRefill = 2 * time.Second
+	// MaxHeapDelta bounds the live-heap growth an rt soak may leave behind
+	// after GC.
+	MaxHeapDelta = 64 << 20
+	// FairnessSlack is added to the fairness bound in rt mode to absorb
+	// wall-clock scheduling noise (GC pauses, -race overhead) that inflates
+	// calibration ages without inflating the occupancies the bound is
+	// computed from.
+	FairnessSlack = 250 * time.Millisecond
 )
 
 // Config parameterizes a soak. Zero-value fields take documented defaults.
@@ -46,10 +72,6 @@ type Config struct {
 	// Rounds is the number of churn rounds a sim soak runs. Default 4.
 	// (An rt soak runs rounds until WallBudget expires instead.)
 	Rounds int
-	// SegmentsPerStream is how many scenario segments each stream's video
-	// splices per round — every boundary is a mid-stream scenario switch.
-	// Default 3.
-	SegmentsPerStream int
 	// SegmentFrames is the length of one scenario segment. Default 60.
 	SegmentFrames int
 	// ChurnRate is the per-round probability that a stream slot disconnects
@@ -72,19 +94,6 @@ type Config struct {
 	// TimeScale compresses emulated latencies and the camera interval
 	// (rt.Config.TimeScale). Default 0.02.
 	TimeScale float64
-	// DowngradeBudget and DowngradeRefill shape the shared escalation
-	// budget: capacity and the pipeline-time interval that restores one
-	// grant. Defaults: 4 grants, one back per 2s.
-	DowngradeBudget int
-	DowngradeRefill time.Duration
-	// MaxHeapDelta bounds the live-heap growth a soak may leave behind
-	// after GC. Default 64 MiB.
-	MaxHeapDelta uint64
-	// FairnessSlack is added to the fairness bound in rt mode to absorb
-	// wall-clock scheduling noise (GC pauses, -race overhead) that inflates
-	// calibration ages without inflating the occupancies the bound is
-	// computed from. Default 250ms.
-	FairnessSlack time.Duration
 	// PipelineDepth, when > 1, runs the rt soak's streams on the pixel
 	// pipeline (blob detector, pixel tracker) with the staged frame prefetch
 	// at this depth (rt.Config.PipelineDepth via serve.RunConfig). The
@@ -105,9 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.Rounds <= 0 {
 		c.Rounds = 4
 	}
-	if c.SegmentsPerStream <= 0 {
-		c.SegmentsPerStream = 3
-	}
 	if c.SegmentFrames <= 0 {
 		c.SegmentFrames = 60
 	}
@@ -122,18 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 0.02
-	}
-	if c.DowngradeBudget <= 0 {
-		c.DowngradeBudget = 4
-	}
-	if c.DowngradeRefill <= 0 {
-		c.DowngradeRefill = 2 * time.Second
-	}
-	if c.MaxHeapDelta == 0 {
-		c.MaxHeapDelta = 64 << 20
-	}
-	if c.FairnessSlack <= 0 {
-		c.FairnessSlack = 250 * time.Millisecond
 	}
 	return c
 }
@@ -217,8 +211,8 @@ func planRound(root *rng.Stream, cfg Config, round int, st *churnState) []stream
 			Slot: slot,
 			Seed: root.Derive(uint64(round), uint64(slot), uint64(gen)).DeriveString("stream").Uint64(),
 		}
-		parts := make([]*video.Video, cfg.SegmentsPerStream)
-		for s := 0; s < cfg.SegmentsPerStream; s++ {
+		parts := make([]*video.Video, SegmentsPerStream)
+		for s := 0; s < SegmentsPerStream; s++ {
 			k := every[perm[next%len(every)]]
 			next++
 			seed := root.Derive(uint64(round), uint64(slot), uint64(gen), uint64(s)).DeriveString("video").Uint64()

@@ -41,8 +41,8 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 	st := newChurnState(cfg.Streams)
 	acc := newF1Acc()
 	rep := &Report{Mode: "rt", Seed: cfg.Seed, Streams: cfg.Streams, Slots: cfg.Slots, BatchSize: cfg.Batch.Size}
-	budget := guard.NewEscalationBudgetWithRefill(cfg.DowngradeBudget, cfg.DowngradeRefill)
-	rep.BudgetCapacity = cfg.DowngradeBudget
+	budget := guard.NewEscalationBudget(DowngradeBudget, DowngradeRefill)
+	rep.BudgetCapacity = DowngradeBudget
 
 	rep.GoroutinesBefore = settledGoroutines(0, 2*time.Second)
 	rep.HeapBefore = liveHeap()
@@ -102,7 +102,7 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 		// the batch capacity (≥ any release skew) exactly as the latency
 		// model does; FairnessSlack still absorbs wall-clock noise. Linger
 		// is zero: the live pool is work-conserving.
-		bound := serve.FairnessBoundBatched(len(plans), cfg.Slots, cfg.Batch.Size, maxOcc, scaledInterval, 0) + cfg.FairnessSlack
+		bound := serve.FairnessBoundBatched(len(plans), cfg.Slots, cfg.Batch.Size, maxOcc, scaledInterval, 0) + FairnessSlack
 		if bound > rep.FairnessBound {
 			rep.FairnessBound = bound
 		}
@@ -137,7 +137,7 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 	// every possible spent grant; anything short of capacity means refill
 	// credit was lost.
 	rep.BudgetRemaining = budget.Remaining()
-	budget.Advance(rep.Wall + time.Duration(cfg.DowngradeBudget+1)*cfg.DowngradeRefill)
+	budget.Advance(rep.Wall + (DowngradeBudget+1)*DowngradeRefill)
 	rep.BudgetRecovered = budget.Remaining()
 	if rep.BudgetRecovered != rep.BudgetCapacity {
 		rep.Violations = append(rep.Violations,
@@ -150,10 +150,10 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 			fmt.Sprintf("goroutines grew %d -> %d", rep.GoroutinesBefore, rep.GoroutinesAfter))
 	}
 	rep.HeapAfter = liveHeap()
-	if rep.HeapAfter > rep.HeapBefore && rep.HeapAfter-rep.HeapBefore > cfg.MaxHeapDelta {
+	if rep.HeapAfter > rep.HeapBefore && rep.HeapAfter-rep.HeapBefore > MaxHeapDelta {
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("heap grew %s -> %s, over the %s bound",
-				fmtBytes(rep.HeapBefore), fmtBytes(rep.HeapAfter), fmtBytes(cfg.MaxHeapDelta)))
+				fmtBytes(rep.HeapBefore), fmtBytes(rep.HeapAfter), fmtBytes(MaxHeapDelta)))
 	}
 	return rep, nil
 }

@@ -11,7 +11,7 @@ import (
 // TestEscalationBudgetSharedAcrossSupervisors: two supervisors sharing a
 // budget of 2 get exactly two downgrades between them, then none.
 func TestEscalationBudgetSharedAcrossSupervisors(t *testing.T) {
-	b := NewEscalationBudget(2)
+	b := NewEscalationBudget(2, 0)
 	s1 := New(Config{Budget: b, Stream: "s1"})
 	s2 := New(Config{Budget: b, Stream: "s2"})
 	granted := 0
@@ -39,11 +39,11 @@ func TestEscalationBudgetNilUnlimited(t *testing.T) {
 	}
 }
 
-// TestEscalationBudgetConcurrent: concurrent Take calls never over-grant
+// TestEscalationBudgetConcurrent: concurrent TakeAt calls never over-grant
 // (run under -race by make race).
 func TestEscalationBudgetConcurrent(t *testing.T) {
 	const cap, workers, tries = 64, 8, 100
-	b := NewEscalationBudget(cap)
+	b := NewEscalationBudget(cap, 0)
 	var total int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -53,7 +53,7 @@ func TestEscalationBudgetConcurrent(t *testing.T) {
 			defer wg.Done()
 			n := 0
 			for i := 0; i < tries; i++ {
-				if b.Take() {
+				if b.TakeAt(0) {
 					n++
 				}
 			}
@@ -75,11 +75,11 @@ func TestEscalationBudgetConcurrent(t *testing.T) {
 // interval of reported pipeline time, saturates at capacity, and treats
 // non-monotone time as a no-op.
 func TestEscalationBudgetRefill(t *testing.T) {
-	b := NewEscalationBudgetWithRefill(2, time.Second)
-	if !b.Take() || !b.Take() {
+	b := NewEscalationBudget(2, time.Second)
+	if !b.TakeAt(0) || !b.TakeAt(0) {
 		t.Fatal("initial capacity not grantable")
 	}
-	if b.Take() {
+	if b.TakeAt(0) {
 		t.Fatal("over-granted past capacity")
 	}
 	b.Advance(500 * time.Millisecond) // under one interval: no credit
@@ -109,9 +109,9 @@ func TestEscalationBudgetRefill(t *testing.T) {
 // TestEscalationBudgetRefillPartialCredit: fractional intervals carry over —
 // advancing twice by 0.6 intervals credits one grant, not zero.
 func TestEscalationBudgetRefillPartialCredit(t *testing.T) {
-	b := NewEscalationBudgetWithRefill(3, time.Second)
+	b := NewEscalationBudget(3, time.Second)
 	for i := 0; i < 3; i++ {
-		b.Take()
+		b.TakeAt(0)
 	}
 	b.Advance(600 * time.Millisecond)
 	b.Advance(1200 * time.Millisecond)
@@ -127,7 +127,7 @@ func TestEscalationBudgetRefillConcurrent(t *testing.T) {
 	const capacity, workers, tries = 8, 8, 200
 	// One grant refills per second of pipeline time; workers report times up
 	// to tries seconds, so at most capacity + tries - 1 grants can exist.
-	b := NewEscalationBudgetWithRefill(capacity, time.Second)
+	b := NewEscalationBudget(capacity, time.Second)
 	var total int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup

@@ -11,12 +11,17 @@
 // display); guard owns the bookkeeping — outcomes, health transitions,
 // backoff schedule, fault/recovery counters and the event log exported into
 // the run trace.
+//
+// The state machine's thresholds (WatchdogFactor, EmptyBurst, RecoverAfter,
+// MaxRetries, DowngradeAfter) are package constants. Config keeps only what
+// a caller does vary: the wall-clock deadline floor and backoff, which tests
+// shrink to fit a TimeScale-compressed camera, the telemetry sink, the
+// stream label and the shared escalation budget.
 package guard
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adavp/internal/core"
@@ -35,7 +40,7 @@ const (
 	// burst) and the pipeline is running on fallbacks.
 	Degraded
 	// Recovering: cycles are succeeding again but the streak is shorter
-	// than Config.RecoverAfter.
+	// than RecoverAfter.
 	Recovering
 )
 
@@ -86,30 +91,35 @@ const (
 	ComponentTracker  = "tracker"
 )
 
+// The supervision policy's thresholds, fixed as the paper fixes its own
+// tunables: no run sets other values.
+const (
+	// WatchdogFactor scales the calibrated mean detection latency into the
+	// watchdog deadline (deadline = mean × factor, floored at
+	// Config.MinDeadline).
+	WatchdogFactor = 8
+	// EmptyBurst is the number of consecutive empty detection results that
+	// counts as a fault (legitimately empty scenes make short empty runs
+	// normal).
+	EmptyBurst = 8
+	// RecoverAfter is the number of consecutive successful cycles required
+	// to return from Recovering to Healthy.
+	RecoverAfter = 3
+	// MaxRetries bounds the in-cycle retries after a hard fault.
+	MaxRetries = 2
+	// DowngradeAfter is the number of consecutive hard faults after which
+	// the supervisor recommends escalating to a smaller/faster model
+	// setting.
+	DowngradeAfter = 2
+)
+
 // Config tunes the supervision layer. The zero value takes the documented
 // defaults.
 type Config struct {
-	// WatchdogFactor scales the calibrated mean detection latency into the
-	// watchdog deadline (deadline = mean × factor, floored at MinDeadline).
-	// Default: 8.
-	WatchdogFactor float64
 	// MinDeadline floors the watchdog deadline in wall-clock time — emulated
 	// Detect calls return in microseconds, so the calibrated budget scaled
 	// by a small TimeScale would otherwise be uselessly tight. Default: 100ms.
 	MinDeadline time.Duration
-	// EmptyBurst is the number of consecutive empty detection results that
-	// counts as a fault (legitimately empty scenes make short empty runs
-	// normal). 0 disables empty-burst detection. Default: 8.
-	EmptyBurst int
-	// RecoverAfter is the number of consecutive successful cycles required
-	// to return from Recovering to Healthy. Default: 3.
-	RecoverAfter int
-	// MaxRetries bounds the in-cycle retries after a hard fault. Default: 2.
-	MaxRetries int
-	// DowngradeAfter is the number of consecutive hard faults after which
-	// the supervisor recommends escalating to a smaller/faster model
-	// setting. Default: 2.
-	DowngradeAfter int
 	// BackoffBase is the first retry backoff (wall clock); it doubles per
 	// consecutive fault up to BackoffMax. Defaults: 5ms, 250ms.
 	BackoffBase time.Duration
@@ -131,25 +141,8 @@ type Config struct {
 
 // WithDefaults returns the config with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {
-	if c.WatchdogFactor <= 0 {
-		c.WatchdogFactor = 8
-	}
 	if c.MinDeadline <= 0 {
 		c.MinDeadline = 100 * time.Millisecond
-	}
-	if c.EmptyBurst == 0 {
-		c.EmptyBurst = 8
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 3
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.DowngradeAfter <= 0 {
-		c.DowngradeAfter = 2
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 5 * time.Millisecond
@@ -166,7 +159,7 @@ type Stats struct {
 	// (both components).
 	Timeouts int
 	Panics   int
-	// EmptyBursts counts runs of Config.EmptyBurst consecutive empty
+	// EmptyBursts counts runs of EmptyBurst consecutive empty
 	// detection results.
 	EmptyBursts int
 	// Retries counts in-cycle re-attempts after hard faults.
@@ -186,41 +179,26 @@ type Stats struct {
 // onto the smallest model — the first takers downgrade, the rest ride out
 // the burst on retries and held calibrations. A nil budget is unlimited.
 //
-// A budget built with NewEscalationBudgetWithRefill additionally recovers
-// capacity over time: one grant is restored per refill interval of elapsed
-// pipeline time, saturating at the initial capacity. Refill is clock-free —
-// time is passed in by the caller (Advance/TakeAt), wall time in rt, virtual
-// time in sim — so refillable budgets stay deterministic where the engine is.
+// A budget with a refill interval additionally recovers capacity over time:
+// one grant is restored per interval of elapsed pipeline time, saturating at
+// the initial capacity. Refill is clock-free — time is passed in by the
+// caller (Advance/TakeAt), wall time in rt, virtual time in sim — so
+// refillable budgets stay deterministic where the engine is.
 type EscalationBudget struct {
-	remaining atomic.Int64
-
-	// Refill state; every==0 means the legacy one-shot budget.
-	mu         sync.Mutex
-	capacity   int64
-	every      time.Duration
+	mu         sync.Mutex // guards every field below
+	remaining  int
+	capacity   int
+	every      time.Duration // refill interval; 0 is a one-shot budget
 	lastCredit time.Duration // pipeline time refill was last accounted to
 }
 
-// NewEscalationBudget returns a budget allowing n downgrades in total
-// across every supervisor that shares it. n <= 0 yields an exhausted budget.
-func NewEscalationBudget(n int) *EscalationBudget {
-	b := &EscalationBudget{}
-	if n > 0 {
-		b.remaining.Store(int64(n))
-	}
-	return b
-}
-
-// NewEscalationBudgetWithRefill returns a budget of n grants that restores
-// one grant per `every` of elapsed pipeline time (as reported to Advance or
-// TakeAt), saturating at n. every <= 0 yields a plain one-shot budget.
-func NewEscalationBudgetWithRefill(n int, every time.Duration) *EscalationBudget {
-	b := NewEscalationBudget(n)
-	if n > 0 && every > 0 {
-		b.capacity = int64(n)
-		b.every = every
-	}
-	return b
+// NewEscalationBudget returns a budget allowing n downgrades across every
+// supervisor that shares it, restoring one grant per `every` of elapsed
+// pipeline time (as reported to Advance or TakeAt), saturating at n. every
+// <= 0 never refills; n <= 0 yields an exhausted budget.
+func NewEscalationBudget(n int, every time.Duration) *EscalationBudget {
+	n = max(n, 0)
+	return &EscalationBudget{remaining: n, capacity: n, every: max(every, 0)}
 }
 
 // Advance credits refill for pipeline time now: one grant per full refill
@@ -233,59 +211,35 @@ func (b *EscalationBudget) Advance(now time.Duration) {
 		return
 	}
 	b.mu.Lock()
-	if b.every <= 0 || now <= b.lastCredit {
-		b.mu.Unlock()
-		return
-	}
-	units := int64((now - b.lastCredit) / b.every)
-	if units <= 0 {
-		b.mu.Unlock()
-		return
-	}
-	b.lastCredit += time.Duration(units) * b.every
-	capacity := b.capacity
-	b.mu.Unlock()
-	// Credit outside the refill lock: Take's CAS loop and this one never
-	// deadlock, and a concurrent Take between Load and CAS just retries.
-	for {
-		r := b.remaining.Load()
-		nr := r + units
-		if nr > capacity {
-			nr = capacity
-		}
-		if nr <= r {
-			return // already saturated
-		}
-		if b.remaining.CompareAndSwap(r, nr) {
-			return
-		}
-	}
+	defer b.mu.Unlock()
+	b.advance(now)
 }
 
-// TakeAt credits refill up to pipeline time now, then takes one grant.
+// advance is Advance with b.mu held.
+func (b *EscalationBudget) advance(now time.Duration) {
+	if b.every <= 0 || now <= b.lastCredit {
+		return
+	}
+	units := (now - b.lastCredit) / b.every
+	b.lastCredit += units * b.every
+	b.remaining = min(b.remaining+int(units), b.capacity)
+}
+
+// TakeAt credits refill up to pipeline time now, then consumes one downgrade
+// if capacity remains, reporting whether it was granted. A nil budget always
+// grants. Safe for concurrent use.
 func (b *EscalationBudget) TakeAt(now time.Duration) bool {
 	if b == nil {
 		return true
 	}
-	b.Advance(now)
-	return b.Take()
-}
-
-// Take consumes one downgrade if capacity remains, reporting whether it was
-// granted. A nil budget always grants. Safe for concurrent use.
-func (b *EscalationBudget) Take() bool {
-	if b == nil {
-		return true
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.advance(now)
+	if b.remaining <= 0 {
+		return false
 	}
-	for {
-		r := b.remaining.Load()
-		if r <= 0 {
-			return false
-		}
-		if b.remaining.CompareAndSwap(r, r-1) {
-			return true
-		}
-	}
+	b.remaining--
+	return true
 }
 
 // Remaining returns the downgrades left (a nil budget reports -1, unlimited).
@@ -293,7 +247,9 @@ func (b *EscalationBudget) Remaining() int {
 	if b == nil {
 		return -1
 	}
-	return int(b.remaining.Load())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.remaining
 }
 
 // Decision is the supervisor's recommendation after a fault.
@@ -451,14 +407,12 @@ func (s *Supervisor) ObserveSuccess(empty bool, cycle, frame int, at time.Durati
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if empty {
-		if s.cfg.EmptyBurst > 0 {
-			s.emptyStreak++
-			if s.emptyStreak == s.cfg.EmptyBurst {
-				s.stats.EmptyBursts++
-				s.setHealth(Degraded)
-				s.okStreak = 0
-				s.event(ComponentDetector, "empty", "empty-burst", cycle, frame, at)
-			}
+		s.emptyStreak++
+		if s.emptyStreak == EmptyBurst {
+			s.stats.EmptyBursts++
+			s.setHealth(Degraded)
+			s.okStreak = 0
+			s.event(ComponentDetector, "empty", "empty-burst", cycle, frame, at)
 		}
 		return false
 	}
@@ -471,7 +425,7 @@ func (s *Supervisor) ObserveSuccess(empty bool, cycle, frame int, at time.Durati
 		s.okStreak = 1
 	case Recovering:
 		s.okStreak++
-		if s.okStreak >= s.cfg.RecoverAfter {
+		if s.okStreak >= RecoverAfter {
 			s.setHealth(Healthy)
 			s.stats.Recoveries++
 			s.event(ComponentDetector, "", "recovered", cycle, frame, at)
@@ -508,7 +462,7 @@ func (s *Supervisor) ObserveFault(component string, o Outcome, cycle, frame int,
 	}
 	return Decision{
 		Backoff:   backoff,
-		Downgrade: s.failStreak%s.cfg.DowngradeAfter == 0,
+		Downgrade: s.failStreak%DowngradeAfter == 0,
 	}
 }
 

@@ -77,7 +77,7 @@ func TestCallOutcomes(t *testing.T) {
 }
 
 func TestStateMachine(t *testing.T) {
-	s := New(Config{RecoverAfter: 3})
+	s := New(Config{})
 	if s.Health() != Healthy {
 		t.Fatalf("initial health %v", s.Health())
 	}
@@ -118,15 +118,17 @@ func TestStateMachine(t *testing.T) {
 }
 
 func TestFaultDuringRecoveryResetsStreak(t *testing.T) {
-	s := New(Config{RecoverAfter: 2})
+	s := New(Config{})
 	s.ObserveFault(ComponentDetector, Panicked, 0, 0, 0)
 	s.ObserveSuccess(false, 1, 1, 0) // Recovering, streak 1
-	s.ObserveFault(ComponentDetector, Panicked, 2, 2, 0)
+	s.ObserveSuccess(false, 2, 2, 0) // Recovering, streak 2
+	s.ObserveFault(ComponentDetector, Panicked, 3, 3, 0)
 	if s.Health() != Degraded {
 		t.Fatalf("fault during recovery: %v", s.Health())
 	}
-	s.ObserveSuccess(false, 3, 3, 0)
-	if rec := s.ObserveSuccess(false, 4, 4, 0); !rec {
+	s.ObserveSuccess(false, 4, 4, 0)
+	s.ObserveSuccess(false, 5, 5, 0)
+	if rec := s.ObserveSuccess(false, 6, 6, 0); !rec {
 		t.Fatal("streak after second fault did not recover at RecoverAfter")
 	}
 }
@@ -150,7 +152,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 }
 
 func TestDowngradeEveryN(t *testing.T) {
-	s := New(Config{DowngradeAfter: 2})
+	s := New(Config{})
 	var downs []int
 	for i := 1; i <= 6; i++ {
 		if s.ObserveFault(ComponentDetector, Timeout, i, i, 0).Downgrade {
@@ -163,14 +165,14 @@ func TestDowngradeEveryN(t *testing.T) {
 }
 
 func TestEmptyBurst(t *testing.T) {
-	s := New(Config{EmptyBurst: 3})
-	for i := 0; i < 2; i++ {
+	s := New(Config{})
+	for i := 0; i < EmptyBurst-1; i++ {
 		s.ObserveSuccess(true, i, i, 0)
 	}
 	if s.Health() != Healthy {
 		t.Fatalf("short empty run degraded health: %v", s.Health())
 	}
-	s.ObserveSuccess(true, 2, 2, 0) // third consecutive empty
+	s.ObserveSuccess(true, EmptyBurst-1, EmptyBurst-1, 0) // the burst's last empty
 	if s.Health() != Degraded {
 		t.Fatalf("empty burst did not degrade: %v", s.Health())
 	}
@@ -178,31 +180,21 @@ func TestEmptyBurst(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A longer run must not double-count the same burst.
-	s.ObserveSuccess(true, 3, 3, 0)
+	s.ObserveSuccess(true, EmptyBurst, EmptyBurst, 0)
 	if st := s.Stats(); st.EmptyBursts != 1 {
 		t.Fatalf("burst double-counted: %+v", st)
 	}
 	// A non-empty success resets the streak and starts recovery.
-	s.ObserveSuccess(false, 4, 4, 0)
+	s.ObserveSuccess(false, EmptyBurst+1, EmptyBurst+1, 0)
 	if s.Health() != Recovering {
 		t.Fatalf("after non-empty success: %v", s.Health())
 	}
 }
 
-func TestEmptyBurstDisabled(t *testing.T) {
-	s := New(Config{EmptyBurst: -1})
-	for i := 0; i < 50; i++ {
-		s.ObserveSuccess(true, i, i, 0)
-	}
-	if s.Health() != Healthy || s.Stats().EmptyBursts != 0 {
-		t.Fatalf("disabled empty-burst still fired: %v %+v", s.Health(), s.Stats())
-	}
-}
-
 func TestEmptyCyclesDoNotAdvanceRecovery(t *testing.T) {
-	s := New(Config{RecoverAfter: 2, EmptyBurst: 100})
+	s := New(Config{})
 	s.ObserveFault(ComponentDetector, Timeout, 0, 0, 0)
-	for i := 1; i <= 10; i++ {
+	for i := 1; i < EmptyBurst; i++ { // short of a burst, which degrades on its own
 		if rec := s.ObserveSuccess(true, i, i, 0); rec {
 			t.Fatal("empty cycle reported recovery")
 		}
@@ -231,13 +223,8 @@ func TestNotes(t *testing.T) {
 
 func TestWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.WatchdogFactor != 8 || c.MinDeadline != 100*time.Millisecond ||
-		c.EmptyBurst != 8 || c.RecoverAfter != 3 || c.MaxRetries != 2 ||
-		c.DowngradeAfter != 2 || c.BackoffBase != 5*time.Millisecond ||
+	if c.MinDeadline != 100*time.Millisecond || c.BackoffBase != 5*time.Millisecond ||
 		c.BackoffMax != 250*time.Millisecond {
 		t.Fatalf("defaults = %+v", c)
-	}
-	if c := (Config{MaxRetries: -5}).WithDefaults(); c.MaxRetries != 0 {
-		t.Fatalf("negative MaxRetries not clamped: %d", c.MaxRetries)
 	}
 }

@@ -83,12 +83,12 @@ func checkWellFormed(t *testing.T, r *Result, frames int) {
 }
 
 func TestLiveSurvivesEmptyDetector(t *testing.T) {
-	v := video.GenerateKind("fi", video.KindHighway, 5, 200)
+	// 600 frames last ~200 ms of wall time, about 45 detection cycles on a
+	// 2-vCPU box with other packages' tests on the cores: several times the
+	// guard.EmptyBurst cycles a burst needs.
+	v := video.GenerateKind("fi", video.KindHighway, 5, 600)
 	cfg := liveConfig()
 	cfg.Detector = emptyDetector{}
-	// The run lasts ~66 ms of wall time; with other packages' tests on the
-	// cores it completes fewer cycles than the default burst of 8.
-	cfg.Guard.EmptyBurst = 2
 	r, err := Run(context.Background(), v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestLiveSurvivesEmptyDetector(t *testing.T) {
 	if r.Accuracy > 0.6 {
 		t.Errorf("accuracy %.2f with a blind detector", r.Accuracy)
 	}
-	if r.Cycles < cfg.Guard.EmptyBurst {
-		t.Fatalf("only %d detection cycles completed; a burst needs %d", r.Cycles, cfg.Guard.EmptyBurst)
+	if r.Cycles < guard.EmptyBurst {
+		t.Fatalf("only %d detection cycles completed; a burst needs %d", r.Cycles, guard.EmptyBurst)
 	}
 	// A permanently empty detector is a fault signature: the empty-burst
 	// detector must have noticed.

@@ -23,6 +23,7 @@ import (
 // real concurrency context, not just in microtests.
 func TestLivePixelPipelineUsesParPool(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
+	par.SetWorkers(4)
 	v := video.GenerateKind("live-pixel", video.KindHighway, 3, 120)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -34,14 +35,13 @@ func TestLivePixelPipelineUsesParPool(t *testing.T) {
 		NewTracker: func(uint64) track.Tracker {
 			return track.NewPixelTracker()
 		},
-		Workers: 4,
 	}
 	r, err := Run(ctx, v, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := par.Workers(); got != 4 {
-		t.Errorf("pool workers = %d after Config.Workers=4", got)
+		t.Errorf("pool workers = %d after SetWorkers(4) and a run", got)
 	}
 	if len(r.Outputs) != v.NumFrames() {
 		t.Fatalf("%d outputs for %d frames", len(r.Outputs), v.NumFrames())

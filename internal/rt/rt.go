@@ -53,7 +53,6 @@ import (
 	"adavp/internal/guard"
 	"adavp/internal/metrics"
 	"adavp/internal/obs"
-	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
 	"adavp/internal/track"
@@ -83,18 +82,14 @@ type Config struct {
 	// deterministic fault schedule (internal/fault, Live mode).
 	Fault *fault.Profile
 	// Guard tunes the supervision layer; the zero value takes the
-	// documented defaults.
+	// documented defaults. Its Obs and Stream are set from Obs and StreamID.
 	Guard guard.Config
-	// Workers sets the pixel-kernel worker pool size for this process
-	// (0 keeps the current setting, default NumCPU). Worker count never
-	// changes results, only wall time (see internal/par).
-	Workers int
 	// Obs, when set, receives live telemetry under the shared schema:
 	// per-stage wall-clock latency histograms (detect labeled with the model
 	// setting and the supervisor's health at observation time), frame/cycle/
 	// switch counters, the velocity gauge, guard health and events, and
-	// injected-fault counts. It is also handed to the supervisor unless
-	// Guard.Obs is already set. Nil disables publishing.
+	// injected-fault counts. It is also handed to the supervisor. Nil
+	// disables publishing.
 	Obs *obs.Registry
 	// StreamID, when non-empty, labels every published series with
 	// stream=<id> and is forwarded to the detector-slot provider and the
@@ -243,17 +238,7 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 	if v == nil || v.NumFrames() == 0 {
 		return nil, fmt.Errorf("rt: empty video")
 	}
-	if cfg.Guard.Obs == nil {
-		// The supervisor publishes its health gauge and fault counters into
-		// the run's registry unless the caller routed it elsewhere.
-		cfg.Guard.Obs = cfg.Obs
-	}
-	if cfg.Guard.Stream == "" {
-		cfg.Guard.Stream = cfg.StreamID
-	}
-	if cfg.Workers > 0 {
-		par.SetWorkers(cfg.Workers)
-	}
+	cfg.Guard.Obs, cfg.Guard.Stream = cfg.Obs, cfg.StreamID
 	det := cfg.Detector
 	if det == nil {
 		det = detect.NewSimDetector(cfg.Seed, v.Params.W, v.Params.H)
@@ -442,8 +427,7 @@ func (p *pipeline) run(ctx context.Context) (*Result, error) {
 // call at the given setting: the calibrated budget scaled to wall time,
 // floored so that near-instant emulated calls are never spuriously flagged.
 func (p *pipeline) detectDeadline(s core.Setting) time.Duration {
-	gcfg := p.sup.Config()
-	return max(scaleDur(p.latDet.DetectBudget(s, gcfg.WatchdogFactor), p.cfg.TimeScale), gcfg.MinDeadline)
+	return max(scaleDur(p.latDet.DetectBudget(s, guard.WatchdogFactor), p.cfg.TimeScale), p.sup.Config().MinDeadline)
 }
 
 // superviseDetect runs one detection cycle under supervision: panic
@@ -453,7 +437,6 @@ func (p *pipeline) detectDeadline(s core.Setting) time.Duration {
 // setting reflects any downgrade (or post-recovery restore) applied.
 func (p *pipeline) superviseDetect(ctx context.Context, frame core.Frame, setting core.Setting) ([]core.Detection, core.Setting, bool) {
 	cycle, frameIdx := int(p.cycles.Load()), frame.Index
-	gcfg := p.sup.Config()
 	for attempt := 0; ; attempt++ {
 		s := setting
 		dets, outcome := p.sup.Call(p.detectDeadline(s), func(callCtx context.Context) []core.Detection {
@@ -484,7 +467,7 @@ func (p *pipeline) superviseDetect(ctx context.Context, frame core.Frame, settin
 				setting = smaller
 			}
 		}
-		if attempt >= gcfg.MaxRetries || ctx.Err() != nil {
+		if attempt >= guard.MaxRetries || ctx.Err() != nil {
 			return nil, setting, false
 		}
 		p.sup.NoteRetry(cycle, frameIdx, at)

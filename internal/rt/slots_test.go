@@ -18,7 +18,7 @@ import (
 // index underflow / re-escalation churn at 320.
 func TestEscalationClampsAtSmallestSetting(t *testing.T) {
 	v := video.GenerateKind("sat", video.KindHighway, 3, 120)
-	budget := guard.NewEscalationBudget(10)
+	budget := guard.NewEscalationBudget(10, 0)
 	cfg := liveConfig()
 	cfg.Setting = core.Setting320
 	cfg.Detector = panicDetector{}
@@ -55,7 +55,7 @@ func TestEscalationClampsAtSmallestSetting(t *testing.T) {
 // actually applied.
 func TestEscalationWalksLadderThenSaturates(t *testing.T) {
 	v := video.GenerateKind("sat", video.KindHighway, 3, 200)
-	budget := guard.NewEscalationBudget(10)
+	budget := guard.NewEscalationBudget(10, 0)
 	cfg := liveConfig()
 	cfg.Setting = core.Setting608
 	cfg.Detector = panicDetector{}

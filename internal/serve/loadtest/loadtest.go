@@ -18,6 +18,10 @@
 // generalized fairness bound serve.FairnessBoundBatched checked against the
 // worst observed calibration age.
 //
+// Every stream runs a ~30 FPS camera (FrameInterval) and every flash crowd
+// holds back the same share of streams (FlashFraction); Config carries what
+// the scenarios vary.
+//
 // Determinism contract: the package is on the detrand deterministic-package
 // list — everything derives from Config.Seed through internal/rng on a
 // virtual clock; two same-config runs return identical Reports.
@@ -31,6 +35,15 @@ import (
 	"adavp/internal/core"
 	"adavp/internal/rng"
 	"adavp/internal/serve"
+)
+
+// The synthetic streams' fixed shape.
+const (
+	// FrameInterval is the camera interval: a stream re-requests one
+	// interval after its previous calibration completes (~30 FPS).
+	FrameInterval = 33 * time.Millisecond
+	// FlashFraction is the fraction of streams per flash crowd.
+	FlashFraction = 0.25
 )
 
 // Config parameterizes one load-generation scenario. Zero-value fields take
@@ -49,9 +62,6 @@ type Config struct {
 	// the unbatched one-request-per-grant scheduler. Linger holds a short
 	// batch only for arrivals already due inside the window (serve.RunVirtual).
 	Batch serve.BatchConfig
-	// FrameInterval is the camera interval: a stream re-requests one interval
-	// after its previous calibration completes. Default 33ms (~30 FPS).
-	FrameInterval time.Duration
 	// Horizon is the virtual-time length of the run: no stream issues a new
 	// request past it (in-flight requests drain). Default 60s.
 	Horizon time.Duration
@@ -72,8 +82,6 @@ type Config struct {
 	// spread evenly across the horizon; each cohort is FlashFraction of the
 	// stream population held back until its crowd instant. 0 disables.
 	FlashCrowds int
-	// FlashFraction is the fraction of streams per flash crowd. Default 0.25.
-	FlashFraction float64
 	// SLO is the end-to-end (request → calibration published) latency target
 	// that attainment is measured against. Default 1s.
 	SLO time.Duration
@@ -102,17 +110,11 @@ func (c Config) withDefaults() Config {
 		c.QueueBound = c.Streams
 	}
 	c.Batch = c.Batch.WithDefaults() // the Report echoes the effective values
-	if c.FrameInterval <= 0 {
-		c.FrameInterval = 33 * time.Millisecond
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 60 * time.Second
 	}
 	if len(c.Settings) == 0 {
 		c.Settings = []core.Setting{core.Setting512}
-	}
-	if c.FlashFraction <= 0 || c.FlashFraction > 1 {
-		c.FlashFraction = 0.25
 	}
 	if c.SLO <= 0 {
 		c.SLO = time.Second
@@ -289,7 +291,7 @@ func newGenerator(cfg Config) (*generator, []time.Duration) {
 	}
 	crowdSize := 0
 	if cfg.FlashCrowds > 0 {
-		crowdSize = max(int(cfg.FlashFraction*float64(cfg.Streams)), 1)
+		crowdSize = max(int(FlashFraction*float64(cfg.Streams)), 1)
 		if crowdSize*cfg.FlashCrowds > cfg.Streams/2 {
 			crowdSize = max(cfg.Streams/2/cfg.FlashCrowds, 1)
 		}
@@ -306,7 +308,7 @@ func newGenerator(cfg Config) (*generator, []time.Duration) {
 			pick:  sr.DeriveString("pick"),
 		}
 		s.setting = g.drawSetting(s)
-		start[i] = cfg.FrameInterval * time.Duration(i) / time.Duration(cfg.Streams)
+		start[i] = FrameInterval * time.Duration(i) / time.Duration(cfg.Streams)
 		if crowd := crowdOf(i, cfg.Streams, crowdSize, cfg.FlashCrowds); crowd >= 0 {
 			start[i] = cfg.Horizon * time.Duration(crowd+1) / time.Duration(cfg.FlashCrowds+1)
 		}
@@ -356,7 +358,7 @@ func (g *generator) Key(i int) serve.Request {
 // Refused defers the request by one frame interval.
 func (g *generator) Refused(i int, at time.Duration) (time.Duration, bool) {
 	g.deferred++
-	return g.advance(&g.ss[i], at+g.cfg.FrameInterval)
+	return g.advance(&g.ss[i], at+FrameInterval)
 }
 
 // Plan draws the request's single-request span from the calibrated latency
@@ -384,7 +386,7 @@ func (g *generator) Complete(i int, requested, grant, end time.Duration) (time.D
 	}
 	s.calibValid = true
 	s.lastCalib = end
-	next := end + g.cfg.FrameInterval
+	next := end + FrameInterval
 	// The prepare model behind the pipelined column: sequentially (depth 1)
 	// the frame-prepare span delays the next request; pipelined (depth > 1),
 	// the prefetch stage ran during this cycle's slot wait and execution, so
@@ -408,7 +410,7 @@ func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	g, start := newGenerator(cfg)
 	sched := serve.RunVirtual(start, g, serve.VirtualConfig{Slots: cfg.Slots, QueueBound: cfg.QueueBound, Batch: cfg.Batch})
-	bound := serve.FairnessBoundBatched(cfg.Streams, cfg.Slots, cfg.Batch.Size, sched.MaxSingleSpan, cfg.FrameInterval, cfg.Batch.Linger)
+	bound := serve.FairnessBoundBatched(cfg.Streams, cfg.Slots, cfg.Batch.Size, sched.MaxSingleSpan, FrameInterval, cfg.Batch.Linger)
 	rep := &Report{
 		Name:            cfg.Name,
 		Streams:         cfg.Streams,
@@ -416,7 +418,7 @@ func Run(cfg Config) (*Report, error) {
 		QueueBound:      cfg.QueueBound,
 		BatchSize:       cfg.Batch.Size,
 		LingerMS:        ms(cfg.Batch.Linger),
-		FrameIntervalMS: ms(cfg.FrameInterval),
+		FrameIntervalMS: ms(FrameInterval),
 		HorizonMS:       ms(cfg.Horizon),
 		ChurnPerMin:     cfg.ChurnRate,
 		FlashCrowds:     cfg.FlashCrowds,

@@ -212,7 +212,7 @@ func TestServeSharedDowngradeBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	res, err := Run(ctx, specs, RunConfig{Slots: 1, Budget: guard.NewEscalationBudget(1)})
+	res, err := Run(ctx, specs, RunConfig{Slots: 1, Budget: guard.NewEscalationBudget(1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

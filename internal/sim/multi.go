@@ -25,8 +25,8 @@ type MultiStream struct {
 	Video *video.Video
 	// Config is the stream's pipeline configuration. Policy must be
 	// PolicyAdaVP or PolicyMPDT (the parallel policies — the baselines have
-	// no calibration cycle to schedule). Obs and StreamLabel are overridden
-	// by the scheduler.
+	// no calibration cycle to schedule). Obs is overridden by the scheduler,
+	// which also labels the stream's series with ID.
 	Config Config
 }
 
@@ -245,7 +245,7 @@ func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err err
 			return nil, fmt.Errorf("sim: stream %q: multi-stream runs schedule the parallel policies (AdaVP, MPDT), got %v", s.ID, c.Policy)
 		}
 		c.Obs = cfg.Obs
-		c.StreamLabel = s.ID
+		c.streamLabel = s.ID
 		run.ms[i] = &mstream{
 			id:       s.ID,
 			e:        newEngine(s.Video, c),

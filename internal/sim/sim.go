@@ -88,11 +88,6 @@ type Config struct {
 	// PixelMode renders every processed frame and is required when Detector
 	// or NewTracker operate on pixels. Slow; meant for small studies.
 	PixelMode bool
-	// MARLINTrigger is the scene-change velocity threshold (px/frame) that
-	// re-triggers detection in PolicyMARLIN. Default: 0.1, tuned for best
-	// MARLIN accuracy over the standard test set (the paper likewise tunes
-	// its baseline's threshold for best accuracy).
-	MARLINTrigger float64
 	// Fault, when set, wraps the detector and tracker with the profile's
 	// deterministic fault schedule (internal/fault). The virtual clock runs
 	// in fault.Virtual mode: latency, hang and panic faults manifest as
@@ -109,11 +104,6 @@ type Config struct {
 	Obs *obs.Registry
 	// Seed derives all run randomness (latency jitter, detector noise).
 	Seed uint64
-	// StreamLabel, when non-empty, labels every series this run publishes
-	// into Obs with stream=<label>, so N streams sharing one registry stay
-	// distinguishable. Set by RunMulti; it does not affect the trace, the
-	// schedule or the results.
-	StreamLabel string
 	// Alpha is the per-frame F1 threshold for the accuracy metric (0.7).
 	Alpha float64
 	// IoU is the matching threshold (0.5).
@@ -128,14 +118,23 @@ type Config struct {
 	// NoVelocitySmoothing feeds raw per-cycle velocities to the adaptation
 	// module instead of the light EWMA.
 	NoVelocitySmoothing bool
+
+	// streamLabel, when non-empty, labels every series this run publishes
+	// into Obs with stream=<label>, so N streams sharing one registry stay
+	// distinguishable. Set by RunMulti; it does not affect the trace, the
+	// schedule or the results.
+	streamLabel string
 }
+
+// MARLINTrigger is the scene-change velocity threshold (px/frame) that
+// re-triggers detection in PolicyMARLIN, tuned for best MARLIN accuracy over
+// the standard test set (the paper likewise tunes its baseline's threshold
+// for best accuracy).
+const MARLINTrigger = 0.1
 
 func (c Config) withDefaults() Config {
 	if c.Setting == core.SettingInvalid {
 		c.Setting = core.Setting512
-	}
-	if c.MARLINTrigger <= 0 {
-		c.MARLINTrigger = 0.1
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = metrics.DefaultAlpha
@@ -277,10 +276,10 @@ func (e *engine) capturedAt(t time.Duration) int {
 // obsLabels returns the extra labels this run publishes under: stream=<id>
 // in multi-stream runs, nothing in single-stream ones.
 func (e *engine) obsLabels() []obs.Label {
-	if e.cfg.StreamLabel == "" {
+	if e.cfg.streamLabel == "" {
 		return nil
 	}
-	return []obs.Label{obs.L("stream", e.cfg.StreamLabel)}
+	return []obs.Label{obs.L("stream", e.cfg.streamLabel)}
 }
 
 // busy records a busy interval and returns its end. It is also the
@@ -586,7 +585,7 @@ func (e *engine) runMARLIN() {
 			e.selector.Update(tracked, backlog)
 			// The change detector evaluates the round's aggregate velocity;
 			// a significant change re-triggers the detector.
-			if velN > 0 && velSum/float64(velN) > e.cfg.MARLINTrigger {
+			if velN > 0 && velSum/float64(velN) > MARLINTrigger {
 				triggered = true
 			}
 		}
