@@ -222,7 +222,7 @@ func ServeMetrics(ctx context.Context, addr string, reg *MetricsRegistry) (*Metr
 }
 
 // SetWorkers configures the pixel-kernel worker pool (n <= 0 resets to
-// NumCPU) and returns the effective worker count.
+// runtime.GOMAXPROCS) and returns the effective worker count.
 func SetWorkers(n int) int {
 	par.SetWorkers(n)
 	return par.Workers()

@@ -98,7 +98,7 @@ func newFlagSet(o *cliOpts, eh flag.ErrorHandling) *flag.FlagSet {
 	fs.BoolVar(&o.annotate, "annotate", false, "dump frames as truth-vs-output composites with drawn boxes")
 	fs.BoolVar(&o.perClass, "per-class", false, "print the per-class precision/recall breakdown")
 	fs.StringVar(&o.dumpDir, "dump-dir", ".", "directory for dumped frames")
-	fs.IntVar(&o.workers, "workers", 0, "pixel-kernel worker pool size (0 = NumCPU); never changes results, only wall time")
+	fs.IntVar(&o.workers, "workers", 0, "pixel-kernel worker pool size (0 = GOMAXPROCS); never changes results, only wall time")
 	fs.BoolVar(&o.live, "live", false, "run the supervised goroutine pipeline instead of the virtual clock (adavp|mpdt only)")
 	fs.Float64Var(&o.timeScale, "timescale", 0.02, "live-mode latency scale (1.0 = real time)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :9090) for the duration of the run")

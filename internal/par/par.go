@@ -1,6 +1,7 @@
 // Package par is the worker pool behind AdaVP's pixel kernels: a row-band
 // tiler that splits a 1-D index range (image rows, flow points, columns of a
-// summed-area table) into contiguous bands and runs one goroutine per band.
+// summed-area table) into contiguous bands and hands each band to a worker of
+// a gang.
 //
 // Determinism contract: Rows partitions [0, n) into disjoint, contiguous
 // bands and every band executes the identical scalar code it would execute
@@ -11,21 +12,33 @@
 // therefore never change a simulation or experiment result, only its wall
 // time.
 //
-// The pool is intentionally unstructured (no long-lived worker goroutines):
-// bands are short-lived goroutines joined by a WaitGroup. At image-kernel
-// granularity (hundreds of microseconds per band) goroutine spawn cost is
-// noise, and the absence of shared queues keeps the package trivially safe
-// for concurrent use from the supervised live pipeline, where a timed-out
-// detector call can still be running while its retry starts.
+// A gang is a set of w parked worker goroutines. Each Rows call takes a gang
+// of its own for the length of the call, gives every band to one of its
+// workers and gives the gang back when the bands are done. No band queue is
+// shared between concurrent callers: a watchdog-abandoned detector call
+// racing its retry, or the tracker racing the prefetch stage's render, never
+// waits behind the other's bands. A run that calls pixel kernels frame after
+// frame opens a Hold for its whole length. While any hold is open, returned
+// gangs stay parked on a free list, so a warm Rows allocates nothing and
+// starts no goroutine; once the last hold is released they are stopped and
+// joined. A gang still in use at that moment (an abandoned call) is stopped
+// by its call when it gives the gang back. With no hold open, Rows builds a
+// gang for its one call and stops it afterwards: the same path, without the
+// free list.
 //
-// Every band gets a goroutine of its own and the caller parks until they are
-// done. Working the last band on the calling goroutine instead looks cheaper
-// and measured dearer: the one spawned band then sits in the busy caller's
+// Every band goes to a worker and the caller parks until they are done.
+// Working the last band on the calling goroutine instead looks cheaper and
+// measured dearer: the one spawned band then sits in the busy caller's
 // run-next slot, which an idle processor steals only as a last resort and
 // after a short sleep, so it starts late on every call (Scharr gradients at
 // 320×180, four calls: 0.65 → 1.0 ms on two cores). A parked caller's
 // processor picks one band up at once and the other is stolen from the
-// ordinary run queue.
+// ordinary run queue. Idle workers park on their gang's band channel rather
+// than spin: spinning workers raised the cost of an empty dispatch from 3.5
+// to 30 µs on two vCPUs, where they compete with the caller for the
+// processors. A channel hands each band straight to a parked worker; with a
+// condition variable the woken workers contended for its mutex, and
+// pixel_overlap's frames/s fell ≈ 5 % on two vCPUs.
 package par
 
 import (
@@ -34,17 +47,27 @@ import (
 	"sync/atomic"
 )
 
-// workerCount holds the configured worker count; 0 selects runtime.NumCPU.
+// workerCount holds the configured worker count; 0 selects GOMAXPROCS.
 var workerCount atomic.Int32
 
 // SetWorkers configures the number of workers used by Rows. n <= 0 resets to
-// the default (runtime.NumCPU). It is safe to call concurrently with Rows;
-// in-flight calls keep the count they started with.
+// the default (runtime.GOMAXPROCS). It is safe to call concurrently with
+// Rows; in-flight calls keep the count they started with. Parked gangs larger
+// than the new count are stopped.
 func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
+	workerCount.Store(int32(max(n, 0)))
+	w := Workers()
+	var stale *gang
+	gangs.mu.Lock()
+	for p := &gangs.free; *p != nil; {
+		if g := *p; g.size > w {
+			*p, g.next, stale = g.next, stale, g
+		} else {
+			p = &g.next
+		}
 	}
-	workerCount.Store(int32(n))
+	gangs.mu.Unlock()
+	stopAll(stale)
 }
 
 // Workers returns the effective worker count.
@@ -52,12 +75,8 @@ func Workers() int {
 	if n := int(workerCount.Load()); n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
-
-// serialThreshold is the band count below which Rows runs inline: splitting
-// fewer rows than this across goroutines costs more than it saves.
-const serialThreshold = 2
 
 // Rows partitions [0, n) into at most Workers() contiguous bands and calls
 // fn(lo, hi) for each band, concurrently, returning when all bands are done.
@@ -65,36 +84,155 @@ const serialThreshold = 2
 // [lo, hi). With one worker (or n < 2) fn(0, n) runs inline on the caller's
 // goroutine — the serial reference path the parity tests compare against.
 func Rows(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w < serialThreshold || n < serialThreshold {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	// Split as evenly as possible: the first `rem` bands get one extra row.
-	band := n / w
-	rem := n % w
-	lo := 0
-	for i := 0; i < w; i++ {
-		hi := lo + band
-		if i < rem {
-			hi++
+	w := min(Workers(), n)
+	if w < 2 {
+		if n > 0 {
+			fn(0, n)
 		}
-		// The closure captures its band (one allocation) instead of taking
-		// it as arguments, which the compiler would wrap in a second closure.
-		bandLo := lo
-		go func() {
-			defer wg.Done()
-			fn(bandLo, hi)
-		}()
-		lo = hi
+		return
 	}
-	wg.Wait()
+	g := acquire(w)
+	g.run(n, fn)
+	giveBack(g)
+}
+
+// Hold keeps the gangs Rows gives back parked until release is called, so
+// that the Rows calls in between reuse them. Holds nest and may overlap:
+// gangs are stopped when the last open hold is released. release is
+// idempotent, and it joins only the gangs it stops.
+func Hold() (release func()) {
+	gangs.mu.Lock()
+	gangs.holds++
+	gangs.mu.Unlock()
+	return sync.OnceFunc(unhold)
+}
+
+// gangs is the process's count of open holds and its free list of parked
+// gangs, linked through gang.next; the list is empty while no hold is open.
+var gangs struct {
+	mu    sync.Mutex
+	holds int
+	free  *gang
+}
+
+func unhold() {
+	var idle *gang
+	gangs.mu.Lock()
+	if gangs.holds--; gangs.holds == 0 {
+		idle, gangs.free = gangs.free, nil
+	}
+	gangs.mu.Unlock()
+	stopAll(idle)
+}
+
+// acquire takes a parked gang of size workers off the free list, or builds
+// one.
+func acquire(size int) *gang {
+	gangs.mu.Lock()
+	for p := &gangs.free; *p != nil; p = &(*p).next {
+		if g := *p; g.size == size {
+			*p, g.next = g.next, nil
+			gangs.mu.Unlock()
+			return g
+		}
+	}
+	gangs.mu.Unlock()
+	return newGang(size)
+}
+
+// giveBack parks g on the free list while a hold is open and g is no larger
+// than the worker count; otherwise it stops g.
+func giveBack(g *gang) {
+	gangs.mu.Lock()
+	if gangs.holds > 0 && g.size <= Workers() {
+		g.next, gangs.free = gangs.free, g
+		gangs.mu.Unlock()
+		return
+	}
+	gangs.mu.Unlock()
+	g.stop()
+}
+
+// stopAll stops every gang of a list linked through gang.next.
+func stopAll(g *gang) {
+	for g != nil {
+		next := g.next
+		g.stop()
+		g = next
+	}
+}
+
+// gang is size worker goroutines serving one Rows call at a time. Between
+// calls its workers park on bands.
+type gang struct {
+	size  int
+	next  *gang    // the next gang on the free list
+	bands chan int // band indices of the current call; closed to stop
+	fn    func(lo, hi int)
+	n     int // the range of the current call
+
+	done   sync.WaitGroup // bands of the current call
+	exited sync.WaitGroup // workers
+}
+
+func newGang(size int) *gang {
+	g := &gang{size: size, bands: make(chan int, size)}
+	g.exited.Add(size)
+	for range size {
+		go recruit()
+	}
+	for range size {
+		recruits <- g
+	}
+	return g
+}
+
+// recruits hands each new worker its gang: `go recruit()` captures nothing,
+// where a go statement that passed the gang would allocate a closure per
+// worker. A recruit may serve another new gang than the one that started it;
+// every gang still gets size workers. The buffer lets newGang return without
+// waiting for its recruits to be scheduled; any size is correct, since the
+// recruits are started before their gang is sent, so a full buffer only
+// delays the sender.
+var recruits = make(chan *gang, 16)
+
+func recruit() { (<-recruits).work() }
+
+// work is one worker: it runs bands until the gang stops.
+func (g *gang) work() {
+	defer g.exited.Done()
+	for i := range g.bands {
+		g.fn(bandOf(i, g.n, g.size))
+		g.done.Done()
+	}
+}
+
+// run posts the size bands of [0, n) to the workers and parks until they are
+// done.
+func (g *gang) run(n int, fn func(lo, hi int)) {
+	g.fn, g.n = fn, n
+	g.done.Add(g.size)
+	for i := range g.size {
+		g.bands <- i
+	}
+	g.done.Wait()
+	g.fn = nil // every worker has read it: do not keep its captures alive
+}
+
+// stop ends an idle gang's workers and joins them.
+func (g *gang) stop() {
+	close(g.bands)
+	g.exited.Wait()
+}
+
+// bandOf returns band i of w over [0, n). The bands split the range as evenly
+// as possible: the first n%w of them get one extra row.
+func bandOf(i, n, w int) (lo, hi int) {
+	q, r := n/w, n%w
+	lo = i*q + min(i, r)
+	hi = lo + q
+	if i < r {
+		hi++
+	}
+	return lo, hi
 }

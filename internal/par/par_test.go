@@ -6,9 +6,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"adavp/internal/leaktest"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // restoreWorkers resets the pool configuration after a test.
 func restoreWorkers(t *testing.T) {
@@ -19,16 +23,16 @@ func restoreWorkers(t *testing.T) {
 func TestWorkersDefault(t *testing.T) {
 	restoreWorkers(t)
 	SetWorkers(0)
-	if got := Workers(); got != runtime.NumCPU() {
-		t.Fatalf("default Workers() = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	SetWorkers(3)
 	if got := Workers(); got != 3 {
 		t.Fatalf("Workers() = %d after SetWorkers(3)", got)
 	}
 	SetWorkers(-5)
-	if got := Workers(); got != runtime.NumCPU() {
-		t.Fatalf("negative SetWorkers should reset to NumCPU, got %d", got)
+	if got := Workers(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("negative SetWorkers should reset to GOMAXPROCS, got %d", got)
 	}
 }
 
@@ -107,6 +111,28 @@ func TestRowsSerialWhenOneWorker(t *testing.T) {
 	}
 }
 
+// heldAndUnheld runs body once with no hold open and once inside a Hold,
+// and checks after each that every gang goroutine has exited — after release
+// in the held run.
+func heldAndUnheld(t *testing.T, body func(t *testing.T)) {
+	for _, held := range []bool{false, true} {
+		name := "unheld"
+		if held {
+			name = "held"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := leaktest.Count()
+			release := func() {}
+			if held {
+				release = Hold()
+			}
+			body(t)
+			release()
+			leaktest.Check(t, base)
+		})
+	}
+}
+
 // TestRowsConcurrentCallers races many simultaneous Rows calls, the
 // situation the supervised live pipeline produces when a watchdog-abandoned
 // detector call is still rendering or resizing while its retry starts.
@@ -114,50 +140,194 @@ func TestRowsSerialWhenOneWorker(t *testing.T) {
 func TestRowsConcurrentCallers(t *testing.T) {
 	restoreWorkers(t)
 	SetWorkers(4)
-	base := leaktest.Count()
-	const callers = 8
-	const rows = 200
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	for c := 0; c < callers; c++ {
-		go func(c int) {
-			defer wg.Done()
-			out := make([]int, rows)
-			for iter := 0; iter < 50; iter++ {
-				Rows(rows, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						out[i] = c + i + iter
-					}
-				})
-				for i := range out {
-					if out[i] != c+i+iter {
-						t.Errorf("caller %d iter %d: out[%d] = %d", c, iter, i, out[i])
-						return
+	heldAndUnheld(t, func(t *testing.T) {
+		const callers = 8
+		const rows = 200
+		var wg sync.WaitGroup
+		wg.Add(callers)
+		for c := 0; c < callers; c++ {
+			go func(c int) {
+				defer wg.Done()
+				out := make([]int, rows)
+				for iter := 0; iter < 50; iter++ {
+					Rows(rows, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							out[i] = c + i + iter
+						}
+					})
+					for i := range out {
+						if out[i] != c+i+iter {
+							t.Errorf("caller %d iter %d: out[%d] = %d", c, iter, i, out[i])
+							return
+						}
 					}
 				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	leaktest.Check(t, base)
+			}(c)
+		}
+		wg.Wait()
+	})
 }
 
 // TestRowsReentrant asserts nested Rows calls (a parallel kernel invoked
 // from inside another band, as render's drawObject can be) complete without
-// deadlock and still cover their range.
+// deadlock and still cover their range: each nested call takes a gang of its
+// own.
 func TestRowsReentrant(t *testing.T) {
 	restoreWorkers(t)
 	SetWorkers(3)
-	const outer, inner = 9, 40
-	var total atomic.Int64
-	Rows(outer, func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			Rows(inner, func(ilo, ihi int) {
-				total.Add(int64(ihi - ilo))
-			})
+	heldAndUnheld(t, func(t *testing.T) {
+		const outer, inner = 9, 40
+		var total atomic.Int64
+		Rows(outer, func(lo, hi int) {
+			for o := lo; o < hi; o++ {
+				Rows(inner, func(ilo, ihi int) {
+					total.Add(int64(ihi - ilo))
+				})
+			}
+		})
+		if got := total.Load(); got != outer*inner {
+			t.Fatalf("nested coverage = %d, want %d", got, outer*inner)
 		}
 	})
-	if got := total.Load(); got != outer*inner {
-		t.Fatalf("nested coverage = %d, want %d", got, outer*inner)
+}
+
+// TestHeldRowsReusesItsGang: under a hold the first call starts a gang of w
+// workers, later calls start none, and release joins the gang. A second
+// release of the same hold changes nothing.
+func TestHeldRowsReusesItsGang(t *testing.T) {
+	restoreWorkers(t)
+	SetWorkers(3)
+	base := leaktest.Count()
+	release := Hold()
+	for i := 0; i < 10; i++ {
+		Rows(30, func(lo, hi int) {})
+		if got := leaktest.Count(); got != base+3 {
+			t.Fatalf("call %d: %d module goroutines, want %d (one parked gang of 3)", i, got, base+3)
+		}
+	}
+	release()
+	if got := leaktest.Count(); got != base {
+		t.Fatalf("%d module goroutines after release, want %d: release joins the gangs it stops", got, base)
+	}
+	release()
+	release = Hold()
+	defer release()
+	Rows(30, func(lo, hi int) {})
+	if got := leaktest.Count(); got != base+3 {
+		t.Fatalf("%d module goroutines under a new hold after a double release, want %d", got, base+3)
+	}
+}
+
+// TestSetWorkersStopsLargerGangs: a parked gang larger than a new worker
+// count is stopped rather than kept for a call that will never use it.
+func TestSetWorkersStopsLargerGangs(t *testing.T) {
+	restoreWorkers(t)
+	SetWorkers(4)
+	base := leaktest.Count()
+	release := Hold()
+	defer release()
+	Rows(40, func(lo, hi int) {})
+	SetWorkers(2)
+	Rows(40, func(lo, hi int) {})
+	if got := leaktest.Count(); got != base+2 {
+		t.Fatalf("%d module goroutines after SetWorkers(2), want %d: the gang of 4 should be stopped", got, base+2)
+	}
+}
+
+// TestReleaseDuringCall: release returns while a Rows call is still blocked
+// inside fn (guard's abandoned detect call), without waiting for it; the
+// call's gang is stopped when the call gives it back, and its workers exit.
+func TestReleaseDuringCall(t *testing.T) {
+	restoreWorkers(t)
+	SetWorkers(2)
+	base := leaktest.Count()
+	release := Hold()
+	entered, unblock, returned := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(returned)
+		Rows(10, func(lo, hi int) {
+			entered <- struct{}{}
+			<-unblock
+		})
+	}()
+	<-entered
+	<-entered
+	released := make(chan struct{})
+	go func() {
+		release()
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		close(unblock)
+		t.Fatal("release waited for a gang still in use")
+	}
+	close(unblock)
+	<-returned
+	leaktest.Check(t, base)
+}
+
+// TestHeldRowsAllocatesNothing: under a hold, a warm Rows with a prebuilt fn
+// allocates nothing, so it builds no gang (building one allocates it and its
+// channel) and starts no goroutine.
+func TestHeldRowsAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	restoreWorkers(t)
+	release := Hold()
+	defer release()
+	out := make([]int, 512)
+	fn := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = i
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		SetWorkers(w)
+		Rows(len(out), fn)
+		if got := testing.AllocsPerRun(100, func() { Rows(len(out), fn) }); got != 0 {
+			t.Errorf("workers=%d: %v allocs/op under a hold, want 0", w, got)
+		}
+	}
+}
+
+// BenchmarkRows measures one dispatch at the default worker count, with no
+// hold open and inside one, at three amounts of work per call: none (the
+// dispatch itself), ≈ 20 µs and ≈ 200 µs of serial work split over the
+// bands. Run with -benchmem; DESIGN.md §8 records the figures.
+func BenchmarkRows(b *testing.B) {
+	for _, work := range []struct {
+		name string
+		rows int
+	}{{"empty", 0}, {"20us", 200}, {"200us", 3000}} {
+		out := make([]float64, max(work.rows, 64))
+		fn := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				x := float64(i)
+				for range 64 {
+					x = x*0.999 + 1
+				}
+				out[i] = x
+			}
+		}
+		if work.rows == 0 {
+			fn = func(lo, hi int) {}
+		}
+		for _, held := range []bool{false, true} {
+			name := work.name + "/unheld"
+			if held {
+				name = work.name + "/held"
+			}
+			b.Run(name, func(b *testing.B) {
+				if held {
+					defer Hold()()
+				}
+				for range b.N {
+					Rows(len(out), fn)
+				}
+			})
+		}
 	}
 }

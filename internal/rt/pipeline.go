@@ -10,6 +10,7 @@ import (
 	"adavp/internal/core"
 	"adavp/internal/detect"
 	"adavp/internal/imgproc"
+	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
 	"adavp/internal/track"
@@ -342,12 +343,14 @@ func (r *stagedRun) track(i int, slot *pipeSlot) (core.FrameOutput, *imgproc.Pyr
 // returned outputs are bitwise-identical at any Depth and worker count —
 // with Adaptation set, that includes the per-frame setting sequence the
 // calibration decisions produce; only wall time changes. On ctx cancellation
-// it returns the partial result alongside the error.
+// it returns the partial result alongside the error. The run holds par's
+// worker gangs (par.Hold) from start to return.
 func RunPipelined(ctx context.Context, v *video.Video, cfg PipelineConfig) (*PipelineResult, error) {
 	cfg = cfg.withDefaults()
 	if v == nil || v.NumFrames() == 0 {
 		return nil, fmt.Errorf("rt: empty video")
 	}
+	defer par.Hold()()
 	n := v.NumFrames()
 	r := newStagedRun(v, cfg)
 	res := r.res

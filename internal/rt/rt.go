@@ -53,6 +53,7 @@ import (
 	"adavp/internal/guard"
 	"adavp/internal/metrics"
 	"adavp/internal/obs"
+	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
 	"adavp/internal/track"
@@ -232,7 +233,8 @@ func streamLabels(id string, ls ...obs.Label) []obs.Label {
 // Run executes the live pipeline over a video. It returns when every frame
 // has been fed and all in-flight work has drained. When ctx is cancelled
 // mid-run it returns the *partial* Result alongside the error, so callers
-// can still evaluate the frames that did complete.
+// can still evaluate the frames that did complete. In pixel mode the run
+// holds par's worker gangs (par.Hold) from start to return.
 func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if v == nil || v.NumFrames() == 0 {
@@ -264,6 +266,7 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 	}
 	if cfg.PixelMode {
 		p.depth = max(cfg.PipelineDepth, 1)
+		defer par.Hold()()
 	}
 	p.waitBase.Store(-1)
 	p.resolveSeries()

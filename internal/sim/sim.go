@@ -35,6 +35,7 @@ import (
 	"adavp/internal/fault"
 	"adavp/internal/metrics"
 	"adavp/internal/obs"
+	"adavp/internal/par"
 	"adavp/internal/rng"
 	"adavp/internal/trace"
 	"adavp/internal/track"
@@ -157,11 +158,15 @@ type Result struct {
 
 // Run executes one policy over one video. A panicking component (possible
 // with user-supplied detectors/trackers outside the fault framework) is
-// recovered into an error rather than killing the caller.
+// recovered into an error rather than killing the caller. In pixel mode the
+// run holds par's worker gangs (par.Hold) from start to return.
 func Run(v *video.Video, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if v == nil || v.NumFrames() == 0 {
 		return nil, fmt.Errorf("sim: empty video")
+	}
+	if cfg.PixelMode {
+		defer par.Hold()()
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -6,6 +6,7 @@ import (
 
 	"adavp/internal/core"
 	"adavp/internal/detect"
+	"adavp/internal/leaktest"
 	"adavp/internal/trace"
 	"adavp/internal/track"
 	"adavp/internal/video"
@@ -276,11 +277,14 @@ func TestRunSetErrors(t *testing.T) {
 	}
 }
 
+// TestRunWithPixelTrackerAndBlobDetector runs the real pixel pipeline end to
+// end; the run holds par's gangs, and they are joined when it returns.
 func TestRunWithPixelTrackerAndBlobDetector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pixel mode is slow")
 	}
 	v := video.GenerateKind("hw", video.KindHighway, 5, 90)
+	base := leaktest.Count()
 	r, err := Run(v, Config{
 		Policy:    PolicyMPDT,
 		Setting:   core.Setting512,
@@ -296,6 +300,9 @@ func TestRunWithPixelTrackerAndBlobDetector(t *testing.T) {
 	}
 	if r.MeanF1 <= 0.1 {
 		t.Errorf("pixel-mode MPDT mean F1 = %.3f; the real pipeline should work end to end", r.MeanF1)
+	}
+	if got := leaktest.Count(); got != base {
+		t.Errorf("%d module goroutines after the pixel run, want %d: its gangs outlived it", got, base)
 	}
 }
 

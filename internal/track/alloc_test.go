@@ -19,26 +19,35 @@ type allocRow struct {
 }
 
 // checkLedger warms each row twice and holds it to the ledger's rule (DESIGN.md
-// §9.2): exactly want allocs/op at one worker; at most want·(2+w) at w = 2
-// and 4, since a par.Rows fan-out adds a WaitGroup and w band closures to its
-// closure header; want as a floor under -race, where sync.Pool drops Puts.
+// §9.2): exactly want allocs/op at one worker, and at w = 2 and 4 inside a
+// par.Hold, where every fan-out reuses a parked gang; at most want·(2+w) at
+// w = 2 and 4 with no hold open, where each fan-out also builds a gang and
+// its band channel; want as a floor under -race, where sync.Pool drops Puts.
 // Every kernel package carries the same copy.
 func checkLedger(t *testing.T, rows []allocRow) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			for _, w := range []int{1, 2, 4} {
-				par.SetWorkers(w)
+			for _, c := range []struct {
+				w    int
+				held bool
+			}{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}} {
+				par.SetWorkers(c.w)
+				mode, release := "unheld", func() {}
+				if c.held {
+					mode, release = "held", par.Hold()
+				}
 				r.run()
 				r.run()
-				got, bound := testing.AllocsPerRun(20, r.run), r.want*float64(2+w)
+				got, bound := testing.AllocsPerRun(20, r.run), r.want*float64(2+c.w)
+				release()
 				switch {
 				case raceEnabled && got < r.want:
-					t.Errorf("workers=%d: %.1f allocs/op under -race, want at least %v", w, got, r.want)
-				case !raceEnabled && w == 1 && got != r.want:
-					t.Errorf("workers=1: %.1f allocs/op, want %v", got, r.want)
+					t.Errorf("workers=%d %s: %.1f allocs/op under -race, want at least %v", c.w, mode, got, r.want)
+				case !raceEnabled && (c.w == 1 || c.held) && got != r.want:
+					t.Errorf("workers=%d %s: %.1f allocs/op, want %v", c.w, mode, got, r.want)
 				case !raceEnabled && got > bound:
-					t.Errorf("workers=%d: %.1f allocs/op, want at most %v", w, got, bound)
+					t.Errorf("workers=%d %s: %.1f allocs/op, want at most %v", c.w, mode, got, bound)
 				}
 			}
 		})
