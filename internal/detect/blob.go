@@ -185,13 +185,14 @@ type component struct {
 }
 
 // blobScratch is the reusable working memory of one Detect call: the
-// resized frame, the threshold/visited mask, the flood-fill stack and the
-// component list.
+// resized frame, the threshold/visited mask, the flood-fill stack, the
+// component list and the threshold pass's band.
 type blobScratch struct {
-	img   imgproc.Scratch
-	mask  []uint8
-	stack []int32
-	comps []component
+	img       imgproc.Scratch
+	mask      []uint8
+	stack     []int32
+	comps     []component
+	threshold thresholdBand
 }
 
 var blobPool = sync.Pool{New: func() any { return new(blobScratch) }}
@@ -216,20 +217,10 @@ func (d *BlobDetector) components(img *imgproc.Gray, bs *blobScratch) []componen
 		bs.mask = make([]uint8, w*h)
 	}
 	mask := bs.mask[:w*h]
-	thr := d.Threshold
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := img.Row(y)
-			mrow := mask[y*w : (y+1)*w]
-			for x, v := range row {
-				if v >= thr {
-					mrow[x] = maskBright
-				} else {
-					mrow[x] = maskDark
-				}
-			}
-		}
-	})
+	b := &bs.threshold
+	*b = thresholdBand{img: img, mask: mask, thr: d.Threshold}
+	par.Rows(h, b)
+	*b = thresholdBand{}
 	out := bs.comps[:0]
 	stack := bs.stack
 	for y0 := 0; y0 < h; y0++ {
@@ -284,6 +275,31 @@ func (d *BlobDetector) components(img *imgproc.Gray, bs *blobScratch) []componen
 	bs.stack = stack
 	bs.comps = out
 	return out
+}
+
+// thresholdBand is components' threshold pass: rows of img marked bright or
+// dark in mask.
+type thresholdBand struct {
+	img  *imgproc.Gray
+	mask []uint8
+	thr  float32
+}
+
+//adavp:hotpath
+func (b *thresholdBand) Rows(lo, hi int) {
+	img, mask, thr := b.img, b.mask, b.thr
+	w := img.W
+	for y := lo; y < hi; y++ {
+		row := img.Row(y)
+		mrow := mask[y*w : (y+1)*w]
+		for x, v := range row {
+			if v >= thr {
+				mrow[x] = maskBright
+			} else {
+				mrow[x] = maskDark
+			}
+		}
+	}
 }
 
 // shapeCandidate links a class to its rendered geometry and its appearance

@@ -4,62 +4,16 @@ import (
 	"testing"
 
 	"adavp/internal/geom"
-	"adavp/internal/par"
+	"adavp/internal/ledger"
 	"adavp/internal/video"
 )
 
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
-
-// allocRow is one entry point of the steady-state allocation ledger: run
-// calls it on warm state, and want is its exact allocs/op at one worker.
-type allocRow struct {
-	name string
-	want float64
-	run  func()
-}
-
-// checkLedger warms each row twice and holds it to the ledger's rule (DESIGN.md
-// §9.2): exactly want allocs/op at one worker, and at w = 2 and 4 inside a
-// par.Hold, where every fan-out reuses a parked gang; at most want·(2+w) at
-// w = 2 and 4 with no hold open, where each fan-out also builds a gang and
-// its band channel; want as a floor under -race, where sync.Pool drops Puts.
-// Every kernel package carries the same copy.
-func checkLedger(t *testing.T, rows []allocRow) {
-	t.Cleanup(func() { par.SetWorkers(0) })
-	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) {
-			for _, c := range []struct {
-				w    int
-				held bool
-			}{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}} {
-				par.SetWorkers(c.w)
-				mode, release := "unheld", func() {}
-				if c.held {
-					mode, release = "held", par.Hold()
-				}
-				r.run()
-				r.run()
-				got, bound := testing.AllocsPerRun(20, r.run), r.want*float64(2+c.w)
-				release()
-				switch {
-				case raceEnabled && got < r.want:
-					t.Errorf("workers=%d %s: %.1f allocs/op under -race, want at least %v", c.w, mode, got, r.want)
-				case !raceEnabled && (c.w == 1 || c.held) && got != r.want:
-					t.Errorf("workers=%d %s: %.1f allocs/op, want %v", c.w, mode, got, r.want)
-				case !raceEnabled && got > bound:
-					t.Errorf("workers=%d %s: %.1f allocs/op, want at most %v", c.w, mode, got, bound)
-				}
-			}
-		})
-	}
-}
-
 // TestSteadyStateAllocs is features' part of the allocation ledger (DESIGN
-// §9.2): a warm Scratch.Detect allocates the returned features, sort.Slice's
-// fixed words, and one closure header per par.Rows fan-out (four in the
-// gradients, two in the table, one in the score pass) — never a buffer, and
-// nothing that grows with the masks, the candidates or the features kept.
+// §9.2): a warm Scratch.Detect allocates the returned features and
+// sort.Slice's three fixed words — never a buffer or a band, and nothing that
+// grows with the masks, the candidates or the features kept. It fans out
+// seven times: four in the gradients, two in the table, one in the score
+// pass.
 func TestSteadyStateAllocs(t *testing.T) {
 	v := video.GenerateKind("v", video.KindCityStreet, 3, 8)
 	f := v.FrameWithPixels(5)
@@ -72,7 +26,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if n := len(s.Detect(f.Pixels, masks, p)); len(masks) < 2 || n < 10 {
 		t.Fatalf("%d masks, %d features: want a few masks and a populated result", len(masks), n)
 	}
-	checkLedger(t, []allocRow{
-		{"Scratch.Detect", 11, func() { s.Detect(f.Pixels, masks, p) }},
+	ledger.Check(t, []ledger.Row{
+		{Name: "Scratch.Detect", Want: 4, Fanouts: 7, Run: func() { s.Detect(f.Pixels, masks, p) }},
 	})
 }

@@ -58,7 +58,8 @@ type Feature struct {
 // their products, the score map, and the mask, candidate and spacing lists.
 // Every buffer grows to what a call uses and is then reused, so a caller that
 // keeps one Scratch — the pixel tracker — allocates per call only the features
-// it is handed (plus the fixed words of sort.Slice and the par.Rows fan-outs).
+// it is handed (plus the fixed words of sort.Slice): the par.Rows fan-outs'
+// bands are fields of the Scratch too.
 // Buffers are never cleared between calls: each call reads only what it wrote.
 // A Scratch belongs to one pipeline stage and is not safe for concurrent use;
 // the zero value is ready.
@@ -83,6 +84,11 @@ type Scratch struct {
 	// holds 1 + the index in kept of the cell's newest feature (0 = empty),
 	// next the same for the feature kept before it in that cell.
 	cell, next []int32
+
+	// The bands of the score pass and of the table's two passes.
+	scoreBand scoreBand
+	tabRows   tabRows
+	tabCols   tabCols
 }
 
 // Detect finds good features in img. If masks is non-empty, only pixels whose
@@ -198,31 +204,47 @@ func (s *Scratch) scoreRects(img *imgproc.Gray, blockSize int, rects []image.Rec
 	s.tensorTable(pw, ph)
 
 	s.score = ensureGray(s.score, pw, ph)
-	score, tab, stride := s.score, s.tab, 3*(pw+1)
 	y0, y1 := rowRange(rects)
 	// The bands split the row span the rectangles cover, and a band works
 	// the rows of every rectangle that fall inside it (convolveRects' shape):
 	// one fan-out however many masks there are; overlaps only repeat work.
-	par.Rows(y1-y0, func(lo, hi int) {
-		for _, rc := range rects {
-			for y := max(rc.Min.Y, y0+lo); y < min(rc.Max.Y, y0+hi); y++ {
-				top := tab[max(y-r, 0)*stride:]
-				bot := tab[min(y+r+1, h)*stride:]
-				out := score.Row(y)
-				for x := rc.Min.X; x < rc.Max.X; x++ {
-					// Integral.BoxSum's four reads, in its order, per channel.
-					x0, x1 := 3*max(x-r, 0), 3*min(x+r+1, w)
-					a := bot[x1] - top[x1] - bot[x0] + top[x0]
-					b := bot[x1+1] - top[x1+1] - bot[x0+1] + top[x0+1]
-					c := bot[x1+2] - top[x1+2] - bot[x0+2] + top[x0+2]
-					// Minimum eigenvalue of [a b; b c].
-					t := (a + c) / 2
-					d := math.Sqrt(((a-c)/2)*((a-c)/2) + b*b)
-					out[x] = float32(t - d)
-				}
+	b := &s.scoreBand
+	*b = scoreBand{score: s.score, tab: s.tab, rects: rects, r: r, w: w, h: h, y0: y0}
+	par.Rows(y1-y0, b)
+	*b = scoreBand{}
+}
+
+// scoreBand is scoreRects' band: the responses of every rectangle's rows in
+// [y0+lo, y0+hi), read off the table of a w×h image with window radius r.
+type scoreBand struct {
+	score       *imgproc.Gray
+	tab         []float64
+	rects       []image.Rectangle
+	r, w, h, y0 int
+}
+
+//adavp:hotpath
+func (sb *scoreBand) Rows(lo, hi int) {
+	score, tab, rects, r, w, h, y0 := sb.score, sb.tab, sb.rects, sb.r, sb.w, sb.h, sb.y0
+	stride := 3 * (score.W + 1)
+	for _, rc := range rects {
+		for y := max(rc.Min.Y, y0+lo); y < min(rc.Max.Y, y0+hi); y++ {
+			top := tab[max(y-r, 0)*stride:]
+			bot := tab[min(y+r+1, h)*stride:]
+			out := score.Row(y)
+			for x := rc.Min.X; x < rc.Max.X; x++ {
+				// Integral.BoxSum's four reads, in its order, per channel.
+				x0, x1 := 3*max(x-r, 0), 3*min(x+r+1, w)
+				a := bot[x1] - top[x1] - bot[x0] + top[x0]
+				b := bot[x1+1] - top[x1+1] - bot[x0+1] + top[x0+1]
+				c := bot[x1+2] - top[x1+2] - bot[x0+2] + top[x0+2]
+				// Minimum eigenvalue of [a b; b c].
+				t := (a + c) / 2
+				d := math.Sqrt(((a-c)/2)*((a-c)/2) + b*b)
+				out[x] = float32(t - d)
 			}
 		}
-	})
+	}
 }
 
 // tensorTable builds s.tab over [0, pw) × [0, ph) of the gradients: the
@@ -238,33 +260,61 @@ func (s *Scratch) scoreRects(img *imgproc.Gray, blockSize int, rects []image.Rec
 func (s *Scratch) tensorTable(pw, ph int) {
 	stride := 3 * (pw + 1)
 	s.tab = ensureLen(s.tab, stride*(ph+1))
-	tab, gx, gy := s.tab, s.gx, s.gy
 	// Row 0 and column 0 are zero by definition.
-	clear(tab[:stride])
-	par.Rows(ph, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			gxr, gyr := gx.Row(y)[:pw], gy.Row(y)[:pw]
-			dst := tab[(y+1)*stride : (y+2)*stride]
-			dst[0], dst[1], dst[2] = 0, 0, 0
-			var xx, xy, yy float64
-			for x, dx := range gxr {
-				dy := gyr[x]
-				xx += float64(float32(dx * dx))
-				xy += float64(float32(dx * dy))
-				yy += float64(float32(dy * dy))
-				dst[3*x+3], dst[3*x+4], dst[3*x+5] = xx, xy, yy
-			}
+	clear(s.tab[:stride])
+	br, bc := &s.tabRows, &s.tabCols
+	*br = tabRows{gx: s.gx, gy: s.gy, tab: s.tab, pw: pw}
+	par.Rows(ph, br)
+	*br = tabRows{}
+	*bc = tabCols{tab: s.tab, ph: ph, stride: stride}
+	par.Rows(pw, bc)
+	*bc = tabCols{}
+}
+
+// tabRows is tensorTable's first pass: each row's running prefix sums of the
+// three products, over its first pw columns.
+type tabRows struct {
+	gx, gy *imgproc.Gray
+	tab    []float64
+	pw     int
+}
+
+//adavp:hotpath
+func (b *tabRows) Rows(lo, hi int) {
+	gx, gy, tab, pw := b.gx, b.gy, b.tab, b.pw
+	stride := 3 * (pw + 1)
+	for y := lo; y < hi; y++ {
+		gxr, gyr := gx.Row(y)[:pw], gy.Row(y)[:pw]
+		dst := tab[(y+1)*stride : (y+2)*stride]
+		dst[0], dst[1], dst[2] = 0, 0, 0
+		var xx, xy, yy float64
+		for x, dx := range gxr {
+			dy := gyr[x]
+			xx += float64(float32(dx * dx))
+			xy += float64(float32(dx * dy))
+			yy += float64(float32(dy * dy))
+			dst[3*x+3], dst[3*x+4], dst[3*x+5] = xx, xy, yy
 		}
-	})
-	par.Rows(pw, func(lo, hi int) {
-		for y := 1; y <= ph; y++ {
-			above := tab[(y-1)*stride:]
-			row := tab[y*stride:]
-			for i := 3 * (lo + 1); i < 3*(hi+1); i++ {
-				row[i] = above[i] + row[i]
-			}
+	}
+}
+
+// tabCols is tensorTable's second pass: the accumulation down each column of
+// a band of columns.
+type tabCols struct {
+	tab        []float64
+	ph, stride int
+}
+
+//adavp:hotpath
+func (b *tabCols) Rows(lo, hi int) {
+	tab, ph, stride := b.tab, b.ph, b.stride
+	for y := 1; y <= ph; y++ {
+		above := tab[(y-1)*stride:]
+		row := tab[y*stride:]
+		for i := 3 * (lo + 1); i < 3*(hi+1); i++ {
+			row[i] = above[i] + row[i]
 		}
-	})
+	}
 }
 
 // isLocalMax reports whether (x, y) is a strict-or-equal maximum of its 3×3

@@ -9,6 +9,12 @@ import (
 	"adavp/internal/par"
 )
 
+// bandFunc adapts a func to a par.Band, for the references that build their
+// bands in place.
+type bandFunc func(lo, hi int)
+
+func (f bandFunc) Rows(lo, hi int) { f(lo, hi) }
+
 // The Shi–Tomasi detector as it stood before Scratch, kept verbatim as the
 // reference the parity tests compare (*Scratch).Detect against: whole-frame
 // gradients, three product images, three summed-area tables, a whole-frame
@@ -34,7 +40,7 @@ func scoreMapRef(img *imgproc.Gray, blockSize int) *imgproc.Gray {
 	xx := imgproc.NewGray(w, h)
 	xy := imgproc.NewGray(w, h)
 	yy := imgproc.NewGray(w, h)
-	par.Rows(len(gx.Pix), func(lo, hi int) {
+	par.Rows(len(gx.Pix), bandFunc(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x := gx.Pix[i]
 			y := gy.Pix[i]
@@ -42,14 +48,14 @@ func scoreMapRef(img *imgproc.Gray, blockSize int) *imgproc.Gray {
 			xy.Pix[i] = x * y
 			yy.Pix[i] = y * y
 		}
-	})
+	}))
 	// Window sums via integral images: O(1) per pixel.
 	ixx := imgproc.NewIntegral(xx)
 	ixy := imgproc.NewIntegral(xy)
 	iyy := imgproc.NewIntegral(yy)
 	r := blockSize / 2
 	out := imgproc.NewGray(w, h)
-	par.Rows(h, func(lo, hi int) {
+	par.Rows(h, bandFunc(func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			row := out.Row(y)
 			for x := 0; x < w; x++ {
@@ -62,7 +68,7 @@ func scoreMapRef(img *imgproc.Gray, blockSize int) *imgproc.Gray {
 				row[x] = float32(t - d)
 			}
 		}
-	})
+	}))
 	return out
 }
 

@@ -102,6 +102,7 @@ type Scratch struct {
 	gx, gy []*imgproc.Gray
 	img    imgproc.Scratch
 	rects  []image.Rectangle
+	band   trackBand // Track's fan-out
 }
 
 // tmplBuf is one worker's template window (gradients and intensities of the
@@ -162,15 +163,33 @@ func (s *Scratch) Track(prev, next *imgproc.Pyramid, pts []geom.Point, p Params)
 	p = p.withDefaults()
 	levels := s.differentiate(prev, next, pts, p)
 	out := make([]Result, len(pts)) // returned: the caller owns the results
-	par.Rows(len(pts), func(lo, hi int) {
-		tb := tmplPool.Get().(*tmplBuf)
-		tb.ensure(p.WindowRadius)
-		for i := lo; i < hi; i++ {
-			out[i] = trackOne(prev, next, s.gx[:levels], s.gy[:levels], pts[i], levels, p, tb)
-		}
-		tmplPool.Put(tb)
-	})
+	b := &s.band
+	*b = trackBand{prev: prev, next: next, gx: s.gx[:levels], gy: s.gy[:levels], pts: pts, p: p, out: out}
+	par.Rows(len(pts), b)
+	*b = trackBand{}
 	return out
+}
+
+// trackBand is Track's band: the points [lo, hi), each solved by trackOne
+// over the levels of gx and gy, with a template buffer from tmplPool per
+// band.
+type trackBand struct {
+	prev, next *imgproc.Pyramid
+	gx, gy     []*imgproc.Gray
+	pts        []geom.Point
+	p          Params
+	out        []Result
+}
+
+//adavp:hotpath
+func (b *trackBand) Rows(lo, hi int) {
+	prev, next, gx, gy, pts, p, out := b.prev, b.next, b.gx, b.gy, b.pts, b.p, b.out
+	tb := tmplPool.Get().(*tmplBuf)
+	tb.ensure(p.WindowRadius)
+	for i := lo; i < hi; i++ {
+		out[i] = trackOne(prev, next, gx, gy, pts[i], len(gx), p, tb)
+	}
+	tmplPool.Put(tb)
 }
 
 // differentiate returns the number of pyramid levels Track works on and

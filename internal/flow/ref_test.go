@@ -8,6 +8,12 @@ import (
 	"adavp/internal/par"
 )
 
+// bandFunc adapts a func to a par.Band, for the references that build their
+// bands in place.
+type bandFunc func(lo, hi int)
+
+func (f bandFunc) Rows(lo, hi int) { f(lo, hi) }
+
 // trackOneRef is trackOne as it was before it sampled through tap tables:
 // every window sample is a Gray.Bilinear call. It is kept verbatim as the
 // parity reference — TestTrackOneMatchesReference and FuzzTrackOne compare
@@ -123,13 +129,13 @@ func (s *Scratch) trackRef(prev, next *imgproc.Pyramid, pts []geom.Point, p Para
 	p = p.withDefaults()
 	levels := s.differentiate(prev, next, pts, p)
 	out := make([]Result, len(pts))
-	par.Rows(len(pts), func(lo, hi int) {
+	par.Rows(len(pts), bandFunc(func(lo, hi int) {
 		tb := tmplPool.Get().(*tmplBuf)
 		tb.ensure(p.WindowRadius)
 		for i := lo; i < hi; i++ {
 			out[i] = trackOneRef(prev, next, s.gx[:levels], s.gy[:levels], pts[i], levels, p, tb)
 		}
 		tmplPool.Put(tb)
-	})
+	}))
 	return out
 }

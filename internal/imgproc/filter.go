@@ -34,19 +34,32 @@ func GaussianKernel(sigma float64) []float32 {
 // not alias g). Rows are processed in parallel bands by convolveRowH or
 // convolveRowV, whose per-pixel accumulation order matches Convolve1DRef tap
 // for tap, so output is bitwise-identical to the scalar reference at every
-// worker count.
+// worker count. The band is s's.
 //
 //adavp:hotpath
-func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool) {
-	w, h := g.W, g.H
-	if w == 0 || h == 0 {
+func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool, s *Scratch) {
+	if g.W == 0 || g.H == 0 {
 		return
 	}
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			convolveRow(dst.Row(y), g, kernel, horizontal, y, 0, w)
-		}
-	})
+	b := &s.conv
+	*b = convBand{dst: dst, g: g, kernel: kernel, horizontal: horizontal}
+	par.Rows(g.H, b)
+	*b = convBand{}
+}
+
+// convBand is convolve1DInto's band: whole rows of the convolution.
+type convBand struct {
+	dst, g     *Gray
+	kernel     []float32
+	horizontal bool
+}
+
+//adavp:hotpath
+func (b *convBand) Rows(lo, hi int) {
+	dst, g, kernel, horizontal := b.dst, b.g, b.kernel, b.horizontal
+	for y := lo; y < hi; y++ {
+		convolveRow(dst.Row(y), g, kernel, horizontal, y, 0, g.W)
+	}
 }
 
 // convolveRects is convolve1DInto restricted to rects, which must lie inside
@@ -57,22 +70,39 @@ func convolve1DInto(dst, g *Gray, kernel []float32, horizontal bool) {
 // clamped to the image: the rows a vertical pass over rects will read. The
 // bands split the row span the rectangles cover, and a band works the rows of
 // every rectangle that fall inside it, so the call costs one fan-out however
-// many rectangles there are.
+// many rectangles there are. The band is s's.
 //
 //adavp:hotpath
-func convolveRects(dst, g *Gray, kernel []float32, horizontal bool, rects []image.Rectangle, grow int) {
+func convolveRects(dst, g *Gray, kernel []float32, horizontal bool, rects []image.Rectangle, grow int, s *Scratch) {
 	y0, y1 := g.H, 0
 	for _, r := range rects {
 		y0, y1 = min(y0, r.Min.Y-grow), max(y1, r.Max.Y+grow)
 	}
 	y0, y1 = max(y0, 0), min(y1, g.H)
-	par.Rows(y1-y0, func(lo, hi int) {
-		for _, r := range rects {
-			for y := max(r.Min.Y-grow, y0+lo); y < min(r.Max.Y+grow, y0+hi); y++ {
-				convolveRow(dst.Row(y), g, kernel, horizontal, y, r.Min.X, r.Max.X)
-			}
+	b := &s.rects
+	*b = rectsBand{dst: dst, g: g, kernel: kernel, horizontal: horizontal, rects: rects, grow: grow, y0: y0}
+	par.Rows(y1-y0, b)
+	*b = rectsBand{}
+}
+
+// rectsBand is convolveRects' band: the rows of every rectangle that fall in
+// rows [y0+lo, y0+hi).
+type rectsBand struct {
+	dst, g     *Gray
+	kernel     []float32
+	horizontal bool
+	rects      []image.Rectangle
+	grow, y0   int
+}
+
+//adavp:hotpath
+func (b *rectsBand) Rows(lo, hi int) {
+	dst, g, kernel, horizontal, grow, y0 := b.dst, b.g, b.kernel, b.horizontal, b.grow, b.y0
+	for _, r := range b.rects {
+		for y := max(r.Min.Y-grow, y0+lo); y < min(r.Max.Y+grow, y0+hi); y++ {
+			convolveRow(dst.Row(y), g, kernel, horizontal, y, r.Min.X, r.Max.X)
 		}
-	})
+	}
 }
 
 // convolveRow writes columns [x0, x1) of row y of the convolution of g along
@@ -175,8 +205,8 @@ func GaussianBlurInto(dst, g *Gray, sigma float64, s *Scratch) {
 	}
 	k := s.gaussianKernel(sigma)
 	tmp := s.Take(g.W, g.H)
-	convolve1DInto(tmp, g, k, true)
-	convolve1DInto(dst, tmp, k, false)
+	convolve1DInto(tmp, g, k, true, s)
+	convolve1DInto(dst, tmp, k, false, s)
 	s.Put(tmp)
 }
 
@@ -215,10 +245,10 @@ func GradientsRectsInto(gx, gy, g *Gray, rects []image.Rectangle, s *Scratch) {
 	// The vertical taps read one row above and below each rectangle, so the
 	// horizontal passes cover those too.
 	tmp := s.Take(g.W, g.H)
-	convolveRects(tmp, g, scharrDiff, true, rects, 1)
-	convolveRects(gx, tmp, scharrSmooth, false, rects, 0)
-	convolveRects(tmp, g, scharrSmooth, true, rects, 1)
-	convolveRects(gy, tmp, scharrDiff, false, rects, 0)
+	convolveRects(tmp, g, scharrDiff, true, rects, 1, s)
+	convolveRects(gx, tmp, scharrSmooth, false, rects, 0, s)
+	convolveRects(tmp, g, scharrSmooth, true, rects, 1, s)
+	convolveRects(gy, tmp, scharrDiff, false, rects, 0, s)
 	s.Put(tmp)
 }
 
@@ -259,35 +289,63 @@ func Downsample2Into(dst, g *Gray, s *Scratch) {
 	tmp := s.Take(w, g.H)
 	// Destination columns [1, xHi) and rows [1, yHi) have their source column
 	// or row at least two pixels from either edge.
-	xHi, yHi := max(1, (g.W-1)/2), max(1, (g.H-1)/2)
-	par.Rows(g.H, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := g.Row(y)
-			out := tmp.Row(y)
-			out[0] = convolveClampedH(g, burtAdelson, 2, 0, y)
-			for x := 1; x < xHi; x++ {
-				win := row[2*x-2 : 2*x+3]
-				out[x] = 0 + ba0*win[0] + ba1*win[1] + ba2*win[2] + ba1*win[3] + ba0*win[4]
-			}
-			for x := xHi; x < w; x++ {
-				out[x] = convolveClampedH(g, burtAdelson, 2, 2*x, y)
-			}
-		}
-	})
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			if y < 1 || y >= yHi {
-				convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y, 0, w)
-				continue
-			}
-			out, c := dst.Row(y)[:w], 2*y
-			r0, r1, r2, r3, r4 := tmp.Row(c - 2)[:w], tmp.Row(c - 1)[:w], tmp.Row(c)[:w], tmp.Row(c + 1)[:w], tmp.Row(c + 2)[:w]
-			for x := range out {
-				out[x] = 0 + ba0*r0[x] + ba1*r1[x] + ba2*r2[x] + ba1*r3[x] + ba0*r4[x]
-			}
-		}
-	})
+	bh, bv := &s.downH, &s.downV
+	*bh = downHBand{g: g, tmp: tmp, xHi: max(1, (g.W-1)/2)}
+	par.Rows(g.H, bh)
+	*bh = downHBand{}
+	*bv = downVBand{dst: dst, tmp: tmp, yHi: max(1, (g.H-1)/2)}
+	par.Rows(h, bv)
+	*bv = downVBand{}
 	s.Put(tmp)
+}
+
+// downHBand is Downsample2Into's horizontal pass: source rows of g filtered
+// at even columns into tmp, which is dst.W wide.
+type downHBand struct {
+	g, tmp *Gray
+	xHi    int
+}
+
+//adavp:hotpath
+func (b *downHBand) Rows(lo, hi int) {
+	g, tmp, xHi := b.g, b.tmp, b.xHi
+	w := tmp.W
+	for y := lo; y < hi; y++ {
+		row := g.Row(y)
+		out := tmp.Row(y)
+		out[0] = convolveClampedH(g, burtAdelson, 2, 0, y)
+		for x := 1; x < xHi; x++ {
+			win := row[2*x-2 : 2*x+3]
+			out[x] = 0 + ba0*win[0] + ba1*win[1] + ba2*win[2] + ba1*win[3] + ba0*win[4]
+		}
+		for x := xHi; x < w; x++ {
+			out[x] = convolveClampedH(g, burtAdelson, 2, 2*x, y)
+		}
+	}
+}
+
+// downVBand is Downsample2Into's vertical pass: rows of dst filtered from the
+// even rows of tmp.
+type downVBand struct {
+	dst, tmp *Gray
+	yHi      int
+}
+
+//adavp:hotpath
+func (b *downVBand) Rows(lo, hi int) {
+	dst, tmp, yHi := b.dst, b.tmp, b.yHi
+	w := dst.W
+	for y := lo; y < hi; y++ {
+		if y < 1 || y >= yHi {
+			convolveRowV(dst.Row(y), tmp, burtAdelson, 2*y, 0, w)
+			continue
+		}
+		out, c := dst.Row(y)[:w], 2*y
+		r0, r1, r2, r3, r4 := tmp.Row(c - 2)[:w], tmp.Row(c - 1)[:w], tmp.Row(c)[:w], tmp.Row(c + 1)[:w], tmp.Row(c + 2)[:w]
+		for x := range out {
+			out[x] = 0 + ba0*r0[x] + ba1*r1[x] + ba2*r2[x] + ba1*r3[x] + ba0*r4[x]
+		}
+	}
 }
 
 // Pyramid is a coarse-to-fine stack of images. Level 0 is the original

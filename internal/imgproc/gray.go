@@ -122,10 +122,12 @@ func (g *Gray) Bilinear(x, y float64) float32 {
 // call. They are pooled rather than stack-allocated because their size is the
 // destination width (unknown at compile time) and rather than kept on Gray
 // because concurrent resizes of the same source — a watchdog-abandoned
-// detection racing its retry — must not share them.
+// detection racing its retry — must not share them. The call's band lives
+// here for the same reason.
 type resizeTaps struct {
-	x0s []int32
-	fxs []float32
+	x0s  []int32
+	fxs  []float32
+	band resizeBand
 }
 
 // ensure resizes the tap tables to w columns, reallocating only on growth.
@@ -203,46 +205,63 @@ func (g *Gray) ResizeInto(dst *Gray) {
 	if xHi < xLo {
 		xHi = xLo
 	}
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			// Sample at the center of each destination pixel mapped to source
-			// coordinates; the -0.5 terms align the two pixel grids.
-			srcY := (float64(y)+0.5)*sy - 0.5
-			y0 := int(math.Floor(srcY))
-			fy := float32(srcY - float64(y0))
-			out := dst.Row(y)
-			if y0 >= 0 && y0+1 < g.H {
-				// Interior rows: both source rows exist, so only the x taps
-				// can leave the image.
-				top := g.Row(y0)
-				bot := g.Row(y0 + 1)
-				for x := 0; x < xLo; x++ {
-					out[x] = g.Bilinear((float64(x)+0.5)*sx-0.5, srcY)
-				}
-				for x := xLo; x < xHi; x++ {
-					x0 := int(x0s[x])
-					fx := fxs[x]
-					v00 := top[x0]
-					v10 := top[x0+1]
-					v01 := bot[x0]
-					v11 := bot[x0+1]
-					t := v00 + fx*(v10-v00)
-					b := v01 + fx*(v11-v01)
-					out[x] = t + fy*(b-t)
-				}
-				for x := xHi; x < w; x++ {
-					out[x] = g.Bilinear((float64(x)+0.5)*sx-0.5, srcY)
-				}
-				continue
-			}
-			for x := 0; x < w; x++ {
-				srcX := (float64(x)+0.5)*sx - 0.5
-				out[x] = g.Bilinear(srcX, srcY)
-			}
-		}
-	})
+	b := &taps.band
+	*b = resizeBand{src: g, dst: dst, sx: sx, sy: sy, x0s: x0s, fxs: fxs, xLo: xLo, xHi: xHi}
+	par.Rows(h, b)
+	*b = resizeBand{}
 	if !resizeTapCache.CompareAndSwap(nil, taps) {
 		resizeTapPool.Put(taps)
+	}
+}
+
+// resizeBand is ResizeInto's band: whole destination rows.
+type resizeBand struct {
+	src, dst *Gray
+	sx, sy   float64
+	x0s      []int32
+	fxs      []float32
+	xLo, xHi int
+}
+
+//adavp:hotpath
+func (b *resizeBand) Rows(lo, hi int) {
+	g, dst, sx, sy, x0s, fxs, xLo, xHi := b.src, b.dst, b.sx, b.sy, b.x0s, b.fxs, b.xLo, b.xHi
+	w := dst.W
+	for y := lo; y < hi; y++ {
+		// Sample at the center of each destination pixel mapped to source
+		// coordinates; the -0.5 terms align the two pixel grids.
+		srcY := (float64(y)+0.5)*sy - 0.5
+		y0 := int(math.Floor(srcY))
+		fy := float32(srcY - float64(y0))
+		out := dst.Row(y)
+		if y0 >= 0 && y0+1 < g.H {
+			// Interior rows: both source rows exist, so only the x taps
+			// can leave the image.
+			top := g.Row(y0)
+			bot := g.Row(y0 + 1)
+			for x := 0; x < xLo; x++ {
+				out[x] = g.Bilinear((float64(x)+0.5)*sx-0.5, srcY)
+			}
+			for x := xLo; x < xHi; x++ {
+				x0 := int(x0s[x])
+				fx := fxs[x]
+				v00 := top[x0]
+				v10 := top[x0+1]
+				v01 := bot[x0]
+				v11 := bot[x0+1]
+				t := v00 + fx*(v10-v00)
+				b := v01 + fx*(v11-v01)
+				out[x] = t + fy*(b-t)
+			}
+			for x := xHi; x < w; x++ {
+				out[x] = g.Bilinear((float64(x)+0.5)*sx-0.5, srcY)
+			}
+			continue
+		}
+		for x := 0; x < w; x++ {
+			srcX := (float64(x)+0.5)*sx - 0.5
+			out[x] = g.Bilinear(srcX, srcY)
+		}
 	}
 }
 

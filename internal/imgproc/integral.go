@@ -8,6 +8,10 @@ import "adavp/internal/par"
 type Integral struct {
 	W, H int       // dimensions of the source image
 	sum  []float64 // (W+1)*(H+1) table
+
+	// The bands of Rebuild's two passes.
+	rows integralRows
+	cols integralCols
 }
 
 // NewIntegral builds the summed-area table for g.
@@ -44,28 +48,57 @@ func (it *Integral) Rebuild(g *Gray) {
 		it.sum[i] = 0
 	}
 	// Pass 1: per-row prefix sums into rows 1..h of the table.
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			src := g.Row(y)
-			dst := it.sum[(y+1)*stride : (y+2)*stride]
-			dst[0] = 0
-			var rowSum float64
-			for x := 0; x < w; x++ {
-				rowSum += float64(src[x])
-				dst[x+1] = rowSum
-			}
-		}
-	})
+	br, bc := &it.rows, &it.cols
+	*br = integralRows{g: g, sum: it.sum}
+	par.Rows(h, br)
+	*br = integralRows{}
 	// Pass 2: column-wise accumulation, parallel over column bands.
-	par.Rows(w, func(lo, hi int) {
-		for y := 1; y <= h; y++ {
-			above := it.sum[(y-1)*stride:]
-			row := it.sum[y*stride:]
-			for x := lo + 1; x <= hi; x++ {
-				row[x] = above[x] + row[x]
-			}
+	*bc = integralCols{sum: it.sum, w: w, h: h}
+	par.Rows(w, bc)
+	*bc = integralCols{}
+}
+
+// integralRows is Rebuild's first pass: each row's running prefix sum.
+type integralRows struct {
+	g   *Gray
+	sum []float64
+}
+
+//adavp:hotpath
+func (b *integralRows) Rows(lo, hi int) {
+	g, sum := b.g, b.sum
+	w := g.W
+	stride := w + 1
+	for y := lo; y < hi; y++ {
+		src := g.Row(y)
+		dst := sum[(y+1)*stride : (y+2)*stride]
+		dst[0] = 0
+		var rowSum float64
+		for x := 0; x < w; x++ {
+			rowSum += float64(src[x])
+			dst[x+1] = rowSum
 		}
-	})
+	}
+}
+
+// integralCols is Rebuild's second pass: the accumulation down each column
+// of a band of columns.
+type integralCols struct {
+	sum  []float64
+	w, h int
+}
+
+//adavp:hotpath
+func (b *integralCols) Rows(lo, hi int) {
+	sum, h := b.sum, b.h
+	stride := b.w + 1
+	for y := 1; y <= h; y++ {
+		above := sum[(y-1)*stride:]
+		row := sum[y*stride:]
+		for x := lo + 1; x <= hi; x++ {
+			row[x] = above[x] + row[x]
+		}
+	}
 }
 
 // clampInt clamps v to [lo, hi].

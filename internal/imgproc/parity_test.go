@@ -107,7 +107,7 @@ func TestConvolveParity(t *testing.T) {
 			for _, horizontal := range []bool{true, false} {
 				ref := Convolve1DRef(g, k, horizontal)
 				got := NewGray(g.W, g.H)
-				convolve1DInto(got, g, k, horizontal)
+				convolve1DInto(got, g, k, horizontal, &Scratch{})
 				requireIdentical(t, fmt.Sprintf("convolve1DInto(%s,h=%v)", name, horizontal), ref, got)
 			}
 		}

@@ -30,6 +30,14 @@ type Scratch struct {
 	// the last kernel keeps GaussianBlurInto allocation-free in steady state.
 	kernelSigma float64
 	kernel      []float32
+
+	// The bands of the fan-outs that draw on this scratch, one per par.Rows
+	// call site, so that no band is overwritten while in flight. Each holds
+	// its call's arguments for the length of the call only.
+	conv  convBand
+	rects rectsBand
+	downH downHBand
+	downV downVBand
 }
 
 // gaussianKernel returns GaussianKernel(sigma), reusing the previous result

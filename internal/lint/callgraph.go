@@ -17,11 +17,11 @@ import (
 //
 //   - EdgeCall: a direct call, f() or x.m(), resolved through the type info;
 //   - EdgeRef: a reference to a named function or method value outside call
-//     position — the function escapes into a variable, field, or argument
-//     (par.Rows(n, namedBand) is the motivating shape), so it may run
-//     wherever the value flows;
+//     position — the function escapes into a variable, field, or argument,
+//     so it may run wherever the value flows;
 //   - EdgeIface: a call through an interface method, expanded to the method
-//     of every module-internal named type implementing the interface. This
+//     of every module-internal named type implementing the interface (par's
+//     band dispatch, b.Rows, is the motivating shape). This
 //     over-approximates (the dynamic type might always be one of them) but
 //     an invariant that only holds for some implementations is not an
 //     invariant.

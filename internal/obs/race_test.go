@@ -9,6 +9,12 @@ import (
 	"adavp/internal/par"
 )
 
+// bandFunc adapts a func to a par.Band, for the references that build their
+// bands in place.
+type bandFunc func(lo, hi int)
+
+func (f bandFunc) Rows(lo, hi int) { f(lo, hi) }
+
 // TestRegistryConcurrentStress hammers one registry from par.Rows worker
 // bands — the same pool the pixel kernels run on — while another goroutine
 // snapshots and serializes continuously. Run under -race (make race) this
@@ -53,7 +59,7 @@ func TestRegistryConcurrentStress(t *testing.T) {
 
 	const rounds = 200
 	for round := 0; round < rounds; round++ {
-		par.Rows(64, func(lo, hi int) {
+		par.Rows(64, bandFunc(func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				stage := stages[i%len(stages)]
 				r.StageHistogram(stage).ObserveDuration(time.Duration(i+1) * time.Millisecond)
@@ -61,7 +67,7 @@ func TestRegistryConcurrentStress(t *testing.T) {
 				r.Gauge(MetricVelocity).Set(float64(i))
 				r.Record(time.Duration(i), "comp", "kind", "action")
 			}
-		})
+		}))
 	}
 	close(stop)
 	wg.Wait()

@@ -3,6 +3,12 @@
 // summed-area table) into contiguous bands and hands each band to a worker of
 // a gang.
 //
+// The work of a call is a Band value, not a closure: a kernel keeps one band
+// per call site in memory it already owns (its scratch), sets the call's
+// arguments as the band's fields and passes a pointer to it. A pointer to a
+// heap object converts to a Band without allocating, where a closure the gang
+// stores escapes and is allocated on every call.
+//
 // Determinism contract: Rows partitions [0, n) into disjoint, contiguous
 // bands and every band executes the identical scalar code it would execute
 // serially. Because no two bands touch the same output element and
@@ -78,21 +84,38 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Band is the work of one Rows call. Rows(lo, hi) works the indices
+// [lo, hi) of the call's range, and must treat the bands as disjoint: writes
+// may only target indices in [lo, hi). Rows may run on several goroutines at
+// once, so it reads the band's fields and writes none of them.
+type Band interface {
+	Rows(lo, hi int)
+}
+
+// calls counts Rows calls, inline ones included.
+var calls atomic.Uint64
+
+// Calls returns the number of Rows calls the process has made. The kernel
+// packages' allocation ledgers read it to pin each entry point's exact number
+// of fan-outs, which a nested fan-out would change (DESIGN.md §9.3).
+func Calls() uint64 { return calls.Load() }
+
 // Rows partitions [0, n) into at most Workers() contiguous bands and calls
-// fn(lo, hi) for each band, concurrently, returning when all bands are done.
-// fn must treat the bands as disjoint: writes may only target indices in
-// [lo, hi). With one worker (or n < 2) fn(0, n) runs inline on the caller's
+// b.Rows(lo, hi) for each band, concurrently, returning when all bands are
+// done. With one worker (or n < 2) b.Rows(0, n) runs inline on the caller's
 // goroutine — the serial reference path the parity tests compare against.
-func Rows(n int, fn func(lo, hi int)) {
+// Rows keeps no reference to b once it returns.
+func Rows(n int, b Band) {
+	calls.Add(1)
 	w := min(Workers(), n)
 	if w < 2 {
 		if n > 0 {
-			fn(0, n)
+			b.Rows(0, n)
 		}
 		return
 	}
 	g := acquire(w)
-	g.run(n, fn)
+	g.run(n, b)
 	giveBack(g)
 }
 
@@ -168,7 +191,7 @@ type gang struct {
 	size  int
 	next  *gang    // the next gang on the free list
 	bands chan int // band indices of the current call; closed to stop
-	fn    func(lo, hi int)
+	b     Band
 	n     int // the range of the current call
 
 	done   sync.WaitGroup // bands of the current call
@@ -202,21 +225,21 @@ func recruit() { (<-recruits).work() }
 func (g *gang) work() {
 	defer g.exited.Done()
 	for i := range g.bands {
-		g.fn(bandOf(i, g.n, g.size))
+		g.b.Rows(bandOf(i, g.n, g.size))
 		g.done.Done()
 	}
 }
 
 // run posts the size bands of [0, n) to the workers and parks until they are
 // done.
-func (g *gang) run(n int, fn func(lo, hi int)) {
-	g.fn, g.n = fn, n
+func (g *gang) run(n int, b Band) {
+	g.b, g.n = b, n
 	g.done.Add(g.size)
 	for i := range g.size {
 		g.bands <- i
 	}
 	g.done.Wait()
-	g.fn = nil // every worker has read it: do not keep its captures alive
+	g.b = nil // every worker has read it: a parked gang must not pin its owner
 }
 
 // stop ends an idle gang's workers and joins them.

@@ -7,12 +7,30 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"adavp/internal/leaktest"
 )
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
+
+// bandFunc adapts a func to a Band for the tests that build their bands in
+// place; a kernel's band is a value its scratch owns.
+type bandFunc func(lo, hi int)
+
+func (f bandFunc) Rows(lo, hi int) { f(lo, hi) }
+
+// fillBand writes out[i] = i over its band, as a kernel's band writes its
+// rows.
+type fillBand struct{ out []int }
+
+func (b *fillBand) Rows(lo, hi int) {
+	out := b.out
+	for i := lo; i < hi; i++ {
+		out[i] = i
+	}
+}
 
 // restoreWorkers resets the pool configuration after a test.
 func restoreWorkers(t *testing.T) {
@@ -45,14 +63,14 @@ func TestRowsCoversExactlyOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 5, 16, 17, 31, 100, 1001} {
 			SetWorkers(workers)
 			counts := make([]int32, n)
-			Rows(n, func(lo, hi int) {
+			Rows(n, bandFunc(func(lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("workers=%d n=%d: bad band [%d,%d)", workers, n, lo, hi)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&counts[i], 1)
 				}
-			})
+			}))
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
@@ -72,11 +90,11 @@ func TestRowsBandsAreContiguous(t *testing.T) {
 		SetWorkers(workers)
 		var mu sync.Mutex
 		var bands [][2]int
-		Rows(n, func(lo, hi int) {
+		Rows(n, bandFunc(func(lo, hi int) {
 			mu.Lock()
 			bands = append(bands, [2]int{lo, hi})
 			mu.Unlock()
-		})
+		}))
 		if len(bands) != workers {
 			t.Fatalf("got %d bands with %d workers", len(bands), workers)
 		}
@@ -100,12 +118,12 @@ func TestRowsSerialWhenOneWorker(t *testing.T) {
 	restoreWorkers(t)
 	SetWorkers(1)
 	calls := 0
-	Rows(50, func(lo, hi int) {
+	Rows(50, bandFunc(func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 50 {
 			t.Fatalf("serial band = [%d,%d), want [0,50)", lo, hi)
 		}
-	})
+	}))
 	if calls != 1 {
 		t.Fatalf("serial path made %d calls", calls)
 	}
@@ -150,11 +168,11 @@ func TestRowsConcurrentCallers(t *testing.T) {
 				defer wg.Done()
 				out := make([]int, rows)
 				for iter := 0; iter < 50; iter++ {
-					Rows(rows, func(lo, hi int) {
+					Rows(rows, bandFunc(func(lo, hi int) {
 						for i := lo; i < hi; i++ {
 							out[i] = c + i + iter
 						}
-					})
+					}))
 					for i := range out {
 						if out[i] != c+i+iter {
 							t.Errorf("caller %d iter %d: out[%d] = %d", c, iter, i, out[i])
@@ -178,13 +196,13 @@ func TestRowsReentrant(t *testing.T) {
 	heldAndUnheld(t, func(t *testing.T) {
 		const outer, inner = 9, 40
 		var total atomic.Int64
-		Rows(outer, func(lo, hi int) {
+		Rows(outer, bandFunc(func(lo, hi int) {
 			for o := lo; o < hi; o++ {
-				Rows(inner, func(ilo, ihi int) {
+				Rows(inner, bandFunc(func(ilo, ihi int) {
 					total.Add(int64(ihi - ilo))
-				})
+				}))
 			}
-		})
+		}))
 		if got := total.Load(); got != outer*inner {
 			t.Fatalf("nested coverage = %d, want %d", got, outer*inner)
 		}
@@ -200,7 +218,7 @@ func TestHeldRowsReusesItsGang(t *testing.T) {
 	base := leaktest.Count()
 	release := Hold()
 	for i := 0; i < 10; i++ {
-		Rows(30, func(lo, hi int) {})
+		Rows(30, bandFunc(func(lo, hi int) {}))
 		if got := leaktest.Count(); got != base+3 {
 			t.Fatalf("call %d: %d module goroutines, want %d (one parked gang of 3)", i, got, base+3)
 		}
@@ -212,7 +230,7 @@ func TestHeldRowsReusesItsGang(t *testing.T) {
 	release()
 	release = Hold()
 	defer release()
-	Rows(30, func(lo, hi int) {})
+	Rows(30, bandFunc(func(lo, hi int) {}))
 	if got := leaktest.Count(); got != base+3 {
 		t.Fatalf("%d module goroutines under a new hold after a double release, want %d", got, base+3)
 	}
@@ -226,9 +244,9 @@ func TestSetWorkersStopsLargerGangs(t *testing.T) {
 	base := leaktest.Count()
 	release := Hold()
 	defer release()
-	Rows(40, func(lo, hi int) {})
+	Rows(40, bandFunc(func(lo, hi int) {}))
 	SetWorkers(2)
-	Rows(40, func(lo, hi int) {})
+	Rows(40, bandFunc(func(lo, hi int) {}))
 	if got := leaktest.Count(); got != base+2 {
 		t.Fatalf("%d module goroutines after SetWorkers(2), want %d: the gang of 4 should be stopped", got, base+2)
 	}
@@ -245,10 +263,10 @@ func TestReleaseDuringCall(t *testing.T) {
 	entered, unblock, returned := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(returned)
-		Rows(10, func(lo, hi int) {
+		Rows(10, bandFunc(func(lo, hi int) {
 			entered <- struct{}{}
 			<-unblock
-		})
+		}))
 	}()
 	<-entered
 	<-entered
@@ -268,9 +286,9 @@ func TestReleaseDuringCall(t *testing.T) {
 	leaktest.Check(t, base)
 }
 
-// TestHeldRowsAllocatesNothing: under a hold, a warm Rows with a prebuilt fn
-// allocates nothing, so it builds no gang (building one allocates it and its
-// channel) and starts no goroutine.
+// TestHeldRowsAllocatesNothing: under a hold, a warm Rows with a band the
+// caller owns allocates nothing, so it builds no gang (building one allocates
+// it and its channel) and starts no goroutine.
 func TestHeldRowsAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -278,18 +296,74 @@ func TestHeldRowsAllocatesNothing(t *testing.T) {
 	restoreWorkers(t)
 	release := Hold()
 	defer release()
-	out := make([]int, 512)
-	fn := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = i
-		}
-	}
+	b := &fillBand{out: make([]int, 512)}
 	for _, w := range []int{1, 2, 4} {
 		SetWorkers(w)
-		Rows(len(out), fn)
-		if got := testing.AllocsPerRun(100, func() { Rows(len(out), fn) }); got != 0 {
+		Rows(len(b.out), b)
+		if got := testing.AllocsPerRun(100, func() { Rows(len(b.out), b) }); got != 0 {
 			t.Errorf("workers=%d: %v allocs/op under a hold, want 0", w, got)
 		}
+	}
+}
+
+// TestRowsKeepsNoBand: once Rows returns, par holds no reference to its
+// band, so a parked gang cannot keep the band's owner alive — a pooled render
+// scratch the pool has dropped, or the scratch of a detection the watchdog
+// abandoned.
+func TestRowsKeepsNoBand(t *testing.T) {
+	restoreWorkers(t)
+	release := Hold()
+	defer release()
+	for _, w := range []int{1, 2} {
+		SetWorkers(w)
+		b := &fillBand{out: make([]int, 64)}
+		wp := weak.Make(b)
+		Rows(len(b.out), b)
+		b = nil
+		runtime.GC()
+		if wp.Value() != nil {
+			t.Errorf("workers=%d: the band is still reachable after Rows returned", w)
+		}
+	}
+}
+
+// TestCallsCountsEveryRows: Calls counts each Rows call once, inline and
+// nested ones included — the fan-out count each allocation ledger row pins.
+func TestCallsCountsEveryRows(t *testing.T) {
+	restoreWorkers(t)
+	for _, w := range []int{1, 3} {
+		SetWorkers(w)
+		before := Calls()
+		Rows(0, bandFunc(func(lo, hi int) {}))
+		Rows(3, bandFunc(func(lo, hi int) {
+			for range hi - lo {
+				Rows(5, bandFunc(func(lo, hi int) {}))
+			}
+		}))
+		if got := Calls() - before; got != 5 {
+			t.Errorf("workers=%d: Calls advanced by %d, want 5", w, got)
+		}
+	}
+}
+
+// workBand runs ≈ 0.1 µs of serial arithmetic per index, or none when
+// empty.
+type workBand struct {
+	out   []float64
+	empty bool
+}
+
+func (b *workBand) Rows(lo, hi int) {
+	if b.empty {
+		return
+	}
+	out := b.out
+	for i := lo; i < hi; i++ {
+		x := float64(i)
+		for range 64 {
+			x = x*0.999 + 1
+		}
+		out[i] = x
 	}
 }
 
@@ -302,19 +376,7 @@ func BenchmarkRows(b *testing.B) {
 		name string
 		rows int
 	}{{"empty", 0}, {"20us", 200}, {"200us", 3000}} {
-		out := make([]float64, max(work.rows, 64))
-		fn := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := float64(i)
-				for range 64 {
-					x = x*0.999 + 1
-				}
-				out[i] = x
-			}
-		}
-		if work.rows == 0 {
-			fn = func(lo, hi int) {}
-		}
+		band := &workBand{out: make([]float64, max(work.rows, 64)), empty: work.rows == 0}
 		for _, held := range []bool{false, true} {
 			name := work.name + "/unheld"
 			if held {
@@ -325,7 +387,7 @@ func BenchmarkRows(b *testing.B) {
 					defer Hold()()
 				}
 				for range b.N {
-					Rows(len(out), fn)
+					Rows(len(band.out), band)
 				}
 			})
 		}

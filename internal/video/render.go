@@ -104,21 +104,11 @@ func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 	// scroll translate it exactly like real scenery. Rows are independent,
 	// so the raster fills in parallel bands; every pixel runs the same
 	// scalar expression, keeping rendering pure at any worker count.
-	bg := &rs.bg
-	bg[0].fill(v.seed^0x5bd1e995, 1, w, h, v.camX[i], v.camY[i])
-	bg[1].fill(v.seed^0x5bd1e995+octaveSeedStep, 2, w, h, v.camX[i], v.camY[i])
-	par.Rows(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := dst.Row(y)
-			top0, bot0, ty0 := bg[0].row(y, w)
-			top1, bot1, ty1 := bg[1].row(y, w)
-			for x := range row {
-				n0 := top0[x] + ty0*(bot0[x]-top0[x])
-				n1 := top1[x] + ty1*(bot1[x]-top1[x])
-				row[x] = float32(bgLow + fbm2(n0, n1)*(bgHigh-bgLow))
-			}
-		}
-	})
+	rs.bg[0].fill(v.seed^0x5bd1e995, 1, w, h, v.camX[i], v.camY[i])
+	rs.bg[1].fill(v.seed^0x5bd1e995+octaveSeedStep, 2, w, h, v.camX[i], v.camY[i])
+	rs.bgBand = bgBand{dst: dst, bg: &rs.bg}
+	par.Rows(h, &rs.bgBand)
+	rs.bgBand = bgBand{}
 
 	// Objects, oldest first so newer objects occlude older ones near the
 	// camera — an arbitrary but stable depth order (IDs are unique within a
@@ -128,12 +118,12 @@ func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 	rs.objs = append(rs.objs[:0], v.render[i]...)
 	slices.SortFunc(rs.objs, func(a, b renderObject) int { return cmp.Compare(a.id, b.id) })
 	for _, o := range rs.objs {
-		v.drawObject(dst, o, i, &rs.tex)
+		v.drawObject(dst, o, i, rs)
 	}
 
 	// Atmospheric/exposure stressors (hostile presets) act on the formed
 	// image before the sensor adds its read noise.
-	v.applyStressors(dst, i)
+	v.applyStressors(dst, i, &rs.stressBand)
 
 	// Sensor noise: independent per frame and pixel, deterministic in the
 	// (seed, frame, pixel) triple. hash2's column term is mixed once per
@@ -145,28 +135,71 @@ func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 		for x := range cols {
 			cols[x] = hashX(noiseSeed, int64(x))
 		}
-		par.Rows(h, func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				row := dst.Row(y)[:len(cols)]
-				hy := hashY(int64(y))
-				for x, hx := range cols {
-					row[x] += (float32(hashUnit(hx, hy)) - 0.5) * 2 * amp
-				}
-			}
-		})
+		rs.noiseBand = noiseBand{dst: dst, cols: cols, amp: amp}
+		par.Rows(h, &rs.noiseBand)
+		rs.noiseBand = noiseBand{}
+	}
+}
+
+// bgBand is RenderInto's background pass: rows of dst from the two octaves'
+// tables.
+type bgBand struct {
+	dst *imgproc.Gray
+	bg  *[2]bgOctave
+}
+
+//adavp:hotpath
+func (b *bgBand) Rows(lo, hi int) {
+	dst, bg := b.dst, b.bg
+	w := dst.W
+	for y := lo; y < hi; y++ {
+		row := dst.Row(y)
+		top0, bot0, ty0 := bg[0].row(y, w)
+		top1, bot1, ty1 := bg[1].row(y, w)
+		for x := range row {
+			n0 := top0[x] + ty0*(bot0[x]-top0[x])
+			n1 := top1[x] + ty1*(bot1[x]-top1[x])
+			row[x] = float32(bgLow + fbm2(n0, n1)*(bgHigh-bgLow))
+		}
+	}
+}
+
+// noiseBand is RenderInto's sensor-noise pass: hash2's column terms are
+// cols, one per pixel column, and amp the noise amplitude.
+type noiseBand struct {
+	dst  *imgproc.Gray
+	cols []uint64
+	amp  float32
+}
+
+//adavp:hotpath
+func (b *noiseBand) Rows(lo, hi int) {
+	dst, cols, amp := b.dst, b.cols, b.amp
+	for y := lo; y < hi; y++ {
+		row := dst.Row(y)[:len(cols)]
+		hy := hashY(int64(y))
+		for x, hx := range cols {
+			row[x] += (float32(hashUnit(hx, hy)) - 0.5) * 2 * amp
+		}
 	}
 }
 
 // renderScratch holds what one RenderInto call computes once and its pixel
-// loops only read. It is pooled rather than kept on the Video because renders
-// of one video overlap (the live pipeline's prefetcher and tracker), and
-// rather than stack-allocated because the par.Rows closures would move it to
-// the heap on every call.
+// loops only read, and the bands of its fan-outs. It is pooled rather than
+// kept on the Video because renders of one video overlap (the live
+// pipeline's prefetcher and tracker), and rather than stack-allocated
+// because par.Rows takes its bands by pointer, which would move it to the
+// heap on every call.
 type renderScratch struct {
 	bg       [2]bgOctave
 	tex      [2]texWindow
 	objs     []renderObject
 	noiseCol []uint64
+
+	bgBand     bgBand
+	objBand    objBand
+	stressBand stressBand
+	noiseBand  noiseBand
 }
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
@@ -300,7 +333,7 @@ const fogGray = 0.5
 // stressed rendering remains byte-identical at any worker count.
 //
 //adavp:hotpath
-func (v *Video) applyStressors(img *imgproc.Gray, frame int) {
+func (v *Video) applyStressors(img *imgproc.Gray, frame int, b *stressBand) {
 	p := v.Params
 	fog := p.FogDensity
 	rain := p.RainDensity
@@ -315,24 +348,37 @@ func (v *Video) applyStressors(img *imgproc.Gray, frame int) {
 	if fog <= 0 && rain <= 0 && gain == 1 {
 		return
 	}
-	rainSeed := v.seed ^ 0x4a11a5
-	par.Rows(img.H, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := img.Row(y)
-			for x := range row {
-				val := float64(row[x])
-				if fog > 0 {
-					val += (fogGray - val) * fog
-				}
-				if rain > 0 {
-					if lit, bright := rainCell(rainSeed, x, y, frame, rain); lit {
-						val += (bright - val) * 0.55
-					}
-				}
-				row[x] = float32(val * gain)
+	*b = stressBand{img: img, fog: fog, rain: rain, gain: gain, rainSeed: v.seed ^ 0x4a11a5, frame: frame}
+	par.Rows(img.H, b)
+	*b = stressBand{}
+}
+
+// stressBand is applyStressors' band: fog, rain and gain over rows of img.
+type stressBand struct {
+	img             *imgproc.Gray
+	fog, rain, gain float64
+	rainSeed        uint64
+	frame           int
+}
+
+//adavp:hotpath
+func (b *stressBand) Rows(lo, hi int) {
+	img, fog, rain, gain, rainSeed, frame := b.img, b.fog, b.rain, b.gain, b.rainSeed, b.frame
+	for y := lo; y < hi; y++ {
+		row := img.Row(y)
+		for x := range row {
+			val := float64(row[x])
+			if fog > 0 {
+				val += (fogGray - val) * fog
 			}
+			if rain > 0 {
+				if lit, bright := rainCell(rainSeed, x, y, frame, rain); lit {
+					val += (bright - val) * 0.55
+				}
+			}
+			row[x] = float32(val * gain)
 		}
-	})
+	}
 }
 
 // drawObject rasterizes one object: a filled, textured shape with a dark rim
@@ -353,7 +399,7 @@ func (v *Video) applyStressors(img *imgproc.Gray, frame int) {
 //     untrackable — the reason fast videos are the hard case (Fig. 2).
 //
 //adavp:hotpath
-func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int, tex *[2]texWindow) {
+func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int, rs *renderScratch) {
 	box := o.box
 	base := ObjectLuma(v.seed, o.id, o.class)
 	texSeed := v.seed ^ (uint64(o.id) * 0x9e3779b97f4a7c15)
@@ -392,40 +438,6 @@ func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int, tex *[2
 	x1 := int(math.Ceil(box.Right() + math.Abs(blur.X)/2 + 1))
 	y1 := int(math.Ceil(box.Bottom() + math.Abs(blur.Y)/2 + 1))
 
-	// shapeColor returns the object's color at continuous frame coordinates,
-	// or (0, false) outside the shape.
-	shapeColor := func(fx, fy float64) (float64, bool) {
-		nx := (fx - cx) / rx
-		ny := (fy - cy) / ry
-		if nx < -1 || nx > 1 || ny < -1 || ny > 1 {
-			return 0, false
-		}
-		rim := false
-		if elliptical {
-			r := nx*nx + ny*ny
-			if r > 1 {
-				return 0, false
-			}
-			rim = r > 0.78
-		} else if nx < -0.86 || nx > 0.86 || ny < -0.86 || ny > 0.86 {
-			rim = true
-		}
-		if rim {
-			return 0.02, true
-		}
-		tx := (nx+1)/2*objTexCells + deformX
-		ty := (ny+1)/2*objTexCells + deformY
-		n := fbm2(tex[0].sample(tx, ty), tex[1].sample(tx*2, ty*2))
-		val := base + (n-0.5)*2*objTexAmp
-		if val < 0.46 {
-			val = 0.46 // keep objects inside the bright band
-		}
-		if val > 1 {
-			val = 1
-		}
-		return val, true
-	}
-
 	// Clip the affected rectangle to the raster, then rasterize its rows in
 	// parallel bands. Each row only writes its own pixels, and the
 	// uncovered-tap background reads are at the written pixel itself, so
@@ -450,41 +462,111 @@ func (v *Video) drawObject(img *imgproc.Gray, o renderObject, frame int, tex *[2
 	}
 	// The texture lattice this object can touch this frame, hashed once for
 	// all of its pixels and blur taps.
-	tex[0].fill(texSeed, 1, deformX, deformY)
-	tex[1].fill(texSeed+octaveSeedStep, 2, deformX, deformY)
-	par.Rows(yHi-yLo+1, func(lo, hi int) {
-		for y := yLo + lo; y < yLo+hi; y++ {
-			row := img.Row(y)
-			fy := float64(y) + 0.5
-			for x := xLo; x <= xHi; x++ {
-				fx := float64(x) + 0.5
-				if taps == 1 {
-					if c, ok := shapeColor(fx, fy); ok {
-						row[x] = float32(c)
-					}
-					continue
+	rs.tex[0].fill(texSeed, 1, deformX, deformY)
+	rs.tex[1].fill(texSeed+octaveSeedStep, 2, deformX, deformY)
+	b := &rs.objBand
+	*b = objBand{
+		img: img,
+		shape: objShape{
+			cx: cx, cy: cy, rx: rx, ry: ry, base: base, deformX: deformX, deformY: deformY,
+			elliptical: elliptical, tex: &rs.tex,
+		},
+		blurX: blur.X, blurY: blur.Y, taps: taps, xLo: xLo, xHi: xHi, yLo: yLo,
+	}
+	par.Rows(yHi-yLo+1, b)
+	*b = objBand{}
+}
+
+// objShape is one object's shape and texture at continuous frame
+// coordinates.
+type objShape struct {
+	cx, cy, rx, ry   float64 // centre and half-extents
+	base             float64 // surface luma
+	deformX, deformY float64 // texture slide
+	elliptical       bool
+	tex              *[2]texWindow
+}
+
+// color returns the object's color at continuous frame coordinates, or
+// (0, false) outside the shape.
+//
+//adavp:hotpath
+func (sh *objShape) color(fx, fy float64) (float64, bool) {
+	nx := (fx - sh.cx) / sh.rx
+	ny := (fy - sh.cy) / sh.ry
+	if nx < -1 || nx > 1 || ny < -1 || ny > 1 {
+		return 0, false
+	}
+	rim := false
+	if sh.elliptical {
+		r := nx*nx + ny*ny
+		if r > 1 {
+			return 0, false
+		}
+		rim = r > 0.78
+	} else if nx < -0.86 || nx > 0.86 || ny < -0.86 || ny > 0.86 {
+		rim = true
+	}
+	if rim {
+		return 0.02, true
+	}
+	tx := (nx+1)/2*objTexCells + sh.deformX
+	ty := (ny+1)/2*objTexCells + sh.deformY
+	n := fbm2(sh.tex[0].sample(tx, ty), sh.tex[1].sample(tx*2, ty*2))
+	val := sh.base + (n-0.5)*2*objTexAmp
+	if val < 0.46 {
+		val = 0.46 // keep objects inside the bright band
+	}
+	if val > 1 {
+		val = 1
+	}
+	return val, true
+}
+
+// objBand is drawObject's band: rows [yLo+lo, yLo+hi) of the object's
+// clipped rectangle, columns [xLo, xHi], each averaged over taps samples
+// along the blur vector.
+type objBand struct {
+	img                 *imgproc.Gray
+	shape               objShape
+	blurX, blurY        float64
+	taps, xLo, xHi, yLo int
+}
+
+//adavp:hotpath
+func (b *objBand) Rows(lo, hi int) {
+	img, shape, blurX, blurY, taps, xLo, xHi, yLo := b.img, b.shape, b.blurX, b.blurY, b.taps, b.xLo, b.xHi, b.yLo
+	for y := yLo + lo; y < yLo+hi; y++ {
+		row := img.Row(y)
+		fy := float64(y) + 0.5
+		for x := xLo; x <= xHi; x++ {
+			fx := float64(x) + 0.5
+			if taps == 1 {
+				if c, ok := shape.color(fx, fy); ok {
+					row[x] = float32(c)
 				}
-				var sum float64
-				covered := 0
-				for ti := 0; ti < taps; ti++ {
-					// Offsets span [-1/2, +1/2] of the blur vector.
-					t := float64(ti)/float64(taps-1) - 0.5
-					c, ok := shapeColor(fx-blur.X*t, fy-blur.Y*t)
-					if ok {
-						sum += c
-						covered++
-					} else {
-						// The shape does not cover this tap: the sensor saw the
-						// background there during part of the exposure.
-						sum += float64(row[x])
-					}
-				}
-				if covered > 0 {
-					row[x] = float32(sum / float64(taps))
+				continue
+			}
+			var sum float64
+			covered := 0
+			for ti := 0; ti < taps; ti++ {
+				// Offsets span [-1/2, +1/2] of the blur vector.
+				t := float64(ti)/float64(taps-1) - 0.5
+				c, ok := shape.color(fx-blurX*t, fy-blurY*t)
+				if ok {
+					sum += c
+					covered++
+				} else {
+					// The shape does not cover this tap: the sensor saw the
+					// background there during part of the exposure.
+					sum += float64(row[x])
 				}
 			}
+			if covered > 0 {
+				row[x] = float32(sum / float64(taps))
+			}
 		}
-	})
+	}
 }
 
 // exposureFraction is the fraction of the frame interval the virtual shutter

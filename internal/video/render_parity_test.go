@@ -3,6 +3,7 @@ package video
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"adavp/internal/geom"
@@ -220,4 +221,49 @@ func TestHash2Pinned(t *testing.T) {
 			t.Errorf("hash2(%#x, %d, %d) = %v, want %v", c.seed, c.x, c.y, got, want)
 		}
 	}
+}
+
+// TestRenderConcurrentCallersMatchSerial: two goroutines render frames of one
+// Video at once at two workers inside a par.Hold — rt.Run's prefetch stage
+// and tracker thread overlap this way — and every raster equals the serial
+// render bit for bit, because each call's bands live in the renderScratch it
+// took from the pool. make race runs it under the race detector.
+func TestRenderConcurrentCallersMatchSerial(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	v := GenerateKind("overlap", KindRainstorm, 5, 12)
+	if v.Params.SensorNoise <= 0 {
+		v.Params.SensorNoise = 0.01
+	}
+	par.SetWorkers(1)
+	want := make([][]float32, v.NumFrames())
+	for i := range want {
+		want[i] = v.Render(i).Pix
+	}
+	par.SetWorkers(2)
+	release := par.Hold()
+	defer release()
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := imgproc.NewGray(v.Params.W, v.Params.H)
+			for round := range 3 {
+				for k := range want {
+					i := k
+					if (g+round)%2 == 1 {
+						i = len(want) - 1 - k
+					}
+					v.RenderInto(i, dst)
+					for p, ref := range want[i] {
+						if math.Float32bits(ref) != math.Float32bits(dst.Pix[p]) {
+							t.Errorf("goroutine %d round %d frame %d: pixel %d differs (%v vs %v)", g, round, i, p, ref, dst.Pix[p])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,6 +8,12 @@ import (
 	"adavp/internal/par"
 )
 
+// bandFunc adapts a func to a par.Band, for the references that build their
+// bands in place.
+type bandFunc func(lo, hi int)
+
+func (f bandFunc) Rows(lo, hi int) { f(lo, hi) }
+
 // This file keeps the renderer exactly as it was before RenderInto hoisted
 // its per-pixel invariants: every background pixel, object pixel and blur tap
 // hashes its own lattice corners, and every noise pixel mixes both of hash2's
@@ -44,7 +50,7 @@ func (v *Video) renderRef(i int) *imgproc.Gray {
 	// scroll translate it exactly like real scenery. Rows are independent,
 	// so the raster fills in parallel bands; every pixel runs the same
 	// scalar expression, keeping rendering pure at any worker count.
-	par.Rows(h, func(lo, hi int) {
+	par.Rows(h, bandFunc(func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			wy := (float64(y) + camY) / bgScale
 			row := img.Row(y)
@@ -54,7 +60,7 @@ func (v *Video) renderRef(i int) *imgproc.Gray {
 				row[x] = float32(bgLow + n*(bgHigh-bgLow))
 			}
 		}
-	})
+	}))
 
 	// Objects, oldest first so newer objects occlude older ones near the
 	// camera — an arbitrary but stable depth order. The render list carries
@@ -69,20 +75,20 @@ func (v *Video) renderRef(i int) *imgproc.Gray {
 
 	// Atmospheric/exposure stressors (hostile presets) act on the formed
 	// image before the sensor adds its read noise.
-	v.applyStressors(img, i)
+	v.applyStressors(img, i, new(stressBand))
 
 	// Sensor noise: independent per frame and pixel, deterministic in the
 	// (seed, frame, pixel) triple.
 	if amp := float32(v.Params.SensorNoise); amp > 0 {
 		noiseSeed := v.seed ^ 0x6e6f6973 ^ uint64(i)*0x9e3779b97f4a7c15
-		par.Rows(h, func(lo, hi int) {
+		par.Rows(h, bandFunc(func(lo, hi int) {
 			for y := lo; y < hi; y++ {
 				row := img.Row(y)
 				for x := range row {
 					row[x] += (float32(hash2Ref(noiseSeed, int64(x), int64(y))) - 0.5) * 2 * amp
 				}
 			}
-		})
+		}))
 	}
 	return img
 }
@@ -183,7 +189,7 @@ func (v *Video) drawObjectRef(img *imgproc.Gray, o renderObject, frame int) {
 	if yHi < yLo || xHi < xLo {
 		return
 	}
-	par.Rows(yHi-yLo+1, func(lo, hi int) {
+	par.Rows(yHi-yLo+1, bandFunc(func(lo, hi int) {
 		for y := yLo + lo; y < yLo+hi; y++ {
 			row := img.Row(y)
 			fy := float64(y) + 0.5
@@ -215,7 +221,7 @@ func (v *Video) drawObjectRef(img *imgproc.Gray, o renderObject, frame int) {
 				}
 			}
 		}
-	})
+	}))
 }
 
 // hash2Ref is hash2 before it was split into terms: it maps integer lattice coordinates and a seed to a pseudo-random
