@@ -64,7 +64,9 @@ var errRasterSize = errors.New("video: RenderInto needs a raster of the video's 
 // resolution and is fully overwritten: an out-of-range index or a dead sensor
 // leaves it all zero. It allocates nothing in steady state, so a caller that
 // owns its rasters (a pipeline ring slot, a frame source) pays for the pixels
-// only.
+// only. The one exception is the first pixel render of a video whose camera
+// never moves: it allocates the background raster, W×H float32s, that the
+// video keeps and every later render copies instead of computing.
 //
 // Everything that does not depend on the pixel is computed before the pixel
 // loops and read from renderScratch inside them; every floating-point
@@ -100,15 +102,13 @@ func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 	rs := renderPool.Get().(*renderScratch)
 	defer renderPool.Put(rs)
 
-	// Background: fractal noise in world coordinates so camera pan and ego
-	// scroll translate it exactly like real scenery. Rows are independent,
-	// so the raster fills in parallel bands; every pixel runs the same
-	// scalar expression, keeping rendering pure at any worker count.
-	rs.bg[0].fill(v.seed^0x5bd1e995, 1, w, h, v.camX[i], v.camY[i])
-	rs.bg[1].fill(v.seed^0x5bd1e995+octaveSeedStep, 2, w, h, v.camX[i], v.camY[i])
-	rs.bgBand = bgBand{dst: dst, bg: &rs.bg}
-	par.Rows(h, &rs.bgBand)
-	rs.bgBand = bgBand{}
+	// Background: a static camera sees the same one in every frame, so it is
+	// computed once per video and copied.
+	if bg := v.sharedBackground(i, rs); bg != nil {
+		copy(dst.Pix, bg)
+	} else {
+		v.fillBackground(dst, v.camX[i], v.camY[i], rs)
+	}
 
 	// Objects, oldest first so newer objects occlude older ones near the
 	// camera — an arbitrary but stable depth order (IDs are unique within a
@@ -139,6 +139,60 @@ func (v *Video) RenderInto(i int, dst *imgproc.Gray) {
 		par.Rows(h, &rs.noiseBand)
 		rs.noiseBand = noiseBand{}
 	}
+}
+
+// fillBackground writes the background seen from camera offset (camX, camY)
+// into dst: fractal noise in world coordinates, so camera pan and ego scroll
+// translate it exactly like real scenery. Rows are independent, so the raster
+// fills in parallel bands; every pixel runs the same scalar expression,
+// keeping rendering pure at any worker count.
+//
+//adavp:hotpath
+func (v *Video) fillBackground(dst *imgproc.Gray, camX, camY float64, rs *renderScratch) {
+	w, h := dst.W, dst.H
+	rs.bg[0].fill(v.seed^0x5bd1e995, 1, w, h, camX, camY)
+	rs.bg[1].fill(v.seed^0x5bd1e995+octaveSeedStep, 2, w, h, camX, camY)
+	rs.bgBand = bgBand{dst: dst, bg: &rs.bg}
+	par.Rows(h, &rs.bgBand)
+	rs.bgBand = bgBand{}
+}
+
+// staticBackground is the background raster of a video whose camera never
+// moves (Generate decides), built by the video's first pixel render and
+// copied by every later one. It records the camera offset and size the
+// background pass read (the seed is fixed at Generate): Params is exported
+// and may change after that render, and a frame whose offset or size
+// differs computes its own background instead.
+type staticBackground struct {
+	once       sync.Once
+	w, h       int
+	camX, camY float64
+	pix        []float32
+}
+
+// sharedBackground returns the static background raster when it applies to
+// frame i, building it on the video's first call, or nil when the frame must
+// compute its own.
+//
+//adavp:hotpath
+func (v *Video) sharedBackground(i int, rs *renderScratch) []float32 {
+	bg := v.bg
+	if bg == nil {
+		return nil
+	}
+	w, h, camX, camY := v.Params.W, v.Params.H, v.camX[i], v.camY[i]
+	bg.once.Do(func() { bg.build(v, w, h, camX, camY, rs) })
+	if bg.w != w || bg.h != h || bg.camX != camX || bg.camY != camY {
+		return nil
+	}
+	return bg.pix
+}
+
+// build computes the background once, into the raster the video keeps.
+func (bg *staticBackground) build(v *Video, w, h int, camX, camY float64, rs *renderScratch) {
+	img := imgproc.NewGray(w, h)
+	v.fillBackground(img, camX, camY, rs)
+	bg.w, bg.h, bg.camX, bg.camY, bg.pix = w, h, camX, camY, img.Pix
 }
 
 // bgBand is RenderInto's background pass: rows of dst from the two octaves'

@@ -150,6 +150,56 @@ func TestRenderMatchesReferenceEdgeCases(t *testing.T) {
 		}
 		requireMatchesRef(t, v, 4)
 	})
+	t.Run("spliced-static-and-moving", func(t *testing.T) {
+		// Each part decides for itself whether its background is shared;
+		// renders hop between static and moving parts and back.
+		kinds := []Kind{KindHighway, KindCarHighway, KindMeetingRoom, KindSkatingRink}
+		parts := make([]*Video, len(kinds))
+		for k, kind := range kinds {
+			parts[k] = GenerateKind(kind.String(), kind, uint64(20+k), 6)
+			if static := parts[k].bg != nil; static != (k%2 == 0) {
+				t.Fatalf("%v: static camera %v, want %v", kind, static, k%2 == 0)
+			}
+		}
+		sp := Splice("alternating", parts...)
+		for _, f := range []int{0, 7, 13, 19, 2, 20, 9, 14, 5, 23} {
+			requireMatchesRef(t, sp, f)
+		}
+	})
+	t.Run("resized-after-first-render", func(t *testing.T) {
+		// Params is exported: a size set after the first render has built
+		// the static background must not copy that raster, in either
+		// direction, and going back to the built size may use it again.
+		v := gen("resized", 320, 180)
+		requireMatchesRef(t, v, 3)
+		for _, size := range [][2]int{{160, 90}, {704, 396}, {320, 180}} {
+			v.Params.W, v.Params.H = size[0], size[1]
+			requireMatchesRef(t, v, 3)
+			requireMatchesRef(t, v, 8)
+		}
+		if v.bg == nil || v.bg.w != 320 || v.bg.h != 180 {
+			t.Errorf("static background is %+v, want the 320x180 raster of the first render", v.bg)
+		}
+	})
+	t.Run("static-frame-drop", func(t *testing.T) {
+		// A dropped frame repeats its source frame over the shared
+		// background.
+		p := ScenarioParams(KindHighway)
+		p.FrameDropRate = 0.4
+		v := Generate("static-frame-drop", p, 11, 16)
+		dropped := 0
+		for i, src := range v.srcFrame {
+			if src != i {
+				dropped++
+			}
+		}
+		if v.bg == nil || dropped == 0 {
+			t.Fatalf("static camera %v, %d dropped frames: the case is not covered", v.bg != nil, dropped)
+		}
+		for f := 0; f < v.NumFrames(); f++ {
+			requireMatchesRef(t, v, f)
+		}
+	})
 	for _, size := range [][2]int{{1, 1}, {3, 2}} {
 		t.Run(fmt.Sprintf("%dx%d", size[0], size[1]), func(t *testing.T) {
 			v := gen("tiny", size[0], size[1])
@@ -224,10 +274,10 @@ func TestHash2Pinned(t *testing.T) {
 }
 
 // TestRenderConcurrentCallersMatchSerial: two goroutines render frames of one
-// Video at once at two workers inside a par.Hold — rt.Run's prefetch stage
-// and tracker thread overlap this way — and every raster equals the serial
+// Video at once (renderConcurrently) and every raster equals the serial
 // render bit for bit, because each call's bands live in the renderScratch it
-// took from the pool. make race runs it under the race detector.
+// took from the pool. Rainstorm's shake moves the camera, so every frame
+// computes its background. make race runs it under the race detector.
 func TestRenderConcurrentCallersMatchSerial(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	v := GenerateKind("overlap", KindRainstorm, 5, 12)
@@ -239,15 +289,49 @@ func TestRenderConcurrentCallersMatchSerial(t *testing.T) {
 	for i := range want {
 		want[i] = v.Render(i).Pix
 	}
+	renderConcurrently(t, v, want)
+}
+
+// TestRenderConcurrentColdStaticBackground: on a fresh static-camera video
+// the two goroutines' first renders race to build the shared background
+// raster; every raster must equal the per-pixel reference of a separately
+// generated video with the same seed, whichever goroutine built it. make
+// race runs it under the race detector.
+func TestRenderConcurrentColdStaticBackground(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	ref := GenerateKind("cold", KindHighway, 5, 12)
+	want := make([][]float32, ref.NumFrames())
+	for i := range want {
+		want[i] = ref.renderRef(i).Pix
+	}
+	v := GenerateKind("cold", KindHighway, 5, 12)
+	if v.bg == nil {
+		t.Fatal("highway camera is not static: the test no longer covers the background cache")
+	}
+	renderConcurrently(t, v, want)
+	if v.bg.pix == nil {
+		t.Error("the static background was never built")
+	}
+}
+
+// renderConcurrently has two goroutines, released together, render every
+// frame of v three times over in opposite orders into rasters of their own,
+// at two workers inside a par.Hold — rt.Run's prefetch stage and tracker
+// thread overlap this way — and requires each raster to equal want bit for
+// bit.
+func renderConcurrently(t *testing.T, v *Video, want [][]float32) {
+	t.Helper()
 	par.SetWorkers(2)
 	release := par.Hold()
 	defer release()
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			dst := imgproc.NewGray(v.Params.W, v.Params.H)
+			<-start
 			for round := range 3 {
 				for k := range want {
 					i := k
@@ -265,5 +349,6 @@ func TestRenderConcurrentCallersMatchSerial(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"adavp/internal/core"
 	"adavp/internal/geom"
 	"adavp/internal/imgproc"
+	"adavp/internal/par"
 )
 
 func TestRenderDeterministic(t *testing.T) {
@@ -150,10 +151,23 @@ func TestObjectLumaStable(t *testing.T) {
 	}
 }
 
+// BenchmarkRenderFrame renders the frames of a video into one raster inside a
+// par.Hold, as pixel runs do: static is a highway video, whose frames copy
+// the background the first render built; moving is a car-highway video,
+// whose frames each compute theirs.
 func BenchmarkRenderFrame(b *testing.B) {
-	v := GenerateKind("v", KindHighway, 1, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.Render(i % 30)
+	defer par.Hold()()
+	for _, c := range []struct {
+		name string
+		kind Kind
+	}{{"static", KindHighway}, {"moving", KindCarHighway}} {
+		b.Run(c.name, func(b *testing.B) {
+			v := GenerateKind("v", c.kind, 1, 30)
+			dst := imgproc.NewGray(v.Params.W, v.Params.H)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.RenderInto(i%30, dst)
+			}
+		})
 	}
 }

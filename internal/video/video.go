@@ -34,6 +34,10 @@ type Video struct {
 	// through the part that owns it, since rendering is seeded per part.
 	parts     []*Video
 	partStart []int
+
+	// bg is non-nil when every frame has the same camera offset: the first
+	// pixel render builds the background raster all frames share.
+	bg *staticBackground
 }
 
 // Generate builds a video of the given length from a scenario preset and a
@@ -64,6 +68,15 @@ func Generate(name string, p Params, seed uint64, frames int) *Video {
 			// (and the dataset records) nothing.
 			v.truth[i] = nil
 		}
+	}
+	// A static camera sees one background in every frame; its raster is
+	// built by the first pixel render, so model-mode runs never pay for it.
+	static := frames > 0
+	for i := range v.camX {
+		static = static && v.camX[i] == v.camX[0] && v.camY[i] == v.camY[0]
+	}
+	if static {
+		v.bg = new(staticBackground)
 	}
 	// Variable/dropped frame rate: a dropped frame repeats the previous
 	// delivered frame — truth and raster together, so the video stays
