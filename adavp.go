@@ -35,7 +35,6 @@ import (
 
 	"adavp/internal/adapt"
 	"adavp/internal/core"
-	"adavp/internal/detect"
 	"adavp/internal/energy"
 	"adavp/internal/experiments"
 	"adavp/internal/fault"
@@ -46,7 +45,6 @@ import (
 	"adavp/internal/serve"
 	"adavp/internal/sim"
 	"adavp/internal/trace"
-	"adavp/internal/track"
 	"adavp/internal/video"
 )
 
@@ -263,21 +261,17 @@ type Result struct {
 // (seed Seed+i) from opts; PolicyInvalid means AdaVP.
 func simConfig(opts Options, i int) sim.Config {
 	cfg := sim.Config{
-		Policy:  opts.Policy,
-		Setting: opts.Setting,
-		Seed:    opts.Seed + uint64(i),
-		Alpha:   opts.Alpha,
-		IoU:     opts.IoU,
-		Fault:   opts.Fault,
-		Obs:     opts.Obs,
+		Policy:    opts.Policy,
+		Setting:   opts.Setting,
+		Seed:      opts.Seed + uint64(i),
+		Alpha:     opts.Alpha,
+		IoU:       opts.IoU,
+		PixelMode: opts.PixelMode,
+		Fault:     opts.Fault,
+		Obs:       opts.Obs,
 	}
 	if cfg.Policy == sim.PolicyInvalid {
 		cfg.Policy = PolicyAdaVP
-	}
-	if opts.PixelMode {
-		cfg.PixelMode = true
-		cfg.Detector = detect.NewBlobDetector()
-		cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
 	}
 	return cfg
 }
@@ -341,10 +335,6 @@ func rtConfig(opts Options, i int, timeScale float64) (rt.Config, error) {
 		cfg.Adaptation = adapt.DefaultModel()
 	} else if opts.Policy != PolicyMPDT {
 		return cfg, fmt.Errorf("adavp: live pipeline supports PolicyAdaVP and PolicyMPDT, not %v", opts.Policy)
-	}
-	if opts.PixelMode {
-		cfg.Detector = detect.NewBlobDetector()
-		cfg.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
 	}
 	return cfg, nil
 }

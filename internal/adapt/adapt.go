@@ -53,12 +53,16 @@ type Model struct {
 }
 
 // DefaultModel returns the pretrained adaptation model shipped with the
-// library. The constants were produced by the training pipeline in
+// library. The constants come from an early run of the training pipeline in
 // cmd/adavp-train over the standard synthetic training set (32 videos; the
-// paper's §IV-D.3 uses 105,205 frames); regenerate them with:
+// paper's §IV-D.3 uses 105,205 frames). They are stale: the pipeline has
+// changed since, and today
 //
 //	go run ./cmd/adavp-train
 //
+// fits 320 {0.60, 2.64, 5.90}, 416 {0.50, 3.25, 9.48}, 512 {0.63, 3.51,
+// 11.27} and 608 {0.54, 2.58, 13.97}. They are kept until the thresholds
+// are retrained on purpose, because replacing them moves every AdaVP run.
 // Velocities are in pixels/frame at the native 320×180 resolution.
 func DefaultModel() *Model {
 	return &Model{PerSetting: map[core.Setting]Thresholds{
@@ -87,6 +91,17 @@ func (m *Model) Next(current core.Setting, velocity float64) core.Setting {
 		}
 	}
 	return th.Decide(velocity)
+}
+
+// Smooth folds one per-cycle velocity v into the running estimate prev, the
+// input of Next: a light EWMA, because a single cycle's measurement is noisy
+// (few tracked steps) and the thresholds are trained on 1-second chunk
+// means. A negative prev (no measurement yet) takes v.
+func Smooth(prev, v float64) float64 {
+	if prev < 0 {
+		return v
+	}
+	return 0.3*prev + 0.7*v
 }
 
 // PublishDecision records one adaptation decision into the observability

@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"adavp/internal/adapt"
-	"adavp/internal/detect"
 	"adavp/internal/guard"
 	"adavp/internal/obs"
 	"adavp/internal/rt"
 	"adavp/internal/serve"
-	"adavp/internal/track"
 )
 
 // SoakRT runs the chaos soak on the live goroutine pipeline: rounds of
@@ -59,14 +57,10 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 				Adaptation: adapt.DefaultModel(),
 				Seed:       p.Seed,
 				TimeScale:  cfg.TimeScale,
-				Fault:      p.Fault,
-			}
-			if cfg.PipelineDepth > 1 {
 				// Pipelined preset: the prefetch stage only exists on the
-				// pixel path, so the soak swaps in the real kernels.
-				c.PixelMode = true
-				c.Detector = detect.NewBlobDetector()
-				c.NewTracker = func(uint64) track.Tracker { return track.NewPixelTracker() }
+				// pixel path, so the soak runs the real kernels.
+				PixelMode: cfg.PipelineDepth > 1,
+				Fault:     p.Fault,
 			}
 			specs[i] = serve.StreamSpec{ID: p.ID, Video: p.Video, Config: c}
 		}

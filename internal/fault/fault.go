@@ -40,7 +40,9 @@ import (
 	"adavp/internal/detect"
 	"adavp/internal/geom"
 	"adavp/internal/rng"
+	"adavp/internal/trace"
 	"adavp/internal/track"
+	"adavp/internal/video"
 )
 
 // Kind identifies one fault class of the taxonomy.
@@ -217,6 +219,12 @@ type Event struct {
 	Kind Kind
 }
 
+// Trace returns the event as an entry of a run's fault log; the call index
+// stands in for the cycle.
+func (ev Event) Trace() trace.FaultEvent {
+	return trace.FaultEvent{Component: ev.Component, Kind: ev.Kind.String(), Action: "injected", Cycle: ev.Call}
+}
+
 // injector is the shared bookkeeping of both wrappers.
 type injector struct {
 	sched *schedule
@@ -271,6 +279,29 @@ func (in *injector) Events() []Event {
 	out := make([]Event, len(in.events))
 	copy(out, in.events)
 	return out
+}
+
+// Components returns the detector and tracker of one run over v, chosen the
+// same way by both engines (internal/sim and internal/rt): an override (det,
+// newTracker) wins; otherwise pixel mode runs the BlobDetector and the
+// PixelTracker, and model mode the calibrated SimDetector and ModelTracker.
+func Components(v *video.Video, seed uint64, pixel bool, det detect.Detector, newTracker func(seed uint64) track.Tracker) (detect.Detector, track.Tracker) {
+	switch {
+	case det != nil:
+	case pixel:
+		det = detect.NewBlobDetector()
+	default:
+		det = detect.NewSimDetector(seed, v.Params.W, v.Params.H)
+	}
+	switch {
+	case newTracker != nil:
+		return det, newTracker(seed)
+	case pixel:
+		return det, track.NewPixelTracker()
+	}
+	mt := track.NewModelTracker(seed)
+	mt.SetBounds(v.Bounds())
+	return det, mt
 }
 
 // Detector wraps a detect.Detector with an injection schedule. It is safe

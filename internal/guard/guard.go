@@ -277,7 +277,7 @@ type Supervisor struct {
 // New returns a supervisor with the given (defaulted) config.
 func New(cfg Config) *Supervisor {
 	s := &Supervisor{cfg: cfg.WithDefaults()}
-	s.cfg.Obs.Gauge(obs.MetricGuardHealth, s.cfg.obsLabels()...).Set(float64(Healthy))
+	s.cfg.Obs.Gauge(obs.MetricGuardHealth, obs.WithStream(s.cfg.Stream)...).Set(float64(Healthy))
 	return s
 }
 
@@ -319,15 +319,6 @@ func (s *Supervisor) Events() []trace.FaultEvent {
 	return out
 }
 
-// obsLabels appends the stream label (multi-stream runs) to ls; with no
-// stream configured the series keep the single-stream schema.
-func (c Config) obsLabels(ls ...obs.Label) []obs.Label {
-	if c.Stream != "" {
-		ls = append(ls, obs.L("stream", c.Stream))
-	}
-	return ls
-}
-
 // event appends one record and mirrors it into the observability layer;
 // callers hold s.mu.
 func (s *Supervisor) event(component, kind, action string, cycle, frame int, at time.Duration) {
@@ -342,9 +333,9 @@ func (s *Supervisor) event(component, kind, action string, cycle, frame int, at 
 	s.cfg.Obs.Record(at, journalComponent, kind, action)
 	switch action {
 	case "timeout", "panic", "empty-burst":
-		s.cfg.Obs.Counter(obs.MetricGuardFaults, s.cfg.obsLabels(obs.L("component", component), obs.L("kind", action))...).Inc()
+		s.cfg.Obs.Counter(obs.MetricGuardFaults, obs.WithStream(s.cfg.Stream, obs.L("component", component), obs.L("kind", action))...).Inc()
 	case "retry", "downgrade", "recovered":
-		s.cfg.Obs.Counter(obs.MetricGuardActions, s.cfg.obsLabels(obs.L("action", action))...).Inc()
+		s.cfg.Obs.Counter(obs.MetricGuardActions, obs.WithStream(s.cfg.Stream, obs.L("action", action))...).Inc()
 	}
 }
 
@@ -352,7 +343,7 @@ func (s *Supervisor) event(component, kind, action string, cycle, frame int, at 
 // hold s.mu.
 func (s *Supervisor) setHealth(h Health) {
 	s.health = h
-	s.cfg.Obs.Gauge(obs.MetricGuardHealth, s.cfg.obsLabels()...).Set(float64(h))
+	s.cfg.Obs.Gauge(obs.MetricGuardHealth, obs.WithStream(s.cfg.Stream)...).Set(float64(h))
 }
 
 // callResult carries one supervised call's outcome across the goroutine.

@@ -138,6 +138,15 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
+// WithStream appends stream=<id> to ls in multi-stream runs; with no stream
+// (id empty) the series keep the single-stream schema.
+func WithStream(id string, ls ...Label) []Label {
+	if id == "" {
+		return ls
+	}
+	return append(ls, L("stream", id))
+}
+
 // Registry holds one run's metrics and journal. The zero value is not
 // usable; construct with NewRegistry. All methods are safe for concurrent
 // use, and every method (and every method of the instruments it returns) is

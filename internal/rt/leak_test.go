@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"adavp/internal/core"
-	"adavp/internal/detect"
 	"adavp/internal/leaktest"
 	"adavp/internal/track"
 	"adavp/internal/video"
@@ -114,8 +113,6 @@ func TestRunPixelRingLeaksNoGoroutines(t *testing.T) {
 		TimeScale:     0.01,
 		Seed:          1,
 		PixelMode:     true,
-		Detector:      detect.NewBlobDetector(),
-		NewTracker:    func(uint64) track.Tracker { return track.NewPixelTracker() },
 		PipelineDepth: 3,
 	}
 	for _, after := range []time.Duration{5, 20, 60} {

@@ -31,10 +31,6 @@ func TestLivePixelPipelineUsesParPool(t *testing.T) {
 		TimeScale: 0.01,
 		Seed:      1,
 		PixelMode: true,
-		Detector:  detect.NewBlobDetector(),
-		NewTracker: func(uint64) track.Tracker {
-			return track.NewPixelTracker()
-		},
 	}
 	r, err := Run(ctx, v, cfg)
 	if err != nil {

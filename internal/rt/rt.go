@@ -68,16 +68,19 @@ type Config struct {
 	// Adaptation enables AdaVP's runtime model switching; nil runs fixed
 	// MPDT.
 	Adaptation *adapt.Model
-	// Detector overrides the default calibrated detector.
+	// Detector overrides the default detector: the BlobDetector in pixel
+	// mode, the calibrated SimDetector otherwise.
 	Detector detect.Detector
-	// NewTracker overrides the default tracker factory.
+	// NewTracker overrides the default tracker factory: the PixelTracker in
+	// pixel mode, the ModelTracker otherwise.
 	NewTracker func(seed uint64) track.Tracker
 	// TimeScale scales all emulated latencies and the camera interval.
 	// 1.0 is real time; 0.02 runs fifty times faster. Default: 0.02.
 	TimeScale float64
 	// Seed derives detector noise and latency jitter.
 	Seed uint64
-	// PixelMode renders frames for pixel-based detectors/trackers.
+	// PixelMode renders frames and runs the pixel detector and tracker
+	// unless Detector or NewTracker override them.
 	PixelMode bool
 	// Fault, when set, wraps the detector and tracker with the profile's
 	// deterministic fault schedule (internal/fault, Live mode).
@@ -222,14 +225,6 @@ type cycleWork struct {
 	Generation uint64
 }
 
-// streamLabels appends stream=<id> to a series' labels in multi-stream runs.
-func streamLabels(id string, ls ...obs.Label) []obs.Label {
-	if id == "" {
-		return ls
-	}
-	return append(ls, obs.L("stream", id))
-}
-
 // Run executes the live pipeline over a video. It returns when every frame
 // has been fed and all in-flight work has drained. When ctx is cancelled
 // mid-run it returns the *partial* Result alongside the error, so callers
@@ -241,18 +236,7 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("rt: empty video")
 	}
 	cfg.Guard.Obs, cfg.Guard.Stream = cfg.Obs, cfg.StreamID
-	det := cfg.Detector
-	if det == nil {
-		det = detect.NewSimDetector(cfg.Seed, v.Params.W, v.Params.H)
-	}
-	var tr track.Tracker
-	if cfg.NewTracker != nil {
-		tr = cfg.NewTracker(cfg.Seed)
-	} else {
-		mt := track.NewModelTracker(cfg.Seed)
-		mt.SetBounds(v.Bounds())
-		tr = mt
-	}
+	det, tr := fault.Components(v, cfg.Seed, cfg.PixelMode, cfg.Detector, cfg.NewTracker)
 	p := &pipeline{
 		v:        v,
 		cfg:      cfg,
@@ -345,7 +329,7 @@ type pipeline struct {
 }
 
 func (p *pipeline) resolveSeries() {
-	reg, ls := p.cfg.Obs, streamLabels(p.cfg.StreamID)
+	reg, ls := p.cfg.Obs, obs.WithStream(p.cfg.StreamID)
 	p.stream = ls
 	p.deferredC = reg.Counter(obs.MetricDetectDeferred, ls...)
 	p.cyclesC = reg.Counter(obs.MetricCycles, ls...)
@@ -781,12 +765,9 @@ func (p *pipeline) finish() *Result {
 				res.Injected[src.comp+":"+k.String()] = c
 			}
 			for _, ev := range src.events {
-				res.Events = append(res.Events, trace.FaultEvent{
-					Component: ev.Component, Kind: ev.Kind.String(),
-					Action: "injected", Cycle: ev.Call,
-				})
+				res.Events = append(res.Events, ev.Trace())
 				p.cfg.Obs.Counter(obs.MetricFaultsInjected,
-					streamLabels(p.cfg.StreamID, obs.L("component", ev.Component), obs.L("kind", ev.Kind.String()))...).Inc()
+					obs.WithStream(p.cfg.StreamID, obs.L("component", ev.Component), obs.L("kind", ev.Kind.String()))...).Inc()
 				component := ev.Component
 				if p.cfg.StreamID != "" {
 					component += "@" + p.cfg.StreamID
@@ -802,7 +783,7 @@ func (p *pipeline) finish() *Result {
 	}
 	for src := core.SourceNone + 1; src <= core.SourceHeld; src++ {
 		if n := bySource[src]; n > 0 {
-			p.cfg.Obs.Counter(obs.MetricFrames, streamLabels(p.cfg.StreamID, obs.L("source", src.String()))...).Add(n)
+			p.cfg.Obs.Counter(obs.MetricFrames, obs.WithStream(p.cfg.StreamID, obs.L("source", src.String()))...).Add(n)
 		}
 	}
 	res.FrameF1, res.Accuracy, res.MeanF1 = evaluate(p.v, p.outputs, len(p.outputs))

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"adavp/internal/core"
-	"adavp/internal/detect"
 	"adavp/internal/guard"
 	"adavp/internal/obs"
 	"adavp/internal/rt"
-	"adavp/internal/track"
 	"adavp/internal/video"
 )
 
@@ -280,10 +278,6 @@ func TestServePipelinedPrefetchWhileWaiting(t *testing.T) {
 				TimeScale: 0.01,
 				Seed:      uint64(200 + i),
 				PixelMode: true,
-				Detector:  detect.NewBlobDetector(),
-				NewTracker: func(uint64) track.Tracker {
-					return track.NewPixelTracker()
-				},
 			},
 		}
 	}

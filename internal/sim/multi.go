@@ -123,11 +123,9 @@ type MultiResult struct {
 // mstream is one stream's engine-side state; serve.RunVirtual owns its
 // request state (when it asked, whether it is queued or retired).
 type mstream struct {
-	id       string
-	e        *engine
-	st       *parallelState
-	adaptive bool
-	started  bool // bootstrap cycle granted
+	id string
+	e  *engine
+	st *parallelState
 	// deferring marks a pending request already counted as deferred: the
 	// refusal→retry loop re-attempts the same detection at successive frame
 	// intervals, and the deferral counter counts the deferred detection once,
@@ -150,11 +148,7 @@ type multiRun struct {
 // absent a post-grant adaptation switch — the batch compatibility key.
 func (r *multiRun) Key(i int) serve.Request {
 	m := r.ms[i]
-	setting := m.e.cfg.Setting
-	if m.started {
-		setting = m.st.setting
-	}
-	return serve.Request{Stream: m.id, Setting: setting, LastCalib: m.lastCalib}
+	return serve.Request{Stream: m.id, Setting: m.st.setting, LastCalib: m.lastCalib}
 }
 
 // Refused defers the stream by one frame interval: its tracker keeps
@@ -180,12 +174,7 @@ func (r *multiRun) Plan(i int, requested, grant time.Duration) (time.Duration, b
 	m := r.ms[i]
 	m.deferring = false
 	wait := grant - requested
-	if !m.started {
-		m.plan = m.e.planBootstrap(grant)
-		m.started = true
-	} else {
-		m.plan = m.e.planCycle(m.st, m.adaptive, grant)
-	}
+	m.plan = m.e.planCycle(m.st, grant)
 	m.out.Grants++
 	m.out.MaxWait = max(m.out.MaxWait, wait)
 	if r.obs != nil {
@@ -246,13 +235,8 @@ func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err err
 		}
 		c.Obs = cfg.Obs
 		c.streamLabel = s.ID
-		run.ms[i] = &mstream{
-			id:       s.ID,
-			e:        newEngine(s.Video, c),
-			st:       &parallelState{},
-			adaptive: c.Policy == PolicyAdaVP,
-			out:      StreamOutcome{ID: s.ID},
-		}
+		e := newEngine(s.Video, c)
+		run.ms[i] = &mstream{id: s.ID, e: e, st: e.newParallelState(), out: StreamOutcome{ID: s.ID}}
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -261,7 +245,7 @@ func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err err
 	}()
 
 	cfg.Obs.Gauge(obs.MetricStreams).Set(float64(len(streams)))
-	// Every stream asks for its bootstrap cycle at time zero.
+	// Every stream asks for its first cycle at time zero.
 	sched := serve.RunVirtual(make([]time.Duration, len(streams)), run, serve.VirtualConfig{
 		Slots: cfg.Slots, QueueBound: cfg.QueueBound, Batch: cfg.Batch, Obs: cfg.Obs,
 	})

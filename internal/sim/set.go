@@ -150,19 +150,15 @@ func videoTrainingSamples(v *video.Video, vi int, seed uint64) ([]adapt.Sample, 
 			ps.f1[c] = metrics.Mean(r.Run.FrameF1[c*chunk : (c+1)*chunk])
 		}
 		// Per-cycle velocities, smoothed exactly like the runtime
-		// adaptation input (EWMA over cycles) so the training feature
-		// distribution matches what the deployed module will see, and
-		// attributed to the chunk containing the cycle's end.
+		// adaptation input (adapt.Smooth over cycles) so the training
+		// feature distribution matches what the deployed module will see,
+		// and attributed to the chunk containing the cycle's end.
 		ewma := -1.0
 		for _, cyc := range r.Run.Cycles {
 			if cyc.Velocity < 0 {
 				continue
 			}
-			if ewma < 0 {
-				ewma = cyc.Velocity
-			} else {
-				ewma = 0.3*ewma + 0.7*cyc.Velocity
-			}
+			ewma = adapt.Smooth(ewma, cyc.Velocity)
 			c := int(cyc.End / v.FrameInterval() / time.Duration(chunk))
 			if c >= 0 && c < numChunks {
 				ps.vel[c] = append(ps.vel[c], ewma)

@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"adavp/internal/adapt"
@@ -82,12 +83,15 @@ type Config struct {
 	Setting core.Setting
 	// Adaptation overrides the pretrained model (AdaVP only).
 	Adaptation *adapt.Model
-	// Detector overrides the default calibrated SimDetector.
+	// Detector overrides the default detector: the BlobDetector in pixel
+	// mode, the calibrated SimDetector otherwise.
 	Detector detect.Detector
-	// NewTracker overrides the default ModelTracker factory.
+	// NewTracker overrides the default tracker factory: the PixelTracker in
+	// pixel mode, the ModelTracker otherwise.
 	NewTracker func(seed uint64) track.Tracker
-	// PixelMode renders every processed frame and is required when Detector
-	// or NewTracker operate on pixels. Slow; meant for small studies.
+	// PixelMode renders every processed frame and runs the pixel detector and
+	// tracker unless Detector or NewTracker override them. Slow; meant for
+	// small studies.
 	PixelMode bool
 	// Fault, when set, wraps the detector and tracker with the profile's
 	// deterministic fault schedule (internal/fault). The virtual clock runs
@@ -176,7 +180,7 @@ func Run(v *video.Video, cfg Config) (res *Result, err error) {
 	e := newEngine(v, cfg)
 	switch cfg.Policy {
 	case PolicyAdaVP, PolicyMPDT:
-		e.runParallel(cfg.Policy == PolicyAdaVP)
+		e.runParallel()
 	case PolicyMARLIN:
 		e.runMARLIN()
 	case PolicyNoTracking:
@@ -207,18 +211,7 @@ type engine struct {
 
 func newEngine(v *video.Video, cfg Config) *engine {
 	root := rng.New(cfg.Seed).DeriveString("sim")
-	det := cfg.Detector
-	if det == nil {
-		det = detect.NewSimDetector(cfg.Seed, v.Params.W, v.Params.H)
-	}
-	var tr track.Tracker
-	if cfg.NewTracker != nil {
-		tr = cfg.NewTracker(cfg.Seed)
-	} else {
-		mt := track.NewModelTracker(cfg.Seed)
-		mt.SetBounds(v.Bounds())
-		tr = mt
-	}
+	det, tr := fault.Components(v, cfg.Seed, cfg.PixelMode, cfg.Detector, cfg.NewTracker)
 	model := cfg.Adaptation
 	if model == nil {
 		model = adapt.DefaultModel()
@@ -255,14 +248,6 @@ func (e *engine) frame(i int) core.Frame {
 	return e.v.Frame(i)
 }
 
-// detect runs the detector and sanitizes its output: malformed detections
-// (garbage/NaN faults, buggy detectors) must never reach the tracker or the
-// display. Sanitize is the identity on well-formed batches, so fault-free
-// runs are unchanged.
-func (e *engine) detect(f core.Frame, s core.Setting) []core.Detection {
-	return detect.Sanitize(e.det.Detect(f, s))
-}
-
 // track steps the tracker and sanitizes the returned boxes.
 func (e *engine) track(f core.Frame) ([]core.Detection, float64) {
 	dets, vel := e.tracker.Step(f)
@@ -278,15 +263,6 @@ func (e *engine) capturedAt(t time.Duration) int {
 	return idx
 }
 
-// obsLabels returns the extra labels this run publishes under: stream=<id>
-// in multi-stream runs, nothing in single-stream ones.
-func (e *engine) obsLabels() []obs.Label {
-	if e.cfg.streamLabel == "" {
-		return nil
-	}
-	return []obs.Label{obs.L("stream", e.cfg.streamLabel)}
-}
-
 // busy records a busy interval and returns its end. It is also the
 // observability choke point: every hardware-busy span maps to one stage
 // latency observation, exactly mirroring what trace.Run.Hydrate later
@@ -295,214 +271,43 @@ func (e *engine) busy(res trace.Resource, s core.Setting, start, dur time.Durati
 	end := start + dur
 	e.run.Busy = append(e.run.Busy, trace.Interval{Resource: res, Setting: s, Start: start, End: end})
 	if e.cfg.Obs != nil {
-		trace.ObserveInterval(e.cfg.Obs, res, s, dur, e.obsLabels()...)
+		trace.ObserveInterval(e.cfg.Obs, res, s, dur, obs.WithStream(e.cfg.streamLabel)...)
 	}
 	return end
 }
 
-// parallelState carries the MPDT/AdaVP loop state between detection cycles.
-// Single-stream runs drive it in a tight loop (runParallel); the multi-stream
-// scheduler (RunMulti) keeps one per stream and interleaves cycles from many
-// engines over shared detector slots, granting each stream one cycle at a
-// time at whatever virtual time its slot became available.
-type parallelState struct {
-	prevFrame    int
-	prevDets     []core.Detection
-	setting      core.Setting
-	lastVelocity float64 // EWMA of per-cycle velocity; <0 means no measurement
-	cycle        int
+// calibrate is one detection, the step every policy shares: frame i runs at
+// setting s on the GPU from start to end, and its boxes become frame i's
+// output, ready at end. The boxes are sanitized: malformed detections
+// (garbage/NaN faults, buggy detectors) must never reach the tracker or the
+// display, and Sanitize is the identity on well-formed batches.
+func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) []core.Detection {
+	e.busy(trace.ResourceGPU, s, start, end-start)
+	dets := detect.Sanitize(e.det.Detect(e.frame(i), s))
+	e.outputs[i] = core.FrameOutput{FrameIndex: i, Source: core.SourceDetector, Setting: s, Detections: dets, Ready: end}
+	return dets
 }
 
-// cyclePlan is the pre-execution half of one detection cycle: everything the
-// scheduler must know *before* committing GPU time — the adaptation decision
-// (applied to st), the frame to detect and the single-request detection
-// duration draw. Splitting plan from exec is what lets the batching
-// scheduler plan every member of a batch first, fuse their durations through
-// serve.BatchLatency, and then execute each member against the shared batch
-// end time; the unbatched path recombines them with end = now+detDur, and
-// because plan and exec together perform the engine's rng draws in exactly
-// the pre-split order, the B=1 schedule is byte-identical to the
-// one-request-per-grant scheduler.
-type cyclePlan struct {
-	bootstrap bool
-	start     time.Duration // grant time, before any setting switch
-	now       time.Duration // detection start: grant plus switch overhead
-	frame     int           // frame to detect
-	setting   core.Setting  // setting the detection runs at
-	detDur    time.Duration // single-request detection duration draw
-	done      bool          // video exhausted: no detection, slot frees at now
-}
+// noDeadline lets trackFrames step through its whole plan: the sequential
+// baseline never overlaps a detection that could cut its tracking short.
+const noDeadline = time.Duration(math.MaxInt64)
 
-// span is the plan's single-request slot span: switch overhead plus one
-// unbatched inference (zero-detection for a done plan).
-func (p cyclePlan) span() time.Duration {
-	return p.now - p.start + p.detDur
-}
-
-// planBootstrap plans the mandatory first cycle — detect frame 0 at the
-// configured setting — starting at the given virtual time.
-func (e *engine) planBootstrap(start time.Duration) cyclePlan {
-	setting := e.cfg.Setting
-	return cyclePlan{bootstrap: true, start: start, now: start, frame: 0, setting: setting, detDur: e.lat.Detect(setting)}
-}
-
-// bootstrapCycle plans and immediately executes the first cycle — the
-// unbatched path — and returns when the detection completes.
-func (e *engine) bootstrapCycle(st *parallelState, start time.Duration) time.Duration {
-	p := e.planBootstrap(start)
-	return e.execCycle(st, p, p.now+p.detDur)
-}
-
-// planCycle plans one detection-and-tracking cycle starting at the given
-// virtual time: the adaptation decision (AdaVP, applied to st), the frame to
-// detect and the detection duration draw. A done plan means the video is
-// exhausted — no detection runs and the slot frees at plan.now (at most a
-// setting-switch overhead past the grant).
-func (e *engine) planCycle(st *parallelState, adaptive bool, start time.Duration) cyclePlan {
-	n := e.v.NumFrames()
-	now := start
-
-	// Adaptation decision (AdaVP): velocity measured during the cycle
-	// that just completed chooses the setting for the next one.
-	if adaptive && st.lastVelocity >= 0 {
-		if next := e.model.Next(st.setting, st.lastVelocity); next != st.setting {
-			took := e.lat.SettingSwitch()
-			e.run.Switches = append(e.run.Switches, trace.Switch{CycleIndex: st.cycle, From: st.setting, To: next, At: now, Took: took})
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, took, now, e.obsLabels()...)
-			now += took
-			st.setting = next
-		} else {
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, 0, now, e.obsLabels()...)
-		}
-	}
-
-	nextFrame := e.capturedAt(now)
-	if nextFrame <= st.prevFrame {
-		nextFrame = st.prevFrame + 1
-	}
-	if nextFrame >= n {
-		return cyclePlan{start: start, now: now, setting: st.setting, done: true}
-	}
-	return cyclePlan{start: start, now: now, frame: nextFrame, setting: st.setting, detDur: e.lat.Detect(st.setting)}
-}
-
-// execCycle executes a planned cycle with the slot held until end: the
-// detection on the GPU (end ≥ now+detDur under batching — the fused batch
-// stretches every member to the batch's completion) with the buffered frames
-// tracked concurrently on the CPU inside the same window. It returns end.
-func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) time.Duration {
-	detEnd := e.busy(trace.ResourceGPU, p.setting, p.now, end-p.now)
-	dets := e.detect(e.frame(p.frame), p.setting)
-
-	if p.bootstrap {
-		e.outputs[0] = core.FrameOutput{FrameIndex: 0, Source: core.SourceDetector, Setting: p.setting, Detections: dets, Ready: detEnd}
-		e.run.Cycles = append(e.run.Cycles, trace.Cycle{Index: 0, Setting: p.setting, DetectedFrame: 0, Start: p.now, End: detEnd, Velocity: -1})
-		st.prevFrame = 0
-		st.prevDets = dets
-		st.setting = p.setting
-		st.lastVelocity = -1
-		st.cycle = 1
-		return detEnd
-	}
-
-	// CPU, concurrently: track the buffered frames (prevFrame+1 ..
-	// frame-1) against prevFrame's detections, within the detection
-	// window.
-	buffered := p.frame - 1 - st.prevFrame
-	tracked, velocity := e.trackCycle(st.prevFrame, st.prevDets, p.frame, p.setting, p.now, end-p.now)
-	if buffered > 0 {
-		e.selector.Update(tracked, buffered)
-	}
-	// Lightly smooth the velocity across cycles: single-cycle
-	// measurements are noisy (few tracked steps) and the training
-	// distribution is 1-second chunk means.
-	if velocity >= 0 {
-		if st.lastVelocity < 0 || e.cfg.NoVelocitySmoothing {
-			st.lastVelocity = velocity
-		} else {
-			st.lastVelocity = 0.3*st.lastVelocity + 0.7*velocity
-		}
-	}
-
-	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
-		Index: st.cycle, Setting: p.setting, DetectedFrame: p.frame,
-		Start: p.now, End: detEnd,
-		FramesBuffered: buffered, FramesTracked: tracked, Velocity: velocity,
-	})
-	e.outputs[p.frame] = core.FrameOutput{FrameIndex: p.frame, Source: core.SourceDetector, Setting: p.setting, Detections: dets, Ready: detEnd}
-
-	st.prevFrame = p.frame
-	st.prevDets = dets
-	st.cycle++
-	return detEnd
-}
-
-// nextCycle plans and immediately executes one cycle — the unbatched path.
-// It returns the time the cycle's slot frees up and whether the video is
-// exhausted.
-func (e *engine) nextCycle(st *parallelState, adaptive bool, start time.Duration) (time.Duration, bool) {
-	p := e.planCycle(st, adaptive, start)
-	if p.done {
-		return p.now, true
-	}
-	return e.execCycle(st, p, p.now+p.detDur), false
-}
-
-// runParallel implements MPDT and AdaVP: GPU and CPU work concurrently. It
-// is the single-stream special case of the multi-stream scheduler — the one
-// detector slot is always immediately re-granted to the same stream.
-func (e *engine) runParallel(adaptive bool) {
-	st := &parallelState{}
-	now := e.bootstrapCycle(st, 0)
-	for {
-		end, done := e.nextCycle(st, adaptive, now)
-		now = end
-		if done {
-			break
-		}
-	}
-	e.run.Duration = maxDuration(now, time.Duration(e.v.NumFrames())*e.delta)
-}
-
-// trackCycle runs the tracker over the frames buffered during one detection,
-// writing tracked outputs. It returns the number of frames tracked and the
-// mean motion velocity observed (-1 when nothing could be measured).
-func (e *engine) trackCycle(refFrame int, refDets []core.Detection, endFrame int, setting core.Setting, start, budget time.Duration) (int, float64) {
-	buffered := endFrame - 1 - refFrame
-	if buffered <= 0 {
-		return 0, -1
-	}
-	deadline := start + budget
-	cursor := start
-
-	// Feature extraction on the reference frame (Table II: ~40 ms).
-	featDur := e.lat.FeatureExtract()
-	if cursor+featDur > deadline {
-		return 0, -1
-	}
-	e.tracker.Init(e.frame(refFrame), refDets)
-	cursor = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, cursor, featDur)
-	// The adaptation module also reads the motion features (negligible).
-	cursor += e.lat.MotionFeature()
-
-	plan := e.selector.Plan(buffered)
-	if e.cfg.TrackAllFrames {
-		plan = plan[:0]
-		for i := 0; i < buffered; i++ {
-			plan = append(plan, i)
-		}
-	}
+// trackFrames is the tracking step every tracking policy shares: it steps the
+// tracker through the planned frames (offsets past ref) from boxes cur,
+// starting at virtual time cursor, and writes each tracked output. A frame
+// whose tracking and overlay would end past deadline stops the loop (§IV-B:
+// when the detector finishes, the tracker cancels its remaining tasks). It
+// returns the frames tracked, their mean valid velocity (-1 without one),
+// the cursor and the last boxes.
+func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting core.Setting, cursor, deadline time.Duration) (int, float64, time.Duration, []core.Detection) {
 	tracked := 0
 	var velSum float64
 	var velN int
-	cur := refDets
 	for _, idx := range plan {
-		frameIdx := refFrame + 1 + idx
+		frameIdx := ref + 1 + idx
 		trackDur := e.lat.TrackFrame(len(cur))
 		overlayDur := e.lat.Overlay()
 		if cursor+trackDur+overlayDur > deadline {
-			// §IV-B: when the detector finishes, the tracker cancels its
-			// remaining tasks.
 			break
 		}
 		dets, vel := e.track(e.frame(frameIdx))
@@ -519,9 +324,171 @@ func (e *engine) trackCycle(refFrame int, refDets []core.Detection, endFrame int
 		tracked++
 	}
 	if velN == 0 {
-		return tracked, -1
+		return tracked, -1, cursor, cur
 	}
-	return tracked, velSum / float64(velN)
+	return tracked, velSum / float64(velN), cursor, cur
+}
+
+// parallelState carries the MPDT/AdaVP loop state between detection cycles.
+// Single-stream runs drive it in a tight loop (runParallel); the multi-stream
+// scheduler (RunMulti) keeps one per stream and interleaves cycles from many
+// engines over shared detector slots, granting each stream one cycle at a
+// time at whatever virtual time its slot became available.
+type parallelState struct {
+	prevFrame    int // last detected frame; <0 before the first calibration
+	prevDets     []core.Detection
+	setting      core.Setting
+	lastVelocity float64 // EWMA of per-cycle velocity; <0 means no measurement
+	cycle        int
+}
+
+// newParallelState is a stream's state before its first cycle.
+func (e *engine) newParallelState() *parallelState {
+	return &parallelState{prevFrame: -1, lastVelocity: -1, setting: e.cfg.Setting}
+}
+
+// cyclePlan is the pre-execution half of one detection cycle: everything the
+// scheduler must know *before* committing GPU time — the adaptation decision
+// (applied to st), the frame to detect and the single-request detection
+// duration draw. Splitting plan from exec is what lets the batching
+// scheduler plan every member of a batch first, fuse their durations through
+// serve.BatchLatency, and then execute each member against the shared batch
+// end time; the unbatched path recombines them with end = now+detDur, and
+// because plan and exec together perform the engine's rng draws in exactly
+// the pre-split order, the B=1 schedule is byte-identical to the
+// one-request-per-grant scheduler.
+type cyclePlan struct {
+	start   time.Duration // grant time, before any setting switch
+	now     time.Duration // detection start: grant plus switch overhead
+	frame   int           // frame to detect
+	setting core.Setting  // setting the detection runs at
+	detDur  time.Duration // single-request detection duration draw
+	done    bool          // video exhausted: no detection, slot frees at now
+}
+
+// span is the plan's single-request slot span: switch overhead plus one
+// unbatched inference (zero-detection for a done plan).
+func (p cyclePlan) span() time.Duration {
+	return p.now - p.start + p.detDur
+}
+
+// planCycle plans one detection-and-tracking cycle starting at the given
+// virtual time: the adaptation decision (AdaVP, applied to st), the frame to
+// detect and the detection duration draw. A stream's first cycle detects
+// frame 0, however late its grant comes. A done plan means the video is
+// exhausted — no detection runs and the slot frees at plan.now (at most a
+// setting-switch overhead past the grant).
+func (e *engine) planCycle(st *parallelState, start time.Duration) cyclePlan {
+	n := e.v.NumFrames()
+	now := start
+
+	// Adaptation decision (AdaVP): velocity measured during the cycle
+	// that just completed chooses the setting for the next one.
+	if e.cfg.Policy == PolicyAdaVP && st.lastVelocity >= 0 {
+		labels := obs.WithStream(e.cfg.streamLabel)
+		if next := e.model.Next(st.setting, st.lastVelocity); next != st.setting {
+			took := e.lat.SettingSwitch()
+			e.run.Switches = append(e.run.Switches, trace.Switch{CycleIndex: st.cycle, From: st.setting, To: next, At: now, Took: took})
+			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, took, now, labels...)
+			now += took
+			st.setting = next
+		} else {
+			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, 0, now, labels...)
+		}
+	}
+
+	nextFrame := e.capturedAt(now)
+	switch {
+	case st.prevFrame < 0:
+		nextFrame = 0
+	case nextFrame <= st.prevFrame:
+		nextFrame = st.prevFrame + 1
+	}
+	if nextFrame >= n {
+		return cyclePlan{start: start, now: now, setting: st.setting, done: true}
+	}
+	return cyclePlan{start: start, now: now, frame: nextFrame, setting: st.setting, detDur: e.lat.Detect(st.setting)}
+}
+
+// execCycle executes a planned cycle with the slot held until end: the
+// detection on the GPU (end ≥ now+detDur under batching — the fused batch
+// stretches every member to the batch's completion) with the buffered frames
+// tracked concurrently on the CPU inside the same window. It returns end.
+func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) time.Duration {
+	dets := e.calibrate(p.frame, p.setting, p.now, end)
+
+	// CPU, concurrently: track the buffered frames (prevFrame+1 ..
+	// frame-1) against prevFrame's detections, within the detection
+	// window.
+	buffered := p.frame - 1 - st.prevFrame
+	tracked, velocity := e.trackCycle(st.prevFrame, st.prevDets, p.frame, p.setting, p.now, end)
+	if buffered > 0 {
+		e.selector.Update(tracked, buffered)
+	}
+	switch {
+	case velocity < 0:
+	case e.cfg.NoVelocitySmoothing:
+		st.lastVelocity = velocity
+	default:
+		st.lastVelocity = adapt.Smooth(st.lastVelocity, velocity)
+	}
+
+	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
+		Index: st.cycle, Setting: p.setting, DetectedFrame: p.frame,
+		Start: p.now, End: end,
+		FramesBuffered: buffered, FramesTracked: tracked, Velocity: velocity,
+	})
+	st.prevFrame = p.frame
+	st.prevDets = dets
+	st.cycle++
+	return end
+}
+
+// runParallel implements MPDT and AdaVP: GPU and CPU work concurrently. It
+// is the single-stream special case of the multi-stream scheduler — the one
+// detector slot is always immediately re-granted to the same stream.
+func (e *engine) runParallel() {
+	st := e.newParallelState()
+	var now time.Duration
+	for {
+		p := e.planCycle(st, now)
+		if p.done {
+			now = p.now
+			break
+		}
+		now = e.execCycle(st, p, p.now+p.detDur)
+	}
+	e.run.Duration = maxDuration(now, time.Duration(e.v.NumFrames())*e.delta)
+}
+
+// trackCycle runs the tracker over the frames buffered during one detection
+// (those between refFrame and endFrame), writing tracked outputs, from start
+// until the detection ends at deadline. It returns the number of frames
+// tracked and the mean motion velocity observed (-1 when nothing could be
+// measured).
+func (e *engine) trackCycle(refFrame int, refDets []core.Detection, endFrame int, setting core.Setting, start, deadline time.Duration) (int, float64) {
+	buffered := endFrame - 1 - refFrame
+	if buffered <= 0 {
+		return 0, -1
+	}
+	// Feature extraction on the reference frame (Table II: ~40 ms).
+	featDur := e.lat.FeatureExtract()
+	if start+featDur > deadline {
+		return 0, -1
+	}
+	e.tracker.Init(e.frame(refFrame), refDets)
+	// The adaptation module also reads the motion features (negligible).
+	cursor := e.busy(trace.ResourceCPUTrack, core.SettingInvalid, start, featDur) + e.lat.MotionFeature()
+
+	plan := e.selector.Plan(buffered)
+	if e.cfg.TrackAllFrames {
+		plan = plan[:0]
+		for i := 0; i < buffered; i++ {
+			plan = append(plan, i)
+		}
+	}
+	tracked, velocity, _, _ := e.trackFrames(refFrame, plan, refDets, setting, cursor, deadline)
+	return tracked, velocity
 }
 
 // runMARLIN implements the sequential baseline: the tracker runs between
@@ -536,10 +503,8 @@ func (e *engine) runMARLIN() {
 	detFrame := 0
 	for {
 		// Detection (tracker idle).
-		dur := e.lat.Detect(setting)
-		end := e.busy(trace.ResourceGPU, setting, now, dur)
-		dets := e.detect(e.frame(detFrame), setting)
-		e.outputs[detFrame] = core.FrameOutput{FrameIndex: detFrame, Source: core.SourceDetector, Setting: setting, Detections: dets, Ready: end}
+		end := now + e.lat.Detect(setting)
+		dets := e.calibrate(detFrame, setting, now, end)
 		e.run.Cycles = append(e.run.Cycles, trace.Cycle{Index: cycle, Setting: setting, DetectedFrame: detFrame, Start: now, End: end})
 		cycle++
 		now = end
@@ -547,7 +512,7 @@ func (e *engine) runMARLIN() {
 		// Feature extraction, then sequential tracking: the tracker works
 		// through the backlog that accumulated during detection (Fig. 4's
 		// frames m0+1 .. m1-1), round by round, applying the same
-		// tracking-frame selection as MPDT. A tracked step whose velocity
+		// tracking-frame selection as MPDT. A round whose mean velocity
 		// exceeds the scene-change threshold re-triggers the detector.
 		featDur := e.lat.FeatureExtract()
 		e.tracker.Init(e.frame(detFrame), dets)
@@ -567,32 +532,12 @@ func (e *engine) runMARLIN() {
 				live = cursorFrame + 1
 			}
 			backlog := live - cursorFrame
-			plan := e.selector.Plan(backlog)
-			tracked := 0
-			var velSum float64
-			var velN int
-			for _, idx := range plan {
-				frameIdx := cursorFrame + 1 + idx
-				trackDur := e.lat.TrackFrame(len(cur))
-				overlayDur := e.lat.Overlay()
-				dets2, vel := e.track(e.frame(frameIdx))
-				now = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, now, trackDur)
-				now = e.busy(trace.ResourceCPUOverlay, core.SettingInvalid, now, overlayDur)
-				e.outputs[frameIdx] = core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: setting, Detections: dets2, Ready: now}
-				cur = dets2
-				tracked++
-				if track.ValidVelocity(vel) {
-					velSum += vel
-					velN++
-				}
-			}
+			var tracked int
+			var velocity float64
+			tracked, velocity, now, cur = e.trackFrames(cursorFrame, e.selector.Plan(backlog), cur, setting, now, noDeadline)
 			cursorFrame = live
 			e.selector.Update(tracked, backlog)
-			// The change detector evaluates the round's aggregate velocity;
-			// a significant change re-triggers the detector.
-			if velN > 0 && velSum/float64(velN) > MARLINTrigger {
-				triggered = true
-			}
+			triggered = velocity > MARLINTrigger
 		}
 		if !triggered || cursorFrame >= n-1 {
 			break
@@ -619,10 +564,8 @@ func (e *engine) runNoTracking() {
 	frame := 0
 	cycle := 0
 	for frame < n {
-		dur := e.lat.Detect(setting)
-		end := e.busy(trace.ResourceGPU, setting, now, dur)
-		dets := e.detect(e.frame(frame), setting)
-		e.outputs[frame] = core.FrameOutput{FrameIndex: frame, Source: core.SourceDetector, Setting: setting, Detections: dets, Ready: end}
+		end := now + e.lat.Detect(setting)
+		e.calibrate(frame, setting, now, end)
 		e.run.Cycles = append(e.run.Cycles, trace.Cycle{Index: cycle, Setting: setting, DetectedFrame: frame, Start: now, End: end})
 		cycle++
 		now = end
@@ -644,10 +587,8 @@ func (e *engine) runContinuous() {
 	setting := e.cfg.Setting
 	var now time.Duration
 	for i := 0; i < n; i++ {
-		dur := e.lat.Detect(setting)
-		end := e.busy(trace.ResourceGPU, setting, now, dur)
-		dets := e.detect(e.frame(i), setting)
-		e.outputs[i] = core.FrameOutput{FrameIndex: i, Source: core.SourceDetector, Setting: setting, Detections: dets, Ready: end}
+		end := now + e.lat.Detect(setting)
+		e.calibrate(i, setting, now, end)
 		if i%64 == 0 || i == n-1 {
 			e.run.Cycles = append(e.run.Cycles, trace.Cycle{Index: i, Setting: setting, DetectedFrame: i, Start: now, End: end})
 		}
@@ -660,18 +601,11 @@ func (e *engine) runContinuous() {
 func (e *engine) finish() *Result {
 	n := e.v.NumFrames()
 	core.HoldFill(e.outputs[:n])
-	// Export the injected-fault log (call index stands in for the cycle;
-	// the virtual clock has no per-call timestamps for wrapped components).
+	// Export the injected-fault log (the virtual clock has no per-call
+	// timestamps for wrapped components).
 	if e.faultDet != nil {
-		for _, w := range []interface {
-			Events() []fault.Event
-		}{e.faultDet, e.faultTrk} {
-			for _, ev := range w.Events() {
-				e.run.Faults = append(e.run.Faults, trace.FaultEvent{
-					Component: ev.Component, Kind: ev.Kind.String(),
-					Action: "injected", Cycle: ev.Call,
-				})
-			}
+		for _, ev := range append(e.faultDet.Events(), e.faultTrk.Events()...) {
+			e.run.Faults = append(e.run.Faults, ev.Trace())
 		}
 	}
 	e.run.Outputs = e.outputs
@@ -683,7 +617,7 @@ func (e *engine) finish() *Result {
 	// gauge) is published through the same helper trace.Run.Hydrate uses, so
 	// an inline-instrumented run and a hydrated trace yield equal snapshots.
 	if e.cfg.Obs != nil {
-		e.run.HydrateOutcome(e.cfg.Obs, e.obsLabels()...)
+		e.run.HydrateOutcome(e.cfg.Obs, obs.WithStream(e.cfg.streamLabel)...)
 	}
 	return &Result{
 		Run:      e.run,

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -285,16 +287,7 @@ func TestRunWithPixelTrackerAndBlobDetector(t *testing.T) {
 	}
 	v := video.GenerateKind("hw", video.KindHighway, 5, 90)
 	base := leaktest.Count()
-	r, err := Run(v, Config{
-		Policy:    PolicyMPDT,
-		Setting:   core.Setting512,
-		Detector:  detect.NewBlobDetector(),
-		PixelMode: true,
-		NewTracker: func(seed uint64) track.Tracker {
-			return track.NewPixelTracker()
-		},
-		Seed: 1,
-	})
+	r, err := Run(v, Config{Policy: PolicyMPDT, Setting: core.Setting512, PixelMode: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +296,28 @@ func TestRunWithPixelTrackerAndBlobDetector(t *testing.T) {
 	}
 	if got := leaktest.Count(); got != base {
 		t.Errorf("%d module goroutines after the pixel run, want %d: its gangs outlived it", got, base)
+	}
+}
+
+// TestPixelModeDefaultsToPixelComponents: PixelMode alone runs the
+// BlobDetector and the PixelTracker, exactly as when a caller spells them out.
+func TestPixelModeDefaultsToPixelComponents(t *testing.T) {
+	v := video.GenerateKind("hw", video.KindHighway, 5, 45)
+	digest := func(cfg Config) string {
+		r, err := Run(v, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		digestResult(t, h, r)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	implicit := digest(Config{Policy: PolicyAdaVP, Seed: 1, PixelMode: true})
+	explicit := digest(Config{Policy: PolicyAdaVP, Seed: 1, PixelMode: true,
+		Detector:   detect.NewBlobDetector(),
+		NewTracker: func(uint64) track.Tracker { return track.NewPixelTracker() }})
+	if implicit != explicit {
+		t.Errorf("PixelMode alone ran other components than BlobDetector and PixelTracker: digest %s, spelled out %s", implicit, explicit)
 	}
 }
 
