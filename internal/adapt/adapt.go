@@ -55,8 +55,7 @@ type Model struct {
 // DefaultModel returns the pretrained adaptation model shipped with the
 // library. The constants come from an early run of the training pipeline in
 // cmd/adavp-train over the standard synthetic training set (32 videos; the
-// paper's §IV-D.3 uses 105,205 frames). They are stale: the pipeline has
-// changed since, and today
+// paper's §IV-D.3 uses 105,205 frames). They are stale: today
 //
 //	go run ./cmd/adavp-train
 //

@@ -248,12 +248,6 @@ func (e *engine) frame(i int) core.Frame {
 	return e.v.Frame(i)
 }
 
-// track steps the tracker and sanitizes the returned boxes.
-func (e *engine) track(f core.Frame) ([]core.Detection, float64) {
-	dets, vel := e.tracker.Step(f)
-	return detect.Sanitize(dets), vel
-}
-
 // capturedAt returns the newest frame index captured at or before t.
 func (e *engine) capturedAt(t time.Duration) int {
 	idx := int(t / e.delta)
@@ -310,7 +304,8 @@ func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting 
 		if cursor+trackDur+overlayDur > deadline {
 			break
 		}
-		dets, vel := e.track(e.frame(frameIdx))
+		dets, vel := e.tracker.Step(e.frame(frameIdx))
+		dets = detect.Sanitize(dets)
 		cursor = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, cursor, trackDur)
 		cursor = e.busy(trace.ResourceCPUOverlay, core.SettingInvalid, cursor, overlayDur)
 		e.outputs[frameIdx] = core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: setting, Detections: dets, Ready: cursor}
@@ -426,7 +421,7 @@ func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) ti
 		e.selector.Update(tracked, buffered)
 	}
 	switch {
-	case velocity < 0:
+	case velocity < 0: // nothing measured: the estimate stands
 	case e.cfg.NoVelocitySmoothing:
 		st.lastVelocity = velocity
 	default:
