@@ -207,6 +207,7 @@ type engine struct {
 	outputs  []core.FrameOutput
 	faultDet *fault.Detector // non-nil when a fault profile is injected
 	faultTrk *fault.Tracker
+	labels   []obs.Label // stream=<id> in multi-stream runs, else none
 }
 
 func newEngine(v *video.Video, cfg Config) *engine {
@@ -237,6 +238,7 @@ func newEngine(v *video.Video, cfg Config) *engine {
 		outputs:  make([]core.FrameOutput, v.NumFrames()),
 		faultDet: fd,
 		faultTrk: ft,
+		labels:   obs.WithStream(cfg.streamLabel),
 	}
 }
 
@@ -265,7 +267,7 @@ func (e *engine) busy(res trace.Resource, s core.Setting, start, dur time.Durati
 	end := start + dur
 	e.run.Busy = append(e.run.Busy, trace.Interval{Resource: res, Setting: s, Start: start, End: end})
 	if e.cfg.Obs != nil {
-		trace.ObserveInterval(e.cfg.Obs, res, s, dur, obs.WithStream(e.cfg.streamLabel)...)
+		trace.ObserveInterval(e.cfg.Obs, res, s, dur, e.labels...)
 	}
 	return end
 }
@@ -380,15 +382,14 @@ func (e *engine) planCycle(st *parallelState, start time.Duration) cyclePlan {
 	// Adaptation decision (AdaVP): velocity measured during the cycle
 	// that just completed chooses the setting for the next one.
 	if e.cfg.Policy == PolicyAdaVP && st.lastVelocity >= 0 {
-		labels := obs.WithStream(e.cfg.streamLabel)
 		if next := e.model.Next(st.setting, st.lastVelocity); next != st.setting {
 			took := e.lat.SettingSwitch()
 			e.run.Switches = append(e.run.Switches, trace.Switch{CycleIndex: st.cycle, From: st.setting, To: next, At: now, Took: took})
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, took, now, labels...)
+			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, took, now, e.labels...)
 			now += took
 			st.setting = next
 		} else {
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, 0, now, labels...)
+			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, 0, now, e.labels...)
 		}
 	}
 
@@ -612,7 +613,7 @@ func (e *engine) finish() *Result {
 	// gauge) is published through the same helper trace.Run.Hydrate uses, so
 	// an inline-instrumented run and a hydrated trace yield equal snapshots.
 	if e.cfg.Obs != nil {
-		e.run.HydrateOutcome(e.cfg.Obs, obs.WithStream(e.cfg.streamLabel)...)
+		e.run.HydrateOutcome(e.cfg.Obs, e.labels...)
 	}
 	return &Result{
 		Run:      e.run,
