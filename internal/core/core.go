@@ -1,10 +1,10 @@
 // Package core defines the vocabulary of the AdaVP pipeline: object classes,
 // ground-truth objects, detections, DNN model settings, frames and per-frame
 // outputs. It also implements the pipeline mechanisms that the paper's §IV
-// describes independently of any execution engine — the tracking-frame
-// selector and the detection/tracking cycle bookkeeping — so that both the
-// discrete-event simulator (internal/sim) and the real goroutine pipeline
-// (internal/rt) share one implementation.
+// describes independently of any execution engine — the detection/tracking
+// cycle bookkeeping — so that both the discrete-event simulator
+// (internal/sim) and the real goroutine pipeline (internal/rt) share one
+// implementation.
 package core
 
 import (

@@ -238,15 +238,15 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 	cfg.Guard.Obs, cfg.Guard.Stream = cfg.Obs, cfg.StreamID
 	det, tr := fault.Components(v, cfg.Seed, cfg.PixelMode, cfg.Detector, cfg.NewTracker)
 	p := &pipeline{
-		v:        v,
-		cfg:      cfg,
-		det:      det,
-		tracker:  tr,
-		selector: core.NewFrameSelector(),
-		sup:      guard.New(cfg.Guard),
-		outputs:  make([]core.FrameOutput, v.NumFrames()),
-		work:     make(chan cycleWork, 1),
-		depth:    1,
+		v:       v,
+		cfg:     cfg,
+		det:     det,
+		tracker: tr,
+		ctrl:    adapt.NewController(cfg.Adaptation, true),
+		sup:     guard.New(cfg.Guard),
+		outputs: make([]core.FrameOutput, v.NumFrames()),
+		work:    make(chan cycleWork, 1),
+		depth:   1,
 	}
 	if cfg.PixelMode {
 		p.depth = max(cfg.PipelineDepth, 1)
@@ -270,17 +270,20 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 
 // pipeline holds the shared state of one live run.
 type pipeline struct {
-	v        *video.Video
-	cfg      Config
-	det      detect.Detector
-	tracker  track.Tracker
-	latDet   *core.LatencyModel // detector-thread latency emulation
-	latTrk   *core.LatencyModel // tracker-thread latency emulation
-	selector *core.FrameSelector
-	sup      *guard.Supervisor
-	fdet     *fault.Detector // non-nil when a fault profile is injected
-	ftrk     *fault.Tracker
-	depth    int // the tracker ring's: PipelineDepth in pixel mode, else 1
+	v       *video.Video
+	cfg     Config
+	det     detect.Detector
+	tracker track.Tracker
+	latDet  *core.LatencyModel // detector-thread latency emulation
+	latTrk  *core.LatencyModel // tracker-thread latency emulation
+	sup     *guard.Supervisor
+	fdet    *fault.Detector // non-nil when a fault profile is injected
+	ftrk    *fault.Tracker
+	depth   int // the tracker ring's: PipelineDepth in pixel mode, else 1
+	// ctrlMu orders the tracker thread's Plan and Observe with the detector
+	// thread's Next; it is never held across a cycle's tracking.
+	ctrlMu sync.Mutex
+	ctrl   *adapt.Controller
 	// start is the run's one clock origin: capture times (cam) and every
 	// published `at` timestamp are offsets from it.
 	start time.Time
@@ -290,9 +293,6 @@ type pipeline struct {
 	// generation counts detector fetches; the tracker cancels its remaining
 	// tasks once the detector has moved on (§IV-B).
 	generation atomic.Uint64
-	// velocityBits shares the tracker's latest cycle velocity (Eq. 3) with
-	// the detector thread for model adaptation.
-	velocityBits atomic.Uint64
 
 	// The cycle the tracker ring builds from, set before each arm.
 	stepFrom int
@@ -586,14 +586,12 @@ func (p *pipeline) handOff(ctx context.Context, d *detectorState, endFrame int, 
 // during the previous cycle picks this cycle's setting, and a switch pays the
 // emulated model-load latency.
 func (p *pipeline) adaptSetting(cur core.Setting) core.Setting {
-	if p.cfg.Adaptation == nil {
+	p.ctrlMu.Lock()
+	next, vel, ok := p.ctrl.Next(cur)
+	p.ctrlMu.Unlock()
+	if !ok {
 		return cur
 	}
-	vel := math.Float64frombits(p.velocityBits.Load())
-	if !track.ValidVelocity(vel) {
-		return cur
-	}
-	next := p.cfg.Adaptation.Next(cur, vel)
 	var took time.Duration
 	if next != cur {
 		swStart := time.Now()
@@ -645,7 +643,7 @@ func (p *pipeline) calibrate(ctx context.Context, d *detectorState, frameIdx int
 
 // trackerLoop is the CPU thread: process each cycle's buffered frames under
 // panic supervision, validating every velocity sample before it can reach
-// the adaptation model. The planned frames come through the run's stagedRing.
+// the controller. The planned frames come through the run's stagedRing.
 func (p *pipeline) trackerLoop(ctx context.Context) {
 	ring := newStagedRing(p.depth, p.buildStep)
 	for w := range p.work {
@@ -665,12 +663,13 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 		// busy log.
 		p.trackH.ObserveDuration(time.Since(feStart))
 
-		p.stepFrom, p.plan = w.Ref.Index+1, p.selector.Plan(buffered)
+		p.ctrlMu.Lock()
+		p.stepFrom, p.plan = w.Ref.Index+1, p.ctrl.Plan(buffered)
+		p.ctrlMu.Unlock()
 		tracked, vel := p.trackPlan(ctx, ring, w)
-		p.selector.Update(tracked, buffered)
-		if track.ValidVelocity(vel) {
-			p.velocityBits.Store(math.Float64bits(vel))
-		}
+		p.ctrlMu.Lock()
+		p.ctrl.Observe(buffered, tracked, vel)
+		p.ctrlMu.Unlock()
 	}
 }
 

@@ -200,8 +200,7 @@ type engine struct {
 	lat      *core.LatencyModel
 	det      detect.Detector
 	tracker  track.Tracker
-	selector *core.FrameSelector
-	model    *adapt.Model
+	ctrl     *adapt.Controller
 	delta    time.Duration
 	run      *trace.Run
 	outputs  []core.FrameOutput
@@ -213,9 +212,12 @@ type engine struct {
 func newEngine(v *video.Video, cfg Config) *engine {
 	root := rng.New(cfg.Seed).DeriveString("sim")
 	det, tr := fault.Components(v, cfg.Seed, cfg.PixelMode, cfg.Detector, cfg.NewTracker)
-	model := cfg.Adaptation
-	if model == nil {
-		model = adapt.DefaultModel()
+	var model *adapt.Model // nil: the setting never switches
+	if cfg.Policy == PolicyAdaVP {
+		model = cfg.Adaptation
+		if model == nil {
+			model = adapt.DefaultModel()
+		}
 	}
 	var fd *fault.Detector
 	var ft *fault.Tracker
@@ -231,8 +233,7 @@ func newEngine(v *video.Video, cfg Config) *engine {
 		lat:      core.NewLatencyModel(root.DeriveString("latency")),
 		det:      det,
 		tracker:  tr,
-		selector: core.NewFrameSelector(),
-		model:    model,
+		ctrl:     adapt.NewController(model, cfg.NoVelocitySmoothing),
 		delta:    v.FrameInterval(),
 		run:      &trace.Run{Video: v.Name, Policy: cfg.Policy.String()},
 		outputs:  make([]core.FrameOutput, v.NumFrames()),
@@ -312,7 +313,7 @@ func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting 
 		cursor = e.busy(trace.ResourceCPUOverlay, core.SettingInvalid, cursor, overlayDur)
 		e.outputs[frameIdx] = core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: setting, Detections: dets, Ready: cursor}
 		// NaN, ±Inf and absurd velocities (faulting trackers) must never
-		// reach adapt.Model.Next.
+		// reach the controller's estimate.
 		if track.ValidVelocity(vel) {
 			velSum += vel
 			velN++
@@ -332,16 +333,15 @@ func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting 
 // engines over shared detector slots, granting each stream one cycle at a
 // time at whatever virtual time its slot became available.
 type parallelState struct {
-	prevFrame    int // last detected frame; <0 before the first calibration
-	prevDets     []core.Detection
-	setting      core.Setting
-	lastVelocity float64 // EWMA of per-cycle velocity; <0 means no measurement
-	cycle        int
+	prevFrame int // last detected frame; <0 before the first calibration
+	prevDets  []core.Detection
+	setting   core.Setting
+	cycle     int
 }
 
 // newParallelState is a stream's state before its first cycle.
 func (e *engine) newParallelState() *parallelState {
-	return &parallelState{prevFrame: -1, lastVelocity: -1, setting: e.cfg.Setting}
+	return &parallelState{prevFrame: -1, setting: e.cfg.Setting}
 }
 
 // cyclePlan is the pre-execution half of one detection cycle: everything the
@@ -381,16 +381,15 @@ func (e *engine) planCycle(st *parallelState, start time.Duration) cyclePlan {
 
 	// Adaptation decision (AdaVP): velocity measured during the cycle
 	// that just completed chooses the setting for the next one.
-	if e.cfg.Policy == PolicyAdaVP && st.lastVelocity >= 0 {
-		if next := e.model.Next(st.setting, st.lastVelocity); next != st.setting {
-			took := e.lat.SettingSwitch()
+	if next, vel, ok := e.ctrl.Next(st.setting); ok {
+		var took time.Duration
+		if next != st.setting {
+			took = e.lat.SettingSwitch()
 			e.run.Switches = append(e.run.Switches, trace.Switch{CycleIndex: st.cycle, From: st.setting, To: next, At: now, Took: took})
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, took, now, e.labels...)
-			now += took
-			st.setting = next
-		} else {
-			adapt.PublishDecision(e.cfg.Obs, st.setting, next, st.lastVelocity, 0, now, e.labels...)
 		}
+		adapt.PublishDecision(e.cfg.Obs, st.setting, next, vel, took, now, e.labels...)
+		now += took
+		st.setting = next
 	}
 
 	nextFrame := e.capturedAt(now)
@@ -418,16 +417,7 @@ func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) ti
 	// window.
 	buffered := p.frame - 1 - st.prevFrame
 	tracked, velocity := e.trackCycle(st.prevFrame, st.prevDets, p.frame, p.setting, p.now, end)
-	if buffered > 0 {
-		e.selector.Update(tracked, buffered)
-	}
-	switch {
-	case velocity < 0: // nothing measured: the estimate stands
-	case e.cfg.NoVelocitySmoothing:
-		st.lastVelocity = velocity
-	default:
-		st.lastVelocity = adapt.Smooth(st.lastVelocity, velocity)
-	}
+	e.ctrl.Observe(buffered, tracked, velocity)
 
 	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
 		Index: st.cycle, Setting: p.setting, DetectedFrame: p.frame,
@@ -476,7 +466,7 @@ func (e *engine) trackCycle(refFrame int, refDets []core.Detection, endFrame int
 	// The adaptation module also reads the motion features (negligible).
 	cursor := e.busy(trace.ResourceCPUTrack, core.SettingInvalid, start, featDur) + e.lat.MotionFeature()
 
-	plan := e.selector.Plan(buffered)
+	plan := e.ctrl.Plan(buffered)
 	if e.cfg.TrackAllFrames {
 		plan = plan[:0]
 		for i := 0; i < buffered; i++ {
@@ -530,9 +520,9 @@ func (e *engine) runMARLIN() {
 			backlog := live - cursorFrame
 			var tracked int
 			var velocity float64
-			tracked, velocity, now, cur = e.trackFrames(cursorFrame, e.selector.Plan(backlog), cur, setting, now, noDeadline)
+			tracked, velocity, now, cur = e.trackFrames(cursorFrame, e.ctrl.Plan(backlog), cur, setting, now, noDeadline)
 			cursorFrame = live
-			e.selector.Update(tracked, backlog)
+			e.ctrl.Observe(backlog, tracked, velocity)
 			triggered = velocity > MARLINTrigger
 		}
 		if !triggered || cursorFrame >= n-1 {
