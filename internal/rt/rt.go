@@ -242,7 +242,7 @@ func Run(ctx context.Context, v *video.Video, cfg Config) (*Result, error) {
 		cfg:     cfg,
 		det:     det,
 		tracker: tr,
-		ctrl:    adapt.NewController(cfg.Adaptation, true),
+		ctrl:    adapt.NewController(cfg.Adaptation, false),
 		sup:     guard.New(cfg.Guard),
 		outputs: make([]core.FrameOutput, v.NumFrames()),
 		work:    make(chan cycleWork, 1),
@@ -582,9 +582,9 @@ func (p *pipeline) handOff(ctx context.Context, d *detectorState, endFrame int, 
 	}
 }
 
-// adaptSetting is the model-adaptation step (§IV-D): the velocity measured
-// during the previous cycle picks this cycle's setting, and a switch pays the
-// emulated model-load latency.
+// adaptSetting is the model-adaptation step (§IV-D): the controller's
+// smoothed velocity estimate, as in sim, picks this cycle's setting, and a
+// switch pays the emulated model-load latency.
 func (p *pipeline) adaptSetting(cur core.Setting) core.Setting {
 	p.ctrlMu.Lock()
 	next, vel, ok := p.ctrl.Next(cur)
