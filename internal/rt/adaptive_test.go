@@ -3,6 +3,8 @@ package rt
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -27,22 +29,35 @@ func adaptiveCfg(depth int) PipelineConfig {
 // the depth-1 sequential reference, at two kernel worker counts, and repeated
 // runs of the same overlapped config agree byte for byte (two-run parity).
 // The trace includes each frame's setting, so a switch applied one frame
-// early or late anywhere in the matrix breaks it.
+// early or late anywhere in the matrix breaks it. The depth-1 trace is also
+// pinned by its sha256: RunPipelined decides on the raw window mean of the
+// cycle just ended (stagedRun.adaptSetting), and a change to that rule —
+// smoothing it as adapt.Controller does — moves the spliced input's hash.
 func TestAdaptivePipelineDepthParity(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	scenarios := []struct {
 		name         string
-		kind         video.Kind
-		seed         uint64
-		wantSwitches int // exact, pinned by the depth-1 reference
+		v            *video.Video
+		wantSwitches int    // exact, pinned by the depth-1 reference
+		wantSHA      string // sha256 of the depth-1 trace
 	}{
 		// Both scenarios cross the default model's velocity thresholds
 		// repeatedly.
-		{"citystreet", video.KindCityStreet, 11, 3},
-		{"racetrack", video.KindRacetrack, 11, 3},
+		{"citystreet", pipelineTestVideo("citystreet", video.KindCityStreet, 11, 48), 3,
+			"7bb627d1d15a498fb669242cd9346348b13bfb93d5a5ad57068e46bbab9d73e8"},
+		{"racetrack", pipelineTestVideo("racetrack", video.KindRacetrack, 11, 48), 3,
+			"a0cfe5d2554f6498514317d097710f877083ddd74fbdcd81b50d068d7a3ce9fd"},
+		// Hard cuts between the pixel workloads' scenes and a fast one: the
+		// window mean jumps at every cut.
+		{"spliced", video.Splice("spliced",
+			pipelineTestVideo("spliced-highway", video.KindHighway, 21, 16),
+			pipelineTestVideo("spliced-citystreet", video.KindCityStreet, 22, 16),
+			pipelineTestVideo("spliced-meetingroom", video.KindMeetingRoom, 23, 16),
+			pipelineTestVideo("spliced-racetrack", video.KindRacetrack, 24, 16)), 4,
+			"d851952b8352fd958e8b99a58b384d5ad17876bb18dda7779c00c60a3aa4f9d4"},
 	}
 	for _, sc := range scenarios {
-		v := pipelineTestVideo(sc.name, sc.kind, sc.seed, 48)
+		v := sc.v
 		for _, workers := range []int{1, 4} {
 			par.SetWorkers(workers)
 			run := func(depth int) (*PipelineResult, []byte) {
@@ -65,6 +80,10 @@ func TestAdaptivePipelineDepthParity(t *testing.T) {
 				}
 				if depth == 1 {
 					ref = got
+					sum := sha256.Sum256(got)
+					if h := hex.EncodeToString(sum[:]); h != sc.wantSHA {
+						t.Errorf("%s workers=%d: depth-1 trace sha256 = %s, want %s", sc.name, workers, h, sc.wantSHA)
+					}
 					continue
 				}
 				if !bytes.Equal(got, ref) {
