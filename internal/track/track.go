@@ -51,7 +51,9 @@ const maxPlausibleVelocity = 1e6
 // finite, positive and physically plausible. Trackers under fault injection
 // can emit NaN, ±Inf or absurd magnitudes; those must never reach
 // adapt.Model.Next, where a poisoned comparison silently picks the wrong
-// setting. Both pipeline engines filter through this predicate.
+// setting. sim and rt filter every per-frame sample through this predicate
+// before the cycle mean reaches adapt.Controller.Observe or, in
+// rt.RunPipelined, Model.Next.
 func ValidVelocity(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0 && v < maxPlausibleVelocity
 }
