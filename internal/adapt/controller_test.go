@@ -14,10 +14,10 @@ func TestControllerDefaults(t *testing.T) {
 	for _, m := range []*Model{nil, DefaultModel()} {
 		c := NewController(m, false)
 		if c.fraction != defaultFraction {
-			t.Errorf("model %v: initial fraction = %f, want %f", m, c.fraction, defaultFraction)
+			t.Errorf("nil model %v: initial fraction = %f, want %f", m == nil, c.fraction, defaultFraction)
 		}
 		if c.velocity != -1 {
-			t.Errorf("model %v: initial velocity = %f, want -1", m, c.velocity)
+			t.Errorf("nil model %v: initial velocity = %f, want -1", m == nil, c.velocity)
 		}
 	}
 }

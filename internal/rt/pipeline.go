@@ -299,13 +299,10 @@ func (r *stagedRun) prefetch(i int, slot *pipeSlot) {
 
 // adaptSetting is the calibration decision from the velocity window of the
 // cycle just ended — samples accumulate in frame order, so the decision
-// sequence is depth-independent.
-//
-// It keeps its own Eq. 3 rule rather than adapt.Controller's: Model.Next gets
-// the raw window mean, and a window without a sample (NaN) keeps the setting
-// instead of deciding on an older estimate. bench/walk.go mirrors this rule
-// for the pixel workloads' traced check, and smoothing it moves their output
-// digest; the rule goes with the loop (ROADMAP item 14).
+// sequence is depth-independent. Its Eq. 3 rule is not adapt.Controller's:
+// the raw window mean, and a window without a sample keeps the setting.
+// bench/walk.go mirrors the rule for the pixel workloads' traced check and
+// smoothing it moves their digests, so it goes with the loop (ROADMAP 14).
 func (r *stagedRun) adaptSetting() {
 	vel := math.NaN()
 	if r.velN > 0 {

@@ -51,9 +51,7 @@ const maxPlausibleVelocity = 1e6
 // finite, positive and physically plausible. Trackers under fault injection
 // can emit NaN, ±Inf or absurd magnitudes; those must never reach
 // adapt.Model.Next, where a poisoned comparison silently picks the wrong
-// setting. sim and rt filter every per-frame sample through this predicate
-// before the cycle mean reaches adapt.Controller.Observe or, in
-// rt.RunPipelined, Model.Next.
+// setting. Every engine screens each per-frame sample with this predicate.
 func ValidVelocity(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0 && v < maxPlausibleVelocity
 }
