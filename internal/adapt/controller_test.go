@@ -8,17 +8,26 @@ import (
 	"adavp/internal/core"
 )
 
-// TestControllerDefaults pins the state before the first cycle: p is the
-// default fraction and there is no velocity sample, with or without a model.
+// TestControllerDefaults pins the state before the first cycle of an
+// adaptive stream: p is the default fraction and there is no velocity sample.
 func TestControllerDefaults(t *testing.T) {
-	for _, m := range []*Model{nil, DefaultModel()} {
-		c := NewController(m, false)
-		if c.fraction != defaultFraction {
-			t.Errorf("nil model %v: initial fraction = %f, want %f", m == nil, c.fraction, defaultFraction)
-		}
-		if c.velocity != -1 {
-			t.Errorf("nil model %v: initial velocity = %f, want -1", m == nil, c.velocity)
-		}
+	checkControllerDefaults(t, NewController(DefaultModel(), false))
+}
+
+// TestControllerNilModelDefaults pins the same state for a stream without a
+// model, the controller every non-adaptive policy holds: it still plans with
+// the default fraction before any cycle has been observed.
+func TestControllerNilModelDefaults(t *testing.T) {
+	checkControllerDefaults(t, NewController(nil, false))
+}
+
+func checkControllerDefaults(t *testing.T, c *Controller) {
+	t.Helper()
+	if c.fraction != defaultFraction {
+		t.Errorf("initial fraction = %f, want %f", c.fraction, defaultFraction)
+	}
+	if c.velocity != -1 {
+		t.Errorf("initial velocity = %f, want -1", c.velocity)
 	}
 }
 
