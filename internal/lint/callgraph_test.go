@@ -19,8 +19,8 @@ func edgeTo(n *CallNode, kind EdgeKind, callee string) bool {
 // analyzers depend on: direct calls, function references, method values, and
 // interface dispatch expanded to every module implementation.
 func TestCallGraphConstruction(t *testing.T) {
-	loader, pkg := loadForTest(t, "testdata/src/callgraph")
-	graph := BuildCallGraph(loader.Loaded())
+	pkgs, pkg := loadForTest(t, "testdata/src/callgraph")
+	graph := BuildCallGraph(pkgs)
 
 	nodes := make(map[string]*CallNode)
 	for _, n := range graph.NodesIn(pkg.PkgPath) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -36,26 +35,11 @@ type fixtureExpectation struct {
 // (relative to the internal/lint package directory).
 func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	moduleRoot, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("finding module root: %v", err)
-	}
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("abs %s: %v", dir, err)
-	}
-	pkg, err := loader.Load(abs)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
 	// The graph spans the fixture package and everything it transitively
 	// imports from the module (including sibling fixture packages), so the
 	// interprocedural checks see exactly what a real `make lint` run sees.
-	graph := BuildCallGraph(loader.Loaded())
+	pkgs, pkg := loadForTest(t, dir)
+	graph := BuildCallGraph(pkgs)
 	diags, err := RunAnalyzers(pkg, []*Analyzer{a}, graph)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)

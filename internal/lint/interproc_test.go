@@ -2,20 +2,44 @@ package lint
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
-// loadForTest loads one fixture package and returns it with its loader.
-func loadForTest(t *testing.T, dir string) (*Loader, *Package) {
+// shared is the one Loader this package's tests type-check through. Every
+// Loader type-checks the standard library from source, so a loader per test
+// paid that again in each one. None of the tests calls t.Parallel, which the
+// Loader, not being safe for concurrent use, relies on.
+var shared struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
+// sharedLoader returns the package's shared Loader over the module.
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
+	shared.once.Do(func() {
+		root, err := FindModuleRoot(".")
+		if err != nil {
+			shared.err = err
+			return
+		}
+		shared.loader, shared.err = NewLoader(root)
+	})
+	if shared.err != nil {
+		t.Fatalf("loader: %v", shared.err)
 	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
+	return shared.loader
+}
+
+// loadForTest loads one fixture package through the shared loader. It
+// returns the packages a call graph over the fixture spans: the fixture and
+// every module package it imports, transitively — what a loader that had
+// loaded nothing else would return from Loaded.
+func loadForTest(t *testing.T, dir string) ([]*Package, *Package) {
+	t.Helper()
+	loader := sharedLoader(t)
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("abs: %v", err)
@@ -24,7 +48,23 @@ func loadForTest(t *testing.T, dir string) (*Loader, *Package) {
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	return loader, pkg
+	var closure []*Package
+	seen := make(map[*Package]bool)
+	var walk func(p *Package)
+	walk = func(p *Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		closure = append(closure, p)
+		for _, imp := range p.Types.Imports() {
+			if q := loader.loaded[imp.Path()]; q != nil && q.Info != nil {
+				walk(q)
+			}
+		}
+	}
+	walk(pkg)
+	return closure, pkg
 }
 
 // TestInterprocFindingsRequireCallGraph pins the claim behind this suite's
@@ -41,7 +81,7 @@ func TestInterprocFindingsRequireCallGraph(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.a.Name, func(t *testing.T) {
-			loader, pkg := loadForTest(t, tc.dir)
+			pkgs, pkg := loadForTest(t, tc.dir)
 
 			isolated, err := RunAnalyzers(pkg, []*Analyzer{tc.a}, nil)
 			if err != nil {
@@ -55,7 +95,7 @@ func TestInterprocFindingsRequireCallGraph(t *testing.T) {
 				}
 			}
 
-			graph := BuildCallGraph(loader.Loaded())
+			graph := BuildCallGraph(pkgs)
 			linked, err := RunAnalyzers(pkg, []*Analyzer{tc.a}, graph)
 			if err != nil {
 				t.Fatalf("graph run: %v", err)

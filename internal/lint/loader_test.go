@@ -29,7 +29,7 @@ func TestLoaderExcludesBuildTaggedFiles(t *testing.T) {
 // gen.go is loaded and type-checked (its declarations must resolve) but its
 // time.Now violation produces no diagnostic.
 func TestLoaderSuppressesGeneratedDiagnostics(t *testing.T) {
-	loader, pkg := loadForTest(t, "testdata/src/loaderedge/internal/sim")
+	pkgs, pkg := loadForTest(t, "testdata/src/loaderedge/internal/sim")
 
 	gen := pkg.Types.Scope().Lookup("GeneratedNow")
 	if gen == nil {
@@ -42,7 +42,7 @@ func TestLoaderSuppressesGeneratedDiagnostics(t *testing.T) {
 		t.Error("IsGenerated is true for clean.go")
 	}
 
-	graph := BuildCallGraph(loader.Loaded())
+	graph := BuildCallGraph(pkgs)
 	diags, err := RunAnalyzers(pkg, []*Analyzer{DetRand}, graph)
 	if err != nil {
 		t.Fatalf("RunAnalyzers: %v", err)
@@ -56,14 +56,7 @@ func TestLoaderSuppressesGeneratedDiagnostics(t *testing.T) {
 // packages the Go distribution vendors for itself (golang.org/x/...) count
 // as standard library and type-check from source.
 func TestLoaderResolvesVendoredStd(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
+	loader := sharedLoader(t)
 	const vendored = "golang.org/x/net/idna"
 	dir, err := loader.dirFor(vendored)
 	if err != nil {
@@ -85,15 +78,8 @@ func TestLoaderResolvesVendoredStd(t *testing.T) {
 // import that is neither module-internal nor standard library is a load
 // error, not a silent skip.
 func TestLoaderRejectsExternalImports(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	_, err = loader.Import("github.com/nobody/nothing")
+	loader := sharedLoader(t)
+	_, err := loader.Import("github.com/nobody/nothing")
 	if err == nil {
 		t.Fatal("importing an external module path succeeded; want an error")
 	}
@@ -106,14 +92,7 @@ func TestLoaderRejectsExternalImports(t *testing.T) {
 // go.mod (bench/) is outside "adavplint ./...", as it is outside the go
 // tool's: its types must not join the module-wide interface expansion.
 func TestPackageDirsSkipsNestedModules(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
+	loader := sharedLoader(t)
 	dirs, err := loader.PackageDirs()
 	if err != nil {
 		t.Fatalf("PackageDirs: %v", err)
