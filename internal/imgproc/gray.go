@@ -264,15 +264,3 @@ func (b *resizeBand) Rows(lo, hi int) {
 		}
 	}
 }
-
-// Mean returns the average pixel value, or 0 for an empty image.
-func (g *Gray) Mean() float64 {
-	if len(g.Pix) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range g.Pix {
-		sum += float64(v)
-	}
-	return sum / float64(len(g.Pix))
-}

@@ -7,6 +7,19 @@ import (
 	"adavp/internal/rng"
 )
 
+// Mean returns the average pixel value, or 0 for an empty image. Only this
+// package's tests read it, so it lives with them.
+func (g *Gray) Mean() float64 {
+	if len(g.Pix) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range g.Pix {
+		sum += float64(v)
+	}
+	return sum / float64(len(g.Pix))
+}
+
 func TestNewGray(t *testing.T) {
 	g := NewGray(4, 3)
 	if g.W != 4 || g.H != 3 || len(g.Pix) != 12 {

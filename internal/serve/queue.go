@@ -91,9 +91,6 @@ func NewFairQueue(bound int) *FairQueue {
 	return &FairQueue{bound: bound}
 }
 
-// Bound returns the queue's capacity.
-func (q *FairQueue) Bound() int { return q.bound }
-
 // Len returns the number of waiting requests.
 func (q *FairQueue) Len() int { return len(q.heap) }
 

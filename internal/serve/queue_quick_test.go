@@ -169,8 +169,8 @@ func runScript(t *testing.T, s qscript) bool {
 			t.Logf("op %d: queue len %d, model len %d", opi, q.Len(), len(model))
 			return false
 		}
-		if q.Len() > q.Bound() {
-			t.Logf("op %d: queue len %d exceeds bound %d", opi, q.Len(), q.Bound())
+		if q.Len() > q.bound {
+			t.Logf("op %d: queue len %d exceeds bound %d", opi, q.Len(), q.bound)
 			return false
 		}
 	}
