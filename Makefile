@@ -7,7 +7,10 @@
 #   make lint         the project's determinism analyzer (cmd/adavplint:
 #                     detrand); hot-kernel allocations are counted by each
 #                     kernel package's TestSteadyStateAllocs, goroutine leaks
-#                     by each package's leak test, band races by `make race`
+#                     by each package's leak test, band races by `make race`,
+#                     and the keep lists (functions only tests call, fields
+#                     only tests set) by internal/lint's TestKeepLists in
+#                     `make test`
 #   make escapecheck  compiler escape-analysis gate: fail if any
 #                     //adavp:hotpath function gains a heap escape not in
 #                     the committed ESCAPES.baseline

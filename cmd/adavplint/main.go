@@ -3,7 +3,10 @@
 // allocation in the hot kernels is not a lint check: each kernel package's
 // TestSteadyStateAllocs counts it, and `make escapecheck` watches the
 // compiler's escapes. Goroutine leaks and band races are caught by tests and
-// the race detector (DESIGN.md §9.3, §9.4).
+// the race detector (DESIGN.md §9.3, §9.4). The keep lists of functions only
+// tests call and config fields only tests set are not an analyzer either:
+// they are internal/lint's TestKeepLists, which `go test ./...` runs
+// (DESIGN.md §15.5, §15.6).
 //
 // Usage:
 //
