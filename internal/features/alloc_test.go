@@ -12,8 +12,8 @@ import (
 // §9.2): a warm Scratch.Detect allocates the returned features and
 // sort.Slice's three fixed words — never a buffer or a band, and nothing that
 // grows with the masks, the candidates or the features kept. It fans out
-// seven times: four in the gradients, two in the table, one in the score
-// pass.
+// three times: the streamed gradients with the table's row pass, the table's
+// column pass, and the score pass.
 func TestSteadyStateAllocs(t *testing.T) {
 	v := video.GenerateKind("v", video.KindCityStreet, 3, 8)
 	f := v.FrameWithPixels(5)
@@ -27,6 +27,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d masks, %d features: want a few masks and a populated result", len(masks), n)
 	}
 	ledger.Check(t, []ledger.Row{
-		{Name: "Scratch.Detect", Want: 4, Fanouts: 7, Run: func() { s.Detect(f.Pixels, masks, p) }},
+		{Name: "Scratch.Detect", Want: 4, Fanouts: 3, Run: func() { s.Detect(f.Pixels, masks, p) }},
 	})
 }

@@ -54,26 +54,28 @@ type Feature struct {
 }
 
 // Scratch holds the buffers of the Shi–Tomasi detector, as flow.Scratch holds
-// the Lucas–Kanade solver's: the gradient images, the summed-area table of
-// their products, the score map, and the mask, candidate and spacing lists.
-// Every buffer grows to what a call uses and is then reused, so a caller that
-// keeps one Scratch — the pixel tracker — allocates per call only the features
-// it is handed (plus the fixed words of sort.Slice): the par.Rows fan-outs'
-// bands are fields of the Scratch too.
+// the Lucas–Kanade solver's: the band-local rows of the streamed gradients,
+// the summed-area table of their products at the columns the window sums
+// read, the score map, and the mask, candidate and spacing lists. Every
+// buffer grows to what a call uses and is then reused, so a caller that keeps
+// one Scratch — the pixel tracker — allocates per call only the features it is
+// handed (plus the fixed words of sort.Slice): the par.Rows fan-outs' bands
+// are fields of the Scratch too.
 // Buffers are never cleared between calls: each call reads only what it wrote.
 // A Scratch belongs to one pipeline stage and is not safe for concurrent use;
 // the zero value is ready.
 type Scratch struct {
-	// img feeds GradientsRectsInto's intermediate pass; gx and gy are
-	// frame-sized (the kernel's contract) and valid inside the last prefix
-	// region only.
-	img    imgproc.Scratch
-	gx, gy *imgproc.Gray
-	prefix [1]image.Rectangle
+	// img holds the streamed gradients' rings; no gradient image is stored.
+	img imgproc.Scratch
 	// tab is the summed-area table of gx², gx·gy and gy² over the prefix
-	// region, the three channels interleaved: cell (x, y) is
-	// tab[3·(y·(pw+1)+x):][:3], so a window sum reads 4 places, not 12.
-	tab []float64
+	// region, kept at the table columns a window sum reads and nowhere else:
+	// cols maps such a column c to its place k among them, and cell (c, y) is
+	// tab[3·(y·K+k):][:3] for K kept columns, the three channels interleaved
+	// so that a window sum reads 4 places, not 12. runs lists the kept
+	// columns as maximal runs.
+	tab  []float64
+	cols []int32
+	runs []span
 	// score is prefix-sized and valid inside the last scored rectangles only.
 	score *imgproc.Gray
 
@@ -85,10 +87,11 @@ type Scratch struct {
 	// next the same for the feature kept before it in that cell.
 	cell, next []int32
 
-	// The bands of the score pass and of the table's two passes.
+	// The receiver of the streamed gradient rows, and the bands of the
+	// table's column pass and of the score pass.
+	keptRows  keptRows
+	keptCols  keptCols
 	scoreBand scoreBand
-	tabRows   tabRows
-	tabCols   tabCols
 }
 
 // Detect finds good features in img. If masks is non-empty, only pixels whose
@@ -107,7 +110,8 @@ func Detect(img *imgproc.Gray, masks []geom.Rect, p Params) []Feature {
 // around them that non-max suppression reads), the quality maximum and the
 // candidates are taken over mask pixels only, and the gradients and their
 // summed-area table stop at the last row and column a mask window reaches —
-// see scoreRects for why they cannot start later. Candidates are met in the
+// see scoreRects for why they cannot start later — while the table keeps
+// only the columns the windows read. Candidates are met in the
 // row-major order of a whole-frame scan, so the unstable sort that follows
 // sees the sequence it always saw and equal scores resolve the same way.
 //
@@ -173,13 +177,17 @@ func (s *Scratch) Detect(img *imgproc.Gray, masks []geom.Rect, p Params) []Featu
 //
 // A response is three window sums, each read off a summed-area table whose
 // cell (x, y) is the float64 sum of everything above and to the left, added
-// in one fixed order. That prefix dependency is the limit of what can be
-// restricted with identical bits: a table started at a box's corner would add
+// in one fixed order. That prefix dependency is the limit of where the table
+// can start with identical bits: a table started at a box's corner would add
 // the same products in a different association. So the gradients and the
-// table cover the prefix region [0, X+r) × [0, Y+r) — X and Y the largest
-// Max.X and Max.Y of rects, r = blockSize/2: up to the last column and row a
-// window of rects reads — and nothing beyond it; everything else is confined
-// to rects.
+// table's rows cover the prefix region [0, X+r) × [0, Y+r) — X and Y the
+// largest Max.X and Max.Y of rects, r = blockSize/2: up to the last column
+// and row a window of rects reads — and nothing beyond it. Which columns the
+// table keeps is free, because each column's vertical sum is its own: it
+// keeps the ones the windows read, x−r and x+r+1 clamped to the image for
+// every column x of rects. The gradients are never stored: the Scharr
+// fan-out hands each row to keptRows, which folds it into the row-prefix
+// sums. Everything else is confined to rects.
 //
 //adavp:hotpath
 func (s *Scratch) scoreRects(img *imgproc.Gray, blockSize int, rects []image.Rectangle) {
@@ -198,18 +206,27 @@ func (s *Scratch) scoreRects(img *imgproc.Gray, blockSize int, rects []image.Rec
 	}
 	pw, ph = min(pw+r, w), min(ph+r, h)
 
-	s.gx, s.gy = ensureGray(s.gx, w, h), ensureGray(s.gy, w, h)
-	s.prefix[0] = image.Rect(0, 0, pw, ph)
-	imgproc.GradientsRectsInto(s.gx, s.gy, img, s.prefix[:], &s.img)
-	s.tensorTable(pw, ph)
+	k := s.keepColumns(rects, r, w, pw)
+	stride := 3 * k
+	s.tab = ensureLen(s.tab, stride*(ph+1))
+	// Row 0 is zero by definition.
+	clear(s.tab[:stride])
+	kr, kc := &s.keptRows, &s.keptCols
+	*kr = keptRows{tab: s.tab, runs: s.runs, stride: stride}
+	imgproc.StreamGradients(img, image.Rect(0, 0, pw, ph), kr, &s.img)
+	*kr = keptRows{}
+	*kc = keptCols{tab: s.tab, ph: ph, stride: stride}
+	par.Rows(k, kc)
+	*kc = keptCols{}
 
 	s.score = ensureGray(s.score, pw, ph)
 	y0, y1 := rowRange(rects)
 	// The bands split the row span the rectangles cover, and a band works
-	// the rows of every rectangle that fall inside it (convolveRects' shape):
-	// one fan-out however many masks there are; overlaps only repeat work.
+	// the rows of every rectangle that fall inside it (the Scharr fan-out's
+	// shape): one fan-out however many masks there are; overlaps only repeat
+	// work.
 	b := &s.scoreBand
-	*b = scoreBand{score: s.score, tab: s.tab, rects: rects, r: r, w: w, h: h, y0: y0}
+	*b = scoreBand{score: s.score, tab: s.tab, cols: s.cols, rects: rects, stride: stride, r: r, w: w, h: h, y0: y0}
 	par.Rows(y1-y0, b)
 	*b = scoreBand{}
 }
@@ -217,16 +234,16 @@ func (s *Scratch) scoreRects(img *imgproc.Gray, blockSize int, rects []image.Rec
 // scoreBand is scoreRects' band: the responses of every rectangle's rows in
 // [y0+lo, y0+hi), read off the table of a w×h image with window radius r.
 type scoreBand struct {
-	score       *imgproc.Gray
-	tab         []float64
-	rects       []image.Rectangle
-	r, w, h, y0 int
+	score               *imgproc.Gray
+	tab                 []float64
+	cols                []int32
+	rects               []image.Rectangle
+	stride, r, w, h, y0 int
 }
 
 //adavp:hotpath
 func (sb *scoreBand) Rows(lo, hi int) {
-	score, tab, rects, r, w, h, y0 := sb.score, sb.tab, sb.rects, sb.r, sb.w, sb.h, sb.y0
-	stride := 3 * (score.W + 1)
+	score, tab, cols, rects, stride, r, w, h, y0 := sb.score, sb.tab, sb.cols, sb.rects, sb.stride, sb.r, sb.w, sb.h, sb.y0
 	for _, rc := range rects {
 		for y := max(rc.Min.Y, y0+lo); y < min(rc.Max.Y, y0+hi); y++ {
 			top := tab[max(y-r, 0)*stride:]
@@ -234,7 +251,7 @@ func (sb *scoreBand) Rows(lo, hi int) {
 			out := score.Row(y)
 			for x := rc.Min.X; x < rc.Max.X; x++ {
 				// Integral.BoxSum's four reads, in its order, per channel.
-				x0, x1 := 3*max(x-r, 0), 3*min(x+r+1, w)
+				x0, x1 := 3*int(cols[max(x-r, 0)]), 3*int(cols[min(x+r+1, w)])
 				a := bot[x1] - top[x1] - bot[x0] + top[x0]
 				b := bot[x1+1] - top[x1+1] - bot[x0+1] + top[x0+1]
 				c := bot[x1+2] - top[x1+2] - bot[x0+2] + top[x0+2]
@@ -247,71 +264,94 @@ func (sb *scoreBand) Rows(lo, hi int) {
 	}
 }
 
-// tensorTable builds s.tab over [0, pw) × [0, ph) of the gradients: the
-// summed-area tables imgproc.Integral.Rebuild would build from the product
-// images gx², gx·gy and gy², without the product images. Pass 1 rounds each
-// product to float32 — what storing it in a Gray did; the explicit conversion
-// also forbids fusing the multiply into the add — and accumulates it along
-// the row in x order; pass 2 accumulates down each column in y order. These
-// are Rebuild's additions in Rebuild's order, so every cell holds the bits of
-// the whole-frame table's cell, at any worker count.
+// keepColumns sets s.cols and s.runs to the table columns in [0, pw] that the
+// window sums of rects read, for window radius r in an image w wide, and
+// returns how many there are.
 //
 //adavp:hotpath
-func (s *Scratch) tensorTable(pw, ph int) {
-	stride := 3 * (pw + 1)
-	s.tab = ensureLen(s.tab, stride*(ph+1))
-	// Row 0 and column 0 are zero by definition.
-	clear(s.tab[:stride])
-	br, bc := &s.tabRows, &s.tabCols
-	*br = tabRows{gx: s.gx, gy: s.gy, tab: s.tab, pw: pw}
-	par.Rows(ph, br)
-	*br = tabRows{}
-	*bc = tabCols{tab: s.tab, ph: ph, stride: stride}
-	par.Rows(pw, bc)
-	*bc = tabCols{}
+func (s *Scratch) keepColumns(rects []image.Rectangle, r, w, pw int) int {
+	s.cols = ensureLen(s.cols, pw+1)
+	for c := range s.cols {
+		s.cols[c] = -1
+	}
+	for _, rc := range rects {
+		if rc.Empty() {
+			continue
+		}
+		// A window at column x reads columns max(x−r, 0) and min(x+r+1, w).
+		for c := max(rc.Min.X-r, 0); c <= max(rc.Max.X-1-r, 0); c++ {
+			s.cols[c] = 0
+		}
+		for c := min(rc.Min.X+r+1, w); c <= min(rc.Max.X+r, w); c++ {
+			s.cols[c] = 0
+		}
+	}
+	s.runs = s.runs[:0]
+	k := int32(0)
+	for c, v := range s.cols {
+		if v < 0 {
+			continue
+		}
+		s.cols[c] = k
+		k++
+		if n := len(s.runs); n > 0 && s.runs[n-1].x1 == c {
+			s.runs[n-1].x1++
+		} else {
+			s.runs = append(s.runs, span{c, c + 1})
+		}
+	}
+	return int(k)
 }
 
-// tabRows is tensorTable's first pass: each row's running prefix sums of the
-// three products, over its first pw columns.
-type tabRows struct {
-	gx, gy *imgproc.Gray
+// keptRows receives the gradient rows of the prefix region and writes each
+// row's running sums of the three products into its table row, at the kept
+// columns only. The sums are imgproc.Integral.Rebuild's row pass over the
+// product images gx², gx·gy and gy², without the product images: each
+// product is rounded to float32 — what storing it in a Gray did; the explicit
+// conversion also forbids fusing the multiply into the add — and accumulated
+// along the row in x order, up to the last kept column.
+type keptRows struct {
 	tab    []float64
-	pw     int
+	runs   []span
+	stride int
 }
 
 //adavp:hotpath
-func (b *tabRows) Rows(lo, hi int) {
-	gx, gy, tab, pw := b.gx, b.gy, b.tab, b.pw
-	stride := 3 * (pw + 1)
-	for y := lo; y < hi; y++ {
-		gxr, gyr := gx.Row(y)[:pw], gy.Row(y)[:pw]
-		dst := tab[(y+1)*stride : (y+2)*stride]
-		dst[0], dst[1], dst[2] = 0, 0, 0
-		var xx, xy, yy float64
-		for x, dx := range gxr {
-			dy := gyr[x]
-			xx += float64(float32(dx * dx))
-			xy += float64(float32(dx * dy))
-			yy += float64(float32(dy * dy))
-			dst[3*x+3], dst[3*x+4], dst[3*x+5] = xx, xy, yy
+func (b *keptRows) GradientRow(y int, gx, gy []float32) {
+	dst := b.tab[(y+1)*b.stride : (y+2)*b.stride]
+	var xx, xy, yy float64
+	x, k := 0, 0
+	for _, run := range b.runs {
+		for c := run.x0; c < run.x1; c++ {
+			// Table column c holds the sums over [0, c).
+			for ; x < c; x++ {
+				dx, dy := gx[x], gy[x]
+				xx += float64(float32(dx * dx))
+				xy += float64(float32(dx * dy))
+				yy += float64(float32(dy * dy))
+			}
+			dst[k], dst[k+1], dst[k+2] = xx, xy, yy
+			k += 3
 		}
 	}
 }
 
-// tabCols is tensorTable's second pass: the accumulation down each column of
-// a band of columns.
-type tabCols struct {
+// keptCols is the table's column pass: the accumulation down each of a band
+// of kept columns in y order, Integral.Rebuild's second pass. With the row
+// pass, every kept cell holds the bits of the whole-frame table's cell, at
+// any worker count.
+type keptCols struct {
 	tab        []float64
 	ph, stride int
 }
 
 //adavp:hotpath
-func (b *tabCols) Rows(lo, hi int) {
+func (b *keptCols) Rows(lo, hi int) {
 	tab, ph, stride := b.tab, b.ph, b.stride
 	for y := 1; y <= ph; y++ {
 		above := tab[(y-1)*stride:]
 		row := tab[y*stride:]
-		for i := 3 * (lo + 1); i < 3*(hi+1); i++ {
+		for i := 3 * lo; i < 3*hi; i++ {
 			row[i] = above[i] + row[i]
 		}
 	}

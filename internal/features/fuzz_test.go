@@ -62,6 +62,15 @@ func FuzzDetect(f *testing.F) {
 		{noise, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		{noise[:9], 3, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1},
 		{[]float32{negZero, negZero, negZero, negZero, -sub, negZero, negZero, negZero, negZero, negZero, negZero, negZero}, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		// The table's kept columns at r = 1 (params 1): two masks whose
+		// window columns are disjoint, adjacent and overlapping; a mask
+		// reaching table columns 0 and w; and at r = 4 (params 3) a narrow
+		// mask whose two column runs are disjoint, at the right edge.
+		{noise, 24, 2, 2, 3, 4, 6, 16, 5, 4, 6, 1},
+		{noise, 24, 2, 2, 3, 4, 6, 11, 5, 5, 6, 1},
+		{noise, 24, 2, 2, 3, 4, 6, 8, 5, 5, 6, 1},
+		{noise, 24, 1, 0, 4, 24, 8, 0, 0, 0, 0, 1},
+		{noise, 24, 2, 20, 2, 3, 12, 1, 6, 2, 9, 3},
 	} {
 		f.Add(pixels(c.pix...), c.width, c.masks, c.l0, c.t0, c.w0, c.h0, c.l1, c.t1, c.w1, c.h1, c.param)
 	}

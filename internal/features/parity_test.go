@@ -175,6 +175,15 @@ func TestDetectMatchesReferenceEdgeCases(t *testing.T) {
 		{"-Inf left", []geom.Rect{{Left: -inf, Top: -inf, W: 30, H: 30}}},
 		{"+Inf left", []geom.Rect{{Left: inf, Top: 5, W: 10, H: 10}}},
 		{"huge finite", []geom.Rect{{Left: -1e300, Top: -1e300, W: 1e301, H: 1e301}}},
+		// The table keeps only the columns the window sums read: at r = 1
+		// a mask's pixels [x0, x1) read columns [x0−2, x1+2], and a mask
+		// narrower than the window reads two runs of its own.
+		{"window columns disjoint", []geom.Rect{{Left: 5, Top: 5, W: 6, H: 9}, {Left: 30, Top: 12, W: 6, H: 9}}},
+		{"window columns adjacent", []geom.Rect{{Left: 5, Top: 5, W: 6, H: 9}, {Left: 16, Top: 12, W: 6, H: 9}}},
+		{"window columns overlapping", []geom.Rect{{Left: 5, Top: 5, W: 6, H: 9}, {Left: 13, Top: 8, W: 6, H: 9}}},
+		{"window columns reach table column 0", []geom.Rect{{Left: 1, Top: 6, W: 3, H: 10}}},
+		{"window columns reach table column w", []geom.Rect{{Left: w - 4, Top: 6, W: 10, H: 10}}},
+		{"narrow masks at both ends", []geom.Rect{{Left: w - 3, Top: 3, W: 2, H: 20}, {Left: 1, Top: 14, W: 2, H: 20}}},
 	}
 	img := noiseImage(w, h, 11)
 	params := []Params{

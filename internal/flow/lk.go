@@ -94,10 +94,10 @@ type Result struct {
 
 // Scratch holds the reusable buffers of the flow solver: per-level gradient
 // images of the previous frame (valid only inside the windows the last Track
-// differentiated), the imgproc temporaries behind them and the window list. A
-// Scratch belongs to one pipeline stage and is not safe for concurrent use;
-// the per-point template windows, whose lifetime spans only one banded
-// worker, come from a sync.Pool instead.
+// differentiated), the band-local rows of the Scharr pass that writes them
+// and the window list. A Scratch belongs to one pipeline stage and is not
+// safe for concurrent use; the per-point template windows, whose lifetime
+// spans only one banded worker, come from a sync.Pool instead.
 type Scratch struct {
 	gx, gy []*imgproc.Gray
 	img    imgproc.Scratch

@@ -8,10 +8,11 @@ import (
 
 // TestSteadyStateAllocs is imgproc's part of the allocation ledger (DESIGN
 // §9.2). No row allocates: the temporaries come from the Scratch free list,
-// the resize tap tables from their pool, and each fan-out's band is a field
-// of the Scratch, the Integral or the tap tables. The fan-outs are two passes
-// per blur and per reduction, four per gradient pair and one per pass of the
-// summed-area table and of the resize. A downscale's taps all fall inside
+// the gradients' band-local rows from the Scratch's rings, the resize tap
+// tables from their pool, and each fan-out's band is a field of the Scratch,
+// the Integral or the tap tables. The fan-outs are two passes per blur and
+// per reduction, one per gradient pair (the streamed Scharr body) and one per
+// pass of the summed-area table and of the resize. A downscale's taps all fall inside
 // the source; only the upscale row reaches the clamped Bilinear path at the
 // borders.
 func TestSteadyStateAllocs(t *testing.T) {
@@ -23,7 +24,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	var it Integral
 	ledger.Check(t, []ledger.Row{
 		{Name: "GaussianBlurInto", Want: 0, Fanouts: 2, Run: func() { GaussianBlurInto(blur, g, 1.5, &s) }},
-		{Name: "GradientsInto", Want: 0, Fanouts: 4, Run: func() { GradientsInto(gx, gy, g, &s) }},
+		{Name: "GradientsInto", Want: 0, Fanouts: 1, Run: func() { GradientsInto(gx, gy, g, &s) }},
 		{Name: "Downsample2Into", Want: 0, Fanouts: 2, Run: func() { Downsample2Into(half, g, &s) }},
 		{Name: "Pyramid.Rebuild", Want: 0, Fanouts: 4, Run: func() { pyr.Rebuild(g, 3, &s) }},
 		{Name: "Integral.Rebuild", Want: 0, Fanouts: 2, Run: func() { it.Rebuild(g) }},

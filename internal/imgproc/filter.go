@@ -1,7 +1,6 @@
 package imgproc
 
 import (
-	"image"
 	"math"
 
 	"adavp/internal/par"
@@ -59,49 +58,6 @@ func (b *convBand) Rows(lo, hi int) {
 	dst, g, kernel, horizontal := b.dst, b.g, b.kernel, b.horizontal
 	for y := lo; y < hi; y++ {
 		convolveRow(dst.Row(y), g, kernel, horizontal, y, 0, g.W)
-	}
-}
-
-// convolveRects is convolve1DInto restricted to rects, which must lie inside
-// the image: only the pixels inside some rectangle are written, each to the
-// value the whole-image pass gives it (a pixel's taps do not depend on where
-// the pass started), and the rest of dst is left as it was. Rectangles may
-// overlap. grow extends every rectangle by that many rows up and down,
-// clamped to the image: the rows a vertical pass over rects will read. The
-// bands split the row span the rectangles cover, and a band works the rows of
-// every rectangle that fall inside it, so the call costs one fan-out however
-// many rectangles there are. The band is s's.
-//
-//adavp:hotpath
-func convolveRects(dst, g *Gray, kernel []float32, horizontal bool, rects []image.Rectangle, grow int, s *Scratch) {
-	y0, y1 := g.H, 0
-	for _, r := range rects {
-		y0, y1 = min(y0, r.Min.Y-grow), max(y1, r.Max.Y+grow)
-	}
-	y0, y1 = max(y0, 0), min(y1, g.H)
-	b := &s.rects
-	*b = rectsBand{dst: dst, g: g, kernel: kernel, horizontal: horizontal, rects: rects, grow: grow, y0: y0}
-	par.Rows(y1-y0, b)
-	*b = rectsBand{}
-}
-
-// rectsBand is convolveRects' band: the rows of every rectangle that fall in
-// rows [y0+lo, y0+hi).
-type rectsBand struct {
-	dst, g     *Gray
-	kernel     []float32
-	horizontal bool
-	rects      []image.Rectangle
-	grow, y0   int
-}
-
-//adavp:hotpath
-func (b *rectsBand) Rows(lo, hi int) {
-	dst, g, kernel, horizontal, grow, y0 := b.dst, b.g, b.kernel, b.horizontal, b.grow, b.y0
-	for _, r := range b.rects {
-		for y := max(r.Min.Y-grow, y0+lo); y < min(r.Max.Y+grow, y0+hi); y++ {
-			convolveRow(dst.Row(y), g, kernel, horizontal, y, r.Min.X, r.Max.X)
-		}
 	}
 }
 
@@ -207,48 +163,6 @@ func GaussianBlurInto(dst, g *Gray, sigma float64, s *Scratch) {
 	tmp := s.Take(g.W, g.H)
 	convolve1DInto(tmp, g, k, true, s)
 	convolve1DInto(dst, tmp, k, false, s)
-	s.Put(tmp)
-}
-
-// Scharr gradient kernels. Scharr's 3×3 operator has better rotational
-// symmetry than Sobel, which matters for the structure-tensor eigenvalues
-// used by the good-features-to-track detector.
-//
-// The separable form of the Scharr x-gradient is smooth [3 10 3]/16 along y
-// and difference [-1 0 1]/2 along x.
-var (
-	scharrSmooth = []float32{3.0 / 16, 10.0 / 16, 3.0 / 16}
-	scharrDiff   = []float32{-0.5, 0, 0.5}
-)
-
-// GradientsInto computes the Scharr image gradients (dI/dx, dI/dy) into gx, gy
-// (same size as g, fully overwritten) using s for the intermediate pass,
-// allocating nothing when the scratch already holds a same-size buffer. It is
-// GradientsRectsInto over the whole image.
-//
-//adavp:hotpath
-func GradientsInto(gx, gy, g *Gray, s *Scratch) {
-	s.whole[0] = image.Rect(0, 0, g.W, g.H)
-	GradientsRectsInto(gx, gy, g, s.whole[:], s)
-}
-
-// GradientsRectsInto computes the Scharr gradients of g inside rects only:
-// every pixel of gx, gy (same size as g) that lies in some rectangle gets
-// bitwise the value GradientsInto gives it, clamped image borders included,
-// and the others keep whatever they held. Rectangles must lie inside the
-// image and may overlap. A caller that reads gradients in a few windows — the
-// Lucas–Kanade solver's templates — pays for those windows instead of four
-// whole-image passes.
-//
-//adavp:hotpath
-func GradientsRectsInto(gx, gy, g *Gray, rects []image.Rectangle, s *Scratch) {
-	// The vertical taps read one row above and below each rectangle, so the
-	// horizontal passes cover those too.
-	tmp := s.Take(g.W, g.H)
-	convolveRects(tmp, g, scharrDiff, true, rects, 1, s)
-	convolveRects(gx, tmp, scharrSmooth, false, rects, 0, s)
-	convolveRects(tmp, g, scharrSmooth, true, rects, 1, s)
-	convolveRects(gy, tmp, scharrDiff, false, rects, 0, s)
 	s.Put(tmp)
 }
 

@@ -163,30 +163,153 @@ func TestGradientsRectsParity(t *testing.T) {
 			"pixels":  {image.Rect(0, 0, 1, 1), image.Rect(w-1, 0, w, 1), image.Rect(0, h-1, 1, h), image.Rect(w-1, h-1, w, h), image.Rect(w/2, h/2, w/2+1, h/2+1)},
 			"overlap": {image.Rect(0, 0, w/2+1, h/2+1), image.Rect(w/3, h/3, w, h), image.Rect(w/3, 0, w/2+1, h)},
 		}
-		poison := math.Float32bits(float32(math.NaN()))
 		var s Scratch
-		gx, gy := NewGray(w, h), NewGray(w, h)
 		for name, rects := range lists {
-			gx.Fill(math.Float32frombits(poison))
-			gy.Fill(math.Float32frombits(poison))
-			GradientsRectsInto(gx, gy, g, rects, &s)
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					i := y*w + x
-					wantX, wantY := poison, poison
-					for _, r := range rects {
-						if image.Pt(x, y).In(r) {
-							wantX, wantY = math.Float32bits(refX.Pix[i]), math.Float32bits(refY.Pix[i])
-						}
-					}
-					if math.Float32bits(gx.Pix[i]) != wantX || math.Float32bits(gy.Pix[i]) != wantY {
-						t.Fatalf("%s %v: pixel (%d,%d) = (%v, %v), reference (%v, %v)",
-							name, rects, x, y, gx.Pix[i], gy.Pix[i], refX.Pix[i], refY.Pix[i])
-					}
-				}
-			}
+			requireRectsParity(t, name, g, refX, refY, rects, &s)
 		}
 	})
+}
+
+// requireRectsParity runs GradientsRectsInto over destinations poisoned with
+// NaN and fails unless every pixel inside some rectangle carries the
+// reference's bits and every other pixel is still the poison.
+func requireRectsParity(t *testing.T, name string, g, refX, refY *Gray, rects []image.Rectangle, s *Scratch) {
+	t.Helper()
+	w, h := g.W, g.H
+	poison := math.Float32bits(float32(math.NaN()))
+	gx, gy := NewGray(w, h), NewGray(w, h)
+	gx.Fill(math.Float32frombits(poison))
+	gy.Fill(math.Float32frombits(poison))
+	GradientsRectsInto(gx, gy, g, rects, s)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			wantX, wantY := poison, poison
+			for _, r := range rects {
+				if image.Pt(x, y).In(r) {
+					wantX, wantY = math.Float32bits(refX.Pix[i]), math.Float32bits(refY.Pix[i])
+				}
+			}
+			if math.Float32bits(gx.Pix[i]) != wantX || math.Float32bits(gy.Pix[i]) != wantY {
+				t.Fatalf("%s %v: pixel (%d,%d) = (%v, %v), reference (%v, %v)",
+					name, rects, x, y, gx.Pix[i], gy.Pix[i], refX.Pix[i], refY.Pix[i])
+			}
+		}
+	}
+}
+
+// bandStarts returns the first row of every band but the first that par.Rows
+// cuts [0, n) into at w workers: the first n%w bands get one extra row.
+func bandStarts(n, w int) []int {
+	w = min(w, n)
+	var starts []int
+	for i, lo := 1, 0; i < w; i++ {
+		lo += n / w
+		if i-1 < n%w {
+			lo++
+		}
+		starts = append(starts, lo)
+	}
+	return starts
+}
+
+// TestStreamedGradientsBandEdges pins the streamed Scharr body where its
+// bands meet: each band rebuilds the horizontal-pass rows above and below its
+// first and last gradient row itself, so a rectangle cut by a band boundary,
+// one that begins or ends on it, and one a single row tall beside it all
+// read halo rows another band also computed. The boundaries are par.Rows' at
+// workers 1, 2, 3, 4 and 7 over the row span of the call; the images include
+// the degenerate 1×1, 1×N, N×1 and 2×2 ones, and the lists rectangles
+// touching each border, nested and overlapping ones. One Scratch, its rings
+// dirty from every earlier size and worker count, serves every call.
+func TestStreamedGradientsBandEdges(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var s Scratch
+	for _, size := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {23, 19}, {64, 37}, {13, 64}} {
+		g := testImage(size[0], size[1])
+		w, h := g.W, g.H
+		refX, refY := GradientsRef(g)
+		for _, workers := range parityWorkers {
+			par.SetWorkers(workers)
+			label := fmt.Sprintf("%dx%d w%d", w, h, workers)
+			// A thin strip down the left column fixes the call's row span at
+			// [0, h); each boundary b then gets a rectangle across it, one
+			// ending on it, one starting on it and a one-row one at it.
+			straddle := []image.Rectangle{image.Rect(0, 0, 1, h)}
+			for _, b := range bandStarts(h, workers) {
+				x0 := b % w
+				straddle = append(straddle,
+					image.Rect(x0, b-1, w, b+1),
+					image.Rect(0, max(b-2, 0), w/2+1, b),
+					image.Rect(w/3, b, w, min(b+2, h)),
+					image.Rect(0, b, min(x0+1, w), b+1))
+			}
+			lists := map[string][]image.Rectangle{
+				"band boundaries": straddle,
+				// A row span from h/3 on: the band boundaries shift with it.
+				"band boundaries, offset span": {image.Rect(0, h/3, w, h), image.Rect(w/2, h/3+h/5, w, h/3+h/5+1)},
+				"left border":                  {image.Rect(0, h/4, 1, h/2+1)},
+				"right border":                 {image.Rect(w-1, 0, w, h)},
+				"top border":                   {image.Rect(0, 0, w, 1)},
+				"bottom border":                {image.Rect(w/2, h-1, w, h)},
+				"every border":                 {image.Rect(0, 0, w, h)},
+				"nested":                       {image.Rect(0, 0, w, h), image.Rect(w/4, h/4, w/2+1, h/2+1), image.Rect(w/3, h/3, w/3+1, h/3+1)},
+				"nested, inner first":          {image.Rect(w/4, h/4, w/2+1, h/2+1), image.Rect(0, 0, w, h)},
+				"overlapping":                  {image.Rect(0, 0, w/2+1, h/2+1), image.Rect(w/3, h/3, w, h)},
+			}
+			for name, rects := range lists {
+				requireRectsParity(t, label+" "+name, g, refX, refY, rects, &s)
+			}
+			for name, r := range map[string]image.Rectangle{
+				"whole": image.Rect(0, 0, w, h), "prefix": image.Rect(0, 0, w/2+1, h/2+1), "inner": image.Rect(w/3, h/3, w, h),
+			} {
+				requireStreamParity(t, label+" StreamGradients "+name, g, refX, refY, r, &s)
+			}
+		}
+	}
+}
+
+// rowRecorder is a GradientRows receiver that copies each row's columns
+// [x0, x1) into gx and gy and counts the calls per row.
+type rowRecorder struct {
+	gx, gy *Gray
+	x0, x1 int
+	calls  []int
+}
+
+func (rr *rowRecorder) GradientRow(y int, gx, gy []float32) {
+	copy(rr.gx.Row(y)[rr.x0:rr.x1], gx[rr.x0:rr.x1])
+	copy(rr.gy.Row(y)[rr.x0:rr.x1], gy[rr.x0:rr.x1])
+	rr.calls[y]++
+}
+
+// requireStreamParity fails unless StreamGradients over r hands every row of
+// r to its receiver exactly once, with the reference's bits in r's columns.
+func requireStreamParity(t *testing.T, name string, g, refX, refY *Gray, r image.Rectangle, s *Scratch) {
+	t.Helper()
+	rr := &rowRecorder{gx: NewGray(g.W, g.H), gy: NewGray(g.W, g.H), x0: r.Min.X, x1: r.Max.X, calls: make([]int, g.H)}
+	StreamGradients(g, r, rr, s)
+	for y := 0; y < g.H; y++ {
+		if want := boolInt(y >= r.Min.Y && y < r.Max.Y); rr.calls[y] != want {
+			t.Fatalf("%s %v: row %d handed over %d times, want %d", name, r, y, rr.calls[y], want)
+		}
+	}
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		for x := r.Min.X; x < r.Max.X; x++ {
+			i := y*g.W + x
+			if math.Float32bits(rr.gx.Pix[i]) != math.Float32bits(refX.Pix[i]) || math.Float32bits(rr.gy.Pix[i]) != math.Float32bits(refY.Pix[i]) {
+				t.Fatalf("%s %v: pixel (%d,%d) = (%v, %v), reference (%v, %v)",
+					name, r, x, y, rr.gx.Pix[i], rr.gy.Pix[i], refX.Pix[i], refY.Pix[i])
+			}
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestDownsample2Parity(t *testing.T) {

@@ -75,6 +75,13 @@ func GaussianBlurRef(g *Gray, sigma float64) *Gray {
 	return Convolve1DRef(Convolve1DRef(g, k, true), k, false)
 }
 
+// The Scharr kernels as the reference applies them: smooth [3 10 3]/16 and
+// difference [-1 0 1]/2, the taps of scharr.go's constants.
+var (
+	scharrSmooth = []float32{scharrS0, scharrS1, scharrS0}
+	scharrDiff   = []float32{scharrD0, scharrD1, scharrD2}
+)
+
 // GradientsRef is the scalar reference for GradientsInto.
 func GradientsRef(g *Gray) (gx, gy *Gray) {
 	gx = Convolve1DRef(Convolve1DRef(g, scharrDiff, true), scharrSmooth, false)

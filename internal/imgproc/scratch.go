@@ -1,11 +1,14 @@
 package imgproc
 
-import "image"
+import (
+	"image"
+	"sync/atomic"
+)
 
 // Scratch is a free-list of reusable image buffers for the per-frame
-// kernels: blur, gradients, pyramid reduction and resize all need temporary
-// images whose sizes repeat every frame, and allocating them fresh each time
-// dominated the allocation profile of the pixel pipeline.
+// kernels: blur and pyramid reduction need temporary images whose sizes
+// repeat every frame, the gradients need band-local rows, and allocating them
+// fresh each time dominated the allocation profile of the pixel pipeline.
 //
 // Ownership rules (see DESIGN.md §8):
 //
@@ -22,9 +25,16 @@ import "image"
 type Scratch struct {
 	free []*Gray
 
-	// whole is the one-rectangle list GradientsInto hands GradientsRectsInto;
-	// it lives here so the whole-image call allocates no slice.
+	// whole is the one-rectangle list GradientsInto and StreamGradients hand
+	// the Scharr fan-out; it lives here so that those calls allocate no slice.
 	whole [1]image.Rectangle
+
+	// rings are the Scharr fan-out's band-local rows, reserved before each
+	// call and kept across calls; ringNext counts the call's bands, each of
+	// which takes the ring of its number. It is the one field of a Scratch
+	// that the bands of a call write, atomically.
+	rings    []*scharrRing
+	ringNext atomic.Int32
 
 	// Memoized Gaussian kernel: per-frame blurs reuse one sigma, so caching
 	// the last kernel keeps GaussianBlurInto allocation-free in steady state.
@@ -34,10 +44,10 @@ type Scratch struct {
 	// The bands of the fan-outs that draw on this scratch, one per par.Rows
 	// call site, so that no band is overwritten while in flight. Each holds
 	// its call's arguments for the length of the call only.
-	conv  convBand
-	rects rectsBand
-	downH downHBand
-	downV downVBand
+	conv       convBand
+	scharrBand scharrBand
+	downH      downHBand
+	downV      downVBand
 }
 
 // gaussianKernel returns GaussianKernel(sigma), reusing the previous result
