@@ -169,8 +169,9 @@ func newChurnState(streams int) *churnState {
 // stream) and sits the round out with probability ChurnRate/2 (arrival
 // churn), floored at two active streams. Scenario kinds stripe through a
 // per-round permutation of the full kind set — benign and hostile — so every
-// kind keeps appearing for as long as the soak runs.
-func planRound(root *rng.Stream, cfg Config, round int, st *churnState) []streamPlan {
+// kind keeps appearing for as long as the soak runs. Each segment is
+// segFrames long.
+func planRound(root *rng.Stream, cfg Config, round, segFrames int, st *churnState) []streamPlan {
 	if round > 0 {
 		cr := root.DeriveString("churn").Derive(uint64(round))
 		for i := range st.gen {
@@ -216,8 +217,8 @@ func planRound(root *rng.Stream, cfg Config, round int, st *churnState) []stream
 			k := every[perm[next%len(every)]]
 			next++
 			seed := root.Derive(uint64(round), uint64(slot), uint64(gen), uint64(s)).DeriveString("video").Uint64()
-			parts[s] = video.GenerateKind(fmt.Sprintf("%s/%s", id, k), k, seed, cfg.SegmentFrames)
-			p.Segments = append(p.Segments, segment{Kind: k, Start: s * cfg.SegmentFrames, End: (s + 1) * cfg.SegmentFrames})
+			parts[s] = video.GenerateKind(fmt.Sprintf("%s/%s", id, k), k, seed, segFrames)
+			p.Segments = append(p.Segments, segment{Kind: k, Start: s * segFrames, End: (s + 1) * segFrames})
 		}
 		p.Video = video.Splice(fmt.Sprintf("%s.r%d", id, round), parts...)
 		if cfg.Fault != nil {

@@ -88,7 +88,7 @@ func TestSoakSimChurnVariesStreams(t *testing.T) {
 	st := newChurnState(cfg.Streams)
 	ids := make(map[string]bool)
 	for round := 0; round < cfg.Rounds; round++ {
-		for _, p := range planRound(root, cfg, round, st) {
+		for _, p := range planRound(root, cfg, round, cfg.SegmentFrames, st) {
 			ids[p.ID] = true
 		}
 	}
@@ -159,9 +159,10 @@ func TestSoakRTCancel(t *testing.T) {
 // TestSoakRTPipelined: the pipelined preset — pixel streams with staged
 // frame prefetch contending for one shared slot. While a stream blocks in
 // Pool.Acquire its tracker keeps stepping the previous cycle through the
-// prefetching ring (the soak must bank prefetched frames to prove it; the
-// default segment length gives streams the three or more detections that
-// takes, even under the race detector), and because prefetch never touches
+// prefetching ring (the soak must bank prefetched frames to prove it, and
+// SoakRT runs until one round has given every stream the three detections
+// that takes, lengthening its segments on a loaded machine instead of
+// stopping at the wall budget), and because prefetch never touches
 // the pool the fairness bound must hold exactly as it does sequentially —
 // along with the usual rt survival invariants (zero goroutine growth,
 // bounded heap).

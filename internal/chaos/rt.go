@@ -32,6 +32,14 @@ import (
 // floors but not enforced: wall-clock scheduling varies cycle counts run to
 // run. Cancelling ctx stops the soak after the current round without
 // marking a violation.
+//
+// A pipelined soak (PipelineDepth > 1) stops on work done, not on the clock
+// alone. A stream's tracker ring can bank a prefetched frame only from the
+// third detection of a run on, and how many detections a wall-paced run gets
+// depends on how fast the machine is at that moment. So the soak goes on past
+// WallBudget until one round has given every stream bankCycles detection
+// cycles; a round that falls short runs the next with segments twice as
+// long, up to maxSegmentGrowth times the configured length.
 func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	root := rngRoot(cfg.Seed)
@@ -46,11 +54,13 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 	rep.HeapBefore = liveHeap()
 	start := time.Now()
 
+	worked := cfg.PipelineDepth <= 1
+	segFrames, maxSegment := cfg.SegmentFrames, maxSegmentGrowth*cfg.SegmentFrames
 	for round := 0; ; round++ {
-		if round > 0 && (time.Since(start) >= cfg.WallBudget || ctx.Err() != nil || round >= 10000) {
+		if round > 0 && ((worked && time.Since(start) >= cfg.WallBudget) || ctx.Err() != nil || round >= 10000) {
 			break
 		}
-		plans := planRound(root, cfg, round, st)
+		plans := planRound(root, cfg, round, segFrames, st)
 		specs := make([]serve.StreamSpec, len(plans))
 		for i, p := range plans {
 			c := rt.Config{
@@ -121,6 +131,12 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			acc.add(plans[i], s.Result.FrameF1)
 		}
+		if !worked {
+			worked = everyStreamCycled(res.Streams, bankCycles) || segFrames >= maxSegment
+			if !worked {
+				segFrames = min(2*segFrames, maxSegment)
+			}
+		}
 	}
 	rep.Wall = time.Since(start)
 	rep.Churned = st.churned
@@ -150,6 +166,32 @@ func SoakRT(ctx context.Context, cfg Config) (*Report, error) {
 				fmtBytes(rep.HeapBefore), fmtBytes(rep.HeapAfter), fmtBytes(MaxHeapDelta)))
 	}
 	return rep, nil
+}
+
+// bankCycles is the number of detection cycles a pipelined run needs before
+// its tracker ring can bank a frame: the first detection hands the tracker
+// nothing, the second hands it a cycle after its own wait, and the third
+// waits while the tracker steps that cycle.
+const bankCycles = 3
+
+// maxSegmentGrowth bounds how far a pipelined soak lengthens its segments in
+// search of bankCycles detections per stream.
+const maxSegmentGrowth = 16
+
+// everyStreamCycled reports whether every stream of a round that ended
+// without error ran at least n detection cycles, and at least one did.
+func everyStreamCycled(streams []serve.StreamResult, n int) bool {
+	ran := false
+	for _, s := range streams {
+		if s.Err != nil {
+			continue
+		}
+		if s.Result.Cycles < n {
+			return false
+		}
+		ran = true
+	}
+	return ran
 }
 
 // settledGoroutines samples the goroutine count until it stops falling (or

@@ -30,7 +30,7 @@ func SoakSim(cfg Config) (*Report, error) {
 	rep := &Report{Mode: "sim", Seed: cfg.Seed, Rounds: cfg.Rounds, Streams: cfg.Streams, Slots: cfg.Slots, BatchSize: cfg.Batch.Size}
 
 	for round := 0; round < cfg.Rounds; round++ {
-		plans := planRound(root, cfg, round, st)
+		plans := planRound(root, cfg, round, cfg.SegmentFrames, st)
 		streams := make([]sim.MultiStream, len(plans))
 		for i, p := range plans {
 			streams[i] = sim.MultiStream{
