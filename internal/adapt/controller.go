@@ -33,12 +33,12 @@ func NewController(model *Model, raw bool) *Controller {
 	return &Controller{model: model, raw: raw, velocity: -1, fraction: defaultFraction}
 }
 
-// Plan selects which of the f frames buffered this cycle to track. It
-// returns the zero-based indices (into the buffered slice) of the frames the
-// tracker should process, spaced at regular intervals, always including the
-// last buffered frame so the display catches up to the detector's fetch
-// point. An empty buffer yields no selections.
-func (c *Controller) Plan(f int) []int {
+// Plan selects which of the f frames buffered this cycle, first ..
+// first+f-1, to track. It returns the frame indices the tracker should
+// process, spaced at regular intervals, always including the last buffered
+// frame so the display catches up to the detector's fetch point. An empty
+// buffer yields no selections.
+func (c *Controller) Plan(first, f int) []int {
 	if f <= 0 {
 		return nil
 	}
@@ -52,7 +52,7 @@ func (c *Controller) Plan(f int) []int {
 	out := make([]int, 0, h)
 	step := float64(f) / float64(h)
 	for i := 1; i <= h; i++ {
-		idx := int(float64(i)*step+0.5) - 1
+		idx := first + int(float64(i)*step+0.5) - 1
 		if len(out) > 0 && out[len(out)-1] == idx {
 			continue
 		}

@@ -33,17 +33,17 @@ func checkControllerDefaults(t *testing.T, c *Controller) {
 
 func TestControllerPlanEmpty(t *testing.T) {
 	c := NewController(nil, false)
-	if got := c.Plan(0); got != nil {
+	if got := c.Plan(0, 0); got != nil {
 		t.Errorf("Plan(0) = %v, want nil", got)
 	}
-	if got := c.Plan(-3); got != nil {
+	if got := c.Plan(0, -3); got != nil {
 		t.Errorf("Plan(-3) = %v, want nil", got)
 	}
 }
 
 func TestControllerPlanSingleFrame(t *testing.T) {
 	c := NewController(nil, false)
-	got := c.Plan(1)
+	got := c.Plan(0, 1)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("Plan(1) = %v, want [0]", got)
 	}
@@ -52,7 +52,7 @@ func TestControllerPlanSingleFrame(t *testing.T) {
 func TestControllerPlanHalf(t *testing.T) {
 	c := NewController(nil, false)
 	c.Observe(10, 5, -1) // p = 0.5
-	got := c.Plan(10)
+	got := c.Plan(0, 10)
 	if len(got) != 5 {
 		t.Errorf("Plan(10) with p=0.5 selected %d frames: %v", len(got), got)
 	}
@@ -61,8 +61,8 @@ func TestControllerPlanHalf(t *testing.T) {
 	}
 }
 
-// Properties of Plan after one Observe: indices strictly increasing, in
-// range, the last index always f-1, p clamped to [0.05, 1], and the count
+// Properties of Plan after one Observe: frame indices strictly increasing,
+// in range, the last always the newest buffered frame, p clamped to [0.05, 1], and the count
 // within one of round(p·f) (the newest frame may add one).
 func TestControllerPlanProperties(t *testing.T) {
 	if err := quick.Check(func(fRaw, hRaw uint8, gRaw uint8) bool {
@@ -74,13 +74,14 @@ func TestControllerPlanProperties(t *testing.T) {
 		if c.fraction < 0.05 || c.fraction > 1 {
 			return false
 		}
-		plan := c.Plan(g)
-		if len(plan) == 0 || plan[len(plan)-1] != g-1 {
+		const first = 100
+		plan := c.Plan(first, g)
+		if len(plan) == 0 || plan[len(plan)-1] != first+g-1 {
 			return false
 		}
-		prev := -1
+		prev := first - 1
 		for _, idx := range plan {
-			if idx <= prev || idx >= g {
+			if idx <= prev || idx >= first+g {
 				return false
 			}
 			prev = idx
@@ -119,7 +120,7 @@ func TestControllerAdaptsAcrossCycles(t *testing.T) {
 	// of the new buffer.
 	c := NewController(nil, false)
 	c.Observe(12, 4, -1)
-	plan := c.Plan(15)
+	plan := c.Plan(0, 15)
 	if len(plan) < 4 || len(plan) > 6 {
 		t.Errorf("Plan(15) with p=1/3 selected %d frames (%v), want ~5", len(plan), plan)
 	}
@@ -128,7 +129,7 @@ func TestControllerAdaptsAcrossCycles(t *testing.T) {
 func TestControllerFullFraction(t *testing.T) {
 	c := NewController(nil, false)
 	c.Observe(10, 10, -1)
-	plan := c.Plan(7)
+	plan := c.Plan(0, 7)
 	if len(plan) != 7 {
 		t.Fatalf("Plan(7) with p=1 selected %d frames", len(plan))
 	}

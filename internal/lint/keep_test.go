@@ -28,7 +28,7 @@ import (
 // itself once the benchmark stops the read.
 
 type keepEntry struct {
-	// name is package-qualified: serve.Pool.QueueDepth for a method,
+	// name is package-qualified: serve.FairQueue.PopBatch for a method,
 	// imgproc.DecodePGM for a function, guard.Config.MinDeadline for a
 	// field. A main package is named by its directory, cmd/adavp.
 	name   string
@@ -93,7 +93,6 @@ var unreachedKeep = []keepEntry{
 
 	{"serve.FairQueue.PopBatch", benchReads, "13"},
 	{"serve.StatsSnapshot.MeanBatchFill", benchReads, "13"},
-	{"serve.Pool.QueueDepth", "serve's tests poll it while Acquire goroutines block: it reads the queue under the pool's lock", "standing"},
 
 	{"obs.Counter.Value", crossTest, "standing"},
 	{"obs.Histogram.Count", crossTest, "standing"},

@@ -11,10 +11,13 @@
 //     DNN (its latency is emulated by sleeping the calibrated duration, scaled
 //     by Config.TimeScale), and hands the results to the tracker.
 //   - The object tracker thread tracks the frames accumulated between two
-//     detections, honoring the tracking-frame selection scheme, and cancels
-//     its remaining work after finishing the current task once the detector
-//     has fetched a new frame (§IV-B's synchronization rule). It reads the
-//     planned frames through a stagedRing, which in pixel mode at
+//     detections, honoring the tracking-frame selection scheme, through
+//     adapt.Cycle, the step sim runs too. Before every task, Init included,
+//     it asks whether the detector has fetched a new frame, and if so
+//     cancels its remaining work; a task that started completes (§IV-B's
+//     synchronization rule). A tracker panic is recovered in place: the
+//     frame it hit is held and the cycle ends. The thread reads the planned
+//     frames through a stagedRing, which in pixel mode at
 //     Config.PipelineDepth > 1 renders up to depth-1 of them ahead.
 //
 // Shared data (detection results, display outputs) is guarded by a mutex and
@@ -41,7 +44,6 @@ package rt
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,9 +296,8 @@ type pipeline struct {
 	// tasks once the detector has moved on (§IV-B).
 	generation atomic.Uint64
 
-	// The cycle the tracker ring builds from, set before each arm.
-	stepFrom int
-	plan     []int
+	// The frames the tracker ring builds, set before each arm.
+	plan []int
 	// waitBase is prefetched's value when the detector thread entered its
 	// current Slots.Acquire, else -1.
 	waitBase   atomic.Int64
@@ -367,7 +368,7 @@ func (p *pipeline) frame(i int) core.Frame {
 // frame, banking it when it lands while the detector thread waits for a slot.
 func (p *pipeline) buildStep(k int, slot *pipeSlot) {
 	t0 := time.Now()
-	slot.frame = p.frame(p.stepFrom + p.plan[k])
+	slot.frame = p.frame(p.plan[k])
 	p.prefetchH.ObserveDuration(time.Since(t0))
 	if base := p.waitBase.Load(); base >= 0 && p.depth > 1 {
 		n := p.prefetched.Add(1)
@@ -641,9 +642,8 @@ func (p *pipeline) calibrate(ctx context.Context, d *detectorState, frameIdx int
 	d.lastFetched = max(d.lastFetched, frameIdx)
 }
 
-// trackerLoop is the CPU thread: process each cycle's buffered frames under
-// panic supervision, validating every velocity sample before it can reach
-// the controller. The planned frames come through the run's stagedRing.
+// trackerLoop is the CPU thread: it tracks each cycle's plan through
+// adapt.Cycle, reading the planned frames through the run's stagedRing.
 func (p *pipeline) trackerLoop(ctx context.Context) {
 	ring := newStagedRing(p.depth, p.buildStep)
 	for w := range p.work {
@@ -651,89 +651,71 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 			return
 		}
 		buffered := w.EndFrame - 1 - w.Ref.Index
-		if buffered <= 0 {
-			continue
-		}
-		feStart := time.Now()
-		if !p.safeTrack(w.Ref.Index, func() { p.tracker.Init(w.Ref, w.RefDets) }) {
-			continue
-		}
-		p.sleep(p.latTrk.FeatureExtract())
-		// Feature extraction is CPU-track work, same as in the simulator's
-		// busy log.
-		p.trackH.ObserveDuration(time.Since(feStart))
-
 		p.ctrlMu.Lock()
-		p.stepFrom, p.plan = w.Ref.Index+1, p.ctrl.Plan(buffered)
+		p.plan = p.ctrl.Plan(w.Ref.Index+1, buffered)
 		p.ctrlMu.Unlock()
-		tracked, vel := p.trackPlan(ctx, ring, w)
+		c := rtCycle{p: p, ctx: ctx, ring: ring, w: w, start: time.Now()}
+		tracked, vel := adapt.Cycle{Tracker: p.tracker, Ref: w.Ref, RefDets: w.RefDets, Plan: p.plan}.Run(
+			adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
+		ring.audit()
 		p.ctrlMu.Lock()
 		p.ctrl.Observe(buffered, tracked, vel)
 		p.ctrlMu.Unlock()
 	}
 }
 
-// trackPlan steps the tracker through the planned frames and returns how
-// many it tracked and their mean velocity (NaN without a valid sample).
-// §IV-B: it stops once the detector has fetched a newer frame, checked before
-// arming and before each slot goes back, so at most depth-1 builds go unread.
-func (p *pipeline) trackPlan(ctx context.Context, ring *stagedRing, w cycleWork) (tracked int, vel float64) {
-	if p.generation.Load() > w.Generation {
-		return 0, math.NaN()
-	}
-	ring.arm(ctx, len(p.plan))
-	defer ring.audit()
-	var velSum float64
-	var velN int
-	cur := w.RefDets
-	for k := range p.plan {
-		slot, ok := ring.next(k)
-		if !ok {
-			break
-		}
-		f := slot.frame
-		stepStart := time.Now()
-		var dets []core.Detection
-		var v float64
-		if !p.safeTrack(f.Index, func() { dets, v = p.tracker.Step(f) }) {
-			// The tracker panicked mid-cycle: hold the last good boxes
-			// for this frame and abandon the rest of the cycle — the
-			// next detection re-initializes the tracker from scratch.
-			p.setOutput(core.FrameOutput{FrameIndex: f.Index, Source: core.SourceHeld, Setting: w.Setting, Detections: cur})
-			tracked++
-			break
-		}
-		dets = detect.Sanitize(dets)
-		p.sleep(p.latTrk.TrackFrame(len(cur)))
-		p.trackH.ObserveDuration(time.Since(stepStart))
-		ovStart := time.Now()
-		p.sleep(p.latTrk.Overlay())
-		p.setOutput(core.FrameOutput{FrameIndex: f.Index, Source: core.SourceTracker, Setting: w.Setting, Detections: dets})
-		p.overlayH.ObserveDuration(time.Since(ovStart))
-		cur = dets
-		tracked++
-		if track.ValidVelocity(v) {
-			velSum += v
-			velN++
-		}
-		if p.generation.Load() > w.Generation {
-			break
-		}
-		ring.release(slot, slot.pyr)
-	}
-	return tracked, velSum / float64(velN) // 0/0 is NaN
+// rtCycle is rt.Run's adapt.Driver, on the wall clock: stop once the
+// detector has fetched a newer frame (§IV-B), and sink sleeps each task's
+// emulated cost.
+type rtCycle struct {
+	p     *pipeline
+	ctx   context.Context
+	ring  *stagedRing
+	w     cycleWork
+	slot  *pipeSlot // the ring slot last fetched
+	start time.Time // when the task under way started
 }
 
-// safeTrack runs one tracker call on the given frame with panic recovery.
-func (p *pipeline) safeTrack(frame int, call func()) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.sup.ObserveFault(guard.ComponentTracker, guard.Panicked, int(p.cycles.Load()), frame, time.Since(p.start))
-			ok = false
-		}
-	}()
-	call()
-	return true
+func (c *rtCycle) stop(int, []core.Detection) bool { return c.p.generation.Load() > c.w.Generation }
+
+// fetch reads the planned frames through the ring: frame 0 arms it and
+// frame k releases slot k-1. A stop leaves the last slot to ring.audit, so
+// at most depth-1 builds go unread.
+func (c *rtCycle) fetch(k, _ int) (core.Frame, bool) {
+	if k == 0 {
+		c.ring.arm(c.ctx, len(c.p.plan))
+	} else {
+		c.ring.release(c.slot, c.slot.pyr)
+	}
+	var ok bool
+	if c.slot, ok = c.ring.next(k); !ok {
+		return core.Frame{}, false
+	}
+	c.start = time.Now()
+	return c.slot.frame, true
+}
+
+func (c *rtCycle) sink(t adapt.Task) {
+	p := c.p
+	out := core.FrameOutput{FrameIndex: t.Frame, Source: core.SourceTracker, Setting: c.w.Setting, Detections: t.Dets}
+	switch {
+	case t.Panicked:
+		p.sup.ObserveFault(guard.ComponentTracker, guard.Panicked, int(p.cycles.Load()), t.Frame, time.Since(p.start))
+		out.Source = core.SourceHeld
+	case t.K < 0:
+		// Feature extraction is CPU-track work, as in sim's busy log.
+		p.sleep(p.latTrk.FeatureExtract())
+		p.trackH.ObserveDuration(time.Since(c.start))
+	default:
+		p.sleep(p.latTrk.TrackFrame(len(t.From)))
+		p.trackH.ObserveDuration(time.Since(c.start))
+		ovStart := time.Now()
+		p.sleep(p.latTrk.Overlay())
+		p.overlayH.ObserveDuration(time.Since(ovStart))
+	}
+	if t.K >= 0 {
+		p.setOutput(out)
+	}
 }
 
 // finish hold-fills unprocessed frames and evaluates the run.

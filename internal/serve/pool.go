@@ -77,14 +77,6 @@ func (p *Pool) Stats() StatsSnapshot {
 	return p.led.stats
 }
 
-// QueueDepth returns the current number of waiting requests (including
-// requests whose callers have since been cancelled but not yet skipped).
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.led.q.Len()
-}
-
 // Acquire implements rt.DetectorSlots: it blocks until a detector slot is
 // granted or ctx is cancelled. setting is the batch compatibility key — the
 // model setting the caller holds when it requests (its post-grant adaptation

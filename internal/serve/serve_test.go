@@ -14,6 +14,16 @@ import (
 	"adavp/internal/video"
 )
 
+// QueueDepth returns the current number of waiting requests (including
+// requests whose callers have since been cancelled but not yet skipped). The
+// tests poll it while Acquire goroutines block; only they read it, so it
+// lives with them.
+func (p *Pool) QueueDepth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.led.q.Len()
+}
+
 func TestPoolGrantAndRelease(t *testing.T) {
 	p := NewBatchPool(1, 4, BatchConfig{Size: 1}, nil)
 	ctx := context.Background()

@@ -196,7 +196,7 @@ func (r *multiRun) Plan(i int, requested, grant time.Duration) (time.Duration, b
 		// Video exhausted: no detection — the member leaves after at most a
 		// setting-switch residue and never re-requests.
 		m.out.MaxOccupancy = max(m.out.MaxOccupancy, span)
-		m.e.run.Duration = maxDuration(m.plan.now, time.Duration(m.e.v.NumFrames())*m.e.delta)
+		m.e.run.Duration = max(m.plan.now, time.Duration(m.e.v.NumFrames())*m.e.delta)
 	}
 	return span, !m.plan.done
 }

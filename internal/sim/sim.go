@@ -27,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"adavp/internal/adapt"
@@ -160,10 +159,13 @@ type Result struct {
 	MeanF1 float64
 }
 
-// Run executes one policy over one video. A panicking component (possible
-// with user-supplied detectors/trackers outside the fault framework) is
-// recovered into an error rather than killing the caller. In pixel mode the
-// run holds par's worker gangs (par.Hold) from start to return.
+// Run executes one policy over one video. A panicking detector (possible
+// with a user-supplied one outside the fault framework) is recovered into an
+// error rather than killing the caller. A panicking tracker is recovered in
+// place, as in rt.Run (adapt.Cycle): the frame it panicked on is held and
+// the cycle ends; after a panic in MARLIN's per-detection Init the next frame
+// is detected. In pixel mode the run holds par's worker gangs (par.Hold)
+// from start to return.
 func Run(v *video.Video, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if v == nil || v.NumFrames() == 0 {
@@ -275,56 +277,63 @@ func (e *engine) busy(res trace.Resource, s core.Setting, start, dur time.Durati
 
 // calibrate is one detection, the step every policy shares: frame i runs at
 // setting s on the GPU from start to end, and its boxes become frame i's
-// output, ready at end. The boxes are sanitized: malformed detections
+// output, ready at end. It returns the frame, the tracker's next reference,
+// and the boxes, which are sanitized: malformed detections
 // (garbage/NaN faults, buggy detectors) must never reach the tracker or the
 // display, and Sanitize is the identity on well-formed batches.
-func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) []core.Detection {
+func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) (core.Frame, []core.Detection) {
 	e.busy(trace.ResourceGPU, s, start, end-start)
-	dets := detect.Sanitize(e.det.Detect(e.frame(i), s))
+	f := e.frame(i)
+	dets := detect.Sanitize(e.det.Detect(f, s))
 	e.outputs[i] = core.FrameOutput{FrameIndex: i, Source: core.SourceDetector, Setting: s, Detections: dets, Ready: end}
-	return dets
+	return f, dets
 }
 
-// noDeadline lets trackFrames step through its whole plan: the sequential
-// baseline never overlaps a detection that could cut its tracking short.
-const noDeadline = time.Duration(math.MaxInt64)
+// simCycle is sim's adapt.Driver, on the virtual clock. stop draws the next
+// task's costs and, but in MARLIN, stops a task that would end past the
+// detection (§IV-B); sink charges the same draws unless the task panicked.
+type simCycle struct {
+	e                *engine
+	setting          core.Setting
+	cursor, deadline time.Duration
+	sequential       bool             // MARLIN: no detection overlaps the tracking
+	track, overlay   time.Duration    // the task under way's drawn costs
+	last             []core.Detection // the boxes last published
+}
 
-// trackFrames is the tracking step every tracking policy shares: it steps the
-// tracker through the planned frames (offsets past ref) from boxes cur,
-// starting at virtual time cursor, and writes each tracked output. A frame
-// whose tracking and overlay would end past deadline stops the loop (§IV-B:
-// when the detector finishes, the tracker cancels its remaining tasks). It
-// returns the frames tracked, their mean valid velocity (-1 without one),
-// the cursor and the last boxes.
-func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting core.Setting, cursor, deadline time.Duration) (int, float64, time.Duration, []core.Detection) {
-	tracked := 0
-	var velSum float64
-	var velN int
-	for _, idx := range plan {
-		frameIdx := ref + 1 + idx
-		trackDur := e.lat.TrackFrame(len(cur))
-		overlayDur := e.lat.Overlay()
-		if cursor+trackDur+overlayDur > deadline {
-			break
-		}
-		dets, vel := e.tracker.Step(e.frame(frameIdx))
-		dets = detect.Sanitize(dets)
-		cursor = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, cursor, trackDur)
-		cursor = e.busy(trace.ResourceCPUOverlay, core.SettingInvalid, cursor, overlayDur)
-		e.outputs[frameIdx] = core.FrameOutput{FrameIndex: frameIdx, Source: core.SourceTracker, Setting: setting, Detections: dets, Ready: cursor}
-		// NaN, ±Inf and absurd velocities (faulting trackers) must never
-		// reach the controller's estimate.
-		if track.ValidVelocity(vel) {
-			velSum += vel
-			velN++
-		}
-		cur = dets
-		tracked++
+func (c *simCycle) driver() adapt.Driver {
+	return adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink}
+}
+
+func (c *simCycle) fetch(_, i int) (core.Frame, bool) { return c.e.frame(i), true }
+
+func (c *simCycle) stop(k int, from []core.Detection) bool {
+	if k < 0 {
+		// Feature extraction on the reference frame (Table II: ~40 ms).
+		c.track, c.overlay = c.e.lat.FeatureExtract(), 0
+	} else {
+		c.track, c.overlay = c.e.lat.TrackFrame(len(from)), c.e.lat.Overlay()
 	}
-	if velN == 0 {
-		return tracked, -1, cursor, cur
+	return !c.sequential && c.cursor+c.track+c.overlay > c.deadline
+}
+
+func (c *simCycle) sink(t adapt.Task) {
+	out := core.FrameOutput{FrameIndex: t.Frame, Source: core.SourceHeld, Setting: c.setting, Detections: t.Dets}
+	if !t.Panicked {
+		c.cursor = c.e.busy(trace.ResourceCPUTrack, core.SettingInvalid, c.cursor, c.track)
+		if t.K < 0 {
+			// The adaptation module also reads the motion features
+			// (negligible).
+			c.cursor += c.e.lat.MotionFeature()
+			return
+		}
+		c.cursor = c.e.busy(trace.ResourceCPUOverlay, core.SettingInvalid, c.cursor, c.overlay)
+		out.Source = core.SourceTracker
 	}
-	return tracked, velSum / float64(velN), cursor, cur
+	if t.K >= 0 {
+		out.Ready = c.cursor
+		c.e.outputs[t.Frame], c.last = out, t.Dets
+	}
 }
 
 // parallelState carries the MPDT/AdaVP loop state between detection cycles.
@@ -333,15 +342,15 @@ func (e *engine) trackFrames(ref int, plan []int, cur []core.Detection, setting 
 // engines over shared detector slots, granting each stream one cycle at a
 // time at whatever virtual time its slot became available.
 type parallelState struct {
-	prevFrame int // last detected frame; <0 before the first calibration
-	prevDets  []core.Detection
-	setting   core.Setting
-	cycle     int
+	prev     core.Frame // last detected frame; Index -1 before the first calibration
+	prevDets []core.Detection
+	setting  core.Setting
+	cycle    int
 }
 
 // newParallelState is a stream's state before its first cycle.
 func (e *engine) newParallelState() *parallelState {
-	return &parallelState{prevFrame: -1, setting: e.cfg.Setting}
+	return &parallelState{prev: core.Frame{Index: -1}, setting: e.cfg.Setting}
 }
 
 // cyclePlan is the pre-execution half of one detection cycle: everything the
@@ -394,10 +403,10 @@ func (e *engine) planCycle(st *parallelState, start time.Duration) cyclePlan {
 
 	nextFrame := e.capturedAt(now)
 	switch {
-	case st.prevFrame < 0:
+	case st.prev.Index < 0:
 		nextFrame = 0
-	case nextFrame <= st.prevFrame:
-		nextFrame = st.prevFrame + 1
+	case nextFrame <= st.prev.Index:
+		nextFrame = st.prev.Index + 1
 	}
 	if nextFrame >= n {
 		return cyclePlan{start: start, now: now, setting: st.setting, done: true}
@@ -410,13 +419,21 @@ func (e *engine) planCycle(st *parallelState, start time.Duration) cyclePlan {
 // stretches every member to the batch's completion) with the buffered frames
 // tracked concurrently on the CPU inside the same window. It returns end.
 func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) time.Duration {
-	dets := e.calibrate(p.frame, p.setting, p.now, end)
+	detected, dets := e.calibrate(p.frame, p.setting, p.now, end)
 
-	// CPU, concurrently: track the buffered frames (prevFrame+1 ..
-	// frame-1) against prevFrame's detections, within the detection
-	// window.
-	buffered := p.frame - 1 - st.prevFrame
-	tracked, velocity := e.trackCycle(st.prevFrame, st.prevDets, p.frame, p.setting, p.now, end)
+	// CPU, concurrently: track the buffered frames (prev+1 .. frame-1)
+	// against prev's detections, within the detection window.
+	ref := st.prev.Index
+	buffered := p.frame - 1 - ref
+	plan := e.ctrl.Plan(ref+1, buffered)
+	if e.cfg.TrackAllFrames {
+		plan = plan[:0]
+		for i := ref + 1; i < p.frame; i++ {
+			plan = append(plan, i)
+		}
+	}
+	c := simCycle{e: e, setting: p.setting, cursor: p.now, deadline: end}
+	tracked, velocity := adapt.Cycle{Tracker: e.tracker, Ref: st.prev, RefDets: st.prevDets, Plan: plan}.Run(c.driver())
 	e.ctrl.Observe(buffered, tracked, velocity)
 
 	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
@@ -424,8 +441,7 @@ func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) ti
 		Start: p.now, End: end,
 		FramesBuffered: buffered, FramesTracked: tracked, Velocity: velocity,
 	})
-	st.prevFrame = p.frame
-	st.prevDets = dets
+	st.prev, st.prevDets = detected, dets
 	st.cycle++
 	return end
 }
@@ -444,37 +460,7 @@ func (e *engine) runParallel() {
 		}
 		now = e.execCycle(st, p, p.now+p.detDur)
 	}
-	e.run.Duration = maxDuration(now, time.Duration(e.v.NumFrames())*e.delta)
-}
-
-// trackCycle runs the tracker over the frames buffered during one detection
-// (those between refFrame and endFrame), writing tracked outputs, from start
-// until the detection ends at deadline. It returns the number of frames
-// tracked and the mean motion velocity observed (-1 when nothing could be
-// measured).
-func (e *engine) trackCycle(refFrame int, refDets []core.Detection, endFrame int, setting core.Setting, start, deadline time.Duration) (int, float64) {
-	buffered := endFrame - 1 - refFrame
-	if buffered <= 0 {
-		return 0, -1
-	}
-	// Feature extraction on the reference frame (Table II: ~40 ms).
-	featDur := e.lat.FeatureExtract()
-	if start+featDur > deadline {
-		return 0, -1
-	}
-	e.tracker.Init(e.frame(refFrame), refDets)
-	// The adaptation module also reads the motion features (negligible).
-	cursor := e.busy(trace.ResourceCPUTrack, core.SettingInvalid, start, featDur) + e.lat.MotionFeature()
-
-	plan := e.ctrl.Plan(buffered)
-	if e.cfg.TrackAllFrames {
-		plan = plan[:0]
-		for i := 0; i < buffered; i++ {
-			plan = append(plan, i)
-		}
-	}
-	tracked, velocity, _, _ := e.trackFrames(refFrame, plan, refDets, setting, cursor, deadline)
-	return tracked, velocity
+	e.run.Duration = max(now, time.Duration(e.v.NumFrames())*e.delta)
 }
 
 // runMARLIN implements the sequential baseline: the tracker runs between
@@ -490,7 +476,7 @@ func (e *engine) runMARLIN() {
 	for {
 		// Detection (tracker idle).
 		end := now + e.lat.Detect(setting)
-		dets := e.calibrate(detFrame, setting, now, end)
+		ref, dets := e.calibrate(detFrame, setting, now, end)
 		e.run.Cycles = append(e.run.Cycles, trace.Cycle{Index: cycle, Setting: setting, DetectedFrame: detFrame, Start: now, End: end})
 		cycle++
 		now = end
@@ -500,13 +486,17 @@ func (e *engine) runMARLIN() {
 		// frames m0+1 .. m1-1), round by round, applying the same
 		// tracking-frame selection as MPDT. A round whose mean velocity
 		// exceeds the scene-change threshold re-triggers the detector.
+		// A tracker that panics in Init cannot track this detection:
+		// detect again at once.
 		featDur := e.lat.FeatureExtract()
-		e.tracker.Init(e.frame(detFrame), dets)
-		now = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, now, featDur)
+		initialized := adapt.Recovered(func() { e.tracker.Init(ref, dets) })
+		if initialized {
+			now = e.busy(trace.ResourceCPUTrack, core.SettingInvalid, now, featDur)
+		}
 
 		cursorFrame := detFrame
-		cur := dets
-		triggered := false
+		c := simCycle{e: e, setting: setting, sequential: true, last: dets}
+		triggered := !initialized
 		for !triggered {
 			live := e.capturedAt(now)
 			if live <= cursorFrame {
@@ -518,10 +508,10 @@ func (e *engine) runMARLIN() {
 				live = cursorFrame + 1
 			}
 			backlog := live - cursorFrame
-			var tracked int
-			var velocity float64
-			tracked, velocity, now, cur = e.trackFrames(cursorFrame, e.ctrl.Plan(backlog), cur, setting, now, noDeadline)
-			cursorFrame = live
+			c.cursor = now
+			tracked, velocity := adapt.Cycle{Tracker: e.tracker, RefDets: c.last, SkipInit: true,
+				Plan: e.ctrl.Plan(cursorFrame+1, backlog)}.Run(c.driver())
+			now, cursorFrame = c.cursor, live
 			e.ctrl.Observe(backlog, tracked, velocity)
 			triggered = velocity > MARLINTrigger
 		}
@@ -538,7 +528,7 @@ func (e *engine) runMARLIN() {
 			break
 		}
 	}
-	e.run.Duration = maxDuration(now, time.Duration(n)*e.delta)
+	e.run.Duration = max(now, time.Duration(n)*e.delta)
 }
 
 // runNoTracking implements the detector-only baseline: always detect the
@@ -561,7 +551,7 @@ func (e *engine) runNoTracking() {
 		}
 		frame = next
 	}
-	e.run.Duration = maxDuration(now, time.Duration(n)*e.delta)
+	e.run.Duration = max(now, time.Duration(n)*e.delta)
 }
 
 // runContinuous detects every frame in order with no skipping. The GPU is
@@ -610,11 +600,4 @@ func (e *engine) finish() *Result {
 		Accuracy: metrics.VideoAccuracy(e.run.FrameF1, e.cfg.Alpha),
 		MeanF1:   metrics.Mean(e.run.FrameF1),
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
