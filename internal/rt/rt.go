@@ -664,9 +664,8 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 	}
 }
 
-// rtCycle is rt.Run's adapt.Driver, on the wall clock: stop once the
-// detector has fetched a newer frame (§IV-B), and sink sleeps each task's
-// emulated cost.
+// rtCycle drives adapt.Cycle on the wall clock: stop once the detector has
+// fetched a newer frame (§IV-B), and sink sleeps each task's emulated cost.
 type rtCycle struct {
 	p     *pipeline
 	ctx   context.Context

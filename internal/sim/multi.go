@@ -221,8 +221,8 @@ func (r *multiRun) Complete(i int, requested, grant, end time.Duration) (time.Du
 // RunMulti executes N streams against K shared detector slots on the virtual
 // clock, as a client of serve.RunVirtual — the scheduler: work-conserving,
 // deterministic, oldest calibration first (FIFO among ties, stream input
-// order among simultaneous arrivals). A panicking component is recovered into
-// an error.
+// order among simultaneous arrivals). A panicking detector is recovered into
+// an error; a tracker panic is recovered in place, as in Run.
 func RunMulti(streams []MultiStream, cfg MultiConfig) (res *MultiResult, err error) {
 	if err := serve.CheckStreams(len(streams), func(i int) (string, *video.Video) { return streams[i].ID, streams[i].Video }); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -278,9 +278,9 @@ func (e *engine) busy(res trace.Resource, s core.Setting, start, dur time.Durati
 // calibrate is one detection, the step every policy shares: frame i runs at
 // setting s on the GPU from start to end, and its boxes become frame i's
 // output, ready at end. It returns the frame, the tracker's next reference,
-// and the boxes, which are sanitized: malformed detections
-// (garbage/NaN faults, buggy detectors) must never reach the tracker or the
-// display, and Sanitize is the identity on well-formed batches.
+// and the boxes, which are sanitized: malformed detections (garbage/NaN
+// faults, buggy detectors) must never reach the tracker or the display, and
+// Sanitize is the identity on well-formed batches.
 func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) (core.Frame, []core.Detection) {
 	e.busy(trace.ResourceGPU, s, start, end-start)
 	f := e.frame(i)
@@ -289,7 +289,7 @@ func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) (cor
 	return f, dets
 }
 
-// simCycle is sim's adapt.Driver, on the virtual clock. stop draws the next
+// simCycle drives adapt.Cycle on the virtual clock. stop draws the next
 // task's costs and, but in MARLIN, stops a task that would end past the
 // detection (§IV-B); sink charges the same draws unless the task panicked.
 type simCycle struct {
@@ -299,10 +299,6 @@ type simCycle struct {
 	sequential       bool             // MARLIN: no detection overlaps the tracking
 	track, overlay   time.Duration    // the task under way's drawn costs
 	last             []core.Detection // the boxes last published
-}
-
-func (c *simCycle) driver() adapt.Driver {
-	return adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink}
 }
 
 func (c *simCycle) fetch(_, i int) (core.Frame, bool) { return c.e.frame(i), true }
@@ -433,7 +429,8 @@ func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) ti
 		}
 	}
 	c := simCycle{e: e, setting: p.setting, cursor: p.now, deadline: end}
-	tracked, velocity := adapt.Cycle{Tracker: e.tracker, Ref: st.prev, RefDets: st.prevDets, Plan: plan}.Run(c.driver())
+	tracked, velocity := adapt.Cycle{Tracker: e.tracker, Ref: st.prev, RefDets: st.prevDets, Plan: plan}.Run(
+		adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
 	e.ctrl.Observe(buffered, tracked, velocity)
 
 	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
@@ -510,7 +507,7 @@ func (e *engine) runMARLIN() {
 			backlog := live - cursorFrame
 			c.cursor = now
 			tracked, velocity := adapt.Cycle{Tracker: e.tracker, RefDets: c.last, SkipInit: true,
-				Plan: e.ctrl.Plan(cursorFrame+1, backlog)}.Run(c.driver())
+				Plan: e.ctrl.Plan(cursorFrame+1, backlog)}.Run(adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
 			now, cursorFrame = c.cursor, live
 			e.ctrl.Observe(backlog, tracked, velocity)
 			triggered = velocity > MARLINTrigger
