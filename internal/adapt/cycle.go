@@ -8,7 +8,7 @@ import (
 
 // Cycle is one tracked cycle (§IV-B): the tracker works through the frames
 // buffered during a detection and cancels its remaining tasks when the
-// detector finishes. It is clock-free: the Driver brings the engine's clock.
+// detector finishes. It is clock-free: the Hooks bring the engine's clock.
 // sim and rt.Run track every cycle through Run.
 type Cycle struct {
 	Tracker track.Tracker
@@ -20,10 +20,10 @@ type Cycle struct {
 	Plan     []int // the frames to track, in order
 }
 
-// Driver is an engine's side of a Cycle, its clock: three callbacks, so
+// Hooks are an engine's side of a Cycle, its clock: three callbacks, so
 // that a Cycle runs whatever engine calls it. Task k is -1 for Init, else
 // the k-th planned frame.
-type Driver struct {
+type Hooks struct {
 	// Fetch returns planned frame i for task k; false ends the cycle.
 	Fetch func(k, i int) (core.Frame, bool)
 	// Stop is asked before every task with the boxes it would start from;
@@ -33,8 +33,8 @@ type Driver struct {
 	Sink func(Task)
 }
 
-// Task is one task that ran. A step's Dets are sanitized; a panicked step
-// holds From, and ends the cycle.
+// Task is one task that ran, as Hooks.Sink receives it. A step's Dets are
+// sanitized; a panicked step holds From, and ends the cycle.
 type Task struct {
 	K, Frame   int
 	From, Dets []core.Detection
@@ -44,17 +44,17 @@ type Task struct {
 // Run returns the frames tracked, not counting a frame held after a panic,
 // and their mean valid velocity, -1 without one (JSON can hold it, unlike
 // NaN). An empty plan runs nothing, not even Init.
-func (c Cycle) Run(d Driver) (tracked int, velocity float64) {
+func (c Cycle) Run(h Hooks) (tracked int, velocity float64) {
 	if len(c.Plan) == 0 {
 		return 0, -1
 	}
 	from := c.RefDets
 	if !c.SkipInit {
-		if d.Stop(-1, from) {
+		if h.Stop(-1, from) {
 			return 0, -1
 		}
 		ok := Recovered(func() { c.Tracker.Init(c.Ref, from) })
-		d.Sink(Task{K: -1, Frame: c.Ref.Index, From: from, Panicked: !ok})
+		h.Sink(Task{K: -1, Frame: c.Ref.Index, From: from, Panicked: !ok})
 		if !ok {
 			return 0, -1
 		}
@@ -62,21 +62,21 @@ func (c Cycle) Run(d Driver) (tracked int, velocity float64) {
 	var velSum float64
 	var velN int
 	for k, i := range c.Plan {
-		if d.Stop(k, from) {
+		if h.Stop(k, from) {
 			break
 		}
-		f, ok := d.Fetch(k, i)
+		f, ok := h.Fetch(k, i)
 		if !ok {
 			break
 		}
 		var dets []core.Detection
 		var v float64
 		if !Recovered(func() { dets, v = c.Tracker.Step(f) }) {
-			d.Sink(Task{K: k, Frame: i, From: from, Dets: from, Panicked: true})
+			h.Sink(Task{K: k, Frame: i, From: from, Dets: from, Panicked: true})
 			break
 		}
 		dets = detect.Sanitize(dets)
-		d.Sink(Task{K: k, Frame: i, From: from, Dets: dets})
+		h.Sink(Task{K: k, Frame: i, From: from, Dets: dets})
 		from = dets
 		tracked++
 		// NaN, ±Inf and absurd velocities (faulting trackers) must never

@@ -46,26 +46,26 @@ func (s *scriptTracker) Step(f core.Frame) ([]core.Detection, float64) {
 	return next, v
 }
 
-// scriptDriver logs every call and stops before task stopAt (-1 is Init; a
+// scriptHooks logs every call and stops before task stopAt (-1 is Init; a
 // position past the plan never stops); fetching frame failAt (0: none)
 // fails.
-type scriptDriver struct {
+type scriptHooks struct {
 	stopAt, failAt int
 	log            []string
 	tasks          []Task
 }
 
-func (d *scriptDriver) Fetch(k, i int) (core.Frame, bool) {
+func (d *scriptHooks) Fetch(k, i int) (core.Frame, bool) {
 	d.log = append(d.log, fmt.Sprintf("fetch %d:%d", k, i))
 	return core.Frame{Index: i}, i != d.failAt
 }
 
-func (d *scriptDriver) Stop(k int, _ []core.Detection) bool {
+func (d *scriptHooks) Stop(k int, _ []core.Detection) bool {
 	d.log = append(d.log, fmt.Sprintf("stop %d", k))
 	return k == d.stopAt
 }
 
-func (d *scriptDriver) Sink(t Task) {
+func (d *scriptHooks) Sink(t Task) {
 	d.log = append(d.log, fmt.Sprintf("sink %d", t.K))
 	d.tasks = append(d.tasks, t)
 }
@@ -129,9 +129,9 @@ func TestCycleRules(t *testing.T) {
 			if tc.skipInit {
 				tr.cur = ref // where an earlier Init left it
 			}
-			d := &scriptDriver{stopAt: tc.stopAt, failAt: tc.failAt}
+			d := &scriptHooks{stopAt: tc.stopAt, failAt: tc.failAt}
 			c := Cycle{Tracker: tr, Ref: core.Frame{Index: 10}, RefDets: ref, SkipInit: tc.skipInit, Plan: tc.plan}
-			tracked, velocity := c.Run(Driver{Fetch: d.Fetch, Stop: d.Stop, Sink: d.Sink})
+			tracked, velocity := c.Run(Hooks{Fetch: d.Fetch, Stop: d.Stop, Sink: d.Sink})
 			if tracked != tc.tracked || velocity != tc.velocity {
 				t.Errorf("Run = (%d, %v), want (%d, %v)", tracked, velocity, tc.tracked, tc.velocity)
 			}

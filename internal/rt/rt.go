@@ -656,7 +656,7 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 		p.ctrlMu.Unlock()
 		c := rtCycle{p: p, ctx: ctx, ring: ring, w: w, start: time.Now()}
 		tracked, vel := adapt.Cycle{Tracker: p.tracker, Ref: w.Ref, RefDets: w.RefDets, Plan: p.plan}.Run(
-			adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
+			adapt.Hooks{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
 		ring.audit()
 		p.ctrlMu.Lock()
 		p.ctrl.Observe(buffered, tracked, vel)
@@ -664,7 +664,7 @@ func (p *pipeline) trackerLoop(ctx context.Context) {
 	}
 }
 
-// rtCycle drives adapt.Cycle on the wall clock: stop once the detector has
+// rtCycle runs adapt.Cycle on the wall clock: stop once the detector has
 // fetched a newer frame (§IV-B), and sink sleeps each task's emulated cost.
 type rtCycle struct {
 	p     *pipeline

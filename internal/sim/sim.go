@@ -289,7 +289,7 @@ func (e *engine) calibrate(i int, s core.Setting, start, end time.Duration) (cor
 	return f, dets
 }
 
-// simCycle drives adapt.Cycle on the virtual clock. stop draws the next
+// simCycle runs adapt.Cycle on the virtual clock. stop draws the next
 // task's costs and, but in MARLIN, stops a task that would end past the
 // detection (§IV-B); sink charges the same draws unless the task panicked.
 type simCycle struct {
@@ -430,7 +430,7 @@ func (e *engine) execCycle(st *parallelState, p cyclePlan, end time.Duration) ti
 	}
 	c := simCycle{e: e, setting: p.setting, cursor: p.now, deadline: end}
 	tracked, velocity := adapt.Cycle{Tracker: e.tracker, Ref: st.prev, RefDets: st.prevDets, Plan: plan}.Run(
-		adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
+		adapt.Hooks{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
 	e.ctrl.Observe(buffered, tracked, velocity)
 
 	e.run.Cycles = append(e.run.Cycles, trace.Cycle{
@@ -507,7 +507,7 @@ func (e *engine) runMARLIN() {
 			backlog := live - cursorFrame
 			c.cursor = now
 			tracked, velocity := adapt.Cycle{Tracker: e.tracker, RefDets: c.last, SkipInit: true,
-				Plan: e.ctrl.Plan(cursorFrame+1, backlog)}.Run(adapt.Driver{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
+				Plan: e.ctrl.Plan(cursorFrame+1, backlog)}.Run(adapt.Hooks{Fetch: c.fetch, Stop: c.stop, Sink: c.sink})
 			now, cursorFrame = c.cursor, live
 			e.ctrl.Observe(backlog, tracked, velocity)
 			triggered = velocity > MARLINTrigger
